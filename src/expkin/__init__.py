@@ -3,17 +3,17 @@
 from .kinetics import (EXP_ARG_MAX, P_STANDARD, R_GAS, InvalidStateError,
                        KineticsError, Mechanism, RateTelemetry, Reaction,
                        Species, ThermoRangeError, ThermoState, concentrations,
-                       density, equilibrium_constant, fd_jacobian, forward_rate,
-                       jacobian_fd, production_rates, reaction_rates,
-                       reverse_rate, rhs, rhs_vector, thermo_props)
+                       density, equilibrium_constants, fd_jacobian, jacobian,
+                       production_rates, rate_constants, reaction_rates, rhs,
+                       rhs_vector, species_thermo)
 from .phikrylov import (PhiConvergenceError, PhiRequest, PhiResult, arnoldi,
                         dense_phi_oracle, expm, kiops_eval, phi_combination,
                         phi_scalar)
-from .integrator import (ControllerConfig, IntegrationError, OdeProblem,
-                         SolverOutput, StepRecord, controller_update,
-                         epi3v_step, exp_euler_step, integrate_adaptive,
-                         integrate_fixed, integrate_mechanism,
-                         problem_from_mechanism, scaled_error_norm)
+from .integrator import (ControllerConfig, OdeProblem, SolverOutput,
+                         StepRecord, controller_update, epi3v_step,
+                         exp_euler_step, integrate_adaptive, integrate_fixed,
+                         integrate_mechanism, problem_from_mechanism,
+                         scaled_error_norm)
 from .diagnostics import (EigensolverError, SpectrumStats, eigenvalues_dense,
                           jacobian_spectrum, normalized_step_cost,
                           spectrum_bounds)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics, mechio
 from .integrator import ControllerConfig, exp_euler_step, integrate_mechanism
-from .kinetics import KineticsError, ThermoState
+from .kinetics import CONVENTIONS, KineticsError, ThermoState
 from .mechio import MechIoError
 
 EXIT_OK = 0
@@ -223,11 +223,9 @@ def build_parser():
         p.add_argument("--mech", help="mechanism file (overrides config)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--clamp-mode", choices=("standard", "paper_literal"))
-        p.add_argument("--reverse-rate-convention", choices=("divide", "multiply"))
+        p.add_argument("--reverse-rate-convention", choices=CONVENTIONS)
         p.add_argument("--spectrum-every", type=int, default=1)
         p.add_argument("--parallel", action="store_true")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; the solver core is deterministic")
         p.set_defaults(func=fn)
     return parser
 

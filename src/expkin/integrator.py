@@ -20,13 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phikrylov
-from .kinetics import (KineticsError, RateTelemetry, TYPICAL_T, TYPICAL_Y,
-                       ThermoState, fd_jacobian, rhs_vector)
+from .kinetics import KineticsError, RateTelemetry, jacobian, rhs_vector
 from .phikrylov import PhiConvergenceError, PhiStats, phi_combination
-
-
-class IntegrationError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -106,15 +101,14 @@ class OdeProblem:
 
 
 def problem_from_mechanism(mech, pressure, convention="divide", telemetry=None):
-    """OdeProblem over the flat [T, Y...] state vector of a mechanism."""
-    typical = np.concatenate(([TYPICAL_T], np.full(mech.n_species, TYPICAL_Y)))
+    """OdeProblem over the flat [T, Y...] state vector of a mechanism,
+    with the exact analytical Jacobian."""
 
     def f(y):
         return rhs_vector(y, mech, pressure, convention, telemetry)
 
     def jac(y):
-        ThermoState.from_vector(y, pressure).validate()
-        return fd_jacobian(f, y, typical)
+        return jacobian(y, mech, pressure, convention, telemetry)
 
     return OdeProblem(f, jac)
 

@@ -1,12 +1,23 @@
-"""Chemical source term and Jacobian for an isobaric zero-D ideal-gas reactor.
+"""Chemical source term and its exact Jacobian for an isobaric zero-D
+ideal-gas reactor.
 
 State vector layout is [T, Y_1, ..., Y_K] (temperature first, then mass
 fractions in mechanism order). All quantities are SI: K, Pa, kg/mol, mol/m^3,
 J/mol, s.
+
+Every evaluation works on the arrays a `Mechanism` builds once: NASA-7
+coefficient tables, Arrhenius parameters, stoichiometric matrices and padded
+reactant/product slot indices. The Jacobian is analytical in the manner of
+pyJac (Niemeyer, Curtis & Sung, Comput. Phys. Commun. 215, 2017): rate-of-
+progress derivatives in the concentrations come from the mass-action
+products, temperature derivatives from the Arrhenius and equilibrium-constant
+log-derivatives, and both are chained through rho(T, Y).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -16,6 +27,7 @@ EXP_ARG_MAX = 700.0          # exp() argument clamp, avoids overflow
 Y_NEG_TOL = 1.0e-8           # mass fractions in [-Y_NEG_TOL, 0) are treated as 0
 TYPICAL_T = 1.0              # typical magnitudes for FD perturbation sizing
 TYPICAL_Y = 1.0e-6
+CONVENTIONS = ("divide", "multiply")
 
 
 class KineticsError(ValueError):
@@ -49,11 +61,34 @@ class RateTelemetry:
 
 
 def _clamped_exp(arg, telemetry=None):
+    """exp(arg) with arg clipped to +-EXP_ARG_MAX, and the mask of the
+    unclipped entries (where the factor's derivative passes through)."""
     arg = np.asarray(arg, dtype=float)
     clipped = np.clip(arg, -EXP_ARG_MAX, EXP_ARG_MAX)
-    if telemetry is not None and np.any(clipped != arg):
+    live = clipped == arg
+    if telemetry is not None and not np.all(live):
         telemetry.mark_saturated()
-    return np.exp(clipped)
+    return np.exp(clipped), live
+
+
+def _nasa_weights(T):
+    """Weights that turn the 7 NASA-7 coefficients into molar c_p, H, S and
+    dc_p/dT at T, one row each."""
+    T2, T3, T4 = T * T, T * T * T, T * T * T * T
+    RT = R_GAS * T
+    return [
+        [R_GAS, R_GAS * T, R_GAS * T2, R_GAS * T3, R_GAS * T4, 0.0, 0.0],
+        [RT, RT * T / 2, RT * T2 / 3, RT * T3 / 4, RT * T4 / 5, R_GAS, 0.0],
+        [R_GAS * np.log(T), R_GAS * T, R_GAS * T2 / 2, R_GAS * T3 / 3,
+         R_GAS * T4 / 4, 0.0, R_GAS],
+        [0.0, R_GAS, 2 * R_GAS * T, 3 * R_GAS * T2, 4 * R_GAS * T3, 0.0, 0.0],
+    ]
+
+
+def _nasa(a, T):
+    """Molar c_p, H, S and dc_p/dT at T of NASA-7 rows a, shape (n, 7);
+    four arrays of length n."""
+    return (np.asarray(a, dtype=float) @ np.array(_nasa_weights(T)).T).T
 
 
 @dataclass(frozen=True)
@@ -78,46 +113,31 @@ class Species:
             )
         if len(self.coeffs_low) != 7 or len(self.coeffs_high) != 7:
             raise KineticsError(f"species {self.name!r}: need 7+7 NASA coefficients")
-        cp_lo = _nasa_cp(np.asarray(self.coeffs_low), self.t_mid)
-        cp_hi = _nasa_cp(np.asarray(self.coeffs_high), self.t_mid)
+        cp_row = _nasa_weights(self.t_mid)[0]
+        cp_lo = sum(map(mul, cp_row, self.coeffs_low))
+        cp_hi = sum(map(mul, cp_row, self.coeffs_high))
         if abs(cp_lo - cp_hi) > 0.01 * max(abs(cp_lo), abs(cp_hi)):
             raise KineticsError(
                 f"species {self.name!r}: c_p discontinuity at T_mid exceeds 1%"
             )
 
-    def _coeffs_at(self, T):
+    def _thermo(self, T):
         if not (self.t_low <= T <= self.t_high):
             raise ThermoRangeError(self.name, T, self.t_low, self.t_high)
-        return np.asarray(self.coeffs_high if T > self.t_mid else self.coeffs_low)
+        coeffs = self.coeffs_high if T > self.t_mid else self.coeffs_low
+        return _nasa((coeffs,), T)[:, 0]
 
     def cp(self, T):
         """Molar heat capacity at constant pressure, J/(mol K)."""
-        return _nasa_cp(self._coeffs_at(T), T)
+        return self._thermo(T)[0]
 
     def enthalpy(self, T):
         """Molar enthalpy, J/mol."""
-        a = self._coeffs_at(T)
-        return R_GAS * T * (
-            a[0] + a[1] * T / 2 + a[2] * T**2 / 3 + a[3] * T**3 / 4
-            + a[4] * T**4 / 5 + a[5] / T
-        )
+        return self._thermo(T)[1]
 
     def entropy(self, T):
         """Molar entropy at the standard pressure, J/(mol K)."""
-        a = self._coeffs_at(T)
-        return R_GAS * (
-            a[0] * np.log(T) + a[1] * T + a[2] * T**2 / 2 + a[3] * T**3 / 3
-            + a[4] * T**4 / 4 + a[6]
-        )
-
-
-def _nasa_cp(a, T):
-    return R_GAS * (a[0] + a[1] * T + a[2] * T**2 + a[3] * T**3 + a[4] * T**4)
-
-
-def thermo_props(T, species):
-    """(c_p, H) of one species at temperature T; molar units."""
-    return species.cp(T), species.enthalpy(T)
+        return self._thermo(T)[2]
 
 
 @dataclass(frozen=True)
@@ -150,13 +170,66 @@ class Reaction:
             raise KineticsError("explicit reverse pre-exponential must be > 0")
 
 
+def _slots(stoich):
+    """Species index once per unit of stoichiometric coefficient."""
+    return [idx for idx, nu in sorted(stoich.items()) for _ in range(int(nu))]
+
+
+def _padded(rows, fill):
+    """Lists of unequal length as one (len(rows), width >= 1) index array."""
+    width = max([1] + [len(r) for r in rows])
+    return np.array([r + [fill] * (width - len(r)) for r in rows],
+                    dtype=np.intp).reshape(len(rows), width)
+
+
+class _Tables:
+    """The arrays every evaluation of one mechanism uses.
+
+    - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row sums;
+    - NASA-7 coefficients `nasa_low`/`nasa_high` (K, 7) and the range
+      limits `t_low`, `t_mid`, `t_high`;
+    - Arrhenius rows (N, 3): `arrhenius` forward and `reverse_arrhenius`
+      (used where `explicit_mask`); `balance_mask` marks reactions reversed
+      by detailed balance;
+    - `reactant_slots`/`product_slots` (N, width): a species index once per
+      unit of stoichiometry, padded with K, which indexes a constant 1.
+    """
+
+    def __init__(self, mech):
+        K, N = mech.n_species, mech.n_reactions
+        species, reactions = mech.species, mech.reactions
+        self.nu_net = np.subtract(mech.nu_reverse, mech.nu_forward, dtype=float)
+        self.dnu = self.nu_net.sum(axis=1)
+        self.nasa_low = np.array([s.coeffs_low for s in species], dtype=float)
+        self.nasa_high = np.array([s.coeffs_high for s in species], dtype=float)
+        self.t_low = np.array([s.t_low for s in species])
+        self.t_mid = np.array([s.t_mid for s in species])
+        self.t_high = np.array([s.t_high for s in species])
+        explicit = [r.reversible and r.explicit_reverse is not None for r in reactions]
+        self.explicit_mask = np.array(explicit, dtype=bool)
+        self.balance_mask = np.array([r.reversible for r in reactions],
+                                     dtype=bool) & ~self.explicit_mask
+        self.arrhenius = np.array([r.arrhenius for r in reactions],
+                                  dtype=float).reshape(N, 3)
+        self.reverse_arrhenius = np.array(
+            [r.explicit_reverse if e else (1.0, 0.0, 0.0)
+             for r, e in zip(reactions, explicit)], dtype=float).reshape(N, 3)
+        self.reactant_slots = _padded([_slots(r.reactants) for r in reactions], K)
+        self.product_slots = _padded([_slots(r.products) for r in reactions], K)
+
+
 @dataclass(frozen=True)
 class Mechanism:
-    """Immutable set of species and reactions plus precomputed index arrays."""
+    """Immutable set of species and reactions plus precomputed arrays.
+
+    `molar_masses` and the integer stoichiometric matrices `nu_forward` and
+    `nu_reverse` (N, K) are filled in by __post_init__; `tables` holds the
+    rest of what an evaluation needs and is built on first use. None of
+    them takes part in equality.
+    """
 
     species: tuple
     reactions: tuple
-    # Derived arrays, filled in by __post_init__.
     molar_masses: np.ndarray = field(default=None, compare=False, repr=False)
     nu_forward: np.ndarray = field(default=None, compare=False, repr=False)
     nu_reverse: np.ndarray = field(default=None, compare=False, repr=False)
@@ -175,22 +248,27 @@ class Mechanism:
         nu_f = np.zeros((N, K), dtype=int)
         nu_r = np.zeros((N, K), dtype=int)
         for j, rxn in enumerate(self.reactions):
-            for idx, nu in rxn.reactants.items():
-                if not 0 <= idx < K:
-                    raise KineticsError(f"reaction {j}: species index {idx} out of range")
-                nu_f[j, idx] = nu
-            for idx, nu in rxn.products.items():
-                if not 0 <= idx < K:
-                    raise KineticsError(f"reaction {j}: species index {idx} out of range")
-                nu_r[j, idx] = nu
-            imbalance = abs(float((nu_r[j] - nu_f[j]) @ W))
-            if imbalance > self.MASS_BALANCE_TOL:
-                raise KineticsError(
-                    f"reaction {j} violates mass balance by {imbalance:.3e} kg/mol"
-                )
+            for stoich, nu in ((rxn.reactants, nu_f), (rxn.products, nu_r)):
+                for idx, n in stoich.items():
+                    if not 0 <= idx < K:
+                        raise KineticsError(
+                            f"reaction {j}: species index {idx} out of range")
+                    nu[j, idx] = n
+        imbalance = np.abs((nu_r - nu_f) @ W)
+        unbalanced = np.flatnonzero(imbalance > self.MASS_BALANCE_TOL)
+        if unbalanced.size:
+            j = int(unbalanced[0])
+            raise KineticsError(
+                f"reaction {j} violates mass balance by {imbalance[j]:.3e} kg/mol"
+            )
         object.__setattr__(self, "molar_masses", W)
         object.__setattr__(self, "nu_forward", nu_f)
         object.__setattr__(self, "nu_reverse", nu_r)
+
+    @cached_property
+    def tables(self):
+        """Evaluation arrays (see _Tables), built once on first use."""
+        return _Tables(self)
 
     @property
     def n_species(self):
@@ -241,99 +319,154 @@ class ThermoState:
         return cls(T=float(y[0]), Y=y[1:].copy(), p=p)
 
 
-def density(state, mech):
-    """Mixture mass density from the ideal-gas law, kg/m^3."""
-    Y = np.where((state.Y < 0) & (state.Y >= -Y_NEG_TOL), 0.0, state.Y)
+def _clip_negative(Y):
+    """Mass fractions in [-Y_NEG_TOL, 0) read as 0."""
+    if Y.min() >= 0:
+        return Y
+    return np.where((Y < 0) & (Y >= -Y_NEG_TOL), 0.0, Y)
+
+
+def _density(T, Y, p, mech):
+    """rho and 1/W_mean = sum Y_i/W_i of clipped mass fractions Y."""
     mean_inv = float(np.sum(Y / mech.molar_masses))
-    rho = state.p / (R_GAS * state.T * mean_inv)
+    rho = p / (R_GAS * T * mean_inv)
     if not np.isfinite(rho) or rho <= 0:
         raise InvalidStateError(f"non-physical density {rho}")
-    return rho
+    return rho, mean_inv
+
+
+def density(state, mech):
+    """Mixture mass density from the ideal-gas law, kg/m^3."""
+    return _density(state.T, _clip_negative(state.Y), state.p, mech)[0]
 
 
 def concentrations(state, mech):
     """Molar concentrations chi_i = rho Y_i / W_i, mol/m^3."""
-    rho = density(state, mech)
-    Y = np.where((state.Y < 0) & (state.Y >= -Y_NEG_TOL), 0.0, state.Y)
-    return rho * Y / mech.molar_masses
+    Y = _clip_negative(state.Y)
+    return _density(state.T, Y, state.p, mech)[0] * Y / mech.molar_masses
 
 
-def forward_rate(T, rxn, telemetry=None):
-    """Arrhenius forward rate constant A * T^alpha * exp(-E / (R T))."""
-    A, alpha, E = rxn.arrhenius
-    return float(A * T**alpha * _clamped_exp(-E / (R_GAS * T), telemetry))
+def species_thermo(T, mech):
+    """Molar c_p, H, S and dc_p/dT of every species at temperature T."""
+    tb = mech.tables
+    if not (tb.t_low.max() <= T <= tb.t_high.min()):
+        bad = int(np.argmax((T < tb.t_low) | (T > tb.t_high)))
+        raise ThermoRangeError(mech.species[bad].name, T,
+                               tb.t_low[bad], tb.t_high[bad])
+    return _nasa(np.where((T > tb.t_mid)[:, None], tb.nasa_high, tb.nasa_low), T)
 
 
-def _species_thermo_arrays(T, mech):
-    """H_i and S_i for every species at T (molar)."""
-    H = np.array([s.enthalpy(T) for s in mech.species])
-    S = np.array([s.entropy(T) for s in mech.species])
-    return H, S
+def _arrhenius(rows, T, telemetry):
+    """k = A T^beta exp(-E/(R T)) of Arrhenius rows (n, 3), and d ln k/dT."""
+    A, beta, E = rows.T
+    e, live = _clamped_exp(-E / (R_GAS * T), telemetry)
+    return A * T**beta * e, (beta + np.where(live, E / (R_GAS * T), 0.0)) / T
 
 
-def equilibrium_constant(T, rxn, mech, telemetry=None):
-    """Concentration-based equilibrium constant K_c of one reaction."""
-    H, S = _species_thermo_arrays(T, mech)
-    dnu = 0.0
-    dG = 0.0
-    for idx, nu in rxn.products.items():
-        dG += nu * (H[idx] - T * S[idx])
-        dnu += nu
-    for idx, nu in rxn.reactants.items():
-        dG -= nu * (H[idx] - T * S[idx])
-        dnu -= nu
-    Kp = _clamped_exp(-dG / (R_GAS * T), telemetry)
-    return float(Kp * (P_STANDARD / (R_GAS * T)) ** dnu)
+def _equilibrium(T, H, S, tb, telemetry, rows=slice(None)):
+    """Concentration-based K_c of reactions `rows`, and d ln K_c/dT."""
+    neg_dg = -(tb.nu_net @ ((H - T * S) / (R_GAS * T)))[rows]
+    kp, live = _clamped_exp(neg_dg, telemetry)
+    dnu = tb.dnu[rows]
+    dh = (tb.nu_net @ H)[rows]
+    kc = kp * (P_STANDARD / (R_GAS * T)) ** dnu
+    return kc, (np.where(live, dh / (R_GAS * T), 0.0) - dnu) / T
 
 
-def reverse_rate(f_j, K_c, rxn, T=None, convention="divide", telemetry=None):
-    """Reverse rate constant of one reaction.
+def equilibrium_constants(T, mech, telemetry=None):
+    """Concentration-based equilibrium constant K_c of every reaction."""
+    _, H, S, _ = species_thermo(T, mech)
+    return _equilibrium(T, H, S, mech.tables, telemetry)[0]
+
+
+def _rate_constants(T, H, S, tb, convention, telemetry):
+    """Forward and reverse rate constants and their T log-derivatives.
 
     An explicit reverse Arrhenius fit takes precedence; otherwise detailed
     balance b = f / K_c is used (convention="multiply" gives b = f * K_c).
+    Irreversible reactions have b = 0.
     """
-    if not rxn.reversible:
-        return 0.0
-    if rxn.explicit_reverse is not None:
-        A, alpha, E = rxn.explicit_reverse
-        return float(A * T**alpha * _clamped_exp(-E / (R_GAS * T), telemetry))
-    if convention == "divide":
-        return float(f_j / K_c)
-    if convention == "multiply":
-        return float(f_j * K_c)
-    raise ValueError(f"unknown reverse-rate convention {convention!r}")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown reverse-rate convention {convention!r}")
+    kf, dkf = _arrhenius(tb.arrhenius, T, telemetry)
+    kr = np.zeros_like(kf)
+    dkr = np.zeros_like(kf)
+    bal = tb.balance_mask
+    if bal.any():
+        kc, dkc = _equilibrium(T, H, S, tb, telemetry, bal)
+        if convention == "divide":
+            kr[bal], dkr[bal] = kf[bal] / kc, dkf[bal] - dkc
+        else:
+            kr[bal], dkr[bal] = kf[bal] * kc, dkf[bal] + dkc
+    ex = tb.explicit_mask
+    if ex.any():
+        kr[ex], dkr[ex] = _arrhenius(tb.reverse_arrhenius[ex], T, telemetry)
+    return kf, kr, dkf, dkr
+
+
+def rate_constants(T, mech, convention="divide", telemetry=None):
+    """Forward and reverse rate constants (k_f, k_r) of every reaction."""
+    _, H, S, _ = species_thermo(T, mech)
+    return _rate_constants(T, H, S, mech.tables, convention, telemetry)[:2]
+
+
+def _products(x):
+    """Row products of x (n, width) and, per entry, the product of the
+    others in its row (prefix times suffix: exact when some entry is 0)."""
+    n, width = x.shape
+    prefix = np.ones((n, width + 1))
+    suffix = np.ones((n, width + 1))
+    np.cumprod(x, axis=1, out=prefix[:, 1:])
+    np.cumprod(x[:, ::-1], axis=1, out=suffix[:, -2::-1])
+    return prefix[:, -1], prefix[:, :-1] * suffix[:, 1:]
+
+
+@dataclass
+class _Point:
+    """What rhs and jacobian share at one state (mass fractions clipped)."""
+
+    Y: np.ndarray
+    rho: float
+    mean_inv: float
+    chi: np.ndarray
+    cp: np.ndarray
+    H: np.ndarray
+    dcp: np.ndarray
+    q: np.ndarray
+    dq_dT: np.ndarray = None      # dq/dT at fixed concentrations
+    dq_dchi: np.ndarray = None    # (N, K + 1); the last column is the padding slot
+
+
+def _evaluate(T, Y, p, mech, convention, telemetry, derivatives=False):
+    Y = _clip_negative(Y)
+    rho, mean_inv = _density(T, Y, p, mech)
+    chi = rho * Y / mech.molar_masses
+    cp, H, S, dcp = species_thermo(T, mech)
+    tb = mech.tables
+    kf, kr, dkf, dkr = _rate_constants(T, H, S, tb, convention, telemetry)
+    chi1 = np.append(chi, 1.0)
+    xf = chi1[tb.reactant_slots]
+    xr = chi1[tb.product_slots]
+    if not derivatives:
+        q = kf * xf.prod(axis=1) - kr * xr.prod(axis=1)
+        return _Point(Y, rho, mean_inv, chi, cp, H, dcp, q)
+    cf, others_f = _products(xf)
+    cr, others_r = _products(xr)
+    fwd = kf * cf
+    rev = kr * cr
+    # dq_j/dchi_k: sum over reaction j's slots holding species k, one bincount.
+    n, k1 = mech.n_reactions, chi1.size
+    slots = np.hstack((tb.reactant_slots, tb.product_slots))
+    weights = np.hstack((kf[:, None] * others_f, -kr[:, None] * others_r))
+    flat = (np.arange(n)[:, None] * k1 + slots).ravel()
+    dq_dchi = np.bincount(flat, weights.ravel(), n * k1).reshape(n, k1)
+    return _Point(Y, rho, mean_inv, chi, cp, H, dcp, fwd - rev,
+                  dkf * fwd - dkr * rev, dq_dchi)
 
 
 def reaction_rates(state, mech, convention="divide", telemetry=None):
     """Net molar rate of progress of every reaction, mol/(m^3 s)."""
-    chi = concentrations(state, mech)
-    T = state.T
-    rates = np.empty(mech.n_reactions)
-    H = S = None
-    for j, rxn in enumerate(mech.reactions):
-        f = forward_rate(T, rxn, telemetry)
-        if rxn.reversible and rxn.explicit_reverse is None:
-            if H is None:
-                H, S = _species_thermo_arrays(T, mech)
-            dG = 0.0
-            dnu = 0.0
-            for idx, nu in rxn.products.items():
-                dG += nu * (H[idx] - T * S[idx])
-                dnu += nu
-            for idx, nu in rxn.reactants.items():
-                dG -= nu * (H[idx] - T * S[idx])
-                dnu -= nu
-            Kc = float(
-                _clamped_exp(-dG / (R_GAS * T), telemetry)
-                * (P_STANDARD / (R_GAS * T)) ** dnu
-            )
-            b = reverse_rate(f, Kc, rxn, T, convention, telemetry)
-        else:
-            b = reverse_rate(f, 1.0, rxn, T, convention, telemetry)
-        fwd = f * np.prod(chi ** mech.nu_forward[j])
-        rev = b * np.prod(chi ** mech.nu_reverse[j]) if b != 0.0 else 0.0
-        rates[j] = fwd - rev
-    return rates
+    return _evaluate(state.T, state.Y, state.p, mech, convention, telemetry).q
 
 
 def production_rates(rates, mech):
@@ -341,25 +474,25 @@ def production_rates(rates, mech):
     rates = np.asarray(rates, dtype=float)
     if rates.shape != (mech.n_reactions,):
         raise ValueError("rate vector length does not match reaction count")
-    return (mech.nu_reverse - mech.nu_forward).T @ rates
+    return mech.tables.nu_net.T @ rates
+
+
+def _check_finite(values, what):
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmax(~np.isfinite(values.ravel())))
+        raise InvalidStateError(f"non-finite {what} component {bad}", bad)
+    return values
 
 
 def rhs(state, mech, convention="divide", telemetry=None):
     """Time derivative of [T, Y_1..Y_K] for the isobaric reactor."""
-    rho = density(state, mech)
-    omega = production_rates(reaction_rates(state, mech, convention, telemetry), mech)
-    T = state.T
-    H = np.array([s.enthalpy(T) for s in mech.species])
-    cp_mol = np.array([s.cp(T) for s in mech.species])
-    Y = np.where((state.Y < 0) & (state.Y >= -Y_NEG_TOL), 0.0, state.Y)
-    cp_mass = float(np.sum(Y * cp_mol / mech.molar_masses))  # J/(kg K)
-    dT = -float(omega @ H) / (rho * cp_mass)
-    dY = omega * mech.molar_masses / rho
-    out = np.concatenate(([dT], dY))
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.isfinite(out)))
-        raise InvalidStateError(f"non-finite rhs component {bad}", bad)
-    return out
+    pt = _evaluate(state.T, state.Y, state.p, mech, convention, telemetry)
+    omega = mech.tables.nu_net.T @ pt.q
+    cp_mass = float(pt.Y @ (pt.cp / mech.molar_masses))  # J/(kg K)
+    out = np.empty(mech.n_species + 1)
+    out[0] = -float(omega @ pt.H) / (pt.rho * cp_mass)
+    out[1:] = omega * mech.molar_masses / pt.rho
+    return _check_finite(out, "rhs")
 
 
 def rhs_vector(y, mech, p, convention="divide", telemetry=None):
@@ -369,21 +502,70 @@ def rhs_vector(y, mech, p, convention="divide", telemetry=None):
     return rhs(state, mech, convention, telemetry)
 
 
-def fd_jacobian(f, y, typical=None):
-    """Dense central-difference Jacobian of f at y.
+def jacobian(y, mech, p, convention="divide", telemetry=None):
+    """Exact dense Jacobian d[dT/dt, dY/dt]/d[T, Y] of rhs_vector at y.
 
-    Perturbation per component: sqrt(machine eps) * max(|y_j|, typical_j).
-    Falls back to a one-sided difference if a perturbed evaluation fails.
+    Includes the coupling through rho(T, Y) = p / (R T sum Y_i/W_i). Mass
+    fractions in [-Y_NEG_TOL, 0) read as 0 here as in rhs, and their columns
+    are the derivatives at 0 from above. A factor whose exponent is clamped
+    (see RateTelemetry) is constant, so its derivative is 0.
+    """
+    state = ThermoState.from_vector(y, p)
+    state.validate()
+    T = state.T
+    pt = _evaluate(T, state.Y, p, mech, convention, telemetry, derivatives=True)
+    Y, rho, mean_inv, W = pt.Y, pt.rho, pt.mean_inv, mech.molar_masses
+    K = mech.n_species
+    nu_t = mech.tables.nu_net.T
+    # domega/dchi at fixed T. With chi_i = rho Y_i / W_i, dchi/dT = -chi/T
+    # and dchi_i/dY_k = rho delta_ik / W_i - chi_i / (mean_inv W_k).
+    A = (nu_t @ pt.dq_dchi)[:, :K]
+    A_chi = A @ pt.chi
+    domega = np.empty((K, K + 1))
+    domega[:, 0] = nu_t @ pt.dq_dT - A_chi / T
+    domega[:, 1:] = (rho * A - A_chi[:, None] / mean_inv) / W
+    omega = nu_t @ pt.q
+    # dY/dt = omega W / rho, with drho/dT = -rho/T, drho/dY_k = -rho/(mean_inv W_k).
+    dY = omega * W / rho
+    J = np.empty((K + 1, K + 1))
+    J[1:] = (W / rho)[:, None] * domega
+    J[1:, 0] += dY / T
+    J[1:, 1:] += dY[:, None] / (mean_inv * W)
+    # dT/dt = -(omega . H) / D with D = rho cp_mass and dH/dT = cp.
+    cp_w = pt.cp / W
+    D = rho * float(Y @ cp_w)
+    dT = -float(omega @ pt.H) / D
+    dD = np.empty(K + 1)
+    dD[0] = -D / T + rho * float(Y @ (pt.dcp / W))
+    dD[1:] = rho * cp_w - D / (mean_inv * W)
+    J[0] = -(pt.H @ domega) - dT * dD
+    J[0, 0] -= float(omega @ pt.cp)
+    J[0] /= D
+    return _check_finite(J, "Jacobian")
+
+
+def fd_jacobian(f, y, typical=None, step=None):
+    """Dense central-difference Jacobian of f at y, the oracle for jacobian().
+
+    Perturbation per component: step * max(|y_j|, typical_j), with step
+    sqrt(machine eps) by default. Falls back to a one-sided difference if a
+    perturbed evaluation fails.
+
+    Valid only at interior states: rhs reads mass fractions in
+    [-Y_NEG_TOL, 0) as 0, so at a species with Y_k = 0 the backward point
+    lands in that clip and the central difference halves the column. The
+    exact derivative there is the one-sided forward difference.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     if typical is None:
         typical = np.ones(n)
+    if step is None:
+        step = np.sqrt(np.finfo(float).eps)
     f0 = None
-    sqrt_u = np.sqrt(np.finfo(float).eps)
     J = np.empty((n, n))
     for j in range(n):
-        delta = sqrt_u * max(abs(y[j]), typical[j])
+        delta = step * max(abs(y[j]), typical[j])
         yp = y.copy()
         ym = y.copy()
         yp[j] += delta
@@ -400,11 +582,3 @@ def fd_jacobian(f, y, typical=None):
     if not np.all(np.isfinite(J)):
         raise InvalidStateError("non-finite Jacobian entry")
     return J
-
-
-def jacobian_fd(state, mech, convention="divide"):
-    """Finite-difference Jacobian of rhs() at the given state."""
-    state.validate()
-    y = state.to_vector()
-    typical = np.concatenate(([TYPICAL_T], np.full(mech.n_species, TYPICAL_Y)))
-    return fd_jacobian(lambda v: rhs_vector(v, mech, state.p, convention), y, typical)

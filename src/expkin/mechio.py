@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import KineticsError, Mechanism, Reaction, Species
+from .kinetics import CONVENTIONS, KineticsError, Mechanism, Reaction, Species
 
 FORMAT_VERSION = 1
 MASS_SUM_TOL = 1.0e-6
@@ -243,6 +243,9 @@ class RunConfig:
                               "atol, rtol and t_final must be positive")
         if self.method not in ("epi3v", "exp_euler"):
             raise MechIoError("BadConfigValue", f"unknown method {self.method!r}")
+        if self.reverse_rate_convention not in CONVENTIONS:
+            raise MechIoError("BadConfigValue", "unknown reverse-rate convention "
+                              f"{self.reverse_rate_convention!r}")
         total = sum(self.Y0.values())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise MechIoError("MassFractionSum",

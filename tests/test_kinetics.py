@@ -1,4 +1,5 @@
-"""Kinetics core: thermo polynomials, rates, the RHS and the FD Jacobian."""
+"""Kinetics core: thermo polynomials, rates, the RHS and the exact Jacobian
+(checked against the finite-difference oracle)."""
 import numpy as np
 import pytest
 
@@ -6,14 +7,24 @@ from conftest import make_mechanism, make_species, random_balanced_mechanism
 from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
-    concentrations, density, equilibrium_constant, fd_jacobian, forward_rate,
-    jacobian_fd, production_rates, reaction_rates, reverse_rate, rhs,
-    rhs_vector, thermo_props,
+    TYPICAL_T, TYPICAL_Y, concentrations, density, equilibrium_constants,
+    fd_jacobian, jacobian, production_rates, rate_constants, reaction_rates,
+    rhs, rhs_vector, species_thermo,
 )
 
 
 def two_species_state(T=1000.0, p=101325.0, ya=0.5):
     return ThermoState(T=T, p=p, Y=np.array([ya, 1.0 - ya]))
+
+
+def one_reaction_mech(rxn, b_a6=0.0):
+    """Species A and B (both 0.030 kg/mol, flat c_p) and one reaction A -> B."""
+    return make_mechanism(
+        [make_species("A", 0.030), make_species("B", 0.030, a6=b_a6)], [rxn])
+
+
+def jacobian_at(state, mech, convention="divide"):
+    return jacobian(state.to_vector(), mech, state.p, convention)
 
 
 class TestDensity:
@@ -96,47 +107,49 @@ class TestThermo:
 
     def test_thermo_props_pair(self):
         sp = make_species("X", 0.030, a1=3.5, a6=2.0e3)
-        cp, h = thermo_props(800.0, sp)
-        assert cp == sp.cp(800.0) and h == sp.enthalpy(800.0)
+        cp, h, _, _ = species_thermo(800.0, make_mechanism([sp], []))
+        assert cp[0] == sp.cp(800.0) and h[0] == sp.enthalpy(800.0)
 
 
 class TestRates:
     def test_forward_rate_constant_A(self):
         rxn = Reaction(reactants={0: 1}, products={1: 1}, arrhenius=(5.0, 0.0, 0.0))
-        assert forward_rate(1000.0, rxn) == pytest.approx(5.0, rel=1e-15)
+        kf, _ = rate_constants(1000.0, one_reaction_mech(rxn))
+        assert kf[0] == pytest.approx(5.0, rel=1e-15)
 
     def test_forward_rate_linear_T(self):
         rxn = Reaction(reactants={0: 1}, products={1: 1}, arrhenius=(1.0, 1.0, 0.0))
-        assert forward_rate(300.0, rxn) == pytest.approx(300.0, rel=1e-14)
+        kf, _ = rate_constants(300.0, one_reaction_mech(rxn))
+        assert kf[0] == pytest.approx(300.0, rel=1e-14)
 
     def test_forward_rate_activation(self):
         rxn = Reaction(reactants={0: 1}, products={1: 1},
                        arrhenius=(1.0, 0.0, R_GAS * 1000.0))
-        assert forward_rate(1000.0, rxn) == pytest.approx(np.exp(-1.0), rel=1e-14)
+        kf, _ = rate_constants(1000.0, one_reaction_mech(rxn))
+        assert kf[0] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
     def test_exponent_clamp_sets_telemetry(self):
         rxn = Reaction(reactants={0: 1}, products={1: 1},
                        arrhenius=(1.0, 0.0, 1.0e9))
         tel = RateTelemetry()
-        k = forward_rate(300.0, rxn, tel)
-        assert np.isfinite(k) and tel.saturated
+        kf, _ = rate_constants(300.0, one_reaction_mech(rxn), telemetry=tel)
+        assert np.isfinite(kf[0]) and tel.saturated
 
     def test_no_telemetry_when_unclamped(self):
         rxn = Reaction(reactants={0: 1}, products={1: 1},
                        arrhenius=(1.0, 0.0, 1.0e4))
         tel = RateTelemetry()
-        forward_rate(1000.0, rxn, tel)
+        rate_constants(1000.0, one_reaction_mech(rxn), telemetry=tel)
         assert not tel.saturated
 
     def test_equilibrium_constant_identity_reaction(self, ab_equilibrium_mech):
         # A <=> B with identical thermo: dG = 0, dnu = 0, K_c = 1.
-        rxn = ab_equilibrium_mech.reactions[0]
-        assert equilibrium_constant(1200.0, rxn, ab_equilibrium_mech) == \
+        assert equilibrium_constants(1200.0, ab_equilibrium_mech)[0] == \
             pytest.approx(1.0, rel=1e-14)
 
     def test_equilibrium_constant_oracle(self, toy_mech):
-        # Recompute K_c from scratch with the raw polynomial formulas.
-        rxn = toy_mech.reactions[1]           # F + X => 2 X
+        # Recompute K_c of reaction 1 (F + X => 2 X) from scratch with the
+        # raw polynomial formulas.
         T = 1400.0
 
         def g(sp):
@@ -149,27 +162,39 @@ class TestRates:
         dG = 2 * g(X) - g(F) - g(X)
         dnu = 2 - 2
         expected = np.exp(-dG / (R_GAS * T)) * (P_STANDARD / (R_GAS * T)) ** dnu
-        assert equilibrium_constant(T, rxn, toy_mech) == \
+        assert equilibrium_constants(T, toy_mech)[1] == \
             pytest.approx(expected, rel=1e-13)
 
     def test_reverse_rate_irreversible_zero(self):
         rxn = Reaction(reactants={0: 1}, products={1: 1},
                        arrhenius=(2.0, 0.0, 0.0), reversible=False)
-        assert reverse_rate(5.0, 3.0, rxn) == 0.0
+        _, kr = rate_constants(1000.0, one_reaction_mech(rxn, b_a6=1.0e3))
+        assert kr[0] == 0.0
 
     def test_reverse_rate_conventions(self):
+        # f = 6 and, from B's enthalpy offset, K_c = exp(ln 2) = 2 at 1000 K.
+        T = 1000.0
         rxn = Reaction(reactants={0: 1}, products={1: 1},
-                       arrhenius=(2.0, 0.0, 0.0), reversible=True)
-        assert reverse_rate(6.0, 2.0, rxn, convention="divide") == 3.0
-        assert reverse_rate(6.0, 2.0, rxn, convention="multiply") == 12.0
+                       arrhenius=(6.0, 0.0, 0.0), reversible=True)
+        mech = one_reaction_mech(rxn, b_a6=-T * np.log(2.0))
+        kc = equilibrium_constants(T, mech)[0]
+        kf, kr_div = rate_constants(T, mech, convention="divide")
+        _, kr_mul = rate_constants(T, mech, convention="multiply")
+        assert kf[0] == 6.0 and kc == pytest.approx(2.0, rel=1e-14)
+        assert kr_div[0] == kf[0] / kc and kr_mul[0] == kf[0] * kc
+        assert kr_div[0] == pytest.approx(3.0, rel=1e-14)
+        assert kr_mul[0] == pytest.approx(12.0, rel=1e-14)
         with pytest.raises(ValueError):
-            reverse_rate(6.0, 2.0, rxn, convention="bogus")
+            rate_constants(T, mech, convention="bogus")
 
     def test_explicit_reverse_takes_precedence(self):
+        # Detailed balance would give 6 / K_c = 6e-9 (K_c = 1e9); the fit wins.
         rxn = Reaction(reactants={0: 1}, products={1: 1},
-                       arrhenius=(2.0, 0.0, 0.0), reversible=True,
+                       arrhenius=(6.0, 0.0, 0.0), reversible=True,
                        explicit_reverse=(7.0, 0.0, 0.0))
-        assert reverse_rate(6.0, 1e9, rxn, T=1000.0) == pytest.approx(7.0)
+        mech = one_reaction_mech(rxn, b_a6=-1000.0 * np.log(1e9))
+        _, kr = rate_constants(1000.0, mech)
+        assert kr[0] == pytest.approx(7.0)
 
     def test_reaction_rate_hand_value(self, ab_mech):
         # A => B, k = 2, chi_A known from the state: q = k * chi_A.
@@ -188,6 +213,32 @@ class TestRates:
         chi = concentrations(st, mech)
         assert reaction_rates(st, mech)[0] == pytest.approx(
             3.0 * chi[0] ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("convention", ["divide", "multiply"])
+    def test_rates_match_per_reaction_loop(self, convention):
+        # Reference: the rate laws applied one reaction at a time with the
+        # per-species thermo methods, on seeded random mechanisms.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            mech = random_balanced_mechanism(rng)
+            st = ThermoState(T=rng.uniform(600.0, 2500.0), p=rng.uniform(5e4, 5e6),
+                             Y=rng.dirichlet(np.ones(mech.n_species)))
+            T = st.T
+            chi = concentrations(st, mech)
+            g = [s.enthalpy(T) - T * s.entropy(T) for s in mech.species]
+            for rxn, q in zip(mech.reactions, reaction_rates(st, mech, convention)):
+                A, beta, E = rxn.arrhenius
+                f = A * T**beta * np.exp(-E / (R_GAS * T))
+                fwd = f * np.prod([chi[i] ** n for i, n in rxn.reactants.items()])
+                rev = 0.0
+                if rxn.reversible:
+                    dG = (sum(n * g[i] for i, n in rxn.products.items())
+                          - sum(n * g[i] for i, n in rxn.reactants.items()))
+                    dnu = sum(rxn.products.values()) - sum(rxn.reactants.values())
+                    kc = np.exp(-dG / (R_GAS * T)) * (P_STANDARD / (R_GAS * T)) ** dnu
+                    b = f / kc if convention == "divide" else f * kc
+                    rev = b * np.prod([chi[i] ** n for i, n in rxn.products.items()])
+                assert abs(q - (fwd - rev)) <= 1e-11 * max(fwd, rev)
 
     def test_equilibrium_composition_zero_net_rate(self, ab_equilibrium_mech):
         # Equal concentrations and K_c = 1: forward and reverse cancel.
@@ -214,7 +265,8 @@ class TestProductionAndRhs:
         chi = concentrations(toy_state, toy_mech)
         rho = density(toy_state, toy_mech)
         T = toy_state.T
-        q = np.array([forward_rate(T, r) for r in toy_mech.reactions])
+        q = np.array([A * T**beta * np.exp(-E / (R_GAS * T))
+                      for A, beta, E in (r.arrhenius for r in toy_mech.reactions)])
         q[0] *= chi[0]
         q[1] *= chi[0] * chi[1]
         omega = (toy_mech.nu_reverse - toy_mech.nu_forward).T @ q
@@ -264,6 +316,30 @@ class TestProductionAndRhs:
             rhs_vector(y, toy_mech, 101325.0)
 
 
+def oracle_error(mech, y, p, convention="divide"):
+    """Largest row-and-column scaled gap between jacobian() and the FD oracle.
+
+    Column j is scaled by the size of y_j (at least its typical value), row
+    i by its largest scaled entry. A relative step of 1e-6 keeps roundoff
+    in the temperature row, which sums large opposing enthalpy terms, well
+    below that of the default sqrt(eps) step.
+    """
+    J = jacobian(y, mech, p, convention)
+    typical = np.concatenate(([TYPICAL_T], np.full(mech.n_species, TYPICAL_Y)))
+    fd = fd_jacobian(lambda v: rhs_vector(v, mech, p, convention), y, typical,
+                     step=1e-6)
+    c = np.maximum(np.abs(y), typical)
+    row = np.abs(fd * c).max(axis=1, keepdims=True)
+    row[row == 0.0] = 1.0
+    return np.abs((J - fd) * c / row).max()
+
+
+def assert_mass_conserving(J):
+    # sum_i dY_i/dt = 0 identically, so the Y rows sum to 0 in every column.
+    colsums = J[1:, :].sum(axis=0)
+    assert np.abs(colsums).max() <= 1e-12 * max(1.0, np.abs(J[1:, :]).max())
+
+
 class TestJacobian:
     def test_linear_function_exact(self):
         rng = np.random.default_rng(3)
@@ -273,14 +349,14 @@ class TestJacobian:
 
     def test_dead_mechanism_zero_jacobian(self, dead_mech):
         st = two_species_state()
-        J = jacobian_fd(st, dead_mech)
+        J = jacobian_at(st, dead_mech)
         np.testing.assert_allclose(J, np.zeros((3, 3)), atol=1e-12)
 
     def test_directional_derivative(self, toy_mech):
         # J v against a central difference of the full RHS along v.
         st = ThermoState(T=1100.0, p=101325.0,
                          Y=np.array([0.09, 0.01, 0.9]))
-        J = jacobian_fd(st, toy_mech)
+        J = jacobian_at(st, toy_mech)
         y = st.to_vector()
         v = np.array([1.0, 1e-4, 1e-4, -2e-4])
         v = v / np.linalg.norm(v)
@@ -290,12 +366,85 @@ class TestJacobian:
         np.testing.assert_allclose(J @ v, dd, rtol=2e-5, atol=1e-10)
 
     def test_jacobian_column_mass_conservation(self, toy_mech):
-        # sum_i dY_i/dt = 0 identically, so each FD column sums to 0 in Y rows.
+        # sum_i dY_i/dt = 0 identically, so each column sums to 0 in Y rows.
         st = ThermoState(T=1100.0, p=101325.0,
                          Y=np.array([0.09, 0.01, 0.9]))
-        J = jacobian_fd(st, toy_mech)
+        J = jacobian_at(st, toy_mech)
         colsums = J[1:, :].sum(axis=0)
         assert np.abs(colsums).max() < 1e-6 * max(1.0, np.abs(J).max())
+
+    def test_oracle_toy_interior(self, toy_mech):
+        y = np.array([1100.0, 0.09, 0.01, 0.9])
+        assert oracle_error(toy_mech, y, 101325.0) < 1e-6
+        assert_mass_conserving(jacobian(y, toy_mech, 101325.0))
+
+    @pytest.mark.parametrize("convention", ["divide", "multiply"])
+    def test_oracle_random_mechanisms(self, convention):
+        # Seeded draws with reversible reactions, at interior states.
+        rng = np.random.default_rng(11)
+        n_reversible = 0
+        for _ in range(20):
+            mech = random_balanced_mechanism(rng)
+            n_reversible += int(mech.tables.balance_mask.sum())
+            Y = rng.dirichlet(np.ones(mech.n_species))
+            y = np.concatenate(([rng.uniform(600.0, 2500.0)], Y))
+            p = rng.uniform(5e4, 5e6)
+            assert oracle_error(mech, y, p, convention) < 1e-6
+            assert_mass_conserving(jacobian(y, mech, p, convention))
+        assert n_reversible > 0
+
+    @pytest.mark.parametrize("convention", ["divide", "multiply"])
+    def test_oracle_explicit_reverse(self, convention):
+        # A + B <=> 2 C with an explicit reverse fit, beside 2 A <=> B by
+        # detailed balance and an irreversible 2 C => A + B. C's c_p
+        # depends on T, so dc_p/dT enters the temperature column.
+        c_coeffs = (3.0, 1.5e-3, -4.0e-7, 3.0e-11, 0.0, 5.0e2, 6.0)
+        sp = [make_species("A", 0.020, a6=2.0e3, a7=4.0),
+              make_species("B", 0.040, a1=4.5, a6=-1.0e3, a7=7.0),
+              Species(name="C", molar_mass=0.030, t_low=200.0, t_mid=1000.0,
+                      t_high=6000.0, coeffs_low=c_coeffs, coeffs_high=c_coeffs)]
+        rx = [Reaction(reactants={0: 1, 1: 1}, products={2: 2},
+                       arrhenius=(3.0e5, 0.5, 4.0e4), reversible=True,
+                       explicit_reverse=(2.0e4, -0.3, 6.0e4)),
+              Reaction(reactants={0: 2}, products={1: 1},
+                       arrhenius=(1.0e6, 0.0, 3.0e4), reversible=True),
+              Reaction(reactants={2: 2}, products={0: 1, 1: 1},
+                       arrhenius=(5.0e3, 1.0, 2.0e4))]
+        mech = make_mechanism(sp, rx)
+        assert mech.tables.explicit_mask.tolist() == [True, False, False]
+        y = np.array([1300.0, 0.3, 0.5, 0.2])
+        assert oracle_error(mech, y, 2.0e5, convention) < 1e-6
+        assert_mass_conserving(jacobian(y, mech, 2.0e5, convention))
+
+    def test_exact_column_at_zero_mass_fraction(self, toy_mech, toy_state):
+        # At Y_X = 0 the exact column is the forward difference. The central
+        # FD oracle steps into the Y < 0 clip there and halves the column.
+        y = toy_state.to_vector()
+        p = toy_state.p
+        J = jacobian(y, toy_mech, p)
+        f = lambda v: rhs_vector(v, toy_mech, p)
+        delta = 1e-9
+        yp = y.copy()
+        yp[2] += delta
+        forward = (f(yp) - f(y)) / delta
+        assert J[0, 2] == pytest.approx(5.815e5, rel=1e-3)
+        np.testing.assert_allclose(J[:, 2], forward, rtol=1e-6)
+        typical = np.concatenate(([TYPICAL_T], np.full(3, TYPICAL_Y)))
+        fd = fd_jacobian(f, y, typical)
+        assert fd[0, 2] == pytest.approx(0.5 * J[0, 2], rel=1e-4)
+
+    def test_saturated_exponent_sets_telemetry(self):
+        # E = 1e9 clamps exp(-E/RT) through both rhs and jacobian; the
+        # clamped factor is constant, so the Jacobian stays finite.
+        rxn = Reaction(reactants={0: 1}, products={1: 1},
+                       arrhenius=(1.0, 0.0, 1.0e9))
+        mech = one_reaction_mech(rxn)
+        y = np.array([300.0, 0.5, 0.5])
+        tel_rhs, tel_jac = RateTelemetry(), RateTelemetry()
+        rhs_vector(y, mech, 1e5, telemetry=tel_rhs)
+        J = jacobian(y, mech, 1e5, telemetry=tel_jac)
+        assert tel_rhs.saturated and tel_jac.saturated
+        assert np.all(np.isfinite(J))
 
     def test_one_sided_fallback(self):
         # f raises for y < 0; the FD falls back to a one-sided difference.

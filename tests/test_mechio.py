@@ -210,6 +210,11 @@ class TestParseConfig:
         with pytest.raises(MechIoError):
             parse_config(CONFIG + "method rk4\n")
 
+    def test_bad_reverse_rate_convention(self):
+        with pytest.raises(MechIoError) as e:
+            parse_config(CONFIG + "reverse_rate_convention subtract\n")
+        assert code_of(e) == "BadConfigValue"
+
     def test_sweep_and_reference(self):
         cfg = parse_config(CONFIG + "sweep 1e-6 1e-4\nsweep 1e-8 1e-6\n"
                            "reference 1e-12 1e-10\n")
