@@ -6,12 +6,11 @@ from .kinetics import (EXP_ARG_MAX, P_STANDARD, R_GAS, InvalidStateError,
                        density, equilibrium_constants, fd_jacobian, jacobian,
                        production_rates, rate_constants, reaction_rates, rhs,
                        rhs_vector, species_thermo)
-from .phikrylov import (PhiConvergenceError, PhiRequest, PhiResult, arnoldi,
-                        dense_phi_oracle, expm, kiops_eval, phi_combination,
-                        phi_scalar)
+from .phikrylov import (Arnoldi, PhiConvergenceError, PhiResult,
+                        dense_phi_oracle, expm, kiops_eval, phi_scalar)
 from .integrator import (ControllerConfig, OdeProblem, SolverOutput,
                          StepRecord, controller_update, epi3v_step,
-                         exp_euler_step, integrate_adaptive, integrate_fixed,
+                         integrate_adaptive, integrate_fixed,
                          integrate_mechanism, problem_from_mechanism,
                          scaled_error_norm)
 from .diagnostics import (EigensolverError, SpectrumStats, eigenvalues_dense,

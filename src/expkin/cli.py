@@ -8,12 +8,11 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import diagnostics, mechio
-from .integrator import ControllerConfig, exp_euler_step, integrate_mechanism
+from .integrator import ControllerConfig, integrate_mechanism
 from .kinetics import CONVENTIONS, KineticsError, ThermoState
 from .mechio import MechIoError
 
@@ -165,11 +164,7 @@ def cmd_sweep(args):
         return (float(atol), float(rtol), float(elapsed), err, err_scaled,
                 int(not res.success))
 
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(one_point, run_cfg.sweep_points))
-    else:
-        rows = [one_point(p) for p in run_cfg.sweep_points]
+    rows = [one_point(p) for p in run_cfg.sweep_points]
     mechio.write_csv(os.path.join(out_dir, "sweep.csv"),
                      mechio.SWEEP_CSV_HEADER, rows)
     print(f"sweep complete: {len(rows)} points")
@@ -224,8 +219,8 @@ def build_parser():
         p.add_argument("--out", help="output directory")
         p.add_argument("--clamp-mode", choices=("standard", "paper_literal"))
         p.add_argument("--reverse-rate-convention", choices=CONVENTIONS)
-        p.add_argument("--spectrum-every", type=int, default=1)
-        p.add_argument("--parallel", action="store_true")
+        if name == "spectrum":
+            p.add_argument("--spectrum-every", type=int, default=1)
         p.set_defaults(func=fn)
     return parser
 

@@ -241,8 +241,9 @@ class RunConfig:
         if not (self.atol > 0 and self.rtol > 0 and self.t_final > 0):
             raise MechIoError("BadConfigValue",
                               "atol, rtol and t_final must be positive")
-        if self.method not in ("epi3v", "exp_euler"):
-            raise MechIoError("BadConfigValue", f"unknown method {self.method!r}")
+        if self.method != "epi3v":
+            raise MechIoError("BadConfigValue", f"unsupported method {self.method!r} "
+                              "(only 'epi3v' is implemented)")
         if self.reverse_rate_convention not in CONVENTIONS:
             raise MechIoError("BadConfigValue", "unknown reverse-rate convention "
                               f"{self.reverse_rate_convention!r}")

@@ -122,78 +122,26 @@ def dense_phi_oracle(A, bs):
     return (expm(aug) @ v)[:n]
 
 
-def arnoldi(matvec, v, m_max, breakdown_tol=1.0e-12):
-    """Modified Gram-Schmidt Arnoldi with one reorthogonalization pass.
-
-    `matvec` is either a dense matrix or a callable. Returns (V, H, breakdown)
-    with V of shape (n, m) orthonormal and H of shape (m, m) upper-Hessenberg;
-    on happy breakdown the process stops early and the flag is set.
-    """
-    if not callable(matvec):
-        A = np.asarray(matvec, dtype=float)
-        matvec = lambda x: A @ x
-    v = np.asarray(v, dtype=float)
-    beta = np.linalg.norm(v)
-    if beta == 0:
-        raise ValueError("Arnoldi starting vector must be nonzero")
-    n = v.size
-    V = np.zeros((n, m_max + 1))
-    H = np.zeros((m_max + 1, m_max))
-    V[:, 0] = v / beta
-    breakdown = False
-    m = 0
-    for j in range(m_max):
-        w = matvec(V[:, j])
-        for i in range(j + 1):
-            H[i, j] = V[:, i] @ w
-            w -= H[i, j] * V[:, i]
-        # One reorthogonalization pass keeps the basis orthonormal to ~1e-12.
-        for i in range(j + 1):
-            c = V[:, i] @ w
-            H[i, j] += c
-            w -= c * V[:, i]
-        hnext = np.linalg.norm(w)
-        H[j + 1, j] = hnext
-        m = j + 1
-        if hnext <= breakdown_tol * max(1.0, np.linalg.norm(H[: j + 2, : j + 1])):
-            breakdown = True
-            break
-        V[:, j + 1] = w / hnext
-    return V[:, :m], H[:m, :m], breakdown
-
-
-@dataclass(frozen=True)
-class PhiRequest:
-    """A linear-combination phi evaluation task.
-
-    `b` is the list [b_0, ..., b_p] (entries may be None for zero vectors),
-    `time_points` is strictly increasing in (0, 1] ending at 1.
-    """
-
-    A: np.ndarray
-    b: tuple
-    time_points: tuple = (1.0,)
-    tol: float = 1.0e-10
-
-    def __post_init__(self):
-        pts = tuple(float(t) for t in self.time_points)
-        object.__setattr__(self, "time_points", pts)
-        if len(self.b) - 1 > MAX_PHI_ORDER:
-            raise ValueError(f"phi orders above {MAX_PHI_ORDER} not supported")
-        if not pts or pts[-1] != 1.0:
-            raise ValueError("last time point must equal 1")
-        if any(t <= 0 for t in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("time points must be strictly increasing in (0, 1]")
-        if not (self.tol > 0):
-            raise ValueError("tolerance must be positive")
-
-
 @dataclass
 class PhiStats:
+    """Krylov work counts of one or more phi evaluations.
+
+    `calls` counts evaluations begun: a caller that sums several calls bumps
+    it before each call and adds the call's work with `add_work` after it, so
+    a call that raised is still counted.
+    """
+
+    calls: int = 0
     substeps: int = 0
     matvecs: int = 0
     max_krylov_dim: int = 0
     rejections: int = 0
+
+    def add_work(self, other):
+        self.substeps += other.substeps
+        self.matvecs += other.matvecs
+        self.max_krylov_dim = max(self.max_krylov_dim, other.max_krylov_dim)
+        self.rejections += other.rejections
 
 
 @dataclass
@@ -204,16 +152,28 @@ class PhiResult:
     stats: PhiStats = field(default_factory=PhiStats)
 
 
-class _IncrementalArnoldi:
-    """Arnoldi process on the augmented operator, extensible in m."""
+class Arnoldi:
+    """Modified Gram-Schmidt Arnoldi with one reorthogonalization pass,
+    extensible in the basis size up to `m_cap`.
+
+    `matvec` is either a dense matrix or a callable. After `extend(m)`,
+    `V[:, :m]` is orthonormal and `H[:m, :m]` upper-Hessenberg with
+    A V_m = V_{m+1} H[:m+1, :m]. The process stops early on happy breakdown
+    (`happy` set), when the new residual falls below 1e-14 max|H|.
+    """
 
     def __init__(self, matvec, v, m_cap):
+        if not callable(matvec):
+            A = np.asarray(matvec, dtype=float)
+            matvec = lambda x: A @ x
         self.matvec = matvec
-        self.beta = float(np.linalg.norm(v))
-        n = v.size
-        self.V = np.zeros((n, m_cap + 1))
+        v = np.asarray(v, dtype=float)
+        beta = float(np.linalg.norm(v))
+        if beta == 0:
+            raise ValueError("Arnoldi starting vector must be nonzero")
+        self.V = np.zeros((v.size, m_cap + 1))
         self.H = np.zeros((m_cap + 1, m_cap + 1))
-        self.V[:, 0] = v / self.beta
+        self.V[:, 0] = v / beta
         self.m = 0
         self.happy = False
         self.matvecs = 0
@@ -226,6 +186,7 @@ class _IncrementalArnoldi:
             for i in range(j + 1):
                 self.H[i, j] = self.V[:, i] @ w
                 w -= self.H[i, j] * self.V[:, i]
+            # One reorthogonalization pass keeps the basis orthonormal to ~1e-12.
             for i in range(j + 1):
                 c = self.V[:, i] @ w
                 self.H[i, j] += c
@@ -245,16 +206,13 @@ M_INIT = 10
 M_MAX = 128
 EASY_SUCCESS = 0.01    # err below this fraction of the budget doubles tau
 
-_invocations = 0
 
+def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MAX):
+    """Adaptive Krylov evaluation of w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k.
 
-def invocation_count():
-    """Total kiops_eval() invocations in this process (step accounting)."""
-    return _invocations
-
-
-def kiops_eval(req: PhiRequest, m_init=M_INIT, m_max=M_MAX):
-    """Adaptive Krylov evaluation of a PhiRequest.
+    `bs` is the list [b_0, ..., b_p], p <= 3 (entries may be None for zero
+    vectors); `time_points` is strictly increasing in (0, 1] ending at 1.
+    Returns a PhiResult with w(T) at every time point and this call's stats.
 
     Augments the matrix once, then substeps tau across (0, 1] landing exactly
     on every requested time point. Each substep projects the running augmented
@@ -262,11 +220,19 @@ def kiops_eval(req: PhiRequest, m_init=M_INIT, m_max=M_MAX):
     On an error-budget failure the basis is first grown (x4/3 up to m_max),
     then the substep is halved; an easy success doubles the next substep.
     """
-    global _invocations
-    _invocations += 1
-    A = np.asarray(req.A, dtype=float)
+    time_points = tuple(float(t) for t in time_points)
+    if len(bs) - 1 > MAX_PHI_ORDER:
+        raise ValueError(f"phi orders above {MAX_PHI_ORDER} not supported")
+    if not time_points or time_points[-1] != 1.0:
+        raise ValueError("last time point must equal 1")
+    if any(t <= 0 for t in time_points) or any(
+            b <= a for a, b in zip(time_points, time_points[1:])):
+        raise ValueError("time points must be strictly increasing in (0, 1]")
+    if not (tol > 0):
+        raise ValueError("tolerance must be positive")
+    A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    bs = [np.zeros(n) if b is None else np.asarray(b, dtype=float) for b in req.b]
+    bs = [np.zeros(n) if b is None else np.asarray(b, dtype=float) for b in bs]
     while len(bs) < 2:
         bs.append(np.zeros(n))
     p = len(bs) - 1
@@ -292,14 +258,14 @@ def kiops_eval(req: PhiRequest, m_init=M_INIT, m_max=M_MAX):
     w[:n] = bs[0]
     w[-1] = mu
 
-    stats = PhiStats()
+    stats = PhiStats(calls=1)
     values = []
     tau_now = 0.0
-    tau = req.time_points[0]
+    tau = time_points[0]
     m = max(1, min(m_init, m_max))
     m_cap = min(m_max, n + p)
 
-    for target in req.time_points:
+    for target in time_points:
         while tau_now < target:
             hits_target = tau >= target - tau_now
             tau_try = target - tau_now if hits_target else tau
@@ -307,7 +273,7 @@ def kiops_eval(req: PhiRequest, m_init=M_INIT, m_max=M_MAX):
             if beta == 0.0:
                 tau_now = target
                 break
-            proc = _IncrementalArnoldi(matvec, w, m_cap)
+            proc = Arnoldi(matvec, w, m_cap)
             easy = False
             while True:
                 proc.extend(min(m, m_cap))
@@ -324,7 +290,7 @@ def kiops_eval(req: PhiRequest, m_init=M_INIT, m_max=M_MAX):
                 Hx[0, j] = 1.0
                 F = expm(tau_try * Hx)
                 err = beta * proc.H[j, j - 1] * abs(F[j - 1, j])
-                budget = req.tol * beta * tau_try
+                budget = tol * beta * tau_try
                 if err <= budget:
                     w = beta * (proc.V[:, :j] @ F[:j, 0])
                     easy = err <= EASY_SUCCESS * budget
@@ -351,10 +317,3 @@ def kiops_eval(req: PhiRequest, m_init=M_INIT, m_max=M_MAX):
         values.append(w[:n].copy())
 
     return PhiResult(values=values, stats=stats)
-
-
-def phi_combination(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MAX):
-    """Convenience wrapper returning the list of w(T_j) arrays."""
-    req = PhiRequest(A=np.asarray(A, dtype=float), b=tuple(bs),
-                     time_points=tuple(time_points), tol=tol)
-    return kiops_eval(req, m_init=m_init, m_max=m_max)

@@ -147,19 +147,25 @@ class TestSweep:
         # The last point duplicates the reference: identical march, error 0.
         assert errs[2] == 0.0
 
-    def test_parallel_matches_serial(self, workdir):
+    def test_repeated_sweeps_match(self, workdir):
         (workdir / "s.cfg").write_text(
             SHORT_CFG + "sweep 1e-6 1e-4\nsweep 1e-8 1e-6\n"
             "reference 1e-11 1e-9\n")
         run_cli("sweep", "--config", str(workdir / "s.cfg"),
-                "--out", str(workdir / "serial"))
+                "--out", str(workdir / "first"))
         run_cli("sweep", "--config", str(workdir / "s.cfg"),
-                "--out", str(workdir / "par"), "--parallel")
-        _, rs = read_csv(workdir / "serial" / "sweep.csv")
-        _, rp = read_csv(workdir / "par" / "sweep.csv")
+                "--out", str(workdir / "second"))
+        _, r1 = read_csv(workdir / "first" / "sweep.csv")
+        _, r2 = read_csv(workdir / "second" / "sweep.csv")
         # Everything except the wall-clock column is identical.
-        for a, b in zip(rs, rp):
+        assert len(r1) == len(r2) == 2
+        for a, b in zip(r1, r2):
             assert a[:2] == b[:2] and a[3:] == b[3:]
+        # Sweep points run one after the other; there is no --parallel.
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("sweep", "--config", str(workdir / "s.cfg"),
+                    "--out", str(workdir / "par"), "--parallel")
+        assert exc_info.value.code == 2
 
 
 class TestSpectrum:
@@ -184,6 +190,12 @@ class TestSpectrum:
         skipped = [r for r in rows if r[1] == ""]
         assert len(filled) == (len(rows) + 9) // 10
         assert skipped  # decimated rows still log t and cost
+
+    def test_spectrum_every_only_on_spectrum(self, workdir):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("run", "--config", str(workdir / "run.cfg"),
+                    "--out", str(workdir / "out"), "--spectrum-every", "10")
+        assert exc_info.value.code == 2
 
     def test_pre_ignition_alpha_settles(self, workdir):
         # Once the radical pool leaves exactly zero (the clamp kink in the

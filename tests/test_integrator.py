@@ -1,7 +1,13 @@
 """EPI3V stepper, error controller and the adaptive march."""
+import functools
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from expkin import phikrylov
 from expkin.integrator import (
     ControllerConfig, OdeProblem, SolverOutput, StepRecord, controller_update,
     epi3v_step, exp_euler_step, integrate_adaptive, integrate_fixed,
@@ -221,6 +227,60 @@ class TestAdaptive:
         completed = [r for r in out.records if np.isfinite(r.err_scaled)]
         assert completed
         assert all(r.kiops_calls == 2 for r in completed)
+
+    def test_kiops_calls_independent_of_other_threads(self, toy_mech,
+                                                      toy_state):
+        # Work counts are carried per attempt, so an integration running in
+        # another thread cannot leak its phi calls into these records.
+        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
+        outs = [None, None]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait()
+            outs[i] = integrate_mechanism(toy_state, toy_mech, 0.2, cfg)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for out in outs:
+            completed = [r for r in out.records if np.isfinite(r.err_scaled)]
+            assert out.success and completed
+            assert all(r.kiops_calls == 2 for r in completed)
+
+    def test_failed_phi_call_is_counted(self, monkeypatch):
+        # A one-vector Krylov basis on a very stiff operator: the first phi
+        # call of the first attempt underflows its substep and raises.
+        rng = np.random.default_rng(111)
+        Q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+        M = Q @ np.diag(-1e12 * rng.random(30)) @ Q.T
+        monkeypatch.setattr(phikrylov, "kiops_eval", functools.partial(
+            phikrylov.kiops_eval, m_init=1, m_max=1))
+        cfg = ControllerConfig(atol=1e-16, rtol=1e-13, h0=1.0, h_min=1.0)
+        out = integrate_adaptive(rng.standard_normal(30), 0.0, 10.0,
+                                 linear_problem(M), cfg)
+        assert not out.success
+        rec, = out.records
+        assert not rec.accepted and rec.err_scaled == float("inf")
+        assert rec.kiops_calls == 1
+
+    def test_cpu_ns_includes_f_and_j(self):
+        def slow_jac(y):
+            time.sleep(0.002)
+            return -np.eye(1)
+
+        prob = OdeProblem(f=lambda y: -y, jac=slow_jac)
+        cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
+        out = integrate_adaptive(np.ones(1), 0.0, 1.0, prob, cfg)
+        assert out.records[0].cpu_ns >= 2e6
 
     def test_rejection_reuses_F_and_J(self, toy_mech, toy_state):
         calls = {"f": 0, "jac": 0}

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from expkin.phikrylov import (
-    PhiConvergenceError, PhiRequest, dense_phi_oracle, kiops_eval,
-    phi_combination, phi_scalar,
+    PhiConvergenceError, dense_phi_oracle, kiops_eval, phi_scalar,
 )
 
 
@@ -18,35 +17,35 @@ def stiff_diag_matrix(rng, n, span):
 class TestRequestValidation:
     def test_time_points_must_end_at_one(self):
         with pytest.raises(ValueError):
-            PhiRequest(A=np.zeros((2, 2)), b=(None, np.ones(2)),
+            kiops_eval(np.zeros((2, 2)), (None, np.ones(2)),
                        time_points=(0.5,), tol=1e-10)
 
     def test_time_points_strictly_increasing(self):
         with pytest.raises(ValueError):
-            PhiRequest(A=np.zeros((2, 2)), b=(None, np.ones(2)),
+            kiops_eval(np.zeros((2, 2)), (None, np.ones(2)),
                        time_points=(0.8, 0.8, 1.0), tol=1e-10)
 
     def test_positive_tolerance(self):
         with pytest.raises(ValueError):
-            PhiRequest(A=np.zeros((2, 2)), b=(None, np.ones(2)),
+            kiops_eval(np.zeros((2, 2)), (None, np.ones(2)),
                        time_points=(1.0,), tol=0.0)
 
     def test_max_phi_order(self):
         with pytest.raises(ValueError):
-            PhiRequest(A=np.zeros((2, 2)),
-                       b=(None, None, None, None, np.ones(2)),
+            kiops_eval(np.zeros((2, 2)),
+                       (None, None, None, None, np.ones(2)),
                        time_points=(1.0,), tol=1e-10)
 
 
 class TestKiopsBasics:
     def test_zero_matrix_phi1(self):
-        res = phi_combination(np.zeros((4, 4)), [None, np.ones(4)], tol=1e-12)
+        res = kiops_eval(np.zeros((4, 4)), [None, np.ones(4)], tol=1e-12)
         np.testing.assert_allclose(res.values[0], np.ones(4), rtol=1e-12)
 
     def test_scalar_matches_phi_scalar(self):
         z = -3.7
         bs = [None, np.array([2.0]), np.array([0.5]), np.array([-1.0])]
-        res = phi_combination(np.array([[z]]), bs, tol=1e-13)
+        res = kiops_eval(np.array([[z]]), bs, tol=1e-13)
         want = (2.0 * phi_scalar(1, z) + 0.5 * phi_scalar(2, z)
                 - 1.0 * phi_scalar(3, z))
         assert res.values[0][0] == pytest.approx(want, rel=1e-10)
@@ -55,7 +54,7 @@ class TestKiopsBasics:
         rng = np.random.default_rng(101)
         A = rng.standard_normal((20, 20))
         bs = [rng.standard_normal(20) for _ in range(3)]
-        res = phi_combination(A, bs, tol=1e-12)
+        res = kiops_eval(A, bs, tol=1e-12)
         want = dense_phi_oracle(A, bs)
         err = np.linalg.norm(res.values[0] - want) / np.linalg.norm(want)
         assert err < 1e-10
@@ -64,7 +63,7 @@ class TestKiopsBasics:
         rng = np.random.default_rng(202)
         A = stiff_diag_matrix(rng, 100, 1e4)
         bs = [None, rng.standard_normal(100), None, rng.standard_normal(100)]
-        res = phi_combination(A, bs, tol=1e-10)
+        res = kiops_eval(A, bs, tol=1e-10)
         want = dense_phi_oracle(A, bs)
         err = np.linalg.norm(res.values[0] - want) / np.linalg.norm(want)
         assert err < 1e-8
@@ -76,7 +75,7 @@ class TestKiopsBasics:
         rng = np.random.default_rng(303)
         A = rng.standard_normal((15, 15))
         b1 = rng.standard_normal(15)
-        res = phi_combination(A, [None, b1], time_points=(0.75, 1.0), tol=1e-12)
+        res = kiops_eval(A, [None, b1], time_points=(0.75, 1.0), tol=1e-12)
         w34 = res.values[0]
         want = 0.75 * dense_phi_oracle(0.75 * A, [None, b1])
         np.testing.assert_allclose(w34, want, rtol=1e-9, atol=1e-11)
@@ -86,7 +85,7 @@ class TestKiopsBasics:
         rng = np.random.default_rng(404)
         A = stiff_diag_matrix(rng, 30, 50.0)
         b1 = rng.standard_normal(30)
-        both = phi_combination(A, [None, b1], time_points=(0.5, 1.0), tol=1e-12)
+        both = kiops_eval(A, [None, b1], time_points=(0.5, 1.0), tol=1e-12)
         half = 0.5 * dense_phi_oracle(0.5 * A, [None, b1])
         full = dense_phi_oracle(A, [None, b1])
         np.testing.assert_allclose(both.values[0], half, rtol=1e-9, atol=1e-11)
@@ -96,16 +95,16 @@ class TestKiopsBasics:
         rng = np.random.default_rng(505)
         A = rng.standard_normal((10, 10))
         b1 = rng.standard_normal(10)
-        a = phi_combination(A, [None, b1, None, None], tol=1e-12)
-        b = phi_combination(A, [np.zeros(10), b1], tol=1e-12)
+        a = kiops_eval(A, [None, b1, None, None], tol=1e-12)
+        b = kiops_eval(A, [np.zeros(10), b1], tol=1e-12)
         np.testing.assert_allclose(a.values[0], b.values[0], rtol=1e-10)
 
     def test_deterministic(self):
         rng = np.random.default_rng(606)
         A = stiff_diag_matrix(rng, 40, 1e3)
         b1 = rng.standard_normal(40)
-        r1 = phi_combination(A, [None, b1], tol=1e-10)
-        r2 = phi_combination(A, [None, b1], tol=1e-10)
+        r1 = kiops_eval(A, [None, b1], tol=1e-10)
+        r2 = kiops_eval(A, [None, b1], tol=1e-10)
         np.testing.assert_array_equal(r1.values[0], r2.values[0])
 
 
@@ -113,18 +112,18 @@ class TestKiopsAdaptivity:
     def test_substeps_increase_with_stiffness(self):
         rng = np.random.default_rng(707)
         b1 = rng.standard_normal(60)
-        mild = phi_combination(stiff_diag_matrix(rng, 60, 10.0),
-                               [None, b1], tol=1e-10)
-        hard = phi_combination(stiff_diag_matrix(rng, 60, 1e5),
-                               [None, b1], tol=1e-10)
+        mild = kiops_eval(stiff_diag_matrix(rng, 60, 10.0),
+                          [None, b1], tol=1e-10)
+        hard = kiops_eval(stiff_diag_matrix(rng, 60, 1e5),
+                          [None, b1], tol=1e-10)
         assert hard.stats.substeps >= mild.stats.substeps
         assert hard.stats.matvecs > mild.stats.matvecs
 
     def test_krylov_cap_respected(self):
         rng = np.random.default_rng(808)
         A = stiff_diag_matrix(rng, 80, 1e4)
-        res = phi_combination(A, [None, rng.standard_normal(80)],
-                              tol=1e-10, m_max=24)
+        res = kiops_eval(A, [None, rng.standard_normal(80)],
+                         tol=1e-10, m_max=24)
         assert res.stats.max_krylov_dim <= 24
 
     def test_tighter_tolerance_smaller_error(self):
@@ -134,7 +133,7 @@ class TestKiopsAdaptivity:
         want = dense_phi_oracle(A, [None, b1])
         errs = []
         for tol in (1e-4, 1e-8, 1e-12):
-            res = phi_combination(A, [None, b1], tol=tol)
+            res = kiops_eval(A, [None, b1], tol=tol)
             errs.append(np.linalg.norm(res.values[0] - want))
         assert errs[2] < errs[0]
 
@@ -143,8 +142,8 @@ class TestKiopsAdaptivity:
         rng = np.random.default_rng(111)
         A = stiff_diag_matrix(rng, 30, 1e12)
         with pytest.raises(PhiConvergenceError) as exc_info:
-            phi_combination(A, [None, rng.standard_normal(30)],
-                            tol=1e-14, m_init=1, m_max=1)
+            kiops_eval(A, [None, rng.standard_normal(30)],
+                       tol=1e-14, m_init=1, m_max=1)
         assert exc_info.value.diagnostics  # non-empty context dict
 
     def test_happy_breakdown_exact(self):
@@ -152,6 +151,6 @@ class TestKiopsAdaptivity:
         # answer with a single basis vector.
         A = np.diag([-2.0, -5.0, -9.0])
         b1 = np.array([0.0, 1.0, 0.0])
-        res = phi_combination(A, [None, b1], tol=1e-12)
+        res = kiops_eval(A, [None, b1], tol=1e-12)
         assert res.values[0][1] == pytest.approx(phi_scalar(1, -5.0), rel=1e-12)
         assert res.values[0][0] == 0.0 and res.values[0][2] == 0.0

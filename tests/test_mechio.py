@@ -207,8 +207,11 @@ class TestParseConfig:
         assert code_of(e) == "BadConfigValue"
 
     def test_bad_method(self):
-        with pytest.raises(MechIoError):
-            parse_config(CONFIG + "method rk4\n")
+        # exp_euler has no integrator of its own: only epi3v runs.
+        for method in ("rk4", "exp_euler"):
+            with pytest.raises(MechIoError) as e:
+                parse_config(CONFIG + f"method {method}\n")
+            assert code_of(e) == "BadConfigValue"
 
     def test_bad_reverse_rate_convention(self):
         with pytest.raises(MechIoError) as e:

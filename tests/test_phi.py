@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from expkin.phikrylov import arnoldi, dense_phi_oracle, expm, phi_scalar
+from expkin.phikrylov import Arnoldi, dense_phi_oracle, expm, phi_scalar
 
 mpmath.mp.dps = 40
 
@@ -139,6 +139,13 @@ class TestDenseOracle:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             dense_phi_oracle(np.zeros((500, 500)), [None, np.ones(500)])
+
+
+def arnoldi(matvec, v, m_max):
+    """Run the Arnoldi process to m_max vectors: (V_m, H_m, breakdown)."""
+    proc = Arnoldi(matvec, v, m_max)
+    proc.extend(m_max)
+    return proc.V[:, :proc.m], proc.H[:proc.m, :proc.m], proc.happy
 
 
 class TestArnoldi:
