@@ -8,12 +8,13 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import diagnostics, mechio
-from .integrator import ControllerConfig, integrate_mechanism
-from .kinetics import CONVENTIONS, KineticsError, ThermoState
+from .integrator import integrate_mechanism
+from .kinetics import KineticsError, ThermoState
 from .mechio import MechIoError
 
 EXIT_OK = 0
@@ -43,12 +44,8 @@ def load_run(args):
         run_cfg = mechio.parse_config(cfg_text)
     except MechIoError as exc:
         raise CliError(f"config error: {exc}", EXIT_CONFIG)
-    if args.clamp_mode:
-        run_cfg.clamp_mode = args.clamp_mode
-    if args.reverse_rate_convention:
-        run_cfg.reverse_rate_convention = args.reverse_rate_convention
-    mech_path = args.mech or os.path.join(os.path.dirname(os.path.abspath(args.config)),
-                                          run_cfg.mechanism_path)
+    mech_path = os.path.join(os.path.dirname(os.path.abspath(args.config)),
+                             run_cfg.mechanism_path)
     try:
         mech = mechio.parse_mechanism(_read_text(mech_path))
     except MechIoError as exc:
@@ -66,16 +63,6 @@ def load_run(args):
     return run_cfg, mech, state0
 
 
-def controller_from_run(run_cfg, atol=None, rtol=None):
-    return ControllerConfig(
-        atol=atol if atol is not None else run_cfg.atol,
-        rtol=rtol if rtol is not None else run_cfg.rtol,
-        safety=run_cfg.safety, facmin=run_cfg.facmin, facmax=run_cfg.facmax,
-        embedded_order=run_cfg.embedded_order, h0=run_cfg.h0,
-        h_min=run_cfg.h_min, clamp_mode=run_cfg.clamp_mode,
-    )
-
-
 def _out_dir(args, run_cfg):
     out = args.out or run_cfg.output_dir
     try:
@@ -85,12 +72,11 @@ def _out_dir(args, run_cfg):
     return out
 
 
-def _run_once(run_cfg, mech, state0, cfg, output_times=None, step_hook=None):
-    out = integrate_mechanism(state0, mech, run_cfg.t_final, cfg,
-                              output_times=output_times,
-                              convention=run_cfg.reverse_rate_convention,
-                              step_hook=step_hook)
-    return out
+def _run_once(run_cfg, mech, state0, output_times=None, step_hook=None):
+    return integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
+                               output_times=output_times,
+                               convention=run_cfg.reverse_rate_convention,
+                               step_hook=step_hook)
 
 
 def cmd_validate(args):
@@ -103,8 +89,7 @@ def cmd_run(args):
     run_cfg, mech, state0 = load_run(args)
     out_dir = _out_dir(args, run_cfg)
     sample_times = np.linspace(0.0, run_cfg.t_final, run_cfg.n_output_samples)
-    result = _run_once(run_cfg, mech, state0, controller_from_run(run_cfg),
-                       output_times=sample_times)
+    result = _run_once(run_cfg, mech, state0, output_times=sample_times)
     _write_solution(out_dir, mech, result)
     mechio.write_csv(os.path.join(out_dir, "steps.csv"),
                      mechio.STEPS_CSV_HEADER, mechio.steps_csv_rows(result.records))
@@ -131,20 +116,13 @@ def cmd_sweep(args):
     if not run_cfg.sweep_points:
         raise CliError("config error: sweep requires 'sweep atol rtol' lines",
                        EXIT_CONFIG)
-    ref_tols = run_cfg.reference_tols
-    if ref_tols is None:
+    if run_cfg.reference_tols is None:
         raise CliError("config error: sweep requires a 'reference atol rtol' line",
                        EXIT_CONFIG)
-    # Equality is allowed so a sweep can include the reference pair itself
-    # (a self-consistency check: that row's error should be ~0).
-    for atol, rtol in run_cfg.sweep_points:
-        if not (ref_tols[0] <= atol and ref_tols[1] <= rtol):
-            raise CliError(
-                "config error: reference tolerances must be at least as tight "
-                "as every sweep point", EXIT_CONFIG)
     out_dir = _out_dir(args, run_cfg)
 
-    ref = _run_once(run_cfg, mech, state0, controller_from_run(run_cfg, *ref_tols))
+    ref_atol, ref_rtol = run_cfg.reference_tols
+    ref = _run_once(replace(run_cfg, atol=ref_atol, rtol=ref_rtol), mech, state0)
     if not ref.success:
         print(f"reference run failed: {ref.message}", file=sys.stderr)
         return EXIT_SOLVER
@@ -154,7 +132,7 @@ def cmd_sweep(args):
     def one_point(tols):
         atol, rtol = tols
         start = time.perf_counter()
-        res = _run_once(run_cfg, mech, state0, controller_from_run(run_cfg, atol, rtol))
+        res = _run_once(replace(run_cfg, atol=atol, rtol=rtol), mech, state0)
         elapsed = time.perf_counter() - start
         if res.success:
             err = float(np.linalg.norm(res.y - y_ref))
@@ -194,8 +172,7 @@ def cmd_spectrum(args):
             rows.append((record.t, "", "", "", "", cost))
         counter["accepted"] += 1
 
-    result = _run_once(run_cfg, mech, state0, controller_from_run(run_cfg),
-                       step_hook=hook)
+    result = _run_once(run_cfg, mech, state0, step_hook=hook)
     mechio.write_csv(os.path.join(out_dir, "spectrum.csv"),
                      mechio.SPECTRUM_CSV_HEADER, rows)
     if not result.success:
@@ -215,10 +192,7 @@ def build_parser():
                      ("spectrum", cmd_spectrum), ("validate", cmd_validate)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config file")
-        p.add_argument("--mech", help="mechanism file (overrides config)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--clamp-mode", choices=("standard", "paper_literal"))
-        p.add_argument("--reverse-rate-convention", choices=CONVENTIONS)
         if name == "spectrum":
             p.add_argument("--spectrum-every", type=int, default=1)
         p.set_defaults(func=fn)

@@ -49,6 +49,12 @@ class ControllerConfig:
             raise ValueError("embedded order must be 1 or 2")
         if self.clamp_mode not in ("standard", "paper_literal"):
             raise ValueError(f"unknown clamp mode {self.clamp_mode!r}")
+        for name in ("h0", "h_min"):
+            step = getattr(self, name)
+            # With h0 = NaN the march never ends, and a floor at or below 0
+            # leaves the step-size underflow test without a floor.
+            if step is not None and not 0 < step < float("inf"):
+                raise ValueError(f"{name} must be positive and finite")
         if self.h0 is not None and self.h_min is not None and self.h0 < self.h_min:
             raise ValueError("initial step below h_min")
 
@@ -68,7 +74,7 @@ class StepRecord:
     krylov_dim: int = 0
     substeps: int = 0
     matvecs: int = 0
-    rejections_so_far: int = 0
+    rejections_so_far: int = 0   # rejected attempts before this one
     kiops_calls: int = 0
     cpu_ns: int = 0
 
@@ -252,8 +258,8 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
             err = scaled_error_norm(lte, y, cfg.atol, cfg.rtol)
         except (PhiConvergenceError, KineticsError):
             cpu = time.perf_counter_ns() - start
-            rejections += 1
             records.append(record(False, float("inf"), cpu))
+            rejections += 1
             h = max(h_try / 2, h_min)
             if h_try <= h_min * (1 + 1e-12):
                 return finish(False, "step size underflow (evaluation failure)")

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .integrator import ControllerConfig
 from .kinetics import CONVENTIONS, KineticsError, Mechanism, Reaction, Species
 
 FORMAT_VERSION = 1
@@ -212,25 +213,17 @@ def serialize_mechanism(mech):
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class RunConfig:
-    """One reactor run: initial condition, tolerances and output settings."""
+@dataclass(kw_only=True)
+class RunConfig(ControllerConfig):
+    """One reactor run: initial condition and output settings, plus the
+    controller settings it inherits; every value is checked on creation."""
 
     mechanism_path: str
     T0: float
     pressure: float
     Y0: dict
     t_final: float
-    atol: float = 1.0e-10
-    rtol: float = 1.0e-8
     method: str = "epi3v"
-    h0: float = None
-    h_min: float = None
-    safety: float = 0.9
-    facmin: float = 0.1
-    facmax: float = 5.0
-    embedded_order: int = 2
-    clamp_mode: str = "standard"
     reverse_rate_convention: str = "divide"
     output_dir: str = "."
     n_output_samples: int = 200
@@ -238,15 +231,30 @@ class RunConfig:
     reference_tols: tuple = None
 
     def __post_init__(self):
-        if not (self.atol > 0 and self.rtol > 0 and self.t_final > 0):
-            raise MechIoError("BadConfigValue",
-                              "atol, rtol and t_final must be positive")
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise MechIoError("BadConfigValue", str(exc)) from None
+        if not 0 < self.t_final < float("inf"):
+            raise MechIoError("BadConfigValue", "t_final must be positive and finite")
+        if self.n_output_samples < 1:
+            raise MechIoError("BadConfigValue", "n_output_samples must be at least 1")
         if self.method != "epi3v":
             raise MechIoError("BadConfigValue", f"unsupported method {self.method!r} "
                               "(only 'epi3v' is implemented)")
         if self.reverse_rate_convention not in CONVENTIONS:
             raise MechIoError("BadConfigValue", "unknown reverse-rate convention "
                               f"{self.reverse_rate_convention!r}")
+        if self.reference_tols is not None:
+            ref_atol, ref_rtol = self.reference_tols
+            # Equality is allowed so a sweep can include the reference pair itself
+            # (a self-consistency check: that row's error should be ~0).
+            if not (ref_atol > 0 and ref_rtol > 0 and all(
+                    ref_atol <= atol and ref_rtol <= rtol
+                    for atol, rtol in self.sweep_points)):
+                raise MechIoError("BadConfigValue",
+                                  "reference tolerances must be positive and at least "
+                                  "as tight as every sweep point")
         total = sum(self.Y0.values())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise MechIoError("MassFractionSum",

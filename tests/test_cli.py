@@ -96,10 +96,13 @@ class TestErrorPaths:
         assert rc == EXIT_IO
 
     def test_bad_config(self, workdir, capsys):
-        (workdir / "bad.cfg").write_text(SHORT_CFG.replace("Y B 0.9", "Y B 0.5"))
-        rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
-        assert rc == EXIT_CONFIG
-        assert "MassFractionSum" in capsys.readouterr().err
+        for text, code in (
+                (SHORT_CFG.replace("Y B 0.9", "Y B 0.5"), "MassFractionSum"),
+                (SHORT_CFG + "facmin 2.0\n", "BadConfigValue")):
+            (workdir / "bad.cfg").write_text(text)
+            rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
+            assert rc == EXIT_CONFIG
+            assert code in capsys.readouterr().err
 
     def test_species_not_in_mechanism(self, workdir, capsys):
         (workdir / "bad.cfg").write_text(SHORT_CFG.replace("Y F 0.1", "Y Q 0.1"))
@@ -115,6 +118,20 @@ class TestErrorPaths:
             SHORT_CFG + "sweep 1e-6 1e-4\nreference 1e-4 1e-2\n")
         rc = run_cli("sweep", "--config", str(workdir / "s.cfg"))
         assert rc == EXIT_CONFIG
+        # The check runs at parse time, so validate reports it too.
+        rc = run_cli("validate", "--config", str(workdir / "s.cfg"))
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mech", "toy3.mech"), ("--clamp-mode", "paper_literal"),
+        ("--reverse-rate-convention", "multiply"),
+    ])
+    def test_no_config_override_flags(self, workdir, flag, value):
+        # Config keys are set in the config file only.
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("run", "--config", str(workdir / "run.cfg"),
+                    "--out", str(workdir / "out"), flag, value)
+        assert exc_info.value.code == 2
 
     def test_solver_failure_exit_code(self, workdir, capsys):
         # h_min too large for the transient: the march cannot recover.

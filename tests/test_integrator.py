@@ -13,7 +13,7 @@ from expkin.integrator import (
     epi3v_step, exp_euler_step, integrate_adaptive, integrate_fixed,
     integrate_mechanism, problem_from_mechanism, scaled_error_norm,
 )
-from expkin.kinetics import ThermoState
+from expkin.kinetics import KineticsError, ThermoState
 from expkin.phikrylov import expm
 
 
@@ -312,6 +312,31 @@ class TestAdaptive:
         assert out.records[0].h == pytest.approx(1e-10 * 0.2)
         rej = [r for r in out.records if not r.accepted]
         assert out.records[-1].rejections_so_far == len(rej)
+
+    def test_rejections_so_far_counts_earlier_attempts(self, toy_mech,
+                                                       toy_state):
+        # The first stage evaluation fails (an evaluation failure); later
+        # attempts include error-norm rejections. On both paths a record
+        # counts only the rejections before it.
+        prob = problem_from_mechanism(toy_mech, toy_state.p)
+        f0, calls = prob.f, [0]
+
+        def f(y):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise KineticsError("injected stage failure")
+            return f0(y)
+
+        prob.f = f
+        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
+        out = integrate_adaptive(toy_state.to_vector(), 0.0, 0.2, prob, cfg)
+        assert out.success
+        assert out.records[0].err_scaled == float("inf")
+        assert any(not r.accepted and np.isfinite(r.err_scaled)
+                   for r in out.records)
+        for i, rec in enumerate(out.records):
+            assert rec.rejections_so_far == sum(
+                not r.accepted for r in out.records[:i])
 
     def test_output_sampling(self):
         prob = OdeProblem(f=lambda y: -y, jac=lambda y: -np.eye(1))

@@ -213,6 +213,19 @@ class TestParseConfig:
                 parse_config(CONFIG + f"method {method}\n")
             assert code_of(e) == "BadConfigValue"
 
+    @pytest.mark.parametrize("lines", [
+        "facmin 2.0\n", "facmax 0.5\n", "safety 0\n", "embedded_order 3\n",
+        "clamp_mode bogus\n", "h0 1e-20\nh_min 1e-10\n", "n_output_samples -3\n",
+        "sweep 1e-6 1e-4\nreference 0 1e-11\n", "h0 nan\n", "h_min 0\n",
+        "t_final inf\n",
+    ])
+    def test_bad_value_rejected_at_parse_time(self, lines):
+        # Controller settings and the sweep reference are checked when the
+        # config is parsed, not when a subcommand first uses them.
+        with pytest.raises(MechIoError) as e:
+            parse_config(CONFIG + lines)
+        assert code_of(e) == "BadConfigValue"
+
     def test_bad_reverse_rate_convention(self):
         with pytest.raises(MechIoError) as e:
             parse_config(CONFIG + "reverse_rate_convention subtract\n")
