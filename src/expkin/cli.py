@@ -192,7 +192,8 @@ def build_parser():
                      ("spectrum", cmd_spectrum), ("validate", cmd_validate)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config file")
-        p.add_argument("--out", help="output directory")
+        if name != "validate":
+            p.add_argument("--out", help="output directory")
         if name == "spectrum":
             p.add_argument("--spectrum-every", type=int, default=1)
         p.set_defaults(func=fn)

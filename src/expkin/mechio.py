@@ -295,7 +295,11 @@ def parse_config(text):
             if len(toks) != 3:
                 _fail("BadConfigValue",
                       "reference lines are 'reference <atol> <rtol>'", lineno)
+            if reference is not None:
+                _fail("BadConfigValue", "duplicate reference line", lineno)
             reference = (_parse_float(toks[1], lineno), _parse_float(toks[2], lineno))
+        elif key in values:
+            _fail("BadConfigValue", f"duplicate config key {key!r}", lineno)
         elif key in _CONFIG_FLOAT_KEYS:
             if len(toks) != 2:
                 _fail("BadConfigValue", f"{key} takes one value", lineno)
@@ -370,12 +374,12 @@ def read_csv(path):
 def steps_csv_rows(records):
     """Rows for steps.csv, one per step attempt."""
     return [(float(r.t), float(r.h), int(r.accepted), float(r.err_scaled),
-             int(r.krylov_dim), int(r.substeps), int(r.kiops_calls),
-             int(r.cpu_ns))
+             int(r.krylov_dim), int(r.substeps), int(r.matvecs),
+             int(r.kiops_calls), int(r.cpu_ns))
             for r in records]
 
 STEPS_CSV_HEADER = ("t", "h", "accepted", "err_est", "krylov_dim", "substeps",
-                    "kiops_calls", "cpu_ns")
+                    "matvecs", "kiops_calls", "cpu_ns")
 SOLUTION_CSV_HEADER_PREFIX = ("t", "T")
 SWEEP_CSV_HEADER = ("atol", "rtol", "cpu_s", "err_2norm", "err_scaled", "failed")
 SPECTRUM_CSV_HEADER = ("t", "alpha", "beta", "omega", "max_real",

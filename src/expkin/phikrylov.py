@@ -1,12 +1,15 @@
 """Evaluation of phi-function linear combinations.
 
 Provides the scalar phi functions, a dense augmented-matrix oracle, a Pade
-matrix exponential, modified Gram-Schmidt Arnoldi, and an adaptive Krylov
-evaluator with tau-substepping for
+matrix exponential, a block CGS2 Arnoldi process, and an adaptive Krylov
+evaluator (KIOPS-style: Gaudreault, Rainwater & Tokman, J. Comput. Phys.
+372, 2018) with tau-substepping for
 
     w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k
 
-at one or more time points T in (0, 1].
+at one or more time points T in (0, 1]. The evaluator forms the augmented
+matrix once per call, and one Krylov projection per substep serves every
+requested time point inside that substep.
 """
 from __future__ import annotations
 
@@ -153,19 +156,20 @@ class PhiResult:
 
 
 class Arnoldi:
-    """Modified Gram-Schmidt Arnoldi with one reorthogonalization pass,
-    extensible in the basis size up to `m_cap`.
+    """Block classical Gram-Schmidt Arnoldi with one reorthogonalization pass
+    (CGS2), extensible in the basis size up to `m_cap`.
 
     `matvec` is either a dense matrix or a callable. After `extend(m)`,
     `V[:, :m]` is orthonormal and `H[:m, :m]` upper-Hessenberg with
-    A V_m = V_{m+1} H[:m+1, :m]. The process stops early on happy breakdown
-    (`happy` set), when the new residual falls below 1e-14 max|H|.
+    A V_m = V_{m+1} H[:m+1, :m]. Each new vector is projected out of the
+    basis twice, each time in one block product, and `H` takes the sum of
+    the two projections. The process stops early on happy breakdown (`happy`
+    set), when the new residual falls below 1e-14 max|H|.
     """
 
     def __init__(self, matvec, v, m_cap):
         if not callable(matvec):
-            A = np.asarray(matvec, dtype=float)
-            matvec = lambda x: A @ x
+            matvec = np.asarray(matvec, dtype=float).dot
         self.matvec = matvec
         v = np.asarray(v, dtype=float)
         beta = float(np.linalg.norm(v))
@@ -181,16 +185,15 @@ class Arnoldi:
     def extend(self, m_target):
         while self.m < m_target and not self.happy:
             j = self.m
+            Vj = self.V[:, :j + 1]
             w = self.matvec(self.V[:, j])
             self.matvecs += 1
-            for i in range(j + 1):
-                self.H[i, j] = self.V[:, i] @ w
-                w -= self.H[i, j] * self.V[:, i]
-            # One reorthogonalization pass keeps the basis orthonormal to ~1e-12.
-            for i in range(j + 1):
-                c = self.V[:, i] @ w
-                self.H[i, j] += c
-                w -= c * self.V[:, i]
+            h = Vj.T @ w
+            w -= Vj @ h
+            # The second pass keeps the basis orthonormal to rounding error.
+            c = Vj.T @ w
+            w -= Vj @ c
+            self.H[:j + 1, j] = h + c
             hnext = float(np.linalg.norm(w))
             self.H[j + 1, j] = hnext
             self.m = j + 1
@@ -214,11 +217,14 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     vectors); `time_points` is strictly increasing in (0, 1] ending at 1.
     Returns a PhiResult with w(T) at every time point and this call's stats.
 
-    Augments the matrix once, then substeps tau across (0, 1] landing exactly
-    on every requested time point. Each substep projects the running augmented
-    state onto a Krylov basis and advances it with a small Pade exponential.
-    On an error-budget failure the basis is first grown (x4/3 up to m_max),
-    then the substep is halved; an easy success doubles the next substep.
+    Builds the augmented matrix once, then substeps tau across (0, 1], every
+    substep aiming at T = 1. Each substep projects the running augmented state
+    onto one Krylov basis and advances it with a small Pade exponential; every
+    requested time point inside the substep is read from that same basis, so
+    extra time points cost no matvecs. On happy breakdown the basis is exact
+    and serves every remaining time point. On an error-budget failure the
+    basis is first grown (x4/3 up to m_max), then the substep is halved; an
+    easy success doubles the next substep.
     """
     time_points = tuple(float(t) for t in time_points)
     if len(bs) - 1 > MAX_PHI_ORDER:
@@ -244,76 +250,73 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
         nu = 2.0 ** -math.ceil(math.log2(norm_b))
     else:
         nu = 1.0
-    mu = 1.0 / nu
-    B = np.column_stack([nu * bs[k] for k in range(p, 0, -1)])
-
-    def matvec(v):
-        out = np.empty(n + p)
-        out[:n] = A @ v[:n] + B @ v[n:]
-        out[n:-1] = v[n + 1:]
-        out[-1] = 0.0
-        return out
-
+    aug = _augmented_matrix(A, bs[:1] + [nu * b for b in bs[1:]])
     w = np.zeros(n + p)
     w[:n] = bs[0]
-    w[-1] = mu
+    # The last entry stays 1/nu, so the state never vanishes.
+    w[-1] = 1.0 / nu
 
     stats = PhiStats(calls=1)
     values = []
     tau_now = 0.0
-    tau = time_points[0]
+    tau = 1.0
     m = max(1, min(m_init, m_max))
     m_cap = min(m_max, n + p)
 
-    for target in time_points:
-        while tau_now < target:
-            hits_target = tau >= target - tau_now
-            tau_try = target - tau_now if hits_target else tau
-            beta = float(np.linalg.norm(w))
-            if beta == 0.0:
-                tau_now = target
+    while tau_now < 1.0:
+        hits_end = tau >= 1.0 - tau_now
+        tau_try = 1.0 - tau_now if hits_end else tau
+        beta = float(np.linalg.norm(w))
+        proc = Arnoldi(aug, w, m_cap)
+        while True:
+            proc.extend(min(m, m_cap))
+            j = proc.m
+            H = proc.H[:j, :j]
+            if proc.happy:
+                hits_end = True
+                tau_try = 1.0 - tau_now
+                F = expm(tau_try * H)
+                easy = True
                 break
-            proc = Arnoldi(matvec, w, m_cap)
-            easy = False
-            while True:
-                proc.extend(min(m, m_cap))
-                j = proc.m
-                if proc.happy:
-                    F = expm(tau_try * proc.H[:j, :j])
-                    w = beta * (proc.V[:, :j] @ F[:, 0])
-                    easy = True
-                    break
-                # Error-estimate column: exponential of H extended with a
-                # phi_1 coupling column; the bottom entry gives the residual.
-                Hx = np.zeros((j + 1, j + 1))
-                Hx[:j, :j] = proc.H[:j, :j]
-                Hx[0, j] = 1.0
-                F = expm(tau_try * Hx)
-                err = beta * proc.H[j, j - 1] * abs(F[j - 1, j])
-                budget = tol * beta * tau_try
-                if err <= budget:
-                    w = beta * (proc.V[:, :j] @ F[:j, 0])
-                    easy = err <= EASY_SUCCESS * budget
-                    break
-                stats.rejections += 1
-                if j < min(m, m_cap) or m < m_cap:
-                    m = min(m_cap, max(m + 1, int(math.ceil(4.0 * m / 3.0))))
-                else:
-                    hits_target = False
-                    tau_try = 0.5 * tau_try
-                    if tau_try < MIN_SUBSTEP:
-                        raise PhiConvergenceError(
-                            "Krylov substep underflow before reaching tolerance",
-                            diagnostics={
-                                "tau": tau_try, "tau_now": tau_now, "err": err,
-                                "m": j, "beta": beta,
-                            },
-                        )
-            stats.substeps += 1
-            stats.max_krylov_dim = max(stats.max_krylov_dim, proc.m)
-            stats.matvecs += proc.matvecs
-            tau_now = target if hits_target else tau_now + tau_try
-            tau = 2.0 * tau_try if easy else tau_try
-        values.append(w[:n].copy())
+            # Error-estimate column: exponential of H extended with a
+            # phi_1 coupling column; the bottom entry gives the residual.
+            Hx = np.zeros((j + 1, j + 1))
+            Hx[:j, :j] = H
+            Hx[0, j] = 1.0
+            F = expm(tau_try * Hx)
+            err = beta * proc.H[j, j - 1] * abs(F[j - 1, j])
+            budget = tol * beta * tau_try
+            if err <= budget:
+                easy = err <= EASY_SUCCESS * budget
+                break
+            stats.rejections += 1
+            if j < min(m, m_cap) or m < m_cap:
+                m = min(m_cap, max(m + 1, int(math.ceil(4.0 * m / 3.0))))
+            else:
+                hits_end = False
+                tau_try = 0.5 * tau_try
+                if tau_try < MIN_SUBSTEP:
+                    raise PhiConvergenceError(
+                        "Krylov substep underflow before reaching tolerance",
+                        diagnostics={
+                            "tau": tau_try, "tau_now": tau_now, "err": err,
+                            "m": j, "beta": beta,
+                        },
+                    )
+        stats.substeps += 1
+        stats.max_krylov_dim = max(stats.max_krylov_dim, j)
+        stats.matvecs += proc.matvecs
+        tau_end = 1.0 if hits_end else tau_now + tau_try
+        basis = beta * proc.V[:, :j]
+        # The top-left block of F advances the state to the substep's end.
+        w_end = basis @ F[:j, 0]
+        for T in time_points[len(values):]:
+            if T > tau_end:
+                break
+            w_T = w_end if T == tau_end else basis @ expm((T - tau_now) * H)[:, 0]
+            values.append(w_T[:n].copy())
+        w = w_end
+        tau_now = tau_end
+        tau = 2.0 * tau_try if easy else tau_try
 
     return PhiResult(values=values, stats=stats)

@@ -100,3 +100,10 @@ def random_balanced_mechanism(rng, n_species=None, n_reactions=None):
                        rng.uniform(0, 2e5)),
             reversible=bool(rng.integers(0, 2))))
     return make_mechanism(species, reactions)
+
+
+def stiff_diag_matrix(rng, n, span):
+    """Random matrix with real spectrum in [-span, 0] and mild conditioning."""
+    lam = -span * rng.random(n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ np.diag(lam) @ Q.T

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR
+from expkin import cli
 from expkin.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
+from expkin.integrator import integrate_mechanism
 from expkin.mechio import read_csv
 
 SHORT_CFG = """\
@@ -53,17 +55,31 @@ class TestRun:
         assert T[0] == pytest.approx(1000.0)
         assert T[-1] > T[0]  # the toy mixture heats up
 
-    def test_steps_csv_schema(self, workdir):
+    def test_steps_csv_schema(self, workdir, monkeypatch):
+        outputs = []
+
+        def capture(*args, **kwargs):
+            outputs.append(integrate_mechanism(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(cli, "integrate_mechanism", capture)
         run_cli("run", "--config", str(workdir / "run.cfg"),
                 "--out", str(workdir / "out"))
         header, rows = read_csv(workdir / "out" / "steps.csv")
         assert header == ["t", "h", "accepted", "err_est", "krylov_dim",
-                          "substeps", "kiops_calls", "cpu_ns"]
+                          "substeps", "matvecs", "kiops_calls", "cpu_ns"]
         assert rows
         accepted = [r for r in rows if r[2] == 1.0]
         assert accepted
         # Completed attempts always use exactly two Krylov evaluations.
-        assert all(r[6] == 2.0 for r in accepted)
+        kiops_calls = header.index("kiops_calls")
+        assert all(r[kiops_calls] == 2.0 for r in accepted)
+        # One row per solver record, and the matvecs column is theirs.
+        out, = outputs
+        assert len(rows) == len(out.records)
+        matvecs = header.index("matvecs")
+        assert sum(r[matvecs] for r in rows) == sum(r.matvecs for r in out.records)
+        assert sum(r[matvecs] for r in rows) > 0
 
     def test_reproducible_solution(self, workdir):
         run_cli("run", "--config", str(workdir / "run.cfg"),
@@ -132,6 +148,14 @@ class TestErrorPaths:
             run_cli("run", "--config", str(workdir / "run.cfg"),
                     "--out", str(workdir / "out"), flag, value)
         assert exc_info.value.code == 2
+
+    def test_validate_takes_no_out(self, workdir):
+        # validate writes nothing, so it has no output directory to take.
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("validate", "--config", str(workdir / "run.cfg"),
+                    "--out", str(workdir / "out"))
+        assert exc_info.value.code == 2
+        assert not (workdir / "out").exists()
 
     def test_solver_failure_exit_code(self, workdir, capsys):
         # h_min too large for the transient: the march cannot recover.

@@ -1,17 +1,32 @@
 """Adaptive Krylov phi evaluator against the dense augmented-matrix oracle."""
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from conftest import stiff_diag_matrix
+from expkin.integrator import ControllerConfig, integrate_mechanism
 from expkin.phikrylov import (
     PhiConvergenceError, dense_phi_oracle, kiops_eval, phi_scalar,
 )
 
 
-def stiff_diag_matrix(rng, n, span):
-    """Random matrix with real spectrum in [-span, 0] and mild conditioning."""
-    lam = -span * rng.random(n)
-    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return Q @ np.diag(lam) @ Q.T
+def augmented_operator(A, bs):
+    """[[A, b_p .. b_1], [0, shift]] and the start vector [b_0; 0 .. 0, 1].
+
+    Built here independently of the module, with no scaling, so that
+    exp(T aug) v = sum_k T^k phi_k(T A) b_k in the first n entries.
+    """
+    n, p = A.shape[0], len(bs) - 1
+    aug = np.zeros((n + p, n + p))
+    aug[:n, :n] = A
+    for col, k in enumerate(range(p, 0, -1)):
+        aug[:n, n + col] = np.zeros(n) if bs[k] is None else bs[k]
+    aug[n:-1, n + 1:] = np.eye(p - 1)
+    v = np.zeros(n + p)
+    if bs[0] is not None:
+        v[:n] = bs[0]
+    v[-1] = 1.0
+    return aug, v
 
 
 class TestRequestValidation:
@@ -154,3 +169,58 @@ class TestKiopsAdaptivity:
         res = kiops_eval(A, [None, b1], tol=1e-12)
         assert res.values[0][1] == pytest.approx(phi_scalar(1, -5.0), rel=1e-12)
         assert res.values[0][0] == 0.0 and res.values[0][2] == 0.0
+
+
+class TestAgainstExpmMultiply:
+    """kiops_eval against scipy's expm_multiply (Al-Mohy & Higham) on the
+    augmented matrix, at the size and stiffness of the gen53 Jacobian."""
+
+    @staticmethod
+    def reference(A, bs, T):
+        aug, v = augmented_operator(A, bs)
+        # One call per time point: expm_multiply's interval mode (start/stop)
+        # is off by about 2e-3 relative on this operator.
+        return scipy.sparse.linalg.expm_multiply(T * aug, v)[:A.shape[0]]
+
+    def test_phi1_at_three_quarters_and_one(self):
+        rng = np.random.default_rng(1212)
+        A = stiff_diag_matrix(rng, 56, 1e5)
+        bs = [None, rng.standard_normal(56)]
+        res = kiops_eval(A, bs, time_points=(0.75, 1.0), tol=1e-10)
+        for T, got in zip((0.75, 1.0), res.values):
+            want = self.reference(A, bs, T)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), T
+
+    def test_phi3_vector(self):
+        rng = np.random.default_rng(1213)
+        A = stiff_diag_matrix(rng, 56, 1e5)
+        bs = [None, None, None, rng.standard_normal(56)]
+        got, = kiops_eval(A, bs, time_points=(1.0,), tol=1e-10).values
+        want = self.reference(A, bs, 1.0)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+class TestProjectionCounts:
+    def test_extra_time_point_costs_no_matvecs(self):
+        # Every substep aims at T = 1 and serves T = 0.75 from its basis, so
+        # asking for 0.75 as well changes neither the work nor w(1).
+        rng = np.random.default_rng(1313)
+        A = stiff_diag_matrix(rng, 56, 1e5)
+        b1 = rng.standard_normal(56)
+        one = kiops_eval(A, [None, b1], time_points=(1.0,), tol=1e-10)
+        two = kiops_eval(A, [None, b1], time_points=(0.75, 1.0), tol=1e-10)
+        # Not a happy breakdown: the basis stays below the full dimension 57.
+        assert 0 < one.stats.max_krylov_dim < 57
+        assert two.stats.matvecs == one.stats.matvecs
+        assert two.stats.substeps == one.stats.substeps
+        np.testing.assert_array_equal(two.values[1], one.values[0])
+
+    def test_toy_attempts_use_one_projection_per_call(self, toy_mech, toy_state):
+        # On toy3 (n = 4) every basis breaks down happily, and one exact
+        # projection serves both time points of phi call 1.
+        out = integrate_mechanism(toy_state, toy_mech, 0.3,
+                                  ControllerConfig(atol=1e-10, rtol=1e-8))
+        assert out.success
+        completed = [r for r in out.records if np.isfinite(r.err_scaled)]
+        assert len(completed) >= len(out.accepted_records) > 1000
+        assert all(r.kiops_calls == 2 and r.substeps == 2 for r in completed)

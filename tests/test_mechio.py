@@ -217,13 +217,26 @@ class TestParseConfig:
         "facmin 2.0\n", "facmax 0.5\n", "safety 0\n", "embedded_order 3\n",
         "clamp_mode bogus\n", "h0 1e-20\nh_min 1e-10\n", "n_output_samples -3\n",
         "sweep 1e-6 1e-4\nreference 0 1e-11\n", "h0 nan\n", "h_min 0\n",
-        "t_final inf\n",
+        "t_final inf\n", "t_final 0.5\n",
+        "sweep 1e-6 1e-4\nreference 1e-8 1e-6\nreference 1e-9 1e-7\n",
     ])
     def test_bad_value_rejected_at_parse_time(self, lines):
         # Controller settings and the sweep reference are checked when the
-        # config is parsed, not when a subcommand first uses them.
+        # config is parsed, not when a subcommand first uses them. CONFIG is
+        # toy_ignition.cfg without its comments and method line, so the
+        # appended "t_final 0.5" repeats a key of that fixture: a key given
+        # twice is refused rather than letting the last line win.
         with pytest.raises(MechIoError) as e:
             parse_config(CONFIG + lines)
+        assert code_of(e) == "BadConfigValue"
+
+    @pytest.mark.parametrize("value", ["inf", "0"])
+    def test_t_final_range(self, value):
+        # Replaces CONFIG's t_final line: an appended one (as in the case
+        # "t_final inf" above) is now refused as a repeat before its range
+        # is checked.
+        with pytest.raises(MechIoError, match="t_final must be positive") as e:
+            parse_config(CONFIG.replace("t_final 0.3", f"t_final {value}"))
         assert code_of(e) == "BadConfigValue"
 
     def test_bad_reverse_rate_convention(self):

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from conftest import stiff_diag_matrix
 from expkin.phikrylov import Arnoldi, dense_phi_oracle, expm, phi_scalar
 
 mpmath.mp.dps = 40
@@ -181,6 +182,15 @@ class TestArnoldi:
         V, _, _ = arnoldi(A, rng.standard_normal(40), m_max=15)
         G = V.T @ V
         np.testing.assert_allclose(G, np.eye(V.shape[1]), atol=1e-12)
+
+    @pytest.mark.parametrize("span", [1e5, 1e8])
+    def test_orthonormal_basis_stiff(self, span):
+        # Spectra as wide as a chemistry Jacobian's times the step size.
+        rng = np.random.default_rng(31)
+        A = stiff_diag_matrix(rng, 56, span)
+        V, _, breakdown = arnoldi(A, rng.standard_normal(56), m_max=40)
+        assert not breakdown and V.shape[1] == 40
+        assert np.linalg.norm(V.T @ V - np.eye(40), 2) <= 1e-12
 
     def test_callable_matvec(self):
         A = np.diag([1.0, -2.0, 3.0, 0.5])
