@@ -3,9 +3,9 @@
 from .kinetics import (EXP_ARG_MAX, P_STANDARD, R_GAS, InvalidStateError,
                        KineticsError, Mechanism, RateTelemetry, Reaction,
                        Species, ThermoRangeError, ThermoState, concentrations,
-                       density, equilibrium_constants, fd_jacobian, jacobian,
+                       density, equilibrium_constants, fd_jacobian,
                        production_rates, rate_constants, reaction_rates, rhs,
-                       rhs_vector, species_thermo)
+                       rhs_and_jacobian, rhs_vector, species_thermo)
 from .phikrylov import (Arnoldi, PhiConvergenceError, PhiResult,
                         dense_phi_oracle, expm, kiops_eval, phi_scalar)
 from .integrator import (ControllerConfig, OdeProblem, SolverOutput,

@@ -11,6 +11,10 @@ The phi_3 term is also the local truncation error estimate (the difference
 to the embedded exponential-Euler step y_n + h phi_1(h J) F). Each step
 attempt uses exactly two Krylov evaluations: one for phi_1 at time points
 {3/4, 1}, one for the phi_3 term.
+
+F and J come from one call, `OdeProblem.jac(y_n)`, which for a mechanism is
+one kinetics pass per new state; rejected attempts reuse them. Each attempt
+evaluates f once, at the stage value Y1.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phikrylov
-from .kinetics import KineticsError, RateTelemetry, jacobian, rhs_vector
+from .kinetics import KineticsError, RateTelemetry, rhs_and_jacobian, rhs_vector
 from .phikrylov import PhiConvergenceError, PhiStats
 
 
@@ -36,7 +40,6 @@ class ControllerConfig:
     embedded_order: int = 2      # q; controller exponent is 1/(q+1)
     h0: float = None             # default: 1e-10 * interval length
     h_min: float = None          # default: 1e-15 * interval length
-    clamp_mode: str = "standard"  # or "paper_literal"
 
     def __post_init__(self):
         if not (self.atol > 0 and self.rtol > 0):
@@ -47,8 +50,6 @@ class ControllerConfig:
             raise ValueError("need 0 < safety <= 1")
         if self.embedded_order not in (1, 2):
             raise ValueError("embedded order must be 1 or 2")
-        if self.clamp_mode not in ("standard", "paper_literal"):
-            raise ValueError(f"unknown clamp mode {self.clamp_mode!r}")
         for name in ("h0", "h_min"):
             step = getattr(self, name)
             # With h0 = NaN the march never ends, and a floor at or below 0
@@ -96,7 +97,8 @@ class SolverOutput:
 
 
 class OdeProblem:
-    """Right-hand side plus a dense Jacobian evaluator."""
+    """Right-hand side f(y) plus the linearisation jac(y), which returns
+    (f(y), J) with J the dense Jacobian at y."""
 
     def __init__(self, f, jac):
         self.f = f
@@ -105,13 +107,14 @@ class OdeProblem:
 
 def problem_from_mechanism(mech, pressure, convention="divide", telemetry=None):
     """OdeProblem over the flat [T, Y...] state vector of a mechanism,
-    with the exact analytical Jacobian."""
+    with the exact analytical Jacobian; jac returns (F, J) from one kinetics
+    pass."""
 
     def f(y):
         return rhs_vector(y, mech, pressure, convention, telemetry)
 
     def jac(y):
-        return jacobian(y, mech, pressure, convention, telemetry)
+        return rhs_and_jacobian(y, mech, pressure, convention, telemetry)
 
     return OdeProblem(f, jac)
 
@@ -170,34 +173,21 @@ def controller_update(err_scaled, h_old, cfg, h_min=0.0):
         h_hat = h_old * cfg.facmax
     else:
         h_hat = h_old * cfg.safety * err_scaled ** -k
-    if cfg.clamp_mode == "paper_literal":
-        # Printed piecewise rule, first matching branch in printed order.
-        if h_hat > 100.0 * h_old:
-            h_new = 2.0 * h_hat
-        elif h_hat < 1000.0 * h_old:
-            h_new = h_hat / 100.0
-        else:
-            h_new = h_hat
-    else:
-        fac = min(cfg.facmax, max(cfg.facmin, h_hat / h_old))
-        h_new = h_old * fac
-    return accept, max(h_new, h_min)
+    fac = min(cfg.facmax, max(cfg.facmin, h_hat / h_old))
+    return accept, max(h_old * fac, h_min)
 
 
 def _interp_samples(times, ts, ys):
-    """Linear interpolation of the accepted-step trajectory."""
+    """Linear interpolation of the accepted-step trajectory; times outside
+    [ts[0], ts[-1]] take the end values."""
     ts = np.asarray(ts)
     ys = np.asarray(ys)
-    out = np.empty((len(times), ys.shape[1]))
-    for i, t in enumerate(times):
-        j = np.searchsorted(ts, t)
-        if j == 0:
-            out[i] = ys[0]
-        elif j >= len(ts):
-            out[i] = ys[-1]
-        else:
-            a = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-            out[i] = (1 - a) * ys[j - 1] + a * ys[j]
+    j = np.searchsorted(ts, times)
+    out = ys[np.minimum(j, len(ts) - 1)]
+    mid = np.flatnonzero((j > 0) & (j < len(ts)))
+    j = j[mid]
+    a = ((times[mid] - ts[j - 1]) / (ts[j] - ts[j - 1]))[:, None]
+    out[mid] = (1 - a) * ys[j - 1] + a * ys[j]
     return out
 
 
@@ -205,8 +195,10 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
                        step_hook=None):
     """March EPI3V with the adaptive controller from t0 to t_final.
 
-    Rejected attempts reuse the F and J of the unchanged state. The final
-    step is truncated to land exactly on t_final. Every attempt is logged.
+    F and J come from one `problem.jac` call per new state, and rejected
+    attempts reuse them; each attempt calls `problem.f` once, at the stage
+    value Y1. The final step is truncated to land exactly on t_final. Every
+    attempt is logged.
     """
     if not (t_final > t0):
         raise ValueError("t_final must exceed t0")
@@ -247,8 +239,7 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
         start = time.perf_counter_ns()
         if F is None:
             try:
-                F = problem.f(y)
-                J = problem.jac(y)
+                F, J = problem.jac(y)
             except KineticsError as exc:
                 return finish(False, f"state evaluation failed: {exc}")
         kstats = PhiStats()
@@ -294,8 +285,7 @@ def integrate_fixed(y0, t0, t_final, n_steps, problem, krylov_tol=1.0e-12):
     h = (t_final - t0) / n_steps
     y = np.asarray(y0, dtype=float).copy()
     for _ in range(n_steps):
-        F = problem.f(y)
-        J = problem.jac(y)
+        F, J = problem.jac(y)
         y, _, _ = epi3v_step(y, h, F, J, problem, krylov_tol=krylov_tol)
     return y
 

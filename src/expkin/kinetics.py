@@ -11,7 +11,10 @@ reactant/product slot indices. The Jacobian is analytical in the manner of
 pyJac (Niemeyer, Curtis & Sung, Comput. Phys. Commun. 215, 2017): rate-of-
 progress derivatives in the concentrations come from the mass-action
 products, temperature derivatives from the Arrhenius and equilibrium-constant
-log-derivatives, and both are chained through rho(T, Y).
+log-derivatives, and both are chained through rho(T, Y). `rhs_and_jacobian`
+returns the source term and the Jacobian from one evaluation of the thermo,
+rate constants and rates of progress, so linearising at a state costs one
+kinetics pass.
 """
 from __future__ import annotations
 
@@ -412,18 +415,27 @@ def rate_constants(T, mech, convention="divide", telemetry=None):
 
 def _products(x):
     """Row products of x (n, width) and, per entry, the product of the
-    others in its row (prefix times suffix: exact when some entry is 0)."""
-    n, width = x.shape
-    prefix = np.ones((n, width + 1))
-    suffix = np.ones((n, width + 1))
-    np.cumprod(x, axis=1, out=prefix[:, 1:])
-    np.cumprod(x[:, ::-1], axis=1, out=suffix[:, -2::-1])
-    return prefix[:, -1], prefix[:, :-1] * suffix[:, 1:]
+    others in its row (prefix times suffix: exact when some entry is 0).
+
+    One pass over the slot columns each way; width is the largest
+    stoichiometric order, so at most a few columns.
+    """
+    others = np.empty_like(x)
+    prefix = np.ones(x.shape[0])
+    for j in range(x.shape[1]):
+        others[:, j] = prefix
+        prefix = prefix * x[:, j]
+    suffix = x[:, -1]
+    for j in range(x.shape[1] - 2, -1, -1):
+        others[:, j] *= suffix
+        suffix = suffix * x[:, j]
+    return prefix, others
 
 
 @dataclass
 class _Point:
-    """What rhs and jacobian share at one state (mass fractions clipped)."""
+    """What rhs and rhs_and_jacobian share at one state (mass fractions
+    clipped)."""
 
     Y: np.ndarray
     rho: float
@@ -484,15 +496,20 @@ def _check_finite(values, what):
     return values
 
 
-def rhs(state, mech, convention="divide", telemetry=None):
-    """Time derivative of [T, Y_1..Y_K] for the isobaric reactor."""
-    pt = _evaluate(state.T, state.Y, state.p, mech, convention, telemetry)
+def _source(pt, mech):
+    """[dT/dt, dY/dt] at an evaluated point, and the net production rates."""
     omega = mech.tables.nu_net.T @ pt.q
     cp_mass = float(pt.Y @ (pt.cp / mech.molar_masses))  # J/(kg K)
     out = np.empty(mech.n_species + 1)
     out[0] = -float(omega @ pt.H) / (pt.rho * cp_mass)
     out[1:] = omega * mech.molar_masses / pt.rho
-    return _check_finite(out, "rhs")
+    return _check_finite(out, "rhs"), omega
+
+
+def rhs(state, mech, convention="divide", telemetry=None):
+    """Time derivative of [T, Y_1..Y_K] for the isobaric reactor."""
+    pt = _evaluate(state.T, state.Y, state.p, mech, convention, telemetry)
+    return _source(pt, mech)[0]
 
 
 def rhs_vector(y, mech, p, convention="divide", telemetry=None):
@@ -502,10 +519,11 @@ def rhs_vector(y, mech, p, convention="divide", telemetry=None):
     return rhs(state, mech, convention, telemetry)
 
 
-def jacobian(y, mech, p, convention="divide", telemetry=None):
-    """Exact dense Jacobian d[dT/dt, dY/dt]/d[T, Y] of rhs_vector at y.
+def rhs_and_jacobian(y, mech, p, convention="divide", telemetry=None):
+    """rhs_vector at y and its exact dense Jacobian d[dT/dt, dY/dt]/d[T, Y],
+    as (F, J) from one evaluation of the kinetics; F equals rhs_vector(y).
 
-    Includes the coupling through rho(T, Y) = p / (R T sum Y_i/W_i). Mass
+    J includes the coupling through rho(T, Y) = p / (R T sum Y_i/W_i). Mass
     fractions in [-Y_NEG_TOL, 0) read as 0 here as in rhs, and their columns
     are the derivatives at 0 from above. A factor whose exponent is clamped
     (see RateTelemetry) is constant, so its derivative is 0.
@@ -514,6 +532,7 @@ def jacobian(y, mech, p, convention="divide", telemetry=None):
     state.validate()
     T = state.T
     pt = _evaluate(T, state.Y, p, mech, convention, telemetry, derivatives=True)
+    F, omega = _source(pt, mech)
     Y, rho, mean_inv, W = pt.Y, pt.rho, pt.mean_inv, mech.molar_masses
     K = mech.n_species
     nu_t = mech.tables.nu_net.T
@@ -524,9 +543,8 @@ def jacobian(y, mech, p, convention="divide", telemetry=None):
     domega = np.empty((K, K + 1))
     domega[:, 0] = nu_t @ pt.dq_dT - A_chi / T
     domega[:, 1:] = (rho * A - A_chi[:, None] / mean_inv) / W
-    omega = nu_t @ pt.q
     # dY/dt = omega W / rho, with drho/dT = -rho/T, drho/dY_k = -rho/(mean_inv W_k).
-    dY = omega * W / rho
+    dY = F[1:]
     J = np.empty((K + 1, K + 1))
     J[1:] = (W / rho)[:, None] * domega
     J[1:, 0] += dY / T
@@ -534,18 +552,18 @@ def jacobian(y, mech, p, convention="divide", telemetry=None):
     # dT/dt = -(omega . H) / D with D = rho cp_mass and dH/dT = cp.
     cp_w = pt.cp / W
     D = rho * float(Y @ cp_w)
-    dT = -float(omega @ pt.H) / D
     dD = np.empty(K + 1)
     dD[0] = -D / T + rho * float(Y @ (pt.dcp / W))
     dD[1:] = rho * cp_w - D / (mean_inv * W)
-    J[0] = -(pt.H @ domega) - dT * dD
+    J[0] = -(pt.H @ domega) - F[0] * dD
     J[0, 0] -= float(omega @ pt.cp)
     J[0] /= D
-    return _check_finite(J, "Jacobian")
+    return F, _check_finite(J, "Jacobian")
 
 
 def fd_jacobian(f, y, typical=None, step=None):
-    """Dense central-difference Jacobian of f at y, the oracle for jacobian().
+    """Dense central-difference Jacobian of f at y, the oracle for
+    rhs_and_jacobian().
 
     Perturbation per component: step * max(|y_j|, typical_j), with step
     sqrt(machine eps) by default. Falls back to a one-sided difference if a

@@ -266,8 +266,8 @@ _CONFIG_FLOAT_KEYS = {
     "T0", "pressure", "t_final", "atol", "rtol", "h0", "h_min", "safety",
     "facmin", "facmax",
 }
-_CONFIG_STR_KEYS = {"mechanism", "method", "clamp_mode",
-                    "reverse_rate_convention", "output_dir"}
+_CONFIG_STR_KEYS = {"mechanism", "method", "reverse_rate_convention",
+                    "output_dir"}
 _CONFIG_INT_KEYS = {"embedded_order", "n_output_samples"}
 
 

@@ -138,6 +138,15 @@ class TestErrorPaths:
         rc = run_cli("validate", "--config", str(workdir / "s.cfg"))
         assert rc == EXIT_CONFIG
 
+    def test_clamp_mode_refused(self, workdir, capsys):
+        # The key is gone: any clamp_mode line, the old default included,
+        # is an unknown key when the config is parsed, and validate exits 2.
+        for value in ("standard", "paper_literal", "bogus"):
+            (workdir / "bad.cfg").write_text(SHORT_CFG + f"clamp_mode {value}\n")
+            rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
+            assert rc == EXIT_CONFIG
+            assert "UnknownKey" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--mech", "toy3.mech"), ("--clamp-mode", "paper_literal"),
         ("--reverse-rate-convention", "multiply"),

@@ -7,19 +7,22 @@ import time
 import numpy as np
 import pytest
 
+from conftest import FIXTURE_DIR
 from expkin import phikrylov
 from expkin.integrator import (
-    ControllerConfig, OdeProblem, SolverOutput, StepRecord, controller_update,
-    epi3v_step, exp_euler_step, integrate_adaptive, integrate_fixed,
-    integrate_mechanism, problem_from_mechanism, scaled_error_norm,
+    ControllerConfig, OdeProblem, SolverOutput, StepRecord, _interp_samples,
+    controller_update, epi3v_step, exp_euler_step, integrate_adaptive,
+    integrate_fixed, integrate_mechanism, problem_from_mechanism,
+    scaled_error_norm,
 )
-from expkin.kinetics import KineticsError, ThermoState
+from expkin.kinetics import KineticsError, ThermoState, rhs_vector
+from expkin.mechio import parse_config, parse_mechanism
 from expkin.phikrylov import expm
 
 
 def linear_problem(M):
     M = np.asarray(M, dtype=float)
-    return OdeProblem(f=lambda y: M @ y, jac=lambda y: M)
+    return OdeProblem(f=lambda y: M @ y, jac=lambda y: (M @ y, M))
 
 
 class TestStep:
@@ -39,9 +42,9 @@ class TestStep:
 
     def test_zero_rhs_identity(self):
         prob = OdeProblem(f=lambda y: np.zeros_like(y),
-                          jac=lambda y: np.zeros((3, 3)))
+                          jac=lambda y: (np.zeros_like(y), np.zeros((3, 3))))
         y0 = np.array([1.0, -2.0, 3.0])
-        y1, lte, _ = epi3v_step(y0, 1.0, prob.f(y0), prob.jac(y0), prob)
+        y1, lte, _ = epi3v_step(y0, 1.0, *prob.jac(y0), prob)
         np.testing.assert_allclose(y1, y0, atol=1e-14)
         np.testing.assert_allclose(lte, 0.0, atol=1e-14)
 
@@ -49,10 +52,11 @@ class TestStep:
         # y' = y^2: the leading fourth-order local term vanishes (it is a
         # third-derivative tensor contraction), leaving local order five.
         # The measured h -> h/2 error ratio at h = 0.05 is ~33, not 16.
-        prob = OdeProblem(f=lambda y: y ** 2, jac=lambda y: np.diag(2 * y))
+        prob = OdeProblem(f=lambda y: y ** 2,
+                          jac=lambda y: (y ** 2, np.diag(2 * y)))
         y0 = np.array([0.5])
         exact = lambda t: 0.5 / (1.0 - 0.5 * t)
-        F, J = prob.f(y0), prob.jac(y0)
+        F, J = prob.jac(y0)
         h = 0.05
         e1 = abs(epi3v_step(y0, h, F, J, prob, krylov_tol=1e-14)[0][0]
                  - exact(h))
@@ -63,9 +67,9 @@ class TestStep:
     def test_lte_is_phi3_term(self):
         # y_new minus the embedded exponential-Euler step equals the LTE.
         prob = OdeProblem(f=lambda y: np.sin(y),
-                          jac=lambda y: np.diag(np.cos(y)))
+                          jac=lambda y: (np.sin(y), np.diag(np.cos(y))))
         y0 = np.array([0.3, 1.1])
-        F, J = prob.f(y0), prob.jac(y0)
+        F, J = prob.jac(y0)
         y1, lte, _ = epi3v_step(y0, 0.2, F, J, prob, krylov_tol=1e-13)
         y_euler = exp_euler_step(y0, 0.2, F, J, krylov_tol=1e-13)
         np.testing.assert_allclose(y1 - y_euler, lte, rtol=1e-8, atol=1e-13)
@@ -85,7 +89,7 @@ class TestFixedOrder:
         # y' = cos(y) has a non-vanishing third derivative, so the scheme
         # shows its true order: halving h divides the error by ~8.
         prob = OdeProblem(f=lambda y: np.cos(y),
-                          jac=lambda y: np.diag(-np.sin(y)))
+                          jac=lambda y: (np.cos(y), np.diag(-np.sin(y))))
         y0 = np.array([0.0])
         ref = integrate_fixed(y0, 0.0, 2.0, 4096, prob, krylov_tol=1e-14)
         e64 = abs(integrate_fixed(y0, 0.0, 2.0, 64, prob,
@@ -98,7 +102,7 @@ class TestFixedOrder:
         # Quadratic nonlinearity: superconvergence to global order four
         # (measured ratio ~16.1 between n=32 and n=64).
         prob = OdeProblem(f=lambda y: -y + y ** 2,
-                          jac=lambda y: np.diag(-1.0 + 2.0 * y))
+                          jac=lambda y: (-y + y ** 2, np.diag(-1.0 + 2.0 * y)))
         y0 = np.array([0.5])
         exact = 1.0 / (1.0 + np.exp(2.0))
         e32 = abs(integrate_fixed(y0, 0.0, 2.0, 32, prob,
@@ -168,16 +172,20 @@ class TestErrorNormAndController:
             self.cfg(embedded_order=3)
 
     def test_paper_literal_growth_branch(self):
-        # h_hat = 0.9e4 h > 100 h: doubled rather than clamped.
-        _, h = controller_update(1e-12, 1.0, self.cfg(clamp_mode="paper_literal"))
-        h_hat = 0.9 * (1e-12) ** (-1.0 / 3.0)
-        assert h == pytest.approx(2.0 * h_hat)
+        # The paper-literal reading (h_hat > 100 h: double h_hat) went with
+        # the clamp_mode field. h_hat = 0.9e4 h is clamped to facmax h.
+        with pytest.raises(TypeError):
+            self.cfg(clamp_mode="paper_literal")
+        accept, h = controller_update(1e-12, 1.0, self.cfg())
+        assert accept and h == pytest.approx(5.0)
 
     def test_paper_literal_shrink_branch(self):
-        # h_hat = 0.9 h < 1000 h: divided by 100 (the printed rule taken
-        # at face value, first matching branch).
-        _, h = controller_update(1.0, 1.0, self.cfg(clamp_mode="paper_literal"))
-        assert h == pytest.approx(0.009)
+        # The paper-literal reading divided h by 100 whenever h_hat < 1000 h.
+        # With the one clamp left, h_hat = 0.9 h is kept as it is.
+        with pytest.raises(TypeError):
+            self.cfg(clamp_mode="paper_literal")
+        accept, h = controller_update(1.0, 1.0, self.cfg())
+        assert accept and h == pytest.approx(0.9)
 
     def test_h_min_floor(self):
         _, h = controller_update(1e9, 1.0, self.cfg(), h_min=0.2)
@@ -202,7 +210,7 @@ class TestAdaptive:
                                    atol=1e-12)
 
     def test_lands_exactly_on_t_final(self):
-        prob = OdeProblem(f=lambda y: -y, jac=lambda y: -np.eye(1))
+        prob = OdeProblem(f=lambda y: -y, jac=lambda y: (-y, -np.eye(1)))
         cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
         out = integrate_adaptive(np.ones(1), 0.0, 0.37, prob, cfg)
         assert out.t == 0.37
@@ -275,7 +283,7 @@ class TestAdaptive:
     def test_cpu_ns_includes_f_and_j(self):
         def slow_jac(y):
             time.sleep(0.002)
-            return -np.eye(1)
+            return -y, -np.eye(1)
 
         prob = OdeProblem(f=lambda y: -y, jac=slow_jac)
         cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
@@ -302,8 +310,10 @@ class TestAdaptive:
         n_accept = len(out.accepted_records)
         n_reject = len(out.records) - n_accept
         assert n_reject > 0  # this tolerance pair does produce rejections
-        # J is evaluated once per fresh state only, never on a rejection.
+        # F and J are evaluated once per fresh state only, never on a
+        # rejection; f runs once per attempt, at the stage value Y1.
         assert calls["jac"] == n_accept
+        assert calls["f"] == len(out.records)
 
     def test_every_attempt_logged(self, toy_mech, toy_state):
         cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
@@ -317,13 +327,14 @@ class TestAdaptive:
                                                        toy_state):
         # The first stage evaluation fails (an evaluation failure); later
         # attempts include error-norm rejections. On both paths a record
-        # counts only the rejections before it.
+        # counts only the rejections before it. F at y0 comes from jac, so
+        # the first f call is the first attempt's stage value Y1.
         prob = problem_from_mechanism(toy_mech, toy_state.p)
         f0, calls = prob.f, [0]
 
         def f(y):
             calls[0] += 1
-            if calls[0] == 2:
+            if calls[0] == 1:
                 raise KineticsError("injected stage failure")
             return f0(y)
 
@@ -339,7 +350,7 @@ class TestAdaptive:
                 not r.accepted for r in out.records[:i])
 
     def test_output_sampling(self):
-        prob = OdeProblem(f=lambda y: -y, jac=lambda y: -np.eye(1))
+        prob = OdeProblem(f=lambda y: -y, jac=lambda y: (-y, -np.eye(1)))
         # Samples come from linear interpolation between accepted steps, so
         # the achievable accuracy is set by the local step size, not rtol.
         cfg = ControllerConfig(atol=1e-12, rtol=1e-10, h0=1e-3, facmax=1.2)
@@ -351,6 +362,70 @@ class TestAdaptive:
         assert out.samples[0, 0] == 1.0
         assert out.samples[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-9)
 
+    def test_interp_samples_matches_loop(self):
+        # Per-time reference loop; the vectorised version must give the same
+        # bits, so solution.csv does not change.
+        def reference(times, ts, ys):
+            out = np.empty((len(times), ys.shape[1]))
+            for i, t in enumerate(times):
+                j = np.searchsorted(ts, t)
+                if j == 0:
+                    out[i] = ys[0]
+                elif j >= len(ts):
+                    out[i] = ys[-1]
+                else:
+                    a = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
+                    out[i] = (1 - a) * ys[j - 1] + a * ys[j]
+            return out
+
+        rng = np.random.default_rng(5)
+        ts = np.cumsum(rng.uniform(1e-3, 1.0, 40))
+        ys = rng.standard_normal((40, 4))
+        times = np.sort(np.concatenate((
+            [ts[0] - 1.0, ts[-1] + 1.0],               # outside the steps
+            ts,                                         # exactly at steps
+            rng.uniform(ts[0] - 0.5, ts[-1] + 0.5, 200))))
+        got = _interp_samples(times, ts, ys)
+        assert np.array_equal(got, reference(times, ts, ys))
+        # A march that failed on its first attempt has one accepted time.
+        assert np.array_equal(_interp_samples(times, ts[:1], ys[:1]),
+                              reference(times, ts[:1], ys[:1]))
+
+    def test_error_estimate_is_exp_euler_error(self):
+        # The controller's estimate (the scaled phi_3 term) is the error of
+        # the embedded exponential-Euler step, not that of EPI3V itself: in
+        # the toy ignition it exceeds EPI3V's true local error by 10^3-10^4.
+        import scipy.integrate
+        cfg = parse_config((FIXTURE_DIR / "toy_ignition.cfg").read_text())
+        mech = parse_mechanism((FIXTURE_DIR / cfg.mechanism_path).read_text())
+        state = ThermoState(T=cfg.T0, p=cfg.pressure, Y=[
+            cfg.Y0.get(s.name, 0.0) for s in mech.species])
+        seen = []
+
+        def hook(rec, y, J):
+            if rec.accepted:
+                seen.append((rec, y.copy(), J))
+
+        integrate_mechanism(state, mech, cfg.t_final, cfg, step_hook=hook)
+        prob = problem_from_mechanism(mech, state.p)
+        ktol = cfg.krylov_tolerance()
+        for t_pick in (0.15, 0.17, 0.185):
+            rec, y, J = next(s for s in seen if s[0].t >= t_pick)
+            assert rec.t <= 0.19
+            ref = scipy.integrate.solve_ivp(
+                lambda t, v: rhs_vector(v, mech, state.p), (0.0, rec.h), y,
+                method="Radau", rtol=1e-13, atol=1e-20,
+                jac=lambda t, v: prob.jac(v)[1]).y[:, -1]
+            F = rhs_vector(y, mech, state.p)
+            err_euler = scaled_error_norm(
+                exp_euler_step(y, rec.h, F, J, krylov_tol=ktol) - ref, y,
+                cfg.atol, cfg.rtol)
+            err_epi3v = scaled_error_norm(
+                epi3v_step(y, rec.h, F, J, prob, krylov_tol=ktol)[0] - ref, y,
+                cfg.atol, cfg.rtol)
+            assert rec.err_scaled == pytest.approx(err_euler, rel=0.01)
+            assert rec.err_scaled >= 100.0 * err_epi3v
+
     def test_step_hook_sees_accepted_state(self, toy_mech, toy_state):
         seen = []
         cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
@@ -360,7 +435,7 @@ class TestAdaptive:
         assert seen and all(s[2] == (4, 4) for s in seen)
 
     def test_invalid_span(self):
-        prob = OdeProblem(f=lambda y: -y, jac=lambda y: -np.eye(1))
+        prob = OdeProblem(f=lambda y: -y, jac=lambda y: (-y, -np.eye(1)))
         cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
         with pytest.raises(ValueError):
             integrate_adaptive(np.ones(1), 1.0, 1.0, prob, cfg)

@@ -8,8 +8,8 @@ from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
     TYPICAL_T, TYPICAL_Y, concentrations, density, equilibrium_constants,
-    fd_jacobian, jacobian, production_rates, rate_constants, reaction_rates,
-    rhs, rhs_vector, species_thermo,
+    fd_jacobian, production_rates, rate_constants, reaction_rates, rhs,
+    rhs_and_jacobian, rhs_vector, species_thermo,
 )
 
 
@@ -24,7 +24,7 @@ def one_reaction_mech(rxn, b_a6=0.0):
 
 
 def jacobian_at(state, mech, convention="divide"):
-    return jacobian(state.to_vector(), mech, state.p, convention)
+    return rhs_and_jacobian(state.to_vector(), mech, state.p, convention)[1]
 
 
 class TestDensity:
@@ -317,14 +317,15 @@ class TestProductionAndRhs:
 
 
 def oracle_error(mech, y, p, convention="divide"):
-    """Largest row-and-column scaled gap between jacobian() and the FD oracle.
+    """Largest row-and-column scaled gap between the J of rhs_and_jacobian()
+    and the FD oracle.
 
     Column j is scaled by the size of y_j (at least its typical value), row
     i by its largest scaled entry. A relative step of 1e-6 keeps roundoff
     in the temperature row, which sums large opposing enthalpy terms, well
     below that of the default sqrt(eps) step.
     """
-    J = jacobian(y, mech, p, convention)
+    J = rhs_and_jacobian(y, mech, p, convention)[1]
     typical = np.concatenate(([TYPICAL_T], np.full(mech.n_species, TYPICAL_Y)))
     fd = fd_jacobian(lambda v: rhs_vector(v, mech, p, convention), y, typical,
                      step=1e-6)
@@ -376,7 +377,11 @@ class TestJacobian:
     def test_oracle_toy_interior(self, toy_mech):
         y = np.array([1100.0, 0.09, 0.01, 0.9])
         assert oracle_error(toy_mech, y, 101325.0) < 1e-6
-        assert_mass_conserving(jacobian(y, toy_mech, 101325.0))
+        F, J = rhs_and_jacobian(y, toy_mech, 101325.0)
+        assert_mass_conserving(J)
+        # F comes from the same evaluation as J and is assembled by the code
+        # rhs uses, so it is the same bits as rhs_vector.
+        np.testing.assert_array_equal(F, rhs_vector(y, toy_mech, 101325.0))
 
     @pytest.mark.parametrize("convention", ["divide", "multiply"])
     def test_oracle_random_mechanisms(self, convention):
@@ -390,7 +395,9 @@ class TestJacobian:
             y = np.concatenate(([rng.uniform(600.0, 2500.0)], Y))
             p = rng.uniform(5e4, 5e6)
             assert oracle_error(mech, y, p, convention) < 1e-6
-            assert_mass_conserving(jacobian(y, mech, p, convention))
+            F, J = rhs_and_jacobian(y, mech, p, convention)
+            assert_mass_conserving(J)
+            np.testing.assert_array_equal(F, rhs_vector(y, mech, p, convention))
         assert n_reversible > 0
 
     @pytest.mark.parametrize("convention", ["divide", "multiply"])
@@ -414,15 +421,16 @@ class TestJacobian:
         assert mech.tables.explicit_mask.tolist() == [True, False, False]
         y = np.array([1300.0, 0.3, 0.5, 0.2])
         assert oracle_error(mech, y, 2.0e5, convention) < 1e-6
-        assert_mass_conserving(jacobian(y, mech, 2.0e5, convention))
+        assert_mass_conserving(rhs_and_jacobian(y, mech, 2.0e5, convention)[1])
 
     def test_exact_column_at_zero_mass_fraction(self, toy_mech, toy_state):
         # At Y_X = 0 the exact column is the forward difference. The central
         # FD oracle steps into the Y < 0 clip there and halves the column.
         y = toy_state.to_vector()
         p = toy_state.p
-        J = jacobian(y, toy_mech, p)
+        F, J = rhs_and_jacobian(y, toy_mech, p)
         f = lambda v: rhs_vector(v, toy_mech, p)
+        np.testing.assert_array_equal(F, f(y))
         delta = 1e-9
         yp = y.copy()
         yp[2] += delta
@@ -434,15 +442,15 @@ class TestJacobian:
         assert fd[0, 2] == pytest.approx(0.5 * J[0, 2], rel=1e-4)
 
     def test_saturated_exponent_sets_telemetry(self):
-        # E = 1e9 clamps exp(-E/RT) through both rhs and jacobian; the
-        # clamped factor is constant, so the Jacobian stays finite.
+        # E = 1e9 clamps exp(-E/RT) through both rhs and rhs_and_jacobian;
+        # the clamped factor is constant, so the Jacobian stays finite.
         rxn = Reaction(reactants={0: 1}, products={1: 1},
                        arrhenius=(1.0, 0.0, 1.0e9))
         mech = one_reaction_mech(rxn)
         y = np.array([300.0, 0.5, 0.5])
         tel_rhs, tel_jac = RateTelemetry(), RateTelemetry()
         rhs_vector(y, mech, 1e5, telemetry=tel_rhs)
-        J = jacobian(y, mech, 1e5, telemetry=tel_jac)
+        J = rhs_and_jacobian(y, mech, 1e5, telemetry=tel_jac)[1]
         assert tel_rhs.saturated and tel_jac.saturated
         assert np.all(np.isfinite(J))
 

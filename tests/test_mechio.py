@@ -180,7 +180,7 @@ class TestParseConfig:
         assert cfg.T0 == 1000.0 and cfg.pressure == 101325.0
         assert cfg.Y0 == {"F": pytest.approx(0.1), "B": pytest.approx(0.9)}
         assert cfg.t_final == 0.3 and cfg.atol == 1e-10 and cfg.rtol == 1e-8
-        assert cfg.method == "epi3v" and cfg.clamp_mode == "standard"
+        assert cfg.method == "epi3v"
 
     def test_mass_fractions_renormalized(self):
         cfg = parse_config(CONFIG.replace("Y B 0.9", "Y B 0.9000004"))
@@ -225,10 +225,12 @@ class TestParseConfig:
         # config is parsed, not when a subcommand first uses them. CONFIG is
         # toy_ignition.cfg without its comments and method line, so the
         # appended "t_final 0.5" repeats a key of that fixture: a key given
-        # twice is refused rather than letting the last line win.
+        # twice is refused rather than letting the last line win. The
+        # clamp_mode key was removed, so its line is refused as unknown.
         with pytest.raises(MechIoError) as e:
             parse_config(CONFIG + lines)
-        assert code_of(e) == "BadConfigValue"
+        removed = lines.startswith("clamp_mode")
+        assert code_of(e) == ("UnknownKey" if removed else "BadConfigValue")
 
     @pytest.mark.parametrize("value", ["inf", "0"])
     def test_t_final_range(self, value):
