@@ -45,7 +45,7 @@ def load_run(args):
     except MechIoError as exc:
         raise CliError(f"config error: {exc}", EXIT_CONFIG)
     mech_path = os.path.join(os.path.dirname(os.path.abspath(args.config)),
-                             run_cfg.mechanism_path)
+                             run_cfg.mechanism)
     try:
         mech = mechio.parse_mechanism(_read_text(mech_path))
     except MechIoError as exc:
@@ -63,20 +63,12 @@ def load_run(args):
     return run_cfg, mech, state0
 
 
-def _out_dir(args, run_cfg):
-    out = args.out or run_cfg.output_dir
+def _out_dir(args):
     try:
-        os.makedirs(out, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot create output dir {out}: {exc}", EXIT_IO)
-    return out
-
-
-def _run_once(run_cfg, mech, state0, output_times=None, step_hook=None):
-    return integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
-                               output_times=output_times,
-                               convention=run_cfg.reverse_rate_convention,
-                               step_hook=step_hook)
+        raise CliError(f"cannot create output dir {args.out}: {exc}", EXIT_IO)
+    return args.out
 
 
 def cmd_validate(args):
@@ -87,9 +79,10 @@ def cmd_validate(args):
 
 def cmd_run(args):
     run_cfg, mech, state0 = load_run(args)
-    out_dir = _out_dir(args, run_cfg)
+    out_dir = _out_dir(args)
     sample_times = np.linspace(0.0, run_cfg.t_final, run_cfg.n_output_samples)
-    result = _run_once(run_cfg, mech, state0, output_times=sample_times)
+    result = integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
+                                 output_times=sample_times)
     _write_solution(out_dir, mech, result)
     mechio.write_csv(os.path.join(out_dir, "steps.csv"),
                      mechio.STEPS_CSV_HEADER, mechio.steps_csv_rows(result.records))
@@ -119,10 +112,11 @@ def cmd_sweep(args):
     if run_cfg.reference_tols is None:
         raise CliError("config error: sweep requires a 'reference atol rtol' line",
                        EXIT_CONFIG)
-    out_dir = _out_dir(args, run_cfg)
+    out_dir = _out_dir(args)
 
     ref_atol, ref_rtol = run_cfg.reference_tols
-    ref = _run_once(replace(run_cfg, atol=ref_atol, rtol=ref_rtol), mech, state0)
+    ref = integrate_mechanism(state0, mech, run_cfg.t_final,
+                              replace(run_cfg, atol=ref_atol, rtol=ref_rtol))
     if not ref.success:
         print(f"reference run failed: {ref.message}", file=sys.stderr)
         return EXIT_SOLVER
@@ -132,7 +126,8 @@ def cmd_sweep(args):
     def one_point(tols):
         atol, rtol = tols
         start = time.perf_counter()
-        res = _run_once(replace(run_cfg, atol=atol, rtol=rtol), mech, state0)
+        res = integrate_mechanism(state0, mech, run_cfg.t_final,
+                                  replace(run_cfg, atol=atol, rtol=rtol))
         elapsed = time.perf_counter() - start
         if res.success:
             err = float(np.linalg.norm(res.y - y_ref))
@@ -151,7 +146,7 @@ def cmd_sweep(args):
 
 def cmd_spectrum(args):
     run_cfg, mech, state0 = load_run(args)
-    out_dir = _out_dir(args, run_cfg)
+    out_dir = _out_dir(args)
     every = max(1, args.spectrum_every)
     rows = []
     counter = {"accepted": 0}
@@ -172,7 +167,8 @@ def cmd_spectrum(args):
             rows.append((record.t, "", "", "", "", cost))
         counter["accepted"] += 1
 
-    result = _run_once(run_cfg, mech, state0, step_hook=hook)
+    result = integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
+                                 step_hook=hook)
     mechio.write_csv(os.path.join(out_dir, "spectrum.csv"),
                      mechio.SPECTRUM_CSV_HEADER, rows)
     if not result.success:
@@ -193,7 +189,8 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config file")
         if name != "validate":
-            p.add_argument("--out", help="output directory")
+            p.add_argument("--out", default=".",
+                           help="output directory (default: the working directory)")
         if name == "spectrum":
             p.add_argument("--spectrum-every", type=int, default=1)
         p.set_defaults(func=fn)

@@ -75,7 +75,6 @@ class StepRecord:
     krylov_dim: int = 0
     substeps: int = 0
     matvecs: int = 0
-    rejections_so_far: int = 0   # rejected attempts before this one
     kiops_calls: int = 0
     cpu_ns: int = 0
 
@@ -105,16 +104,16 @@ class OdeProblem:
         self.jac = jac
 
 
-def problem_from_mechanism(mech, pressure, convention="divide", telemetry=None):
+def problem_from_mechanism(mech, pressure, *, telemetry=None):
     """OdeProblem over the flat [T, Y...] state vector of a mechanism,
     with the exact analytical Jacobian; jac returns (F, J) from one kinetics
     pass."""
 
     def f(y):
-        return rhs_vector(y, mech, pressure, convention, telemetry)
+        return rhs_vector(y, mech, pressure, telemetry=telemetry)
 
     def jac(y):
-        return rhs_and_jacobian(y, mech, pressure, convention, telemetry)
+        return rhs_and_jacobian(y, mech, pressure, telemetry=telemetry)
 
     return OdeProblem(f, jac)
 
@@ -215,7 +214,6 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
     ys = [y.copy()]
     F = None
     J = None
-    rejections = 0
 
     def finish(success, message):
         out = SolverOutput(success=success, message=message, t=t, y=y,
@@ -229,7 +227,6 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
         return StepRecord(t=t, h=h_try, accepted=accepted, err_scaled=err,
                           krylov_dim=kstats.max_krylov_dim,
                           substeps=kstats.substeps, matvecs=kstats.matvecs,
-                          rejections_so_far=rejections,
                           kiops_calls=kstats.calls, cpu_ns=cpu)
 
     while t < t_final:
@@ -250,7 +247,6 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
         except (PhiConvergenceError, KineticsError):
             cpu = time.perf_counter_ns() - start
             records.append(record(False, float("inf"), cpu))
-            rejections += 1
             h = max(h_try / 2, h_min)
             if h_try <= h_min * (1 + 1e-12):
                 return finish(False, "step size underflow (evaluation failure)")
@@ -270,10 +266,8 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
             ys.append(y.copy())
             F = None
             J = None
-        else:
-            rejections += 1
-            if h_try <= h_min * (1 + 1e-12):
-                return finish(False, "step size underflow")
+        elif h_try <= h_min * (1 + 1e-12):
+            return finish(False, "step size underflow")
         h = h_next
     return finish(True, "completed")
 
@@ -290,13 +284,14 @@ def integrate_fixed(y0, t0, t_final, n_steps, problem, krylov_tol=1.0e-12):
     return y
 
 
-def integrate_mechanism(state0, mech, t_final, cfg, t0=0.0, output_times=None,
-                        convention="divide", step_hook=None):
-    """integrate_adaptive() on a chemical mechanism from a ThermoState."""
+def integrate_mechanism(state0, mech, t_final, cfg, output_times=None,
+                        step_hook=None):
+    """integrate_adaptive() from t = 0 on a chemical mechanism from a
+    ThermoState."""
     state0.validate(check_sum=True)
     telemetry = RateTelemetry()
-    problem = problem_from_mechanism(mech, state0.p, convention, telemetry)
-    out = integrate_adaptive(state0.to_vector(), t0, t_final, problem, cfg,
+    problem = problem_from_mechanism(mech, state0.p, telemetry=telemetry)
+    out = integrate_adaptive(state0.to_vector(), 0.0, t_final, problem, cfg,
                              output_times=output_times, step_hook=step_hook)
     out.telemetry = telemetry
     return out

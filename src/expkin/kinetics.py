@@ -30,7 +30,6 @@ EXP_ARG_MAX = 700.0          # exp() argument clamp, avoids overflow
 Y_NEG_TOL = 1.0e-8           # mass fractions in [-Y_NEG_TOL, 0) are treated as 0
 TYPICAL_T = 1.0              # typical magnitudes for FD perturbation sizing
 TYPICAL_Y = 1.0e-6
-CONVENTIONS = ("divide", "multiply")
 
 
 class KineticsError(ValueError):
@@ -382,35 +381,30 @@ def equilibrium_constants(T, mech, telemetry=None):
     return _equilibrium(T, H, S, mech.tables, telemetry)[0]
 
 
-def _rate_constants(T, H, S, tb, convention, telemetry):
+def _rate_constants(T, H, S, tb, *, telemetry):
     """Forward and reverse rate constants and their T log-derivatives.
 
-    An explicit reverse Arrhenius fit takes precedence; otherwise detailed
-    balance b = f / K_c is used (convention="multiply" gives b = f * K_c).
-    Irreversible reactions have b = 0.
+    An explicit reverse Arrhenius fit takes precedence; otherwise the reverse
+    rate follows from detailed balance, b = f / K_c. Irreversible reactions
+    have b = 0.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown reverse-rate convention {convention!r}")
     kf, dkf = _arrhenius(tb.arrhenius, T, telemetry)
     kr = np.zeros_like(kf)
     dkr = np.zeros_like(kf)
     bal = tb.balance_mask
     if bal.any():
         kc, dkc = _equilibrium(T, H, S, tb, telemetry, bal)
-        if convention == "divide":
-            kr[bal], dkr[bal] = kf[bal] / kc, dkf[bal] - dkc
-        else:
-            kr[bal], dkr[bal] = kf[bal] * kc, dkf[bal] + dkc
+        kr[bal], dkr[bal] = kf[bal] / kc, dkf[bal] - dkc
     ex = tb.explicit_mask
     if ex.any():
         kr[ex], dkr[ex] = _arrhenius(tb.reverse_arrhenius[ex], T, telemetry)
     return kf, kr, dkf, dkr
 
 
-def rate_constants(T, mech, convention="divide", telemetry=None):
+def rate_constants(T, mech, *, telemetry=None):
     """Forward and reverse rate constants (k_f, k_r) of every reaction."""
     _, H, S, _ = species_thermo(T, mech)
-    return _rate_constants(T, H, S, mech.tables, convention, telemetry)[:2]
+    return _rate_constants(T, H, S, mech.tables, telemetry=telemetry)[:2]
 
 
 def _products(x):
@@ -449,13 +443,13 @@ class _Point:
     dq_dchi: np.ndarray = None    # (N, K + 1); the last column is the padding slot
 
 
-def _evaluate(T, Y, p, mech, convention, telemetry, derivatives=False):
+def _evaluate(T, Y, p, mech, *, telemetry, derivatives=False):
     Y = _clip_negative(Y)
     rho, mean_inv = _density(T, Y, p, mech)
     chi = rho * Y / mech.molar_masses
     cp, H, S, dcp = species_thermo(T, mech)
     tb = mech.tables
-    kf, kr, dkf, dkr = _rate_constants(T, H, S, tb, convention, telemetry)
+    kf, kr, dkf, dkr = _rate_constants(T, H, S, tb, telemetry=telemetry)
     chi1 = np.append(chi, 1.0)
     xf = chi1[tb.reactant_slots]
     xr = chi1[tb.product_slots]
@@ -476,9 +470,9 @@ def _evaluate(T, Y, p, mech, convention, telemetry, derivatives=False):
                   dkf * fwd - dkr * rev, dq_dchi)
 
 
-def reaction_rates(state, mech, convention="divide", telemetry=None):
+def reaction_rates(state, mech, *, telemetry=None):
     """Net molar rate of progress of every reaction, mol/(m^3 s)."""
-    return _evaluate(state.T, state.Y, state.p, mech, convention, telemetry).q
+    return _evaluate(state.T, state.Y, state.p, mech, telemetry=telemetry).q
 
 
 def production_rates(rates, mech):
@@ -506,20 +500,20 @@ def _source(pt, mech):
     return _check_finite(out, "rhs"), omega
 
 
-def rhs(state, mech, convention="divide", telemetry=None):
+def rhs(state, mech, *, telemetry=None):
     """Time derivative of [T, Y_1..Y_K] for the isobaric reactor."""
-    pt = _evaluate(state.T, state.Y, state.p, mech, convention, telemetry)
+    pt = _evaluate(state.T, state.Y, state.p, mech, telemetry=telemetry)
     return _source(pt, mech)[0]
 
 
-def rhs_vector(y, mech, p, convention="divide", telemetry=None):
+def rhs_vector(y, mech, p, *, telemetry=None):
     """rhs() on a flat state vector; validates the unpacked state."""
     state = ThermoState.from_vector(y, p)
     state.validate()
-    return rhs(state, mech, convention, telemetry)
+    return rhs(state, mech, telemetry=telemetry)
 
 
-def rhs_and_jacobian(y, mech, p, convention="divide", telemetry=None):
+def rhs_and_jacobian(y, mech, p, *, telemetry=None):
     """rhs_vector at y and its exact dense Jacobian d[dT/dt, dY/dt]/d[T, Y],
     as (F, J) from one evaluation of the kinetics; F equals rhs_vector(y).
 
@@ -531,7 +525,7 @@ def rhs_and_jacobian(y, mech, p, convention="divide", telemetry=None):
     state = ThermoState.from_vector(y, p)
     state.validate()
     T = state.T
-    pt = _evaluate(T, state.Y, p, mech, convention, telemetry, derivatives=True)
+    pt = _evaluate(T, state.Y, p, mech, telemetry=telemetry, derivatives=True)
     F, omega = _source(pt, mech)
     Y, rho, mean_inv, W = pt.Y, pt.rho, pt.mean_inv, mech.molar_masses
     K = mech.n_species

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .integrator import ControllerConfig
-from .kinetics import CONVENTIONS, KineticsError, Mechanism, Reaction, Species
+from .kinetics import KineticsError, Mechanism, Reaction, Species
 
 FORMAT_VERSION = 1
 MASS_SUM_TOL = 1.0e-6
@@ -218,14 +218,12 @@ class RunConfig(ControllerConfig):
     """One reactor run: initial condition and output settings, plus the
     controller settings it inherits; every value is checked on creation."""
 
-    mechanism_path: str
+    mechanism: str
     T0: float
     pressure: float
     Y0: dict
     t_final: float
     method: str = "epi3v"
-    reverse_rate_convention: str = "divide"
-    output_dir: str = "."
     n_output_samples: int = 200
     sweep_points: list = field(default_factory=list)
     reference_tols: tuple = None
@@ -242,9 +240,6 @@ class RunConfig(ControllerConfig):
         if self.method != "epi3v":
             raise MechIoError("BadConfigValue", f"unsupported method {self.method!r} "
                               "(only 'epi3v' is implemented)")
-        if self.reverse_rate_convention not in CONVENTIONS:
-            raise MechIoError("BadConfigValue", "unknown reverse-rate convention "
-                              f"{self.reverse_rate_convention!r}")
         if self.reference_tols is not None:
             ref_atol, ref_rtol = self.reference_tols
             # Equality is allowed so a sweep can include the reference pair itself
@@ -262,13 +257,11 @@ class RunConfig(ControllerConfig):
         self.Y0 = {k: v / total for k, v in self.Y0.items()}
 
 
-_CONFIG_FLOAT_KEYS = {
-    "T0", "pressure", "t_final", "atol", "rtol", "h0", "h_min", "safety",
-    "facmin", "facmax",
-}
-_CONFIG_STR_KEYS = {"mechanism", "method", "reverse_rate_convention",
-                    "output_dir"}
-_CONFIG_INT_KEYS = {"embedded_order", "n_output_samples"}
+# The one-value config keys: each RunConfig field typed float, int or str,
+# under its own name. A field without a default is a required key. Both
+# modules that declare the fields postpone annotations, so types are strings.
+_SCALAR_KEYS = {f.name: f for f in fields(RunConfig)
+                if f.type in ("float", "int", "str")}
 
 
 def parse_config(text):
@@ -300,38 +293,25 @@ def parse_config(text):
             reference = (_parse_float(toks[1], lineno), _parse_float(toks[2], lineno))
         elif key in values:
             _fail("BadConfigValue", f"duplicate config key {key!r}", lineno)
-        elif key in _CONFIG_FLOAT_KEYS:
-            if len(toks) != 2:
-                _fail("BadConfigValue", f"{key} takes one value", lineno)
+        elif key not in _SCALAR_KEYS:
+            _fail("UnknownKey", f"unknown config key {key!r}", lineno)
+        elif len(toks) != 2:
+            _fail("BadConfigValue", f"{key} takes one value", lineno)
+        elif _SCALAR_KEYS[key].type == "float":
             values[key] = _parse_float(toks[1], lineno, key)
-        elif key in _CONFIG_INT_KEYS:
-            if len(toks) != 2:
-                _fail("BadConfigValue", f"{key} takes one value", lineno)
+        elif _SCALAR_KEYS[key].type == "int":
             try:
                 values[key] = int(toks[1])
             except ValueError:
                 _fail("BadNumber", f"cannot parse integer {toks[1]!r}", lineno)
-        elif key in _CONFIG_STR_KEYS:
-            if len(toks) != 2:
-                _fail("BadConfigValue", f"{key} takes one value", lineno)
-            values[key] = toks[1]
         else:
-            _fail("UnknownKey", f"unknown config key {key!r}", lineno)
-    for required in ("mechanism", "T0", "pressure", "t_final"):
-        if required not in values:
-            _fail("MissingKey", f"config lacks required key {required!r}")
+            values[key] = toks[1]
+    for key, f in _SCALAR_KEYS.items():
+        if f.default is MISSING and key not in values:
+            _fail("MissingKey", f"config lacks required key {key!r}")
     if not Y0:
         _fail("MissingKey", "config declares no initial mass fractions")
-    return RunConfig(
-        mechanism_path=values.pop("mechanism"),
-        T0=values.pop("T0"),
-        pressure=values.pop("pressure"),
-        Y0=Y0,
-        t_final=values.pop("t_final"),
-        sweep_points=sweep,
-        reference_tols=reference,
-        **values,
-    )
+    return RunConfig(Y0=Y0, sweep_points=sweep, reference_tols=reference, **values)
 
 
 def format_float(v):
@@ -339,19 +319,14 @@ def format_float(v):
     return repr(float(v))
 
 
-def write_csv(path_or_buf, header, rows):
+def write_csv(path, header, rows):
     """RFC-4180-style CSV with full round-trip float precision."""
-    def emit(fh):
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_float(v) if isinstance(v, float) else v
                              for v in row])
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", newline="") as fh:
-            emit(fh)
-    else:
-        emit(path_or_buf)
 
 
 def read_csv(path):

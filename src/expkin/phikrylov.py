@@ -159,18 +159,16 @@ class Arnoldi:
     """Block classical Gram-Schmidt Arnoldi with one reorthogonalization pass
     (CGS2), extensible in the basis size up to `m_cap`.
 
-    `matvec` is either a dense matrix or a callable. After `extend(m)`,
-    `V[:, :m]` is orthonormal and `H[:m, :m]` upper-Hessenberg with
-    A V_m = V_{m+1} H[:m+1, :m]. Each new vector is projected out of the
-    basis twice, each time in one block product, and `H` takes the sum of
-    the two projections. The process stops early on happy breakdown (`happy`
-    set), when the new residual falls below 1e-14 max|H|.
+    `A` is a dense matrix. After `extend(m)`, `V[:, :m]` is orthonormal and
+    `H[:m, :m]` upper-Hessenberg with A V_m = V_{m+1} H[:m+1, :m]. Each new
+    vector is projected out of the basis twice, each time in one block
+    product, and `H` takes the sum of the two projections. The process stops
+    early on happy breakdown (`happy` set), when the new residual falls below
+    1e-14 max|H|.
     """
 
-    def __init__(self, matvec, v, m_cap):
-        if not callable(matvec):
-            matvec = np.asarray(matvec, dtype=float).dot
-        self.matvec = matvec
+    def __init__(self, A, v, m_cap):
+        self.matvec = np.asarray(A, dtype=float).dot
         v = np.asarray(v, dtype=float)
         beta = float(np.linalg.norm(v))
         if beta == 0:

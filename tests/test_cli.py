@@ -94,6 +94,15 @@ class TestRun:
         _, rb = read_csv(workdir / "b" / "steps.csv")
         assert [r[:-1] for r in ra] == [r[:-1] for r in rb]
 
+    def test_out_defaults_to_working_directory(self, workdir, monkeypatch):
+        cwd = workdir / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = run_cli("run", "--config", str(workdir / "run.cfg"))
+        assert rc == EXIT_OK
+        assert (cwd / "solution.csv").exists()
+        assert (cwd / "steps.csv").exists()
+
     def test_validate_ok(self, workdir, capsys):
         rc = run_cli("validate", "--config", str(workdir / "run.cfg"))
         assert rc == EXIT_OK
@@ -139,10 +148,14 @@ class TestErrorPaths:
         assert rc == EXIT_CONFIG
 
     def test_clamp_mode_refused(self, workdir, capsys):
-        # The key is gone: any clamp_mode line, the old default included,
+        # Removed keys are gone: any line of one, its old default included,
         # is an unknown key when the config is parsed, and validate exits 2.
-        for value in ("standard", "paper_literal", "bogus"):
-            (workdir / "bad.cfg").write_text(SHORT_CFG + f"clamp_mode {value}\n")
+        # Detailed balance is the only reverse-rate law, and --out alone
+        # picks the output directory.
+        for line in ("clamp_mode standard", "clamp_mode paper_literal",
+                     "clamp_mode bogus", "reverse_rate_convention divide",
+                     "reverse_rate_convention multiply", "output_dir out"):
+            (workdir / "bad.cfg").write_text(SHORT_CFG + line + "\n")
             rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
             assert rc == EXIT_CONFIG
             assert "UnknownKey" in capsys.readouterr().err

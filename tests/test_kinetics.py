@@ -23,8 +23,8 @@ def one_reaction_mech(rxn, b_a6=0.0):
         [make_species("A", 0.030), make_species("B", 0.030, a6=b_a6)], [rxn])
 
 
-def jacobian_at(state, mech, convention="divide"):
-    return rhs_and_jacobian(state.to_vector(), mech, state.p, convention)[1]
+def jacobian_at(state, mech):
+    return rhs_and_jacobian(state.to_vector(), mech, state.p)[1]
 
 
 class TestDensity:
@@ -178,14 +178,11 @@ class TestRates:
                        arrhenius=(6.0, 0.0, 0.0), reversible=True)
         mech = one_reaction_mech(rxn, b_a6=-T * np.log(2.0))
         kc = equilibrium_constants(T, mech)[0]
-        kf, kr_div = rate_constants(T, mech, convention="divide")
-        _, kr_mul = rate_constants(T, mech, convention="multiply")
+        kf, kr = rate_constants(T, mech)
         assert kf[0] == 6.0 and kc == pytest.approx(2.0, rel=1e-14)
-        assert kr_div[0] == kf[0] / kc and kr_mul[0] == kf[0] * kc
-        assert kr_div[0] == pytest.approx(3.0, rel=1e-14)
-        assert kr_mul[0] == pytest.approx(12.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            rate_constants(T, mech, convention="bogus")
+        # Detailed balance is the only reverse-rate law: k_r = k_f / K_c.
+        assert kr[0] == kf[0] / kc
+        assert kr[0] == pytest.approx(3.0, rel=1e-14)
 
     def test_explicit_reverse_takes_precedence(self):
         # Detailed balance would give 6 / K_c = 6e-9 (K_c = 1e9); the fit wins.
@@ -214,8 +211,7 @@ class TestRates:
         assert reaction_rates(st, mech)[0] == pytest.approx(
             3.0 * chi[0] ** 2, rel=1e-14)
 
-    @pytest.mark.parametrize("convention", ["divide", "multiply"])
-    def test_rates_match_per_reaction_loop(self, convention):
+    def test_rates_match_per_reaction_loop(self):
         # Reference: the rate laws applied one reaction at a time with the
         # per-species thermo methods, on seeded random mechanisms.
         rng = np.random.default_rng(5)
@@ -226,7 +222,7 @@ class TestRates:
             T = st.T
             chi = concentrations(st, mech)
             g = [s.enthalpy(T) - T * s.entropy(T) for s in mech.species]
-            for rxn, q in zip(mech.reactions, reaction_rates(st, mech, convention)):
+            for rxn, q in zip(mech.reactions, reaction_rates(st, mech)):
                 A, beta, E = rxn.arrhenius
                 f = A * T**beta * np.exp(-E / (R_GAS * T))
                 fwd = f * np.prod([chi[i] ** n for i, n in rxn.reactants.items()])
@@ -236,8 +232,7 @@ class TestRates:
                           - sum(n * g[i] for i, n in rxn.reactants.items()))
                     dnu = sum(rxn.products.values()) - sum(rxn.reactants.values())
                     kc = np.exp(-dG / (R_GAS * T)) * (P_STANDARD / (R_GAS * T)) ** dnu
-                    b = f / kc if convention == "divide" else f * kc
-                    rev = b * np.prod([chi[i] ** n for i, n in rxn.products.items()])
+                    rev = f / kc * np.prod([chi[i] ** n for i, n in rxn.products.items()])
                 assert abs(q - (fwd - rev)) <= 1e-11 * max(fwd, rev)
 
     def test_equilibrium_composition_zero_net_rate(self, ab_equilibrium_mech):
@@ -316,7 +311,7 @@ class TestProductionAndRhs:
             rhs_vector(y, toy_mech, 101325.0)
 
 
-def oracle_error(mech, y, p, convention="divide"):
+def oracle_error(mech, y, p):
     """Largest row-and-column scaled gap between the J of rhs_and_jacobian()
     and the FD oracle.
 
@@ -325,9 +320,9 @@ def oracle_error(mech, y, p, convention="divide"):
     in the temperature row, which sums large opposing enthalpy terms, well
     below that of the default sqrt(eps) step.
     """
-    J = rhs_and_jacobian(y, mech, p, convention)[1]
+    J = rhs_and_jacobian(y, mech, p)[1]
     typical = np.concatenate(([TYPICAL_T], np.full(mech.n_species, TYPICAL_Y)))
-    fd = fd_jacobian(lambda v: rhs_vector(v, mech, p, convention), y, typical,
+    fd = fd_jacobian(lambda v: rhs_vector(v, mech, p), y, typical,
                      step=1e-6)
     c = np.maximum(np.abs(y), typical)
     row = np.abs(fd * c).max(axis=1, keepdims=True)
@@ -383,8 +378,7 @@ class TestJacobian:
         # rhs uses, so it is the same bits as rhs_vector.
         np.testing.assert_array_equal(F, rhs_vector(y, toy_mech, 101325.0))
 
-    @pytest.mark.parametrize("convention", ["divide", "multiply"])
-    def test_oracle_random_mechanisms(self, convention):
+    def test_oracle_random_mechanisms(self):
         # Seeded draws with reversible reactions, at interior states.
         rng = np.random.default_rng(11)
         n_reversible = 0
@@ -394,14 +388,13 @@ class TestJacobian:
             Y = rng.dirichlet(np.ones(mech.n_species))
             y = np.concatenate(([rng.uniform(600.0, 2500.0)], Y))
             p = rng.uniform(5e4, 5e6)
-            assert oracle_error(mech, y, p, convention) < 1e-6
-            F, J = rhs_and_jacobian(y, mech, p, convention)
+            assert oracle_error(mech, y, p) < 1e-6
+            F, J = rhs_and_jacobian(y, mech, p)
             assert_mass_conserving(J)
-            np.testing.assert_array_equal(F, rhs_vector(y, mech, p, convention))
+            np.testing.assert_array_equal(F, rhs_vector(y, mech, p))
         assert n_reversible > 0
 
-    @pytest.mark.parametrize("convention", ["divide", "multiply"])
-    def test_oracle_explicit_reverse(self, convention):
+    def test_oracle_explicit_reverse(self):
         # A + B <=> 2 C with an explicit reverse fit, beside 2 A <=> B by
         # detailed balance and an irreversible 2 C => A + B. C's c_p
         # depends on T, so dc_p/dT enters the temperature column.
@@ -420,8 +413,8 @@ class TestJacobian:
         mech = make_mechanism(sp, rx)
         assert mech.tables.explicit_mask.tolist() == [True, False, False]
         y = np.array([1300.0, 0.3, 0.5, 0.2])
-        assert oracle_error(mech, y, 2.0e5, convention) < 1e-6
-        assert_mass_conserving(rhs_and_jacobian(y, mech, 2.0e5, convention)[1])
+        assert oracle_error(mech, y, 2.0e5) < 1e-6
+        assert_mass_conserving(rhs_and_jacobian(y, mech, 2.0e5)[1])
 
     def test_exact_column_at_zero_mass_fraction(self, toy_mech, toy_state):
         # At Y_X = 0 the exact column is the forward difference. The central

@@ -1,12 +1,17 @@
 """Mechanism / run-config parsing, serialization and CSV round trips."""
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, random_balanced_mechanism
 from expkin.mechio import (
-    MechIoError, RunConfig, parse_config, parse_mechanism, read_csv,
-    serialize_mechanism, write_csv,
+    _SCALAR_KEYS, MechIoError, RunConfig, parse_config, parse_mechanism,
+    read_csv, serialize_mechanism, write_csv,
 )
+
+FORMAT_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "format.md"
 
 MINIMAL = """\
 format 1
@@ -176,7 +181,7 @@ rtol 1e-8
 class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config(CONFIG)
-        assert cfg.mechanism_path == "toy3.mech"
+        assert cfg.mechanism == "toy3.mech"
         assert cfg.T0 == 1000.0 and cfg.pressure == 101325.0
         assert cfg.Y0 == {"F": pytest.approx(0.1), "B": pytest.approx(0.9)}
         assert cfg.t_final == 0.3 and cfg.atol == 1e-10 and cfg.rtol == 1e-8
@@ -195,6 +200,18 @@ class TestParseConfig:
         with pytest.raises(MechIoError) as e:
             parse_config(CONFIG + "turbulence on\n")
         assert code_of(e) == "UnknownKey"
+
+    def test_format_doc_lists_every_key(self):
+        # The scalar keys are read off the RunConfig fields, so a new field
+        # becomes a key; the config table of docs/format.md must name it.
+        section = FORMAT_DOC.read_text().split("## Run configuration files")[1]
+        documented = set()
+        for line in section.split("\n## ")[0].splitlines():
+            if line.startswith("| `"):
+                cell = line.split("|")[1]
+                documented.update(code.split()[0]
+                                  for code in re.findall(r"`([^`]+)`", cell))
+        assert documented == set(_SCALAR_KEYS) | {"Y", "sweep", "reference"}
 
     def test_missing_required_key(self):
         with pytest.raises(MechIoError) as e:
@@ -239,11 +256,6 @@ class TestParseConfig:
         # is checked.
         with pytest.raises(MechIoError, match="t_final must be positive") as e:
             parse_config(CONFIG.replace("t_final 0.3", f"t_final {value}"))
-        assert code_of(e) == "BadConfigValue"
-
-    def test_bad_reverse_rate_convention(self):
-        with pytest.raises(MechIoError) as e:
-            parse_config(CONFIG + "reverse_rate_convention subtract\n")
         assert code_of(e) == "BadConfigValue"
 
     def test_sweep_and_reference(self):
