@@ -249,6 +249,14 @@ class TestParseConfig:
         removed = lines.startswith("clamp_mode")
         assert code_of(e) == ("UnknownKey" if removed else "BadConfigValue")
 
+    def test_bad_reverse_rate_convention(self):
+        # Detailed balance is the only reverse-rate law: the key was removed,
+        # so a line of it, with any value, is refused as unknown at parse time.
+        for value in ("subtract", "divide", "multiply"):
+            with pytest.raises(MechIoError) as e:
+                parse_config(CONFIG + f"reverse_rate_convention {value}\n")
+            assert code_of(e) == "UnknownKey"
+
     @pytest.mark.parametrize("value", ["inf", "0"])
     def test_t_final_range(self, value):
         # Replaces CONFIG's t_final line: an appended one (as in the case
