@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics, mechio
 from .integrator import integrate_mechanism
-from .kinetics import KineticsError, ThermoState
+from .kinetics import EXP_ARG_MAX, KineticsError, ThermoState
 from .mechio import MechIoError
 
 EXIT_OK = 0
@@ -71,6 +71,12 @@ def _out_dir(args):
     return args.out
 
 
+def _warn_saturated(results):
+    if any(r.telemetry.saturated for r in results):
+        print(f"warning: a rate or equilibrium exponent was clamped at "
+              f"±{EXP_ARG_MAX:g}", file=sys.stderr)
+
+
 def cmd_validate(args):
     load_run(args)
     print("ok")
@@ -83,6 +89,7 @@ def cmd_run(args):
     sample_times = np.linspace(0.0, run_cfg.t_final, run_cfg.n_output_samples)
     result = integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
                                  output_times=sample_times)
+    _warn_saturated([result])
     _write_solution(out_dir, mech, result)
     mechio.write_csv(os.path.join(out_dir, "steps.csv"),
                      mechio.STEPS_CSV_HEADER, mechio.steps_csv_rows(result.records))
@@ -117,7 +124,9 @@ def cmd_sweep(args):
     ref_atol, ref_rtol = run_cfg.reference_tols
     ref = integrate_mechanism(state0, mech, run_cfg.t_final,
                               replace(run_cfg, atol=ref_atol, rtol=ref_rtol))
+    results = [ref]
     if not ref.success:
+        _warn_saturated(results)
         print(f"reference run failed: {ref.message}", file=sys.stderr)
         return EXIT_SOLVER
     y_ref = ref.y
@@ -129,6 +138,7 @@ def cmd_sweep(args):
         res = integrate_mechanism(state0, mech, run_cfg.t_final,
                                   replace(run_cfg, atol=atol, rtol=rtol))
         elapsed = time.perf_counter() - start
+        results.append(res)
         if res.success:
             err = float(np.linalg.norm(res.y - y_ref))
             err_scaled = float(np.linalg.norm((res.y - y_ref) / scale))
@@ -138,6 +148,7 @@ def cmd_sweep(args):
                 int(not res.success))
 
     rows = [one_point(p) for p in run_cfg.sweep_points]
+    _warn_saturated(results)
     mechio.write_csv(os.path.join(out_dir, "sweep.csv"),
                      mechio.SWEEP_CSV_HEADER, rows)
     print(f"sweep complete: {len(rows)} points")
@@ -147,28 +158,23 @@ def cmd_sweep(args):
 def cmd_spectrum(args):
     run_cfg, mech, state0 = load_run(args)
     out_dir = _out_dir(args)
-    every = max(1, args.spectrum_every)
     rows = []
-    counter = {"accepted": 0}
 
     def hook(record, y, J):
         if not record.accepted:
             return
         cost = diagnostics.normalized_step_cost(record)
-        if counter["accepted"] % every == 0:
-            try:
-                stats = diagnostics.jacobian_spectrum(J, t=record.t)
-                rows.append((record.t, stats.alpha, stats.beta, stats.omega,
-                             stats.max_real, cost))
-            except diagnostics.EigensolverError:
-                rows.append((record.t, float("nan"), float("nan"), float("nan"),
-                             float("nan"), cost))
-        else:
-            rows.append((record.t, "", "", "", "", cost))
-        counter["accepted"] += 1
+        try:
+            stats = diagnostics.jacobian_spectrum(J, t=record.t)
+            rows.append((record.t, stats.alpha, stats.beta, stats.omega,
+                         stats.max_real, cost))
+        except diagnostics.EigensolverError:
+            rows.append((record.t, float("nan"), float("nan"), float("nan"),
+                         float("nan"), cost))
 
     result = integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
                                  step_hook=hook)
+    _warn_saturated([result])
     mechio.write_csv(os.path.join(out_dir, "spectrum.csv"),
                      mechio.SPECTRUM_CSV_HEADER, rows)
     if not result.success:
@@ -191,8 +197,6 @@ def build_parser():
         if name != "validate":
             p.add_argument("--out", default=".",
                            help="output directory (default: the working directory)")
-        if name == "spectrum":
-            p.add_argument("--spectrum-every", type=int, default=1)
         p.set_defaults(func=fn)
     return parser
 

@@ -28,28 +28,26 @@ from .kinetics import KineticsError, RateTelemetry, rhs_and_jacobian, rhs_vector
 from .phikrylov import PhiConvergenceError, PhiStats
 
 
+# Step-size controller constants (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.4). The exponent is 1/(q+1) for the embedded order q = 2.
+SAFETY = 0.9
+FACMIN = 0.1
+FACMAX = 5.0
+ERROR_EXPONENT = 1 / 3
+
+
 @dataclass
 class ControllerConfig:
-    """Step-size controller and solver settings."""
+    """Tolerances and step-size bounds of the adaptive march."""
 
     atol: float = 1.0e-10
     rtol: float = 1.0e-8
-    safety: float = 0.9
-    facmin: float = 0.1
-    facmax: float = 5.0
-    embedded_order: int = 2      # q; controller exponent is 1/(q+1)
     h0: float = None             # default: 1e-10 * interval length
     h_min: float = None          # default: 1e-15 * interval length
 
     def __post_init__(self):
         if not (self.atol > 0 and self.rtol > 0):
             raise ValueError("tolerances must be positive")
-        if not (0 < self.facmin < 1 < self.facmax):
-            raise ValueError("need 0 < facmin < 1 < facmax")
-        if not (0 < self.safety <= 1):
-            raise ValueError("need 0 < safety <= 1")
-        if self.embedded_order not in (1, 2):
-            raise ValueError("embedded order must be 1 or 2")
         for name in ("h0", "h_min"):
             step = getattr(self, name)
             # With h0 = NaN the march never ends, and a floor at or below 0
@@ -162,17 +160,16 @@ def scaled_error_norm(lte, y, atol, rtol):
         return float(np.sqrt(np.mean((lte / scale) ** 2)))
 
 
-def controller_update(err_scaled, h_old, cfg, h_min=0.0):
+def controller_update(err_scaled, h_old, h_min=0.0):
     """Accept/reject decision and the next step size (Wanner-style I controller)."""
     if not np.isfinite(err_scaled):
-        return False, max(h_old * cfg.facmin, h_min)
+        return False, max(h_old * FACMIN, h_min)
     accept = err_scaled <= 1.0
-    k = 1.0 / (cfg.embedded_order + 1)
     if err_scaled == 0.0:
-        h_hat = h_old * cfg.facmax
+        h_hat = h_old * FACMAX
     else:
-        h_hat = h_old * cfg.safety * err_scaled ** -k
-    fac = min(cfg.facmax, max(cfg.facmin, h_hat / h_old))
+        h_hat = h_old * SAFETY * err_scaled ** -ERROR_EXPONENT
+    fac = min(FACMAX, max(FACMIN, h_hat / h_old))
     return accept, max(h_old * fac, h_min)
 
 
@@ -197,7 +194,8 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
     F and J come from one `problem.jac` call per new state, and rejected
     attempts reuse them; each attempt calls `problem.f` once, at the stage
     value Y1. The final step is truncated to land exactly on t_final. Every
-    attempt is logged.
+    attempt is logged and passed to `step_hook`, including one whose
+    evaluation failed (err_scaled = inf).
     """
     if not (t_final > t0):
         raise ValueError("t_final must exceed t0")
@@ -223,12 +221,6 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
             out.samples = _interp_samples(out.sample_times, ts, ys)
         return out
 
-    def record(accepted, err, cpu):
-        return StepRecord(t=t, h=h_try, accepted=accepted, err_scaled=err,
-                          krylov_dim=kstats.max_krylov_dim,
-                          substeps=kstats.substeps, matvecs=kstats.matvecs,
-                          kiops_calls=kstats.calls, cpu_ns=cpu)
-
     while t < t_final:
         last = h >= t_final - t
         h_try = t_final - t if last else h
@@ -240,20 +232,19 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
             except KineticsError as exc:
                 return finish(False, f"state evaluation failed: {exc}")
         kstats = PhiStats()
+        failure = ""
         try:
             y_new, lte, _ = epi3v_step(y, h_try, F, J, problem,
                                        krylov_tol=ktol, stats=kstats)
             err = scaled_error_norm(lte, y, cfg.atol, cfg.rtol)
-        except (PhiConvergenceError, KineticsError):
-            cpu = time.perf_counter_ns() - start
-            records.append(record(False, float("inf"), cpu))
-            h = max(h_try / 2, h_min)
-            if h_try <= h_min * (1 + 1e-12):
-                return finish(False, "step size underflow (evaluation failure)")
-            continue
+        except (PhiConvergenceError, KineticsError) as exc:
+            err, failure = float("inf"), f" ({exc})"
         cpu = time.perf_counter_ns() - start
-        accept, h_next = controller_update(err, h_try, cfg, h_min)
-        rec = record(accept, err, cpu)
+        accept, h_next = controller_update(err, h_try, h_min)
+        rec = StepRecord(t=t, h=h_try, accepted=accept, err_scaled=err,
+                         krylov_dim=kstats.max_krylov_dim,
+                         substeps=kstats.substeps, matvecs=kstats.matvecs,
+                         kiops_calls=kstats.calls, cpu_ns=cpu)
         records.append(rec)
         if step_hook is not None:
             step_hook(rec, y, J)
@@ -267,7 +258,7 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
             F = None
             J = None
         elif h_try <= h_min * (1 + 1e-12):
-            return finish(False, "step size underflow")
+            return finish(False, "step size underflow" + failure)
         h = h_next
     return finish(True, "completed")
 

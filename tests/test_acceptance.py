@@ -267,17 +267,16 @@ def test_spectrum_statistics():
 
 def test_controller_behavior():
     """Pinned controller decisions."""
-    cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
     checks = []
-    a, h = controller_update(1.0, 1.0, cfg)
+    a, h = controller_update(1.0, 1.0)
     checks.append(a and h == pytest.approx(0.9))
-    a, h = controller_update(8.0, 1.0, cfg)
+    a, h = controller_update(8.0, 1.0)
     checks.append(not a and h == pytest.approx(0.45))
-    a, h = controller_update(1e-9, 1.0, cfg)
+    a, h = controller_update(1e-9, 1.0)
     checks.append(a and h == pytest.approx(5.0))          # facmax clamp
-    a, h = controller_update(1e9, 1.0, cfg)
+    a, h = controller_update(1e9, 1.0)
     checks.append(not a and h == pytest.approx(0.1))      # facmin clamp
-    a, h = controller_update(float("inf"), 1.0, cfg)
+    a, h = controller_update(float("inf"), 1.0)
     checks.append(not a and h == pytest.approx(0.1))
     report("controller behavior", all(checks),
            f"{sum(checks)}/{len(checks)} pinned decisions")

@@ -103,6 +103,18 @@ class TestRun:
         assert (cwd / "solution.csv").exists()
         assert (cwd / "steps.csv").exists()
 
+    def test_clamped_exponent_warns(self, workdir, capsys):
+        # Ea = 1e7 J/mol gives -Ea/RT near -1200 at 1000 K, past the clamp
+        # of the exponential; the flag reaches stderr, the run still passes.
+        mech = workdir / "toy3.mech"
+        mech.write_text(mech.read_text() + "\nB => B 1.0 0 1.0e7\n")
+        (workdir / "clamp.cfg").write_text(
+            SHORT_CFG.replace("t_final 0.2", "t_final 0.01"))
+        rc = run_cli("run", "--config", str(workdir / "clamp.cfg"),
+                     "--out", str(workdir / "out"))
+        assert rc == EXIT_OK
+        assert "exponent was clamped at ±700" in capsys.readouterr().err
+
     def test_validate_ok(self, workdir, capsys):
         rc = run_cli("validate", "--config", str(workdir / "run.cfg"))
         assert rc == EXIT_OK
@@ -123,7 +135,7 @@ class TestErrorPaths:
     def test_bad_config(self, workdir, capsys):
         for text, code in (
                 (SHORT_CFG.replace("Y B 0.9", "Y B 0.5"), "MassFractionSum"),
-                (SHORT_CFG + "facmin 2.0\n", "BadConfigValue")):
+                (SHORT_CFG + "h_min 0\n", "BadConfigValue")):
             (workdir / "bad.cfg").write_text(text)
             rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
             assert rc == EXIT_CONFIG
@@ -150,11 +162,14 @@ class TestErrorPaths:
     def test_clamp_mode_refused(self, workdir, capsys):
         # Removed keys are gone: any line of one, its old default included,
         # is an unknown key when the config is parsed, and validate exits 2.
-        # Detailed balance is the only reverse-rate law, and --out alone
-        # picks the output directory.
+        # Detailed balance is the only reverse-rate law, --out alone picks
+        # the output directory, and the step-size controller's constants
+        # are fixed.
         for line in ("clamp_mode standard", "clamp_mode paper_literal",
                      "clamp_mode bogus", "reverse_rate_convention divide",
-                     "reverse_rate_convention multiply", "output_dir out"):
+                     "reverse_rate_convention multiply", "output_dir out",
+                     "safety 0.9", "facmin 0.1", "facmax 5.0",
+                     "embedded_order 2"):
             (workdir / "bad.cfg").write_text(SHORT_CFG + line + "\n")
             rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
             assert rc == EXIT_CONFIG
@@ -240,25 +255,18 @@ class TestSpectrum:
         assert header == ["t", "alpha", "beta", "omega", "max_real",
                           "norm_step_cost"]
         assert rows
-        # Full decimation=1 output: every row carries eigenvalue data.
+        # Every row carries eigenvalue data.
         assert all(isinstance(r[3], float) for r in rows)
         assert all(r[5] > 0 for r in rows)
 
-    def test_spectrum_decimation(self, workdir):
-        rc = run_cli("spectrum", "--config", str(workdir / "run.cfg"),
-                     "--out", str(workdir / "out"), "--spectrum-every", "10")
-        assert rc == EXIT_OK
-        _, rows = read_csv(workdir / "out" / "spectrum.csv")
-        filled = [r for r in rows if r[1] != ""]
-        skipped = [r for r in rows if r[1] == ""]
-        assert len(filled) == (len(rows) + 9) // 10
-        assert skipped  # decimated rows still log t and cost
-
     def test_spectrum_every_only_on_spectrum(self, workdir):
-        with pytest.raises(SystemExit) as exc_info:
-            run_cli("run", "--config", str(workdir / "run.cfg"),
-                    "--out", str(workdir / "out"), "--spectrum-every", "10")
-        assert exc_info.value.code == 2
+        # The --spectrum-every flag was removed: spectrum writes every
+        # accepted step, and no subcommand takes the flag.
+        for command in ("run", "spectrum"):
+            with pytest.raises(SystemExit) as exc_info:
+                run_cli(command, "--config", str(workdir / "run.cfg"),
+                        "--out", str(workdir / "out"), "--spectrum-every", "10")
+            assert exc_info.value.code == 2
 
     def test_pre_ignition_alpha_settles(self, workdir):
         # Once the radical pool leaves exactly zero (the clamp kink in the

@@ -243,10 +243,13 @@ class TestParseConfig:
         # toy_ignition.cfg without its comments and method line, so the
         # appended "t_final 0.5" repeats a key of that fixture: a key given
         # twice is refused rather than letting the last line win. The
-        # clamp_mode key was removed, so its line is refused as unknown.
+        # clamp_mode key and the controller constants (safety, facmin,
+        # facmax, embedded_order) were removed, so their lines are refused
+        # as unknown.
         with pytest.raises(MechIoError) as e:
             parse_config(CONFIG + lines)
-        removed = lines.startswith("clamp_mode")
+        removed = lines.split()[0] in ("clamp_mode", "safety", "facmin",
+                                       "facmax", "embedded_order")
         assert code_of(e) == ("UnknownKey" if removed else "BadConfigValue")
 
     def test_bad_reverse_rate_convention(self):

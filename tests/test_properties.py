@@ -1,0 +1,69 @@
+"""Property tests of the kinetics on generated mechanisms.
+
+The networks come from the benchmark's seeded generator
+(`perfbench/mechgen.py`) at K = 9-20 species, and the states are interior:
+Dirichlet mass fractions, with no species at zero, and T from 800 to
+2500 K. Examples are derandomised, so every run checks the same cases.
+"""
+import importlib.util
+import pathlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expkin.kinetics import rhs_and_jacobian, rhs_vector
+from expkin.mechio import parse_mechanism, serialize_mechanism
+from test_kinetics import assert_mass_conserving, oracle_error
+
+_SPEC = importlib.util.spec_from_file_location(
+    "mechgen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "mechgen.py")
+mechgen = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(mechgen)
+
+PRESSURE = 101325.0
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def cases(draw):
+    """(mechanism, state vector [T, Y...])."""
+    mech = mechgen.generate_mechanism(draw(st.integers(9, 20)),
+                                      draw(st.integers(0, 50)))
+    T = draw(st.floats(800.0, 2500.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = rng.dirichlet(np.ones(mech.n_species))
+    return mech, np.concatenate(([T], Y))
+
+
+@PROPERTY
+@given(cases())
+def test_round_trip(case):
+    mech, _ = case
+    text = serialize_mechanism(mech)
+    again = parse_mechanism(text)
+    assert again == mech
+    assert serialize_mechanism(again) == text
+
+
+@PROPERTY
+@given(cases())
+def test_mass_fraction_rates_sum_to_zero(case):
+    mech, y = case
+    dY = rhs_vector(y, mech, PRESSURE)[1:]
+    assert abs(dY.sum()) <= 1e-12 * np.abs(dY).sum()
+
+
+@PROPERTY
+@given(cases())
+def test_jacobian_matches_fd_oracle(case):
+    mech, y = case
+    assert oracle_error(mech, y, PRESSURE) < 1e-6
+
+
+@PROPERTY
+@given(cases())
+def test_jacobian_mass_conserving(case):
+    mech, y = case
+    assert_mass_conserving(rhs_and_jacobian(y, mech, PRESSURE)[1])
