@@ -106,8 +106,7 @@ def _write_solution(out_dir, mech, result):
         [f"Y_{s.name}" for s in mech.species]
     rows = []
     if result.samples is not None:
-        for t, y in zip(result.sample_times, result.samples):
-            rows.append((float(t), float(y[0]), *[float(v) for v in y[1:]]))
+        rows = np.column_stack((result.sample_times, result.samples)).tolist()
     mechio.write_csv(os.path.join(out_dir, "solution.csv"), header, rows)
 
 

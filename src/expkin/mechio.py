@@ -49,8 +49,15 @@ def _parse_float(tok, line, what="number"):
         _fail("BadNumber", f"cannot parse {what} {tok!r}", line)
 
 
-# Tokens that indicate unsupported pressure-dependent reaction syntax.
-_UNSUPPORTED_RXN = re.compile(r"\(\+\s*\w+\s*\)|(?:^|\s)\+\s*M(?:\s|$)|\bLOW\b|\bTROE\b|\bPLOG\b")
+# Tokens that indicate unsupported pressure-dependent reaction syntax: a
+# falloff "(+M)", a third body "+ M" and the falloff/PLOG keywords. A line is
+# refused when any one matches; three plain searches cost less than one
+# search of their alternation.
+_UNSUPPORTED_RXN = (
+    re.compile(r"\(\+\s*\w+\s*\)"),
+    re.compile(r"(?:^|\s)\+\s*M(?:\s|$)"),
+    re.compile(r"\b(?:LOW|TROE|PLOG)\b"),
+)
 
 
 def _iter_lines(text):
@@ -150,7 +157,7 @@ def _parse_stoich_side(side, lineno, names):
 
 
 def _parse_reaction_line(line, lineno, names):
-    if _UNSUPPORTED_RXN.search(line):
+    if any(pattern.search(line) for pattern in _UNSUPPORTED_RXN):
         _fail("UnsupportedReactionType",
               "third-body / falloff / pressure-dependent reactions are not supported",
               lineno)
@@ -314,19 +321,19 @@ def parse_config(text):
     return RunConfig(Y0=Y0, sweep_points=sweep, reference_tols=reference, **values)
 
 
-def format_float(v):
-    """Shortest decimal form that round-trips to the same float."""
-    return repr(float(v))
-
-
 def write_csv(path, header, rows):
-    """RFC-4180-style CSV with full round-trip float precision."""
+    """RFC-4180-style CSV with full round-trip float precision.
+
+    The header goes through `csv.writer`, which quotes names that need it.
+    Body cells are numbers: a float (np.float64 too) is written in its
+    shortest round-trip form, `repr(float(v))`, any other cell as `str(v)`,
+    so a string cell must need no quoting.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_float(v) if isinstance(v, float) else v
-                             for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                                for v in row]) + "\n"
+                      for row in rows)
 
 
 def read_csv(path):

@@ -8,8 +8,9 @@ evaluator (KIOPS-style: Gaudreault, Rainwater & Tokman, J. Comput. Phys.
     w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k
 
 at one or more time points T in (0, 1]. The evaluator forms the augmented
-matrix once per call, and one Krylov projection per substep serves every
-requested time point inside that substep.
+matrix once per call. An augmented matrix no larger than the first Krylov
+basis is exponentiated directly; otherwise one Krylov projection per substep
+serves every requested time point inside that substep.
 """
 from __future__ import annotations
 
@@ -33,10 +34,15 @@ _PADE13_THETA = 5.371920351148152
 
 
 class PhiConvergenceError(RuntimeError):
-    """Krylov evaluation could not reach the requested tolerance."""
+    """Krylov evaluation could not reach the requested tolerance.
+
+    The message ends with the diagnostics, as `key=value` pairs.
+    """
 
     def __init__(self, message, diagnostics=None):
         self.diagnostics = diagnostics or {}
+        if self.diagnostics:
+            message += ": " + ", ".join(f"{k}={v:.6g}" for k, v in self.diagnostics.items())
         super().__init__(message)
 
 
@@ -63,12 +69,18 @@ def phi_scalar(k, z):
 
 
 def expm(A):
-    """Matrix exponential by degree-13 Pade with scaling and squaring."""
+    """Matrix exponential by degree-13 Pade with scaling and squaring.
+
+    `A` is one matrix (n, n) or a stack (..., n, n), exponentiated with
+    batched products and one batched solve. Each matrix is scaled by the
+    exponent of its own 1-norm, so it gets the result it would get alone.
+    """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    norm1 = float(np.abs(A).sum(axis=0).max()) if n else 0.0
-    s = max(0, int(math.ceil(math.log2(norm1 / _PADE13_THETA)))) if norm1 > _PADE13_THETA else 0
-    As = A / 2**s
+    n = A.shape[-1]
+    norms = np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0).ravel().tolist()
+    s = [max(0, math.ceil(math.log2(x / _PADE13_THETA))) if x > _PADE13_THETA else 0
+         for x in norms]
+    As = A * np.reshape([0.5**k for k in s], A.shape[:-2] + (1, 1))
     b = _PADE13_B
     I = np.eye(n)
     A2 = As @ As
@@ -83,9 +95,16 @@ def expm(A):
         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
     )
     F = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
+    # Square the whole stack as often as every matrix needs, then each
+    # matrix that needs more on its own.
+    common = min(s)
+    for _ in range(common):
         F = F @ F
-    return F
+    F = F.reshape(len(s), n, n)
+    for i, k in enumerate(s):
+        for _ in range(k - common):
+            F[i] = F[i] @ F[i]
+    return F.reshape(A.shape)
 
 
 def _augmented_matrix(A, bs):
@@ -215,14 +234,21 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     vectors); `time_points` is strictly increasing in (0, 1] ending at 1.
     Returns a PhiResult with w(T) at every time point and this call's stats.
 
-    Builds the augmented matrix once, then substeps tau across (0, 1], every
-    substep aiming at T = 1. Each substep projects the running augmented state
-    onto one Krylov basis and advances it with a small Pade exponential; every
-    requested time point inside the substep is read from that same basis, so
-    extra time points cost no matvecs. On happy breakdown the basis is exact
-    and serves every remaining time point. On an error-budget failure the
-    basis is first grown (x4/3 up to m_max), then the substep is halved; an
-    easy success doubles the next substep.
+    Builds the augmented matrix once. When its size n + p is at most the
+    first basis size min(m_init, m_max), a basis would span the whole space,
+    so the call exponentiates the augmented matrix directly, at every time
+    point in one `expm` call (recorded as one substep of dimension n + p and
+    no matvecs).
+
+    Otherwise it substeps tau across (0, 1], every substep aiming at T = 1.
+    Each substep projects the running augmented state onto one Krylov basis
+    and advances it with a small Pade exponential; every requested time point
+    inside the substep is read from that same basis, and each attempt
+    exponentiates the substep and its inner time points in one `expm` call,
+    so extra time points cost no matvecs. On happy breakdown the basis is
+    exact and serves every remaining time point. On an error-budget failure
+    the basis is first grown (x4/3 up to m_max), then the substep is halved;
+    an easy success doubles the next substep.
     """
     time_points = tuple(float(t) for t in time_points)
     if len(bs) - 1 > MAX_PHI_ORDER:
@@ -255,10 +281,19 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     w[-1] = 1.0 / nu
 
     stats = PhiStats(calls=1)
+    m = max(1, min(m_init, m_max))
+    if n + p <= m:
+        # The first basis would span the whole augmented space, so the
+        # Krylov path could only end in happy breakdown: exponentiate the
+        # augmented matrix itself, at every time point in one call.
+        stats.substeps = 1
+        stats.max_krylov_dim = n + p
+        W = expm(np.multiply.outer(time_points, aug)) @ w
+        return PhiResult(values=list(W[:, :n]), stats=stats)
+
     values = []
     tau_now = 0.0
     tau = 1.0
-    m = max(1, min(m_init, m_max))
     m_cap = min(m_max, n + p)
 
     while tau_now < 1.0:
@@ -269,20 +304,27 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
         while True:
             proc.extend(min(m, m_cap))
             j = proc.m
-            H = proc.H[:j, :j]
             if proc.happy:
                 hits_end = True
                 tau_try = 1.0 - tau_now
-                F = expm(tau_try * H)
+                Hx = proc.H[:j, :j]
+            else:
+                # Error-estimate column: H extended with a phi_1 coupling
+                # column; the bottom entry of its exponential gives the
+                # residual.
+                Hx = np.zeros((j + 1, j + 1))
+                Hx[:j, :j] = proc.H[:j, :j]
+                Hx[0, j] = 1.0
+            tau_end = 1.0 if hits_end else tau_now + tau_try
+            # One exponential for the substep and every requested time point
+            # strictly inside it: the top-left j x j block of exp(c Hx) is
+            # exp(c H).
+            inner = [T - tau_now for T in time_points[len(values):] if T < tau_end]
+            F = expm(np.multiply.outer([tau_try, *inner], Hx))
+            if proc.happy:
                 easy = True
                 break
-            # Error-estimate column: exponential of H extended with a
-            # phi_1 coupling column; the bottom entry gives the residual.
-            Hx = np.zeros((j + 1, j + 1))
-            Hx[:j, :j] = H
-            Hx[0, j] = 1.0
-            F = expm(tau_try * Hx)
-            err = beta * proc.H[j, j - 1] * abs(F[j - 1, j])
+            err = beta * proc.H[j, j - 1] * abs(F[0, j - 1, j])
             budget = tol * beta * tau_try
             if err <= budget:
                 easy = err <= EASY_SUCCESS * budget
@@ -304,16 +346,12 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
         stats.substeps += 1
         stats.max_krylov_dim = max(stats.max_krylov_dim, j)
         stats.matvecs += proc.matvecs
-        tau_end = 1.0 if hits_end else tau_now + tau_try
         basis = beta * proc.V[:, :j]
-        # The top-left block of F advances the state to the substep's end.
-        w_end = basis @ F[:j, 0]
-        for T in time_points[len(values):]:
-            if T > tau_end:
-                break
-            w_T = w_end if T == tau_end else basis @ expm((T - tau_now) * H)[:, 0]
-            values.append(w_T[:n].copy())
-        w = w_end
+        values.extend((basis @ F_T[:j, 0])[:n] for F_T in F[1:])
+        # The top-left block of F[0] advances the state to the substep's end.
+        w = basis @ F[0, :j, 0]
+        if len(values) < len(time_points) and time_points[len(values)] == tau_end:
+            values.append(w[:n].copy())
         tau_now = tau_end
         tau = 2.0 * tau_try if easy else tau_try
 

@@ -1,4 +1,6 @@
-"""Shared fixtures: tiny hand-built mechanisms and the packaged toy files."""
+"""Shared fixtures: tiny hand-built mechanisms, the packaged toy files and
+the benchmark's seeded mechanism generator."""
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -8,6 +10,11 @@ import expkin
 from expkin.kinetics import Mechanism, Reaction, Species
 
 FIXTURE_DIR = pathlib.Path(expkin.__file__).parent / "fixtures"
+
+_MECHGEN_SPEC = importlib.util.spec_from_file_location(
+    "mechgen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "mechgen.py")
+mechgen = importlib.util.module_from_spec(_MECHGEN_SPEC)
+_MECHGEN_SPEC.loader.exec_module(mechgen)
 
 # Flat-cp NASA-7 rows: cp/R = a1 everywhere, H/(RT) = a1 + a6/T, S/R = a1 lnT + a7.
 def flat_coeffs(a1, a6=0.0, a7=0.0):

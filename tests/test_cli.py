@@ -4,11 +4,11 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, mechgen
 from expkin import cli
 from expkin.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from expkin.integrator import integrate_mechanism
-from expkin.mechio import read_csv
+from expkin.mechio import read_csv, serialize_mechanism
 
 SHORT_CFG = """\
 mechanism toy3.mech
@@ -17,6 +17,20 @@ pressure 101325.0
 Y F 0.1
 Y B 0.9
 t_final 0.2
+atol 1e-8
+rtol 1e-6
+n_output_samples 50
+"""
+
+# A generated K = 12 network (n + p = 14 and 16, above M_INIT): its phi calls
+# take the Krylov path. t_final ends before ignition, in 16 steps.
+NETWORK_CFG = """\
+mechanism net12.mech
+T0 1000.0
+pressure 101325.0
+Y F0 0.1
+Y B0 0.9
+t_final 1e-5
 atol 1e-8
 rtol 1e-6
 n_output_samples 50
@@ -55,7 +69,12 @@ class TestRun:
         assert T[0] == pytest.approx(1000.0)
         assert T[-1] > T[0]  # the toy mixture heats up
 
-    def test_steps_csv_schema(self, workdir, monkeypatch):
+    @pytest.mark.parametrize("case", ["toy3", "net12"])
+    def test_steps_csv_schema(self, workdir, monkeypatch, case):
+        if case == "net12":
+            (workdir / "net12.mech").write_text(
+                serialize_mechanism(mechgen.generate_mechanism(12, 0)))
+            (workdir / "run.cfg").write_text(NETWORK_CFG)
         outputs = []
 
         def capture(*args, **kwargs):
@@ -79,7 +98,13 @@ class TestRun:
         assert len(rows) == len(out.records)
         matvecs = header.index("matvecs")
         assert sum(r[matvecs] for r in rows) == sum(r.matvecs for r in out.records)
-        assert sum(r[matvecs] for r in rows) > 0
+        if case == "toy3":
+            # n + p = 5 and 7 (at most M_INIT): every phi call exponentiates
+            # its augmented matrix directly, with no matvecs.
+            assert sum(r[matvecs] for r in rows) == 0
+            assert max(r[header.index("krylov_dim")] for r in rows) == 7
+        else:
+            assert sum(r[matvecs] for r in rows) > 0
 
     def test_reproducible_solution(self, workdir):
         run_cli("run", "--config", str(workdir / "run.cfg"),

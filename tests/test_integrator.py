@@ -271,6 +271,7 @@ class TestAdaptive:
         assert not rec.accepted and rec.err_scaled == float("inf")
         assert rec.kiops_calls == 1
         assert "Krylov substep underflow" in out.message
+        assert "m=1" in out.message
 
     def test_cpu_ns_includes_f_and_j(self):
         def slow_jac(y):

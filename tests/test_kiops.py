@@ -1,12 +1,19 @@
 """Adaptive Krylov phi evaluator against the dense augmented-matrix oracle."""
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from conftest import stiff_diag_matrix
-from expkin.integrator import ControllerConfig, integrate_mechanism
+from expkin import phikrylov
+from expkin.integrator import (
+    ControllerConfig, epi3v_step, integrate_mechanism, problem_from_mechanism,
+)
+from expkin.kinetics import rhs_and_jacobian
 from expkin.phikrylov import (
-    PhiConvergenceError, dense_phi_oracle, kiops_eval, phi_scalar,
+    M_INIT, PhiConvergenceError, dense_phi_oracle, expm, kiops_eval, phi_scalar,
 )
 
 
@@ -163,12 +170,17 @@ class TestKiopsAdaptivity:
 
     def test_happy_breakdown_exact(self):
         # Rank-deficient Krylov space: b1 an eigenvector gives the exact
-        # answer with a single basis vector.
-        A = np.diag([-2.0, -5.0, -9.0])
-        b1 = np.array([0.0, 1.0, 0.0])
-        res = kiops_eval(A, [None, b1], tol=1e-12)
-        assert res.values[0][1] == pytest.approx(phi_scalar(1, -5.0), rel=1e-12)
-        assert res.values[0][0] == 0.0 and res.values[0][2] == 0.0
+        # answer with a single basis vector. At n = 3 the augmented matrix is
+        # exponentiated directly; at n = 12 (n + p above M_INIT) the Krylov
+        # basis breaks down happily at dimension 2.
+        for diag in ([-2.0, -5.0, -9.0], [-2.0, -5.0] + [-9.0 - k for k in range(10)]):
+            A = np.diag(diag)
+            b1 = np.zeros(len(diag))
+            b1[1] = 1.0
+            res = kiops_eval(A, [None, b1], tol=1e-12)
+            assert res.values[0][1] == pytest.approx(phi_scalar(1, -5.0), rel=1e-12)
+            assert np.all(np.delete(res.values[0], 1) == 0.0)
+        assert res.stats.max_krylov_dim == 2 and res.stats.matvecs == 2
 
 
 class TestAgainstExpmMultiply:
@@ -216,11 +228,114 @@ class TestProjectionCounts:
         np.testing.assert_array_equal(two.values[1], one.values[0])
 
     def test_toy_attempts_use_one_projection_per_call(self, toy_mech, toy_state):
-        # On toy3 (n = 4) every basis breaks down happily, and one exact
-        # projection serves both time points of phi call 1.
+        # On toy3 (n = 4, so n + p <= M_INIT) every phi call exponentiates its
+        # augmented matrix directly: one substep, no matvecs.
         out = integrate_mechanism(toy_state, toy_mech, 0.3,
                                   ControllerConfig(atol=1e-10, rtol=1e-8))
         assert out.success
         completed = [r for r in out.records if np.isfinite(r.err_scaled)]
         assert len(completed) >= len(out.accepted_records) > 1000
         assert all(r.kiops_calls == 2 and r.substeps == 2 for r in completed)
+        assert all(r.matvecs == 0 and r.krylov_dim == 7 for r in completed)
+
+
+def count_expm_calls(monkeypatch):
+    """Record the argument shape of every phikrylov.expm call."""
+    shapes = []
+    real = phikrylov.expm
+
+    def counted(A):
+        shapes.append(np.shape(A))
+        return real(A)
+
+    monkeypatch.setattr(phikrylov, "expm", counted)
+    return shapes
+
+
+class TestOneExponentialPerEvaluation:
+    def test_toy_attempt_makes_two_expm_calls(self, toy_mech, toy_state, monkeypatch):
+        problem = problem_from_mechanism(toy_mech, toy_state.p)
+        y = toy_state.to_vector()
+        F, J = problem.jac(y)
+        shapes = count_expm_calls(monkeypatch)
+        _, _, stats = epi3v_step(y, 1e-4, F, J, problem)
+        assert stats.calls == 2 and stats.matvecs == 0
+        # Call 1 stacks T = 3/4 and T = 1; call 2 has T = 1 alone.
+        assert shapes == [(2, 5, 5), (1, 7, 7)]
+
+    def test_krylov_path_one_expm_per_attempt(self, monkeypatch):
+        # One expm per substep attempt, accepted (substeps) or rejected; the
+        # T = 3/4 point rides in the attempt that spans it.
+        rng = np.random.default_rng(1414)
+        A = stiff_diag_matrix(rng, 56, 1e5)
+        shapes = count_expm_calls(monkeypatch)
+        res = kiops_eval(A, [None, rng.standard_normal(56)],
+                         time_points=(0.75, 1.0), tol=1e-10)
+        assert res.stats.matvecs > 0 and res.stats.rejections > 0
+        assert len(shapes) == res.stats.substeps + res.stats.rejections
+        assert sum(shape[0] == 2 for shape in shapes) >= 1
+
+
+class TestDenseBranch:
+    """n + p <= M_INIT: kiops_eval exponentiates the augmented matrix."""
+
+    @pytest.mark.parametrize("h", [1e-5, 1e-3])
+    @pytest.mark.parametrize("p, time_points", [(1, (0.75, 1.0)), (3, (1.0,))])
+    def test_toy_matches_scipy_expm(self, toy_mech, toy_state, h, p, time_points):
+        y = toy_state.to_vector()
+        F, J = rhs_and_jacobian(y, toy_mech, toy_state.p)
+        A = h * J
+        bs = [None] * p + [h * F]
+        assert A.shape[0] + p <= M_INIT
+        res = kiops_eval(A, bs, time_points=time_points, tol=1e-12)
+        assert res.stats.matvecs == 0 and res.stats.substeps == 1
+        assert res.stats.max_krylov_dim == A.shape[0] + p
+        aug, v = augmented_operator(A, bs)
+        for T, got in zip(time_points, res.values):
+            want = (scipy.linalg.expm(T * aug) @ v)[:A.shape[0]]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), T
+
+
+def expm_with_identity(A):
+    """The single-matrix Pade 13 exponential with b*I added to U and V, the
+    form expm had before it took stacks (the reference for bit equality)."""
+    n = A.shape[0]
+    theta = phikrylov._PADE13_THETA
+    norm1 = float(np.abs(A).sum(axis=0).max())
+    s = max(0, int(math.ceil(math.log2(norm1 / theta)))) if norm1 > theta else 0
+    As = A / 2**s
+    b = phikrylov._PADE13_B
+    I = np.eye(n)
+    A2 = As @ As
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    U = As @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    F = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        F = F @ F
+    return F
+
+
+class TestExpmStack:
+    def test_stack_matches_each_matrix(self):
+        # 1-norms 1e4 apart. Each matrix keeps its own scaling exponent: at
+        # the largest one's, the small matrix would be squared about 14 times
+        # more and lose about 2**14 ulps (measured 1e-12 relative).
+        rng = np.random.default_rng(1515)
+        small = rng.standard_normal((9, 9))
+        small /= np.abs(small).sum(axis=0).max()
+        large = stiff_diag_matrix(rng, 9, 2e4)
+        assert np.abs(large).sum(axis=0).max() >= 1e4
+        got = expm(np.stack([small, large, 0.5 * large]))
+        for X, G in zip((small, large, 0.5 * large), got):
+            want = expm(X)
+            assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("span", [0.1, 3.0, 1e4])
+    def test_single_matrix_bits_unchanged(self, span):
+        rng = np.random.default_rng(1616)
+        A = stiff_diag_matrix(rng, 11, span) + 0.1 * span * rng.standard_normal((11, 11))
+        np.testing.assert_array_equal(expm(A), expm_with_identity(A))

@@ -1,14 +1,15 @@
 """Mechanism / run-config parsing, serialization and CSV round trips."""
+import csv
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR, random_balanced_mechanism
+from conftest import FIXTURE_DIR, mechgen, random_balanced_mechanism
 from expkin.mechio import (
-    _SCALAR_KEYS, MechIoError, RunConfig, parse_config, parse_mechanism,
-    read_csv, serialize_mechanism, write_csv,
+    _SCALAR_KEYS, _UNSUPPORTED_RXN, MechIoError, RunConfig, parse_config,
+    parse_mechanism, read_csv, serialize_mechanism, write_csv,
 )
 
 FORMAT_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "format.md"
@@ -115,6 +116,34 @@ class TestParseMechanism:
         with pytest.raises(MechIoError) as e:
             parse_mechanism(MINIMAL.replace("A => B 1.0e6 0.0 8.0e4", line))
         assert code_of(e) == "UnsupportedReactionType"
+
+    def test_unsupported_check_matches_alternation(self):
+        # The one-pattern form the check had before it was split in three.
+        alternation = re.compile(
+            r"\(\+\s*\w+\s*\)|(?:^|\s)\+\s*M(?:\s|$)|\bLOW\b|\bTROE\b|\bPLOG\b")
+        lines = [
+            "A + M => B + M 1.0e6 0.0 8.0e4",
+            "A (+M) => B (+M) 1.0e6 0.0 8.0e4",
+            "A => B 1.0e6 0.0 8.0e4 LOW 1e3 0 0",
+            "M1 + X => 2 X 1.0 0.0 0.0",
+            "X + M1 => SLOW 1.0 0.0 0.0",
+            "SLOW <=> LOWER 1.0 0.0 0.0",
+            "A +M => B 1 0 0",
+            "A+M => B 1 0 0",
+            "A => B + M",
+            "A (+ N2 ) => B 1 0 0",
+            "A => B 1 0 0 TROE 0.5 1 2",
+            "A => B PLOG/1/",
+            "LOW/1 2 3/",
+            "ALOW => BTROE 1 0 0",
+        ]
+        lines += serialize_mechanism(mechgen.generate_mechanism(12, 0)).splitlines()
+        refused = 0
+        for line in lines:
+            want = alternation.search(line) is not None
+            assert any(p.search(line) for p in _UNSUPPORTED_RXN) == want, line
+            refused += want
+        assert refused == 9
 
     def test_mass_imbalance_reports_line(self):
         bad = MINIMAL.replace(
@@ -314,6 +343,26 @@ class TestCsv:
         write_csv(p, ("t", "n", "tag"), [[1.5, 3, "ok"]])
         _, rows = read_csv(p)
         assert rows[0] == [1.5, 3.0, "ok"]
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # The csv.writer path write_csv had before, with repr(float(v)) for
+        # every float cell, is the reference for the bytes.
+        header = ("t", "Y_A,B", 'Y_"q"', "n")
+        rows = [
+            (0.0, np.float64(1.0 / 3.0), float("nan"), 7),
+            (1e-300, np.float64(-0.0), float("inf"), np.int64(-2)),
+            [6.02214076e23, -float("inf"), np.float64(np.nan), 0],
+            *np.column_stack((np.linspace(0, 1, 5), np.random.default_rng(3)
+                              .standard_normal((5, 3)))).tolist(),
+        ]
+        write_csv(tmp_path / "new.csv", header, rows)
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                                 for v in row])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestFuzz:

@@ -5,21 +5,14 @@ The networks come from the benchmark's seeded generator
 Dirichlet mass fractions, with no species at zero, and T from 800 to
 2500 K. Examples are derandomised, so every run checks the same cases.
 """
-import importlib.util
-import pathlib
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mechgen
 from expkin.kinetics import rhs_and_jacobian, rhs_vector
 from expkin.mechio import parse_mechanism, serialize_mechanism
 from test_kinetics import assert_mass_conserving, oracle_error
-
-_SPEC = importlib.util.spec_from_file_location(
-    "mechgen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "mechgen.py")
-mechgen = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(mechgen)
 
 PRESSURE = 101325.0
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
