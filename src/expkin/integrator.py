@@ -14,7 +14,9 @@ attempt uses exactly two Krylov evaluations: one for phi_1 at time points
 
 F and J come from one call, `OdeProblem.jac(y_n)`, which for a mechanism is
 one kinetics pass per new state; rejected attempts reuse them. Each attempt
-evaluates f once, at the stage value Y1.
+evaluates f once, at the stage value Y1. An attempt that passes the error
+test also linearises the state it produced, so a state the next step cannot
+evaluate is a rejection, not the end of the run.
 """
 from __future__ import annotations
 
@@ -193,9 +195,11 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
 
     F and J come from one `problem.jac` call per new state, and rejected
     attempts reuse them; each attempt calls `problem.f` once, at the stage
-    value Y1. The final step is truncated to land exactly on t_final. Every
-    attempt is logged and passed to `step_hook`, including one whose
-    evaluation failed (err_scaled = inf).
+    value Y1. An attempt that passes the error test, other than the last,
+    also evaluates `problem.jac` at its new state for the next step; a
+    failure there rejects the attempt (err_scaled = inf). The final step is
+    truncated to land exactly on t_final. Every attempt is logged and passed
+    to `step_hook`, including one whose evaluation failed.
     """
     if not (t_final > t0):
         raise ValueError("t_final must exceed t0")
@@ -224,7 +228,8 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
     while t < t_final:
         last = h >= t_final - t
         h_try = t_final - t if last else h
-        # The attempt's time includes F and J when they are evaluated for it.
+        # The attempt's time includes the F and J it evaluates: the initial
+        # state's (first attempt) and those of the state it produces.
         start = time.perf_counter_ns()
         if F is None:
             try:
@@ -233,10 +238,13 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
                 return finish(False, f"state evaluation failed: {exc}")
         kstats = PhiStats()
         failure = ""
+        F_new = J_new = None
         try:
             y_new, lte, _ = epi3v_step(y, h_try, F, J, problem,
                                        krylov_tol=ktol, stats=kstats)
             err = scaled_error_norm(lte, y, cfg.atol, cfg.rtol)
+            if err <= 1.0 and not last:
+                F_new, J_new = problem.jac(y_new)
         except (PhiConvergenceError, KineticsError) as exc:
             err, failure = float("inf"), f" ({exc})"
         cpu = time.perf_counter_ns() - start
@@ -255,8 +263,7 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
                 return finish(False, "non-finite state")
             ts.append(t)
             ys.append(y.copy())
-            F = None
-            J = None
+            F, J = F_new, J_new
         elif h_try <= h_min * (1 + 1e-12):
             return finish(False, "step size underflow" + failure)
         h = h_next

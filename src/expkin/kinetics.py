@@ -123,24 +123,6 @@ class Species:
                 f"species {self.name!r}: c_p discontinuity at T_mid exceeds 1%"
             )
 
-    def _thermo(self, T):
-        if not (self.t_low <= T <= self.t_high):
-            raise ThermoRangeError(self.name, T, self.t_low, self.t_high)
-        coeffs = self.coeffs_high if T > self.t_mid else self.coeffs_low
-        return _nasa((coeffs,), T)[:, 0]
-
-    def cp(self, T):
-        """Molar heat capacity at constant pressure, J/(mol K)."""
-        return self._thermo(T)[0]
-
-    def enthalpy(self, T):
-        """Molar enthalpy, J/mol."""
-        return self._thermo(T)[1]
-
-    def entropy(self, T):
-        """Molar entropy at the standard pressure, J/(mol K)."""
-        return self._thermo(T)[2]
-
 
 @dataclass(frozen=True)
 class Reaction:
@@ -428,7 +410,7 @@ def _products(x):
 
 @dataclass
 class _Point:
-    """What rhs and rhs_and_jacobian share at one state (mass fractions
+    """What rhs_vector and rhs_and_jacobian share at one state (mass fractions
     clipped)."""
 
     Y: np.ndarray
@@ -492,7 +474,7 @@ def _check_finite(values, what):
 
 def _source(pt, mech):
     """[dT/dt, dY/dt] at an evaluated point, and the net production rates."""
-    omega = mech.tables.nu_net.T @ pt.q
+    omega = production_rates(pt.q, mech)
     cp_mass = float(pt.Y @ (pt.cp / mech.molar_masses))  # J/(kg K)
     out = np.empty(mech.n_species + 1)
     out[0] = -float(omega @ pt.H) / (pt.rho * cp_mass)
@@ -500,17 +482,12 @@ def _source(pt, mech):
     return _check_finite(out, "rhs"), omega
 
 
-def rhs(state, mech, *, telemetry=None):
-    """Time derivative of [T, Y_1..Y_K] for the isobaric reactor."""
-    pt = _evaluate(state.T, state.Y, state.p, mech, telemetry=telemetry)
-    return _source(pt, mech)[0]
-
-
 def rhs_vector(y, mech, p, *, telemetry=None):
-    """rhs() on a flat state vector; validates the unpacked state."""
-    state = ThermoState.from_vector(y, p)
-    state.validate()
-    return rhs(state, mech, telemetry=telemetry)
+    """Time derivative of the state vector [T, Y_1..Y_K] of the isobaric
+    reactor at pressure p; validates the unpacked state."""
+    state = ThermoState.from_vector(y, p).validate()
+    pt = _evaluate(state.T, state.Y, p, mech, telemetry=telemetry)
+    return _source(pt, mech)[0]
 
 
 def rhs_and_jacobian(y, mech, p, *, telemetry=None):
@@ -518,9 +495,9 @@ def rhs_and_jacobian(y, mech, p, *, telemetry=None):
     as (F, J) from one evaluation of the kinetics; F equals rhs_vector(y).
 
     J includes the coupling through rho(T, Y) = p / (R T sum Y_i/W_i). Mass
-    fractions in [-Y_NEG_TOL, 0) read as 0 here as in rhs, and their columns
-    are the derivatives at 0 from above. A factor whose exponent is clamped
-    (see RateTelemetry) is constant, so its derivative is 0.
+    fractions in [-Y_NEG_TOL, 0) read as 0 here as in rhs_vector, and their
+    columns are the derivatives at 0 from above. A factor whose exponent is
+    clamped (see RateTelemetry) is constant, so its derivative is 0.
     """
     state = ThermoState.from_vector(y, p)
     state.validate()
@@ -563,7 +540,7 @@ def fd_jacobian(f, y, typical=None, step=None):
     sqrt(machine eps) by default. Falls back to a one-sided difference if a
     perturbed evaluation fails.
 
-    Valid only at interior states: rhs reads mass fractions in
+    Valid only at interior states: rhs_vector reads mass fractions in
     [-Y_NEG_TOL, 0) as 0, so at a species with Y_k = 0 the backward point
     lands in that clip and the central difference halves the column. The
     exact derivative there is the one-sided forward difference.

@@ -126,15 +126,14 @@ def _augmented_matrix(A, bs):
 def dense_phi_oracle(A, bs):
     """sum_k phi_k(A) b_k via one dense exponential of the augmented matrix.
 
-    `bs` is the list [b_0, ..., b_p]; entries may be None (treated as zero).
+    `bs` is the list [b_0, ..., b_p] with p >= 1; entries may be None
+    (treated as zero).
     Intended as a reference at moderate scale (n + p <= 400).
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     bs = [np.zeros(n) if b is None else np.asarray(b, dtype=float) for b in bs]
     p = len(bs) - 1
-    if p == 0:
-        return expm(A) @ bs[0]
     if n + p > 400:
         raise ValueError("dense oracle limited to n + p <= 400")
     aug = _augmented_matrix(A, bs)
@@ -230,8 +229,8 @@ EASY_SUCCESS = 0.01    # err below this fraction of the budget doubles tau
 def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MAX):
     """Adaptive Krylov evaluation of w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k.
 
-    `bs` is the list [b_0, ..., b_p], p <= 3 (entries may be None for zero
-    vectors); `time_points` is strictly increasing in (0, 1] ending at 1.
+    `bs` is the list [b_0, ..., b_p], 1 <= p <= 3 (entries may be None for
+    zero vectors); `time_points` is strictly increasing in (0, 1] ending at 1.
     Returns a PhiResult with w(T) at every time point and this call's stats.
 
     Builds the augmented matrix once. When its size n + p is at most the
@@ -251,8 +250,9 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     an easy success doubles the next substep.
     """
     time_points = tuple(float(t) for t in time_points)
-    if len(bs) - 1 > MAX_PHI_ORDER:
-        raise ValueError(f"phi orders above {MAX_PHI_ORDER} not supported")
+    p = len(bs) - 1
+    if not 1 <= p <= MAX_PHI_ORDER:
+        raise ValueError(f"phi orders 1 to {MAX_PHI_ORDER} supported, got {p}")
     if not time_points or time_points[-1] != 1.0:
         raise ValueError("last time point must equal 1")
     if any(t <= 0 for t in time_points) or any(
@@ -263,9 +263,6 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     bs = [np.zeros(n) if b is None else np.asarray(b, dtype=float) for b in bs]
-    while len(bs) < 2:
-        bs.append(np.zeros(n))
-    p = len(bs) - 1
 
     # Balance the two blocks of the augmented state (KIOPS-style scaling):
     # scale the b columns down by nu and the polynomial block up by 1/nu.

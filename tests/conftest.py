@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import expkin
-from expkin.kinetics import Mechanism, Reaction, Species
+from expkin.kinetics import R_GAS, Mechanism, Reaction, Species
 
 FIXTURE_DIR = pathlib.Path(expkin.__file__).parent / "fixtures"
 
@@ -19,6 +19,20 @@ _MECHGEN_SPEC.loader.exec_module(mechgen)
 # Flat-cp NASA-7 rows: cp/R = a1 everywhere, H/(RT) = a1 + a6/T, S/R = a1 lnT + a7.
 def flat_coeffs(a1, a6=0.0, a7=0.0):
     return (a1, 0.0, 0.0, 0.0, 0.0, a6, a7)
+
+
+def flat_thermo(species, T):
+    """Molar c_p, H and S at T of flat-c_p species (rows from flat_coeffs),
+    three arrays from the closed forms above: a reference that shares no
+    code with the NASA-7 evaluation in expkin.kinetics."""
+    rows = []
+    for sp in species:
+        a1, a2, a3, a4, a5, a6, a7 = sp.coeffs_low
+        assert tuple(sp.coeffs_high) == tuple(sp.coeffs_low)
+        assert a2 == a3 == a4 == a5 == 0.0
+        rows.append((R_GAS * a1, R_GAS * T * (a1 + a6 / T),
+                     R_GAS * (a1 * np.log(T) + a7)))
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 def make_species(name, w, a1=3.5, a6=0.0, a7=0.0,

@@ -171,9 +171,16 @@ class TestErrorPaths:
         rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
         assert rc == EXIT_CONFIG
 
-    def test_sweep_without_points(self, workdir):
-        rc = run_cli("sweep", "--config", str(workdir / "run.cfg"))
-        assert rc == EXIT_CONFIG
+    def test_sweep_without_points(self, workdir, capsys):
+        # Neither sweep points nor a reference, then points without one.
+        (workdir / "noref.cfg").write_text(SHORT_CFG + "sweep 1e-6 1e-4\n")
+        for name, message in (("run.cfg", "requires 'sweep atol rtol'"),
+                              ("noref.cfg", "requires a 'reference")):
+            rc = run_cli("sweep", "--config", str(workdir / name),
+                         "--out", str(workdir / "out"))
+            assert rc == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert not (workdir / "out").exists()
 
     def test_sweep_reference_not_tight_enough(self, workdir):
         (workdir / "s.cfg").write_text(
@@ -219,17 +226,36 @@ class TestErrorPaths:
         assert exc_info.value.code == 2
         assert not (workdir / "out").exists()
 
-    def test_solver_failure_exit_code(self, workdir, capsys):
-        # h_min too large for the transient: the march cannot recover.
+    @pytest.mark.parametrize("command, message, written", [
+        ("run", "solver failure: step size underflow", "steps.csv"),
+        ("spectrum", "solver failure: step size underflow", "spectrum.csv"),
+        ("sweep", "reference run failed: step size underflow", None),
+    ], ids=["run", "spectrum", "sweep"])
+    def test_solver_failure_exit_code(self, workdir, capsys, command, message,
+                                      written):
+        # h_min too large for the transient: the march cannot recover, and
+        # the sweep's reference run (h_min is shared) fails the same way.
         (workdir / "hard.cfg").write_text(
             SHORT_CFG.replace("atol 1e-8", "atol 1e-14\nh_min 1e-3\nh0 1e-3")
-            .replace("rtol 1e-6", "rtol 1e-13"))
-        rc = run_cli("run", "--config", str(workdir / "hard.cfg"),
+            .replace("rtol 1e-6", "rtol 1e-13")
+            + "sweep 1e-8 1e-6\nreference 1e-14 1e-13\n")
+        rc = run_cli(command, "--config", str(workdir / "hard.cfg"),
                      "--out", str(workdir / "out"))
         assert rc == EXIT_SOLVER
-        assert "solver failure" in capsys.readouterr().err
-        # Partial telemetry is still written for post-mortem analysis.
-        assert (workdir / "out" / "steps.csv").exists()
+        assert message in capsys.readouterr().err
+        if written is None:
+            # A sweep without a reference has nothing to score its points by.
+            assert not (workdir / "out" / "sweep.csv").exists()
+        else:
+            # Partial telemetry is still written for post-mortem analysis.
+            assert (workdir / "out" / written).exists()
+
+    def test_out_below_a_regular_file(self, workdir, capsys):
+        (workdir / "plain").write_text("")
+        rc = run_cli("run", "--config", str(workdir / "run.cfg"),
+                     "--out", str(workdir / "plain" / "out"))
+        assert rc == EXIT_IO
+        assert "cannot create output dir" in capsys.readouterr().err
 
 
 class TestSweep:

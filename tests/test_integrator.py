@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, mechgen
 from expkin import phikrylov
 from expkin.integrator import (
     ControllerConfig, OdeProblem, SolverOutput, StepRecord, _interp_samples,
@@ -15,7 +15,7 @@ from expkin.integrator import (
     integrate_fixed, integrate_mechanism, problem_from_mechanism,
     scaled_error_norm,
 )
-from expkin.kinetics import KineticsError, ThermoState, rhs_vector
+from expkin.kinetics import Y_NEG_TOL, KineticsError, ThermoState, rhs_vector
 from expkin.mechio import parse_config, parse_mechanism
 from expkin.phikrylov import expm
 
@@ -340,6 +340,35 @@ class TestAdaptive:
                    for r in out.records)
         # The hook sees every attempt, the failed evaluation included.
         assert seen == out.records
+
+    def test_unevaluable_new_state_is_rejected(self):
+        # Full ignition of a generated K = 20 network at rtol 1e-3: some
+        # attempts pass the error test with a mass fraction below
+        # -Y_NEG_TOL. Such an attempt is rejected when its new state is
+        # linearised, so the run completes and no accepted state, the one
+        # the march ends on included, is out of bounds.
+        mech = mechgen.generate_mechanism(20, 0)
+        fractions = mechgen.initial_mass_fractions(mech)
+        Y = np.array([fractions.get(sp.name, 0.0) for sp in mech.species])
+        state = ThermoState(T=1000.0, p=101325.0, Y=Y)
+        seen = []
+        out = integrate_mechanism(state, mech, 0.5,
+                                  ControllerConfig(atol=1e-9, rtol=1e-3),
+                                  step_hook=lambda rec, y, J: seen.append(y))
+        assert out.success, out.message
+        assert out.t == 0.5 and out.y[0] > 1900.0
+        assert any(not r.accepted and r.err_scaled == float("inf")
+                   for r in out.records)
+        assert min(y[1:].min() for y in seen + [out.y]) >= -Y_NEG_TOL
+
+    def test_unevaluable_initial_state_fails_without_records(self, toy_mech):
+        y0 = np.array([1000.0, -1e-6, 0.0, 1.0 + 1e-6])
+        prob = problem_from_mechanism(toy_mech, 101325.0)
+        out = integrate_adaptive(y0, 0.0, 0.1, prob,
+                                 ControllerConfig(atol=1e-8, rtol=1e-6))
+        assert not out.success
+        assert out.message.startswith("state evaluation failed:")
+        assert out.records == []
 
     def test_output_sampling(self):
         prob = OdeProblem(f=lambda y: -y, jac=lambda y: (-y, -np.eye(1)))

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_mechanism, make_species, random_balanced_mechanism
+from conftest import (flat_thermo, make_mechanism, make_species,
+                      random_balanced_mechanism)
 from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
     TYPICAL_T, TYPICAL_Y, concentrations, density, equilibrium_constants,
-    fd_jacobian, production_rates, rate_constants, reaction_rates, rhs,
+    fd_jacobian, production_rates, rate_constants, reaction_rates,
     rhs_and_jacobian, rhs_vector, species_thermo,
 )
 
@@ -21,6 +22,15 @@ def one_reaction_mech(rxn, b_a6=0.0):
     """Species A and B (both 0.030 kg/mol, flat c_p) and one reaction A -> B."""
     return make_mechanism(
         [make_species("A", 0.030), make_species("B", 0.030, a6=b_a6)], [rxn])
+
+
+def rhs(state, mech):
+    return rhs_vector(state.to_vector(), mech, state.p)
+
+
+def thermo_of(sp, T):
+    """c_p, H, S and dc_p/dT of one species, through species_thermo."""
+    return species_thermo(T, make_mechanism([sp], []))[:, 0]
 
 
 def jacobian_at(state, mech):
@@ -68,19 +78,19 @@ class TestDensity:
 class TestThermo:
     def test_flat_cp(self):
         sp = make_species("X", 0.030, a1=3.5)
-        assert sp.cp(500.0) == pytest.approx(3.5 * R_GAS, rel=1e-14)
+        assert thermo_of(sp, 500.0)[0] == pytest.approx(3.5 * R_GAS, rel=1e-14)
 
     def test_enthalpy_offset_term(self):
         sp = make_species("X", 0.030, a1=3.5, a6=1.0e4)
         T = 700.0
-        assert sp.enthalpy(T) == pytest.approx(
+        assert thermo_of(sp, T)[1] == pytest.approx(
             R_GAS * T * (3.5 + 1.0e4 / T), rel=1e-14)
 
     def test_cp_is_enthalpy_derivative(self, toy_mech):
         sp = toy_mech.species[0]
         T, dT = 1500.0, 1e-3
-        dh = (sp.enthalpy(T + dT) - sp.enthalpy(T - dT)) / (2 * dT)
-        assert dh == pytest.approx(sp.cp(T), rel=1e-7)
+        dh = (thermo_of(sp, T + dT)[1] - thermo_of(sp, T - dT)[1]) / (2 * dT)
+        assert dh == pytest.approx(thermo_of(sp, T)[0], rel=1e-7)
 
     def test_range_switch_at_tmid(self):
         lo = (3.0, 1e-4, 0.0, 0.0, 0.0, 0.0, 5.0)
@@ -88,8 +98,9 @@ class TestThermo:
         hi = (3.1, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0)
         sp = Species(name="X", molar_mass=0.030, t_low=200.0, t_mid=1000.0,
                      t_high=6000.0, coeffs_low=lo, coeffs_high=hi)
-        assert sp.cp(999.0) == pytest.approx(R_GAS * (3.0 + 1e-4 * 999.0))
-        assert sp.cp(1001.0) == pytest.approx(R_GAS * 3.1)
+        assert thermo_of(sp, 999.0)[0] == pytest.approx(
+            R_GAS * (3.0 + 1e-4 * 999.0))
+        assert thermo_of(sp, 1001.0)[0] == pytest.approx(R_GAS * 3.1)
 
     def test_discontinuous_cp_rejected(self):
         lo = (3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0)
@@ -101,14 +112,26 @@ class TestThermo:
     def test_out_of_range_temperature(self):
         sp = make_species("X", 0.030)
         with pytest.raises(ThermoRangeError):
-            sp.cp(100.0)
+            thermo_of(sp, 100.0)
         with pytest.raises(ThermoRangeError):
-            sp.enthalpy(7000.0)
+            thermo_of(sp, 7000.0)
+
+    def test_out_of_range_names_the_species(self):
+        mech = make_mechanism([make_species("A", 0.030),
+                               make_species("Z", 0.030, t_high=3000.0)], [])
+        species_thermo(2500.0, mech)
+        with pytest.raises(ThermoRangeError, match="'Z'") as exc:
+            species_thermo(4000.0, mech)
+        assert exc.value.species_name == "Z" and exc.value.T == 4000.0
 
     def test_thermo_props_pair(self):
-        sp = make_species("X", 0.030, a1=3.5, a6=2.0e3)
-        cp, h, _, _ = species_thermo(800.0, make_mechanism([sp], []))
-        assert cp[0] == sp.cp(800.0) and h[0] == sp.enthalpy(800.0)
+        sp = make_species("X", 0.030, a1=3.5, a6=2.0e3, a7=4.0)
+        cp, h, s, dcp = thermo_of(sp, 800.0)
+        want_cp, want_h, want_s = flat_thermo([sp], 800.0)
+        assert cp == pytest.approx(want_cp[0], rel=1e-14)
+        assert h == pytest.approx(want_h[0], rel=1e-14)
+        assert s == pytest.approx(want_s[0], rel=1e-14)
+        assert dcp == 0.0
 
 
 class TestRates:
@@ -213,7 +236,7 @@ class TestRates:
 
     def test_rates_match_per_reaction_loop(self):
         # Reference: the rate laws applied one reaction at a time with the
-        # per-species thermo methods, on seeded random mechanisms.
+        # closed-form flat-c_p thermo, on seeded random mechanisms.
         rng = np.random.default_rng(5)
         for _ in range(20):
             mech = random_balanced_mechanism(rng)
@@ -221,7 +244,8 @@ class TestRates:
                              Y=rng.dirichlet(np.ones(mech.n_species)))
             T = st.T
             chi = concentrations(st, mech)
-            g = [s.enthalpy(T) - T * s.entropy(T) for s in mech.species]
+            _, H, S = flat_thermo(mech.species, T)
+            g = H - T * S
             for rxn, q in zip(mech.reactions, reaction_rates(st, mech)):
                 A, beta, E = rxn.arrhenius
                 f = A * T**beta * np.exp(-E / (R_GAS * T))
@@ -265,8 +289,7 @@ class TestProductionAndRhs:
         q[0] *= chi[0]
         q[1] *= chi[0] * chi[1]
         omega = (toy_mech.nu_reverse - toy_mech.nu_forward).T @ q
-        H = np.array([s.enthalpy(T) for s in toy_mech.species])
-        cp = np.array([s.cp(T) for s in toy_mech.species])
+        cp, H, _ = flat_thermo(toy_mech.species, T)
         cp_mass = float(np.sum(toy_state.Y * cp / toy_mech.molar_masses))
         expected = np.concatenate((
             [-float(omega @ H) / (rho * cp_mass)],

@@ -57,6 +57,12 @@ class TestRequestValidation:
             kiops_eval(np.zeros((2, 2)),
                        (None, None, None, None, np.ones(2)),
                        time_points=(1.0,), tol=1e-10)
+        # Orders run from 1: a lone b_0 (p = 0) is refused by both paths.
+        A, b0 = np.zeros((2, 2)), np.ones(2)
+        with pytest.raises(ValueError):
+            kiops_eval(A, [b0])
+        with pytest.raises(ValueError):
+            dense_phi_oracle(A, [b0])
 
 
 class TestKiopsBasics:
