@@ -8,12 +8,12 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import diagnostics, mechio
-from .integrator import integrate_mechanism
+from .integrator import StepRecord, integrate_mechanism
 from .kinetics import EXP_ARG_MAX, KineticsError, ThermoState
 from .mechio import MechIoError
 
@@ -90,24 +90,20 @@ def cmd_run(args):
     result = integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
                                  output_times=sample_times)
     _warn_saturated([result])
-    _write_solution(out_dir, mech, result)
+    mechio.write_csv(os.path.join(out_dir, "solution.csv"),
+                     ["t", "T"] + [f"Y_{s.name}" for s in mech.species],
+                     np.column_stack((sample_times, result.samples)).tolist())
+    # One row per StepRecord, its fields in order, `accepted` as 0/1.
     mechio.write_csv(os.path.join(out_dir, "steps.csv"),
-                     mechio.STEPS_CSV_HEADER, mechio.steps_csv_rows(result.records))
+                     [f.name for f in fields(StepRecord)],
+                     [{**vars(r), "accepted": int(r.accepted)}.values()
+                      for r in result.records])
     if not result.success:
         print(f"solver failure: {result.message}", file=sys.stderr)
         return EXIT_SOLVER
     print(f"completed: {len(result.accepted_records)} accepted steps, "
           f"T(t_final) = {result.y[0]:.2f} K")
     return EXIT_OK
-
-
-def _write_solution(out_dir, mech, result):
-    header = list(mechio.SOLUTION_CSV_HEADER_PREFIX) + \
-        [f"Y_{s.name}" for s in mech.species]
-    rows = []
-    if result.samples is not None:
-        rows = np.column_stack((result.sample_times, result.samples)).tolist()
-    mechio.write_csv(os.path.join(out_dir, "solution.csv"), header, rows)
 
 
 def cmd_sweep(args):
@@ -149,7 +145,8 @@ def cmd_sweep(args):
     rows = [one_point(p) for p in run_cfg.sweep_points]
     _warn_saturated(results)
     mechio.write_csv(os.path.join(out_dir, "sweep.csv"),
-                     mechio.SWEEP_CSV_HEADER, rows)
+                     ("atol", "rtol", "cpu_s", "err_2norm", "err_scaled", "failed"),
+                     rows)
     print(f"sweep complete: {len(rows)} points")
     return EXIT_OK
 
@@ -162,20 +159,19 @@ def cmd_spectrum(args):
     def hook(record, y, J):
         if not record.accepted:
             return
-        cost = diagnostics.normalized_step_cost(record)
         try:
             stats = diagnostics.jacobian_spectrum(J, t=record.t)
-            rows.append((record.t, stats.alpha, stats.beta, stats.omega,
-                         stats.max_real, cost))
-        except diagnostics.EigensolverError:
-            rows.append((record.t, float("nan"), float("nan"), float("nan"),
-                         float("nan"), cost))
+            bounds = (stats.alpha, stats.beta, stats.omega, stats.max_real)
+        except np.linalg.LinAlgError:
+            bounds = (float("nan"),) * 4
+        rows.append((record.t, *bounds, diagnostics.normalized_step_cost(record)))
 
     result = integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
                                  step_hook=hook)
     _warn_saturated([result])
     mechio.write_csv(os.path.join(out_dir, "spectrum.csv"),
-                     mechio.SPECTRUM_CSV_HEADER, rows)
+                     ("t", "alpha", "beta", "omega", "max_real", "norm_step_cost"),
+                     rows)
     if not result.success:
         print(f"solver failure: {result.message}", file=sys.stderr)
         return EXIT_SOLVER

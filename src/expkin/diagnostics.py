@@ -11,10 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class EigensolverError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class SpectrumStats:
     t: float
@@ -22,25 +18,6 @@ class SpectrumStats:
     beta: float
     omega: float
     max_real: float
-
-
-def eigenvalues_dense(A):
-    """All eigenvalues of a dense real matrix (LAPACK real-Schur based).
-
-    Complex eigenvalues appear in conjugate pairs. Non-convergence of the QR
-    iteration is surfaced as EigensolverError.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("square matrix required")
-    if A.shape[0] > 512:
-        raise ValueError("dense eigensolver limited to n <= 512")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"QR iteration failed to converge: {exc}") from exc
 
 
 def spectrum_bounds(eigs, t=0.0):
@@ -57,7 +34,10 @@ def spectrum_bounds(eigs, t=0.0):
 
 
 def jacobian_spectrum(J, t=0.0):
-    return spectrum_bounds(eigenvalues_dense(J), t=t)
+    """Bounding-rectangle statistics of the eigenvalues of a dense J (LAPACK
+    via `np.linalg.eigvals`, which raises `np.linalg.LinAlgError` when its QR
+    iteration does not converge)."""
+    return spectrum_bounds(np.linalg.eigvals(J), t=t)
 
 
 def normalized_step_cost(record):

@@ -66,12 +66,13 @@ class ControllerConfig:
 
 @dataclass
 class StepRecord:
-    """Telemetry for one step attempt."""
+    """Telemetry for one step attempt: one row of steps.csv, whose columns
+    are these fields in this order."""
 
     t: float
     h: float
     accepted: bool
-    err_scaled: float
+    err_est: float
     krylov_dim: int = 0
     substeps: int = 0
     matvecs: int = 0
@@ -85,7 +86,6 @@ class SolverOutput:
     message: str
     t: float
     y: np.ndarray
-    sample_times: np.ndarray = None
     samples: np.ndarray = None
     records: list = field(default_factory=list)
     telemetry: RateTelemetry = None
@@ -178,6 +178,7 @@ def controller_update(err_scaled, h_old, h_min=0.0):
 def _interp_samples(times, ts, ys):
     """Linear interpolation of the accepted-step trajectory; times outside
     [ts[0], ts[-1]] take the end values."""
+    times = np.asarray(times, dtype=float)
     ts = np.asarray(ts)
     ys = np.asarray(ys)
     j = np.searchsorted(ts, times)
@@ -197,7 +198,7 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
     attempts reuse them; each attempt calls `problem.f` once, at the stage
     value Y1. An attempt that passes the error test, other than the last,
     also evaluates `problem.jac` at its new state for the next step; a
-    failure there rejects the attempt (err_scaled = inf). The final step is
+    failure there rejects the attempt (err_est = inf). The final step is
     truncated to land exactly on t_final. Every attempt is logged and passed
     to `step_hook`, including one whose evaluation failed.
     """
@@ -221,8 +222,7 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
         out = SolverOutput(success=success, message=message, t=t, y=y,
                            records=records)
         if output_times is not None:
-            out.sample_times = np.asarray(output_times, dtype=float)
-            out.samples = _interp_samples(out.sample_times, ts, ys)
+            out.samples = _interp_samples(output_times, ts, ys)
         return out
 
     while t < t_final:
@@ -249,7 +249,7 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
             err, failure = float("inf"), f" ({exc})"
         cpu = time.perf_counter_ns() - start
         accept, h_next = controller_update(err, h_try, h_min)
-        rec = StepRecord(t=t, h=h_try, accepted=accept, err_scaled=err,
+        rec = StepRecord(t=t, h=h_try, accepted=accept, err_est=err,
                          krylov_dim=kstats.max_krylov_dim,
                          substeps=kstats.substeps, matvecs=kstats.matvecs,
                          kiops_calls=kstats.calls, cpu_ns=cpu)

@@ -1,4 +1,5 @@
-"""Parsing and serialization: mechanism files, run configs, CSV output.
+"""Parsing and serialization of mechanism files and run configs, and the
+CSV codec the CLI writes its outputs with.
 
 The mechanism format is a sectioned line-oriented plain-text format
 (documented in docs/format.md):
@@ -18,8 +19,6 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import MISSING, dataclass, field, fields
-
-import numpy as np
 
 from .integrator import ControllerConfig
 from .kinetics import KineticsError, Mechanism, Reaction, Species
@@ -240,8 +239,9 @@ class RunConfig(ControllerConfig):
             super().__post_init__()
         except ValueError as exc:
             raise MechIoError("BadConfigValue", str(exc)) from None
-        if not 0 < self.t_final < float("inf"):
-            raise MechIoError("BadConfigValue", "t_final must be positive and finite")
+        for name in ("T0", "pressure", "t_final"):
+            if not 0 < getattr(self, name) < float("inf"):
+                raise MechIoError("BadConfigValue", f"{name} must be positive and finite")
         if self.n_output_samples < 1:
             raise MechIoError("BadConfigValue", "n_output_samples must be at least 1")
         if self.method != "epi3v":
@@ -258,7 +258,8 @@ class RunConfig(ControllerConfig):
                                   "reference tolerances must be positive and at least "
                                   "as tight as every sweep point")
         total = sum(self.Y0.values())
-        if abs(total - 1.0) > MASS_SUM_TOL:
+        # Written so that a NaN sum fails too.
+        if not abs(total - 1.0) <= MASS_SUM_TOL:
             raise MechIoError("MassFractionSum",
                               f"initial mass fractions sum to {total}, not 1")
         self.Y0 = {k: v / total for k, v in self.Y0.items()}
@@ -351,18 +352,3 @@ def read_csv(path):
                     parsed.append(cell)
             rows.append(parsed)
     return header, rows
-
-
-def steps_csv_rows(records):
-    """Rows for steps.csv, one per step attempt."""
-    return [(float(r.t), float(r.h), int(r.accepted), float(r.err_scaled),
-             int(r.krylov_dim), int(r.substeps), int(r.matvecs),
-             int(r.kiops_calls), int(r.cpu_ns))
-            for r in records]
-
-STEPS_CSV_HEADER = ("t", "h", "accepted", "err_est", "krylov_dim", "substeps",
-                    "matvecs", "kiops_calls", "cpu_ns")
-SOLUTION_CSV_HEADER_PREFIX = ("t", "T")
-SWEEP_CSV_HEADER = ("atol", "rtol", "cpu_s", "err_2norm", "err_scaled", "failed")
-SPECTRUM_CSV_HEADER = ("t", "alpha", "beta", "omega", "max_real",
-                       "norm_step_cost")

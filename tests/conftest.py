@@ -10,6 +10,7 @@ import expkin
 from expkin.kinetics import R_GAS, Mechanism, Reaction, Species
 
 FIXTURE_DIR = pathlib.Path(expkin.__file__).parent / "fixtures"
+FORMAT_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "format.md"
 
 _MECHGEN_SPEC = importlib.util.spec_from_file_location(
     "mechgen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "mechgen.py")

@@ -22,7 +22,7 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from expkin.cli import EXIT_OK, main as cli_main
-from expkin.diagnostics import eigenvalues_dense, spectrum_bounds
+from expkin.diagnostics import jacobian_spectrum, spectrum_bounds
 from expkin.integrator import (
     ControllerConfig, OdeProblem, controller_update, epi3v_step,
     integrate_fixed, integrate_mechanism, problem_from_mechanism,
@@ -125,7 +125,7 @@ def test_linear_problem_exactness():
     worst = 0.0
     for _ in range(20):
         M = rng.standard_normal((30, 30)) / np.sqrt(30)
-        M -= (np.max(eigenvalues_dense(M).real) + 0.01) * np.eye(30)  # stable
+        M -= (np.max(np.linalg.eigvals(M).real) + 0.01) * np.eye(30)  # stable
         y0 = rng.standard_normal(30)
         prob = OdeProblem(f=lambda y, M=M: M @ y,
                           jac=lambda y, M=M: (M @ y, M))
@@ -249,7 +249,7 @@ def test_tolerance_sweep_self_consistency(tmp_path):
 
 
 def test_spectrum_statistics():
-    """Rectangle statistics and the dense eigensolver on known spectra."""
+    """Rectangle statistics and the LAPACK eigensolver on known spectra."""
     st = spectrum_bounds([-1.0, -4.0, -2.0 + 2.0j, -2.0 - 2.0j])
     rect_ok = (st.alpha == pytest.approx(3.0) and st.beta == pytest.approx(4.0)
                and st.omega == pytest.approx(12.0))
@@ -259,8 +259,12 @@ def test_spectrum_statistics():
         lam = np.sort(rng.uniform(-1e4, -1.0, 25))
         S = rng.standard_normal((25, 25)) + 4.0 * np.eye(25)
         A = S @ np.diag(lam) @ np.linalg.inv(S)
-        got = np.sort(eigenvalues_dense(A).real)
+        got = np.sort(np.linalg.eigvals(A).real)
         worst = max(worst, np.abs((got - lam) / lam).max())
+        # jacobian_spectrum's rectangle spans the same real eigenvalues.
+        st = jacobian_spectrum(A)
+        rect_ok = rect_ok and (st.max_real == pytest.approx(lam[-1], rel=1e-8)
+                               and st.alpha == pytest.approx(lam[-1] - lam[0], rel=1e-8))
     report("spectrum statistics", rect_ok and worst <= 1e-8,
            f"rectangle exact, eigensolver worst rel err {worst:.2e}")
 

@@ -1,13 +1,15 @@
 """End-to-end CLI runs on the packaged toy mechanism."""
+import re
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR, mechgen
+from conftest import FIXTURE_DIR, FORMAT_DOC, make_mechanism, make_species, mechgen
 from expkin import cli
 from expkin.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
-from expkin.integrator import integrate_mechanism
+from expkin.integrator import StepRecord, integrate_mechanism
 from expkin.mechio import read_csv, serialize_mechanism
 
 SHORT_CFG = """\
@@ -105,6 +107,15 @@ class TestRun:
             assert max(r[header.index("krylov_dim")] for r in rows) == 7
         else:
             assert sum(r[matvecs] for r in rows) > 0
+
+    def test_format_doc_lists_steps_columns(self):
+        # steps.csv's header is read off the StepRecord fields, so a new field
+        # becomes a column; the steps.csv entry of docs/format.md must list
+        # exactly those, in order.
+        entry = re.search(r"^- `steps\.csv`: .*?`([^`]+)`", FORMAT_DOC.read_text(),
+                          re.MULTILINE | re.DOTALL)
+        documented = [name.strip() for name in entry.group(1).split(",")]
+        assert documented == [f.name for f in fields(StepRecord)]
 
     def test_reproducible_solution(self, workdir):
         run_cli("run", "--config", str(workdir / "run.cfg"),
@@ -309,6 +320,35 @@ class TestSpectrum:
         # Every row carries eigenvalue data.
         assert all(isinstance(r[3], float) for r in rows)
         assert all(r[5] > 0 for r in rows)
+
+    def test_large_mechanism(self, tmp_path):
+        # 512 species and no reactions: the state has 513 components, and
+        # every accepted step still gets its eigenvalue row.
+        mech = make_mechanism([make_species(f"S{i}", 0.03) for i in range(512)], [])
+        (tmp_path / "big.mech").write_text(serialize_mechanism(mech))
+        (tmp_path / "big.cfg").write_text(
+            SHORT_CFG.replace("toy3.mech", "big.mech")
+            .replace("Y F 0.1\nY B 0.9\n", "Y S0 1.0\n"))
+        rc = run_cli("spectrum", "--config", str(tmp_path / "big.cfg"),
+                     "--out", str(tmp_path / "out"))
+        assert rc == EXIT_OK
+        _, rows = read_csv(tmp_path / "out" / "spectrum.csv")
+        assert rows
+        assert all(r[1] == r[2] == r[4] == 0.0 for r in rows)  # J = 0
+
+    def test_eigensolver_failure_writes_nan_row(self, workdir, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        (workdir / "early.cfg").write_text(
+            SHORT_CFG.replace("t_final 0.2", "t_final 1e-4"))
+        rc = run_cli("spectrum", "--config", str(workdir / "early.cfg"),
+                     "--out", str(workdir / "out"))
+        assert rc == EXIT_OK
+        _, rows = read_csv(workdir / "out" / "spectrum.csv")
+        assert rows
+        assert all(np.isnan(r[1:5]).all() and r[5] > 0 for r in rows)
 
     def test_spectrum_every_only_on_spectrum(self, workdir):
         # The --spectrum-every flag was removed: spectrum writes every

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from expkin.diagnostics import (
-    SpectrumStats, eigenvalues_dense, jacobian_spectrum, normalized_step_cost,
-    spectrum_bounds,
+    SpectrumStats, jacobian_spectrum, normalized_step_cost, spectrum_bounds,
 )
 from expkin.integrator import StepRecord
 from expkin.kinetics import ThermoState, rhs_and_jacobian
@@ -15,13 +14,15 @@ def sorted_eigs(eigs):
 
 
 class TestEigenvalues:
+    """The LAPACK eigensolver jacobian_spectrum calls, on known spectra."""
+
     def test_diagonal(self):
-        eigs = sorted_eigs(eigenvalues_dense(np.diag([-1.0, -3.0, 2.0])))
+        eigs = sorted_eigs(np.linalg.eigvals(np.diag([-1.0, -3.0, 2.0])))
         np.testing.assert_allclose(eigs, [-3.0, -1.0, 2.0], atol=1e-12)
 
     def test_rotation_block_conjugate_pair(self):
         A = np.array([[0.0, 2.0], [-2.0, 0.0]])
-        eigs = sorted_eigs(eigenvalues_dense(A))
+        eigs = sorted_eigs(np.linalg.eigvals(A))
         np.testing.assert_allclose(eigs, [-2j, 2j], atol=1e-12)
 
     def test_companion_matrix(self):
@@ -29,14 +30,14 @@ class TestEigenvalues:
         C = np.array([[6.0, -11.0, 6.0],
                       [1.0, 0.0, 0.0],
                       [0.0, 1.0, 0.0]])
-        eigs = sorted_eigs(eigenvalues_dense(C))
+        eigs = sorted_eigs(np.linalg.eigvals(C))
         np.testing.assert_allclose(eigs, [1.0, 2.0, 3.0], atol=1e-8)
 
     def test_symmetric_against_eigh(self):
         rng = np.random.default_rng(77)
         A = rng.standard_normal((30, 30))
         A = A + A.T
-        got = np.sort(eigenvalues_dense(A).real)
+        got = np.sort(np.linalg.eigvals(A).real)
         want = np.linalg.eigvalsh(A)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8)
 
@@ -45,16 +46,8 @@ class TestEigenvalues:
         D = np.diag(rng.uniform(-5.0, -0.1, 8))
         S = rng.standard_normal((8, 8)) + 3 * np.eye(8)
         A = S @ D @ np.linalg.inv(S)
-        np.testing.assert_allclose(np.sort(eigenvalues_dense(A).real),
+        np.testing.assert_allclose(np.sort(np.linalg.eigvals(A).real),
                                    np.sort(np.diag(D)), rtol=1e-7, atol=1e-9)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            eigenvalues_dense(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            eigenvalues_dense(np.full((2, 2), np.nan))
-        with pytest.raises(ValueError):
-            eigenvalues_dense(np.zeros((600, 600)))
 
 
 class TestSpectrumBounds:
@@ -98,7 +91,7 @@ class TestJacobianSpectrum:
         st = ThermoState(T=1100.0, p=101325.0, Y=np.array([0.09, 0.01, 0.9]))
         J = rhs_and_jacobian(st.to_vector(), toy_mech, st.p)[1]
         stats = jacobian_spectrum(J, t=0.1)
-        eigs = eigenvalues_dense(J)
+        eigs = np.linalg.eigvals(J)
         # Independent recomputation of the rectangle from the raw list.
         assert stats.alpha == pytest.approx(
             eigs.real.max() - eigs.real.min(), rel=1e-12)
@@ -108,11 +101,11 @@ class TestJacobianSpectrum:
 
 class TestStepCost:
     def test_hand_value(self):
-        rec = StepRecord(t=0.0, h=1e-4, accepted=True, err_scaled=0.5,
+        rec = StepRecord(t=0.0, h=1e-4, accepted=True, err_est=0.5,
                          cpu_ns=2_000_000)
         assert normalized_step_cost(rec) == pytest.approx(2e-3 / 1e-4)
 
     def test_zero_step_rejected(self):
-        rec = StepRecord(t=0.0, h=0.0, accepted=False, err_scaled=1.0)
+        rec = StepRecord(t=0.0, h=0.0, accepted=False, err_est=1.0)
         with pytest.raises(ValueError):
             normalized_step_cost(rec)

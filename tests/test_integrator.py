@@ -223,7 +223,7 @@ class TestAdaptive:
     def test_two_kiops_calls_per_attempt(self, toy_mech, toy_state):
         cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
         out = integrate_mechanism(toy_state, toy_mech, 0.2, cfg)
-        completed = [r for r in out.records if np.isfinite(r.err_scaled)]
+        completed = [r for r in out.records if np.isfinite(r.err_est)]
         assert completed
         assert all(r.kiops_calls == 2 for r in completed)
 
@@ -251,7 +251,7 @@ class TestAdaptive:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         for out in outs:
-            completed = [r for r in out.records if np.isfinite(r.err_scaled)]
+            completed = [r for r in out.records if np.isfinite(r.err_est)]
             assert out.success and completed
             assert all(r.kiops_calls == 2 for r in completed)
 
@@ -268,7 +268,7 @@ class TestAdaptive:
                                  linear_problem(M), cfg)
         assert not out.success
         rec, = out.records
-        assert not rec.accepted and rec.err_scaled == float("inf")
+        assert not rec.accepted and rec.err_est == float("inf")
         assert rec.kiops_calls == 1
         assert "Krylov substep underflow" in out.message
         assert "m=1" in out.message
@@ -335,8 +335,8 @@ class TestAdaptive:
         out = integrate_adaptive(toy_state.to_vector(), 0.0, 0.2, prob, cfg,
                                  step_hook=lambda rec, y, J: seen.append(rec))
         assert out.success
-        assert out.records[0].err_scaled == float("inf")
-        assert any(not r.accepted and np.isfinite(r.err_scaled)
+        assert out.records[0].err_est == float("inf")
+        assert any(not r.accepted and np.isfinite(r.err_est)
                    for r in out.records)
         # The hook sees every attempt, the failed evaluation included.
         assert seen == out.records
@@ -357,7 +357,7 @@ class TestAdaptive:
                                   step_hook=lambda rec, y, J: seen.append(y))
         assert out.success, out.message
         assert out.t == 0.5 and out.y[0] > 1900.0
-        assert any(not r.accepted and r.err_scaled == float("inf")
+        assert any(not r.accepted and r.err_est == float("inf")
                    for r in out.records)
         assert min(y[1:].min() for y in seen + [out.y]) >= -Y_NEG_TOL
 
@@ -447,8 +447,8 @@ class TestAdaptive:
             err_epi3v = scaled_error_norm(
                 epi3v_step(y, rec.h, F, J, prob, krylov_tol=ktol)[0] - ref, y,
                 cfg.atol, cfg.rtol)
-            assert rec.err_scaled == pytest.approx(err_euler, rel=0.01)
-            assert rec.err_scaled >= 100.0 * err_epi3v
+            assert rec.err_est == pytest.approx(err_euler, rel=0.01)
+            assert rec.err_est >= 100.0 * err_epi3v
 
     def test_step_hook_sees_accepted_state(self, toy_mech, toy_state):
         seen = []

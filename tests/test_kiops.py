@@ -239,7 +239,7 @@ class TestProjectionCounts:
         out = integrate_mechanism(toy_state, toy_mech, 0.3,
                                   ControllerConfig(atol=1e-10, rtol=1e-8))
         assert out.success
-        completed = [r for r in out.records if np.isfinite(r.err_scaled)]
+        completed = [r for r in out.records if np.isfinite(r.err_est)]
         assert len(completed) >= len(out.accepted_records) > 1000
         assert all(r.kiops_calls == 2 and r.substeps == 2 for r in completed)
         assert all(r.matvecs == 0 and r.krylov_dim == 7 for r in completed)

@@ -1,18 +1,15 @@
 """Mechanism / run-config parsing, serialization and CSV round trips."""
 import csv
-import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR, mechgen, random_balanced_mechanism
+from conftest import FIXTURE_DIR, FORMAT_DOC, mechgen, random_balanced_mechanism
 from expkin.mechio import (
     _SCALAR_KEYS, _UNSUPPORTED_RXN, MechIoError, RunConfig, parse_config,
     parse_mechanism, read_csv, serialize_mechanism, write_csv,
 )
-
-FORMAT_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "format.md"
 
 MINIMAL = """\
 format 1
@@ -265,6 +262,10 @@ class TestParseConfig:
         "sweep 1e-6 1e-4\nreference 0 1e-11\n", "h0 nan\n", "h_min 0\n",
         "t_final inf\n", "t_final 0.5\n",
         "sweep 1e-6 1e-4\nreference 1e-8 1e-6\nreference 1e-9 1e-7\n",
+        # These replace CONFIG's line of the same key (old line, new line).
+        pytest.param(("Y F 0.1", "Y F nan"), id="Y F nan"),
+        pytest.param(("T0 1000.0", "T0 -5"), id="T0 -5"),
+        pytest.param(("pressure 101325.0", "pressure nan"), id="pressure nan"),
     ])
     def test_bad_value_rejected_at_parse_time(self, lines):
         # Controller settings and the sweep reference are checked when the
@@ -275,11 +276,16 @@ class TestParseConfig:
         # clamp_mode key and the controller constants (safety, facmin,
         # facmax, embedded_order) were removed, so their lines are refused
         # as unknown.
+        # A NaN mass fraction fails the sum test, so it is MassFractionSum.
+        if isinstance(lines, tuple):
+            text, key = CONFIG.replace(*lines), lines[1].split()[0]
+        else:
+            text, key = CONFIG + lines, lines.split()[0]
         with pytest.raises(MechIoError) as e:
-            parse_config(CONFIG + lines)
-        removed = lines.split()[0] in ("clamp_mode", "safety", "facmin",
-                                       "facmax", "embedded_order")
-        assert code_of(e) == ("UnknownKey" if removed else "BadConfigValue")
+            parse_config(text)
+        removed = key in ("clamp_mode", "safety", "facmin", "facmax", "embedded_order")
+        assert code_of(e) == ("UnknownKey" if removed else
+                              "MassFractionSum" if key == "Y" else "BadConfigValue")
 
     def test_bad_reverse_rate_convention(self):
         # Detailed balance is the only reverse-rate law: the key was removed,
