@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics, mechio
 from .integrator import StepRecord, integrate_mechanism
-from .kinetics import EXP_ARG_MAX, KineticsError, ThermoState
+from .kinetics import EXP_ARG_MAX, ThermoState
 from .mechio import MechIoError
 
 EXIT_OK = 0
@@ -55,12 +55,9 @@ def load_run(args):
         for name, frac in run_cfg.Y0.items():
             Y[mech.species_index(name)] = frac
     except KeyError as exc:
-        raise CliError(f"config error: species {exc} not in mechanism", EXIT_CONFIG)
-    try:
-        state0 = ThermoState(T=run_cfg.T0, Y=Y, p=run_cfg.pressure).validate(check_sum=True)
-    except KineticsError as exc:
-        raise CliError(f"config error: {exc}", EXIT_CONFIG)
-    return run_cfg, mech, state0
+        raise CliError(f"config error: UnknownSpecies: species {exc} not in mechanism",
+                       EXIT_CONFIG)
+    return run_cfg, mech, ThermoState(T=run_cfg.T0, Y=Y, p=run_cfg.pressure)
 
 
 def _out_dir(args):

@@ -285,8 +285,8 @@ def integrate_fixed(y0, t0, t_final, n_steps, problem, krylov_tol=1.0e-12):
 def integrate_mechanism(state0, mech, t_final, cfg, output_times=None,
                         step_hook=None):
     """integrate_adaptive() from t = 0 on a chemical mechanism from a
-    ThermoState."""
-    state0.validate(check_sum=True)
+    ThermoState. A state the kinetics cannot evaluate ends the run at once
+    (see integrate_adaptive)."""
     telemetry = RateTelemetry()
     problem = problem_from_mechanism(mech, state0.p, telemetry=telemetry)
     out = integrate_adaptive(state0.to_vector(), 0.0, t_final, problem, cfg,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 
 import numpy as np
 
@@ -47,9 +46,7 @@ class ThermoRangeError(KineticsError):
 
 
 class InvalidStateError(KineticsError):
-    def __init__(self, message, component=None):
-        self.component = component
-        super().__init__(message)
+    """A state or derived quantity the kinetics cannot evaluate."""
 
 
 class RateTelemetry:
@@ -73,24 +70,19 @@ def _clamped_exp(arg, telemetry=None):
     return np.exp(clipped), live
 
 
-def _nasa_weights(T):
-    """Weights that turn the 7 NASA-7 coefficients into molar c_p, H, S and
-    dc_p/dT at T, one row each."""
+def _nasa(a, T):
+    """Molar c_p, H, S and dc_p/dT at T of NASA-7 rows a, shape (n, 7);
+    four arrays of length n."""
     T2, T3, T4 = T * T, T * T * T, T * T * T * T
     RT = R_GAS * T
-    return [
+    weights = np.array([
         [R_GAS, R_GAS * T, R_GAS * T2, R_GAS * T3, R_GAS * T4, 0.0, 0.0],
         [RT, RT * T / 2, RT * T2 / 3, RT * T3 / 4, RT * T4 / 5, R_GAS, 0.0],
         [R_GAS * np.log(T), R_GAS * T, R_GAS * T2 / 2, R_GAS * T3 / 3,
          R_GAS * T4 / 4, 0.0, R_GAS],
         [0.0, R_GAS, 2 * R_GAS * T, 3 * R_GAS * T2, 4 * R_GAS * T3, 0.0, 0.0],
-    ]
-
-
-def _nasa(a, T):
-    """Molar c_p, H, S and dc_p/dT at T of NASA-7 rows a, shape (n, 7);
-    four arrays of length n."""
-    return (np.asarray(a, dtype=float) @ np.array(_nasa_weights(T)).T).T
+    ])
+    return (np.asarray(a, dtype=float) @ weights.T).T
 
 
 @dataclass(frozen=True)
@@ -115,9 +107,7 @@ class Species:
             )
         if len(self.coeffs_low) != 7 or len(self.coeffs_high) != 7:
             raise KineticsError(f"species {self.name!r}: need 7+7 NASA coefficients")
-        cp_row = _nasa_weights(self.t_mid)[0]
-        cp_lo = sum(map(mul, cp_row, self.coeffs_low))
-        cp_hi = sum(map(mul, cp_row, self.coeffs_high))
+        cp_lo, cp_hi = _nasa([self.coeffs_low, self.coeffs_high], self.t_mid)[0]
         if abs(cp_lo - cp_hi) > 0.01 * max(abs(cp_lo), abs(cp_hi)):
             raise KineticsError(
                 f"species {self.name!r}: c_p discontinuity at T_mid exceeds 1%"
@@ -280,27 +270,24 @@ class ThermoState:
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)
 
-    def validate(self, check_sum=False):
-        if not (self.T > 0) or not np.isfinite(self.T):
-            raise InvalidStateError(f"temperature must be positive, got {self.T}", 0)
-        if not (self.p > 0) or not np.isfinite(self.p):
-            raise InvalidStateError(f"pressure must be positive, got {self.p}")
-        if np.any(self.Y < -Y_NEG_TOL) or np.any(self.Y > 1 + Y_NEG_TOL):
-            bad = int(np.argmax((self.Y < -Y_NEG_TOL) | (self.Y > 1 + Y_NEG_TOL)))
-            raise InvalidStateError(
-                f"mass fraction {bad} out of bounds: {self.Y[bad]}", bad + 1
-            )
-        if check_sum and abs(self.Y.sum() - 1.0) > Y_NEG_TOL:
-            raise InvalidStateError(f"mass fractions sum to {self.Y.sum()}, not 1")
-        return self
-
     def to_vector(self):
         return np.concatenate(([self.T], self.Y))
 
-    @classmethod
-    def from_vector(cls, y, p):
-        y = np.asarray(y, dtype=float)
-        return cls(T=float(y[0]), Y=y[1:].copy(), p=p)
+
+def _unpack(y):
+    """T and Y of the state vector y, the one check of an evaluated state:
+    T must be positive and finite and each Y within [-Y_NEG_TOL,
+    1 + Y_NEG_TOL]. Y is a view of y. A bad pressure shows as a bad density
+    (`_density`)."""
+    y = np.asarray(y, dtype=float)
+    T, Y = float(y[0]), y[1:]
+    if not 0 < T < np.inf:
+        raise InvalidStateError(f"temperature must be positive, got {T}")
+    out = (Y < -Y_NEG_TOL) | (Y > 1 + Y_NEG_TOL)
+    if out.any():
+        bad = int(np.argmax(out))
+        raise InvalidStateError(f"mass fraction {bad} out of bounds: {Y[bad]}")
+    return T, Y
 
 
 def _clip_negative(Y):
@@ -468,7 +455,7 @@ def production_rates(rates, mech):
 def _check_finite(values, what):
     if not np.all(np.isfinite(values)):
         bad = int(np.argmax(~np.isfinite(values.ravel())))
-        raise InvalidStateError(f"non-finite {what} component {bad}", bad)
+        raise InvalidStateError(f"non-finite {what} component {bad}")
     return values
 
 
@@ -484,10 +471,9 @@ def _source(pt, mech):
 
 def rhs_vector(y, mech, p, *, telemetry=None):
     """Time derivative of the state vector [T, Y_1..Y_K] of the isobaric
-    reactor at pressure p; validates the unpacked state."""
-    state = ThermoState.from_vector(y, p).validate()
-    pt = _evaluate(state.T, state.Y, p, mech, telemetry=telemetry)
-    return _source(pt, mech)[0]
+    reactor at pressure p; refuses a state `_unpack` or `_density` refuses."""
+    T, Y = _unpack(y)
+    return _source(_evaluate(T, Y, p, mech, telemetry=telemetry), mech)[0]
 
 
 def rhs_and_jacobian(y, mech, p, *, telemetry=None):
@@ -499,10 +485,8 @@ def rhs_and_jacobian(y, mech, p, *, telemetry=None):
     columns are the derivatives at 0 from above. A factor whose exponent is
     clamped (see RateTelemetry) is constant, so its derivative is 0.
     """
-    state = ThermoState.from_vector(y, p)
-    state.validate()
-    T = state.T
-    pt = _evaluate(T, state.Y, p, mech, telemetry=telemetry, derivatives=True)
+    T, Y = _unpack(y)
+    pt = _evaluate(T, Y, p, mech, telemetry=telemetry, derivatives=True)
     F, omega = _source(pt, mech)
     Y, rho, mean_inv, W = pt.Y, pt.rho, pt.mean_inv, mech.molar_masses
     K = mech.n_species

@@ -105,13 +105,10 @@ def parse_mechanism(text):
     try:
         return Mechanism(species=tuple(species), reactions=tuple(r for r, _ in reactions))
     except KineticsError as exc:
-        # Attribute mechanism-level failures to the offending reaction line.
-        line = None
-        m = re.match(r"reaction (\d+)", str(exc))
-        if m:
-            line = reactions[int(m.group(1))][1]
-        code = "MassImbalance" if "mass balance" in str(exc) else "InvalidMechanism"
-        _fail(code, str(exc), line)
+        # The species were checked above, so the one check Mechanism can
+        # fail here is a reaction's mass balance; attribute it to its line.
+        j = int(re.match(r"reaction (\d+)", str(exc)).group(1))
+        _fail("MassImbalance", str(exc), reactions[j][1])
 
 
 def _parse_species_line(line, lineno):
@@ -262,6 +259,10 @@ class RunConfig(ControllerConfig):
         if not abs(total - 1.0) <= MASS_SUM_TOL:
             raise MechIoError("MassFractionSum",
                               f"initial mass fractions sum to {total}, not 1")
+        for name, frac in self.Y0.items():
+            if frac < 0:
+                raise MechIoError("BadConfigValue",
+                                  f"mass fraction of {name!r} is negative: {frac}")
         self.Y0 = {k: v / total for k, v in self.Y0.items()}
 
 

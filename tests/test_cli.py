@@ -171,7 +171,10 @@ class TestErrorPaths:
     def test_bad_config(self, workdir, capsys):
         for text, code in (
                 (SHORT_CFG.replace("Y B 0.9", "Y B 0.5"), "MassFractionSum"),
-                (SHORT_CFG + "h_min 0\n", "BadConfigValue")):
+                (SHORT_CFG + "h_min 0\n", "BadConfigValue"),
+                # Fractions that sum to 1, one of them negative.
+                (SHORT_CFG.replace("Y F 0.1", "Y F -0.5").replace("Y B 0.9", "Y B 1.5"),
+                 "BadConfigValue: mass fraction of 'F'")):
             (workdir / "bad.cfg").write_text(text)
             rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
             assert rc == EXIT_CONFIG
@@ -181,6 +184,7 @@ class TestErrorPaths:
         (workdir / "bad.cfg").write_text(SHORT_CFG.replace("Y F 0.1", "Y Q 0.1"))
         rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
         assert rc == EXIT_CONFIG
+        assert "UnknownSpecies: species 'Q'" in capsys.readouterr().err
 
     def test_sweep_without_points(self, workdir, capsys):
         # Neither sweep points nor a reference, then points without one.

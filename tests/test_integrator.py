@@ -370,6 +370,16 @@ class TestAdaptive:
         assert out.message.startswith("state evaluation failed:")
         assert out.records == []
 
+    def test_unevaluable_initial_mechanism_state(self, toy_mech):
+        # integrate_mechanism does not check its initial state itself: the
+        # first kinetics evaluation refuses it and the run ends at once.
+        state = ThermoState(T=1000.0, p=101325.0, Y=[-1e-6, 0.0, 1.0 + 1e-6])
+        out = integrate_mechanism(state, toy_mech, 0.1,
+                                  ControllerConfig(atol=1e-8, rtol=1e-6))
+        assert not out.success
+        assert out.message.startswith("state evaluation failed:")
+        assert out.records == []
+
     def test_output_sampling(self):
         prob = OdeProblem(f=lambda y: -y, jac=lambda y: (-y, -np.eye(1)))
         # Samples come from linear interpolation between accepted steps.

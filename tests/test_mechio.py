@@ -1,11 +1,13 @@
 """Mechanism / run-config parsing, serialization and CSV round trips."""
 import csv
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, FORMAT_DOC, mechgen, random_balanced_mechanism
+from expkin import mechio
 from expkin.mechio import (
     _SCALAR_KEYS, _UNSUPPORTED_RXN, MechIoError, RunConfig, parse_config,
     parse_mechanism, read_csv, serialize_mechanism, write_csv,
@@ -239,6 +241,17 @@ class TestParseConfig:
                                   for code in re.findall(r"`([^`]+)`", cell))
         assert documented == set(_SCALAR_KEYS) | {"Y", "sweep", "reference"}
 
+    def test_format_doc_lists_every_error_code(self):
+        # The error-code table of docs/format.md names exactly the codes
+        # mechio raises, each given as a literal to _fail or MechIoError.
+        section = FORMAT_DOC.read_text().split("## Error codes")[1]
+        documented = {line.split("`")[1]
+                      for line in section.split("\n## ")[0].splitlines()
+                      if line.startswith("| `")}
+        source = pathlib.Path(mechio.__file__).read_text()
+        raised = set(re.findall(r'(?:_fail|MechIoError)\(\s*"(\w+)"', source))
+        assert documented == raised
+
     def test_missing_required_key(self):
         with pytest.raises(MechIoError) as e:
             parse_config(CONFIG.replace("T0 1000.0\n", ""))
@@ -266,6 +279,9 @@ class TestParseConfig:
         pytest.param(("Y F 0.1", "Y F nan"), id="Y F nan"),
         pytest.param(("T0 1000.0", "T0 -5"), id="T0 -5"),
         pytest.param(("pressure 101325.0", "pressure nan"), id="pressure nan"),
+        # Two replaced lines: fractions that sum to 1 with one negative.
+        pytest.param((("Y F 0.1", "Y F -0.5"), ("Y B 0.9", "Y B 1.5")),
+                     id="Y F -0.5, Y B 1.5"),
     ])
     def test_bad_value_rejected_at_parse_time(self, lines):
         # Controller settings and the sweep reference are checked when the
@@ -276,16 +292,24 @@ class TestParseConfig:
         # clamp_mode key and the controller constants (safety, facmin,
         # facmax, embedded_order) were removed, so their lines are refused
         # as unknown.
-        # A NaN mass fraction fails the sum test, so it is MassFractionSum.
-        if isinstance(lines, tuple):
-            text, key = CONFIG.replace(*lines), lines[1].split()[0]
-        else:
+        # A NaN mass fraction fails the sum test, so it is MassFractionSum;
+        # a negative one whose sum is 1 is a BadConfigValue naming it.
+        if isinstance(lines, str):
             text, key = CONFIG + lines, lines.split()[0]
+        else:
+            pairs = lines if isinstance(lines[0], tuple) else (lines,)
+            text, key = CONFIG, pairs[0][1].split()[0]
+            for old, new in pairs:
+                text = text.replace(old, new)
+        negative = "Y F -0.5" in text
         with pytest.raises(MechIoError) as e:
             parse_config(text)
         removed = key in ("clamp_mode", "safety", "facmin", "facmax", "embedded_order")
         assert code_of(e) == ("UnknownKey" if removed else
-                              "MassFractionSum" if key == "Y" else "BadConfigValue")
+                              "MassFractionSum" if key == "Y" and not negative
+                              else "BadConfigValue")
+        if negative:
+            assert "'F'" in str(e.value)
 
     def test_bad_reverse_rate_convention(self):
         # Detailed balance is the only reverse-rate law: the key was removed,
