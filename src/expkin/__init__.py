@@ -1,5 +1,5 @@
 """Adaptive exponential time integration for zero-D chemical kinetics.
 
 The package exports no names: import from its submodules (`kinetics`,
-`phikrylov`, `integrator`, `diagnostics`, `mechio`, `cli`).
+`phikrylov`, `integrator`, `mechio`, `cli`).
 """

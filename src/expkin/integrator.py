@@ -36,28 +36,25 @@ SAFETY = 0.9
 FACMIN = 0.1
 FACMAX = 5.0
 ERROR_EXPONENT = 1 / 3
+# The step floor of the adaptive march, as a fraction of its interval: a
+# rejection at the floor ends the run with a step-size underflow.
+H_MIN_FRACTION = 1.0e-15
 
 
 @dataclass
 class ControllerConfig:
-    """Tolerances and step-size bounds of the adaptive march."""
+    """Tolerances and initial step size of the adaptive march."""
 
     atol: float = 1.0e-10
     rtol: float = 1.0e-8
     h0: float = None             # default: 1e-10 * interval length
-    h_min: float = None          # default: 1e-15 * interval length
 
     def __post_init__(self):
         if not (self.atol > 0 and self.rtol > 0):
             raise ValueError("tolerances must be positive")
-        for name in ("h0", "h_min"):
-            step = getattr(self, name)
-            # With h0 = NaN the march never ends, and a floor at or below 0
-            # leaves the step-size underflow test without a floor.
-            if step is not None and not 0 < step < float("inf"):
-                raise ValueError(f"{name} must be positive and finite")
-        if self.h0 is not None and self.h_min is not None and self.h0 < self.h_min:
-            raise ValueError("initial step below h_min")
+        # With h0 = NaN the march never ends.
+        if self.h0 is not None and not 0 < self.h0 < float("inf"):
+            raise ValueError("h0 must be positive and finite")
 
     def krylov_tolerance(self):
         """Krylov tolerance: 0.01 * rtol, floored at 1e-14."""
@@ -205,7 +202,7 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
     if not (t_final > t0):
         raise ValueError("t_final must exceed t0")
     span = t_final - t0
-    h_min = cfg.h_min if cfg.h_min is not None else 1.0e-15 * span
+    h_min = H_MIN_FRACTION * span
     h = cfg.h0 if cfg.h0 is not None else 1.0e-10 * span
     h = max(h, h_min)
     ktol = cfg.krylov_tolerance()

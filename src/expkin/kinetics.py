@@ -300,6 +300,9 @@ def _clip_negative(Y):
 def _density(T, Y, p, mech):
     """rho and 1/W_mean = sum Y_i/W_i of clipped mass fractions Y."""
     mean_inv = float(np.sum(Y / mech.molar_masses))
+    # Written so that NaN fails too; a mixture of no moles has no density.
+    if not mean_inv > 0:
+        raise InvalidStateError(f"non-physical mixture: sum Y/W = {mean_inv}")
     rho = p / (R_GAS * T * mean_inv)
     if not np.isfinite(rho) or rho <= 0:
         raise InvalidStateError(f"non-physical density {rho}")

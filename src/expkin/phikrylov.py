@@ -177,7 +177,8 @@ class Arnoldi:
     """Block classical Gram-Schmidt Arnoldi with one reorthogonalization pass
     (CGS2), extensible in the basis size up to `m_cap`.
 
-    `A` is a dense matrix. After `extend(m)`, `V[:, :m]` is orthonormal and
+    `A` is a dense matrix and `beta` the norm of the starting vector, whose
+    direction is `V[:, 0]`. After `extend(m)`, `V[:, :m]` is orthonormal and
     `H[:m, :m]` upper-Hessenberg with A V_m = V_{m+1} H[:m+1, :m]. Each new
     vector is projected out of the basis twice, each time in one block
     product, and `H` takes the sum of the two projections. The process stops
@@ -188,22 +189,20 @@ class Arnoldi:
     def __init__(self, A, v, m_cap):
         self.matvec = np.asarray(A, dtype=float).dot
         v = np.asarray(v, dtype=float)
-        beta = float(np.linalg.norm(v))
-        if beta == 0:
+        self.beta = float(np.linalg.norm(v))
+        if self.beta == 0:
             raise ValueError("Arnoldi starting vector must be nonzero")
         self.V = np.zeros((v.size, m_cap + 1))
         self.H = np.zeros((m_cap + 1, m_cap + 1))
-        self.V[:, 0] = v / beta
+        self.V[:, 0] = v / self.beta
         self.m = 0
         self.happy = False
-        self.matvecs = 0
 
     def extend(self, m_target):
         while self.m < m_target and not self.happy:
             j = self.m
             Vj = self.V[:, :j + 1]
             w = self.matvec(self.V[:, j])
-            self.matvecs += 1
             h = Vj.T @ w
             w -= Vj @ h
             # The second pass keeps the basis orthonormal to rounding error.
@@ -296,8 +295,8 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     while tau_now < 1.0:
         hits_end = tau >= 1.0 - tau_now
         tau_try = 1.0 - tau_now if hits_end else tau
-        beta = float(np.linalg.norm(w))
         proc = Arnoldi(aug, w, m_cap)
+        beta = proc.beta
         while True:
             proc.extend(min(m, m_cap))
             j = proc.m
@@ -327,7 +326,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
                 easy = err <= EASY_SUCCESS * budget
                 break
             stats.rejections += 1
-            if j < min(m, m_cap) or m < m_cap:
+            if m < m_cap:
                 m = min(m_cap, max(m + 1, int(math.ceil(4.0 * m / 3.0))))
             else:
                 hits_end = False
@@ -342,7 +341,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
                     )
         stats.substeps += 1
         stats.max_krylov_dim = max(stats.max_krylov_dim, j)
-        stats.matvecs += proc.matvecs
+        stats.matvecs += j
         basis = beta * proc.V[:, :j]
         values.extend((basis @ F_T[:j, 0])[:n] for F_T in F[1:])
         # The top-left block of F[0] advances the state to the substep's end.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, FORMAT_DOC, make_mechanism, make_species, mechgen
-from expkin import cli
+from expkin import cli, integrator
 from expkin.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from expkin.integrator import StepRecord, integrate_mechanism
 from expkin.mechio import read_csv, serialize_mechanism
@@ -48,6 +48,13 @@ def workdir(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def documented_columns(filename):
+    """The columns docs/format.md lists for a CSV output, in order."""
+    entry = re.search(rf"^- `{re.escape(filename)}`: .*?`([^`]+)`",
+                      FORMAT_DOC.read_text(), re.MULTILINE | re.DOTALL)
+    return [name.strip() for name in entry.group(1).split(",")]
 
 
 class TestRun:
@@ -112,10 +119,28 @@ class TestRun:
         # steps.csv's header is read off the StepRecord fields, so a new field
         # becomes a column; the steps.csv entry of docs/format.md must list
         # exactly those, in order.
-        entry = re.search(r"^- `steps\.csv`: .*?`([^`]+)`", FORMAT_DOC.read_text(),
-                          re.MULTILINE | re.DOTALL)
-        documented = [name.strip() for name in entry.group(1).split(",")]
-        assert documented == [f.name for f in fields(StepRecord)]
+        assert documented_columns("steps.csv") == [f.name for f in fields(StepRecord)]
+
+    @pytest.mark.parametrize("command", ["sweep", "spectrum"])
+    def test_format_doc_lists_written_columns(self, workdir, command):
+        # The sweep.csv and spectrum.csv headers are written by cli.py beside
+        # their rows; docs/format.md must list the header a run writes.
+        (workdir / "early.cfg").write_text(
+            SHORT_CFG.replace("t_final 0.2", "t_final 1e-4")
+            + "sweep 1e-8 1e-6\nreference 1e-8 1e-6\n")
+        rc = run_cli(command, "--config", str(workdir / "early.cfg"),
+                     "--out", str(workdir / "out"))
+        assert rc == EXIT_OK
+        header, _ = read_csv(workdir / "out" / f"{command}.csv")
+        assert documented_columns(f"{command}.csv") == header
+
+    def test_readme_lists_modules(self):
+        # The README's component bullets name every module of the package.
+        readme = (FORMAT_DOC.parents[1] / "README.md").read_text()
+        listed = re.findall(r"^- `expkin\.(\w+)`", readme, re.MULTILINE)
+        package = FIXTURE_DIR.parent
+        assert sorted(listed) == sorted(
+            p.stem for p in package.glob("*.py") if p.stem != "__init__")
 
     def test_reproducible_solution(self, workdir):
         run_cli("run", "--config", str(workdir / "run.cfg"),
@@ -171,7 +196,7 @@ class TestErrorPaths:
     def test_bad_config(self, workdir, capsys):
         for text, code in (
                 (SHORT_CFG.replace("Y B 0.9", "Y B 0.5"), "MassFractionSum"),
-                (SHORT_CFG + "h_min 0\n", "BadConfigValue"),
+                (SHORT_CFG + "h0 0\n", "BadConfigValue"),
                 # Fractions that sum to 1, one of them negative.
                 (SHORT_CFG.replace("Y F 0.1", "Y F -0.5").replace("Y B 0.9", "Y B 1.5"),
                  "BadConfigValue: mass fraction of 'F'")):
@@ -211,12 +236,13 @@ class TestErrorPaths:
         # is an unknown key when the config is parsed, and validate exits 2.
         # Detailed balance is the only reverse-rate law, --out alone picks
         # the output directory, and the step-size controller's constants
-        # are fixed.
+        # and its step floor are fixed.
         for line in ("clamp_mode standard", "clamp_mode paper_literal",
                      "clamp_mode bogus", "reverse_rate_convention divide",
                      "reverse_rate_convention multiply", "output_dir out",
                      "safety 0.9", "facmin 0.1", "facmax 5.0",
-                     "embedded_order 2"):
+                     "embedded_order 2", "h_min 0", "h_min 1e-10",
+                     "h0 1e-20\nh_min 1e-10"):
             (workdir / "bad.cfg").write_text(SHORT_CFG + line + "\n")
             rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
             assert rc == EXIT_CONFIG
@@ -246,12 +272,14 @@ class TestErrorPaths:
         ("spectrum", "solver failure: step size underflow", "spectrum.csv"),
         ("sweep", "reference run failed: step size underflow", None),
     ], ids=["run", "spectrum", "sweep"])
-    def test_solver_failure_exit_code(self, workdir, capsys, command, message,
-                                      written):
-        # h_min too large for the transient: the march cannot recover, and
-        # the sweep's reference run (h_min is shared) fails the same way.
+    def test_solver_failure_exit_code(self, workdir, monkeypatch, capsys, command,
+                                      message, written):
+        # A step floor of 1e-3 s is too large for the transient: the march
+        # cannot recover, and the sweep's reference run (same interval, so
+        # the same floor) fails the same way.
+        monkeypatch.setattr(integrator, "H_MIN_FRACTION", 1e-3 / 0.2)
         (workdir / "hard.cfg").write_text(
-            SHORT_CFG.replace("atol 1e-8", "atol 1e-14\nh_min 1e-3\nh0 1e-3")
+            SHORT_CFG.replace("atol 1e-8", "atol 1e-14\nh0 1e-3")
             .replace("rtol 1e-6", "rtol 1e-13")
             + "sweep 1e-8 1e-6\nreference 1e-14 1e-13\n")
         rc = run_cli(command, "--config", str(workdir / "hard.cfg"),
@@ -364,8 +392,9 @@ class TestSpectrum:
             assert exc_info.value.code == 2
 
     def test_pre_ignition_alpha_settles(self, workdir):
-        # Once the radical pool leaves exactly zero (the clamp kink in the
-        # FD Jacobian) the pre-ignition spectrum is essentially frozen.
+        # Before ignition the state barely moves (T rises by about 0.05 K in
+        # 1e-4 s), so the spectrum of the analytical Jacobian is essentially
+        # frozen.
         (workdir / "early.cfg").write_text(
             SHORT_CFG.replace("t_final 0.2", "t_final 1e-4"))
         run_cli("spectrum", "--config", str(workdir / "early.cfg"),

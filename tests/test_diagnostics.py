@@ -1,12 +1,36 @@
-"""Eigenvalue bounding-rectangle diagnostics and step cost."""
+"""Eigenvalue bounding-rectangle diagnostics and step cost: the rows of
+spectrum.csv."""
+import shutil
+import types
+
 import numpy as np
 import pytest
 
-from expkin.diagnostics import (
-    SpectrumStats, jacobian_spectrum, normalized_step_cost, spectrum_bounds,
-)
-from expkin.integrator import StepRecord
+from conftest import FIXTURE_DIR
+from expkin import cli, integrator
+from expkin.cli import EXIT_OK, main, spectrum_bounds
+from expkin.integrator import H_MIN_FRACTION, ControllerConfig, integrate_mechanism
 from expkin.kinetics import ThermoState, rhs_and_jacobian
+from expkin.mechio import read_csv
+
+# The toy ignition before its radical pool builds up: about 40 steps.
+EARLY_CFG = """\
+mechanism toy3.mech
+T0 1000.0
+pressure 101325.0
+Y F 0.1
+Y B 0.9
+t_final 1e-4
+atol 1e-8
+rtol 1e-6
+"""
+
+
+@pytest.fixture
+def early_cfg(tmp_path):
+    shutil.copy(FIXTURE_DIR / "toy3.mech", tmp_path / "toy3.mech")
+    (tmp_path / "early.cfg").write_text(EARLY_CFG)
+    return tmp_path / "early.cfg"
 
 
 def sorted_eigs(eigs):
@@ -14,7 +38,7 @@ def sorted_eigs(eigs):
 
 
 class TestEigenvalues:
-    """The LAPACK eigensolver jacobian_spectrum calls, on known spectra."""
+    """The LAPACK eigensolver the spectrum rows use, on known spectra."""
 
     def test_diagonal(self):
         eigs = sorted_eigs(np.linalg.eigvals(np.diag([-1.0, -3.0, 2.0])))
@@ -51,35 +75,43 @@ class TestEigenvalues:
 
 
 class TestSpectrumBounds:
-    def test_rectangle_fixture(self):
+    def test_rectangle_fixture(self, early_cfg):
         # Spread 3 on the real axis, 4 on the imaginary axis: area 12.
         eigs = [-1.0, -4.0, -2.0 + 2.0j, -2.0 - 2.0j]
-        st = spectrum_bounds(eigs, t=0.5)
-        assert st.alpha == pytest.approx(3.0)
-        assert st.beta == pytest.approx(4.0)
-        assert st.omega == pytest.approx(12.0)
-        assert st.max_real == pytest.approx(-1.0)
-        assert st.t == 0.5
+        alpha, beta, omega, max_real = spectrum_bounds(eigs)
+        assert alpha == pytest.approx(3.0)
+        assert beta == pytest.approx(4.0)
+        assert omega == pytest.approx(12.0)
+        assert max_real == pytest.approx(-1.0)
+        # Each row is stamped with the time of its accepted step.
+        out = early_cfg.parent / "out"
+        for command in ("run", "spectrum"):
+            assert main([command, "--config", str(early_cfg), "--out", str(out)]) == EXIT_OK
+        header, steps = read_csv(out / "steps.csv")
+        _, rows = read_csv(out / "spectrum.csv")
+        accepted = header.index("accepted")
+        assert rows
+        assert [r[0] for r in rows] == [r[0] for r in steps if r[accepted] == 1.0]
 
     def test_single_eigenvalue(self):
-        st = spectrum_bounds([-7.0])
-        assert st.alpha == 0.0 and st.beta == 0.0 and st.omega == 0.0
+        alpha, beta, omega, _ = spectrum_bounds([-7.0])
+        assert alpha == 0.0 and beta == 0.0 and omega == 0.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         eigs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         a = spectrum_bounds(eigs)
         b = spectrum_bounds(rng.permutation(eigs))
-        assert (a.alpha, a.beta, a.omega) == (b.alpha, b.beta, b.omega)
+        assert a[:3] == b[:3]
 
     def test_real_shift_property(self):
         # Shifting the spectrum by c changes max_real but not the spreads.
         eigs = np.array([-1.0, -4.0, -2.0 + 2.0j, -2.0 - 2.0j])
-        a = spectrum_bounds(eigs)
-        b = spectrum_bounds(eigs - 10.0)
-        assert b.alpha == pytest.approx(a.alpha)
-        assert b.omega == pytest.approx(a.omega)
-        assert b.max_real == pytest.approx(a.max_real - 10.0)
+        a_alpha, _, a_omega, a_max_real = spectrum_bounds(eigs)
+        b_alpha, _, b_omega, b_max_real = spectrum_bounds(eigs - 10.0)
+        assert b_alpha == pytest.approx(a_alpha)
+        assert b_omega == pytest.approx(a_omega)
+        assert b_max_real == pytest.approx(a_max_real - 10.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -90,22 +122,44 @@ class TestJacobianSpectrum:
     def test_toy_jacobian(self, toy_mech):
         st = ThermoState(T=1100.0, p=101325.0, Y=np.array([0.09, 0.01, 0.9]))
         J = rhs_and_jacobian(st.to_vector(), toy_mech, st.p)[1]
-        stats = jacobian_spectrum(J, t=0.1)
+        stats = spectrum_bounds(np.linalg.eigvals(J))
         eigs = np.linalg.eigvals(J)
         # Independent recomputation of the rectangle from the raw list.
-        assert stats.alpha == pytest.approx(
-            eigs.real.max() - eigs.real.min(), rel=1e-12)
-        assert stats.omega == pytest.approx(stats.alpha * stats.beta)
-        assert isinstance(stats, SpectrumStats)
+        alpha, beta, omega, _ = stats
+        assert alpha == pytest.approx(eigs.real.max() - eigs.real.min(), rel=1e-12)
+        assert omega == pytest.approx(alpha * beta)
+        assert isinstance(stats, tuple) and len(stats) == 4
 
 
 class TestStepCost:
-    def test_hand_value(self):
-        rec = StepRecord(t=0.0, h=1e-4, accepted=True, err_est=0.5,
-                         cpu_ns=2_000_000)
-        assert normalized_step_cost(rec) == pytest.approx(2e-3 / 1e-4)
+    def test_hand_value(self, early_cfg, monkeypatch):
+        # A clock that advances 2 ms per reading: each attempt reads it at
+        # its start and end, so every attempt takes 2 ms and its row's cost
+        # is 2e-3 s / h.
+        clock = iter(range(0, 10**12, 2_000_000))
+        monkeypatch.setattr(integrator, "time",
+                            types.SimpleNamespace(perf_counter_ns=lambda: next(clock)))
+        outputs = []
 
-    def test_zero_step_rejected(self):
-        rec = StepRecord(t=0.0, h=0.0, accepted=False, err_est=1.0)
-        with pytest.raises(ValueError):
-            normalized_step_cost(rec)
+        def capture(*args, **kwargs):
+            outputs.append(integrate_mechanism(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(cli, "integrate_mechanism", capture)
+        out = early_cfg.parent / "out"
+        assert main(["spectrum", "--config", str(early_cfg), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "spectrum.csv")
+        result, = outputs
+        assert all(r.cpu_ns == 2_000_000 for r in result.records)
+        assert header[-1] == "norm_step_cost"
+        assert [r[-1] for r in rows] == pytest.approx(
+            [2e-3 / r.h for r in result.accepted_records])
+
+    def test_zero_step_rejected(self, toy_mech, toy_state):
+        # The step cost divides by h: the march never takes a step below its
+        # floor, H_MIN_FRACTION of the interval, which is positive.
+        out = integrate_mechanism(toy_state, toy_mech, 0.2,
+                                  ControllerConfig(atol=1e-8, rtol=1e-6))
+        assert out.success and out.records
+        assert H_MIN_FRACTION * 0.2 > 0
+        assert all(r.h >= H_MIN_FRACTION * 0.2 for r in out.records)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, mechgen
-from expkin import phikrylov
+from expkin import integrator, phikrylov
 from expkin.integrator import (
     ControllerConfig, OdeProblem, SolverOutput, StepRecord, _interp_samples,
     controller_update, epi3v_step, exp_euler_step, integrate_adaptive,
@@ -263,7 +263,8 @@ class TestAdaptive:
         M = Q @ np.diag(-1e12 * rng.random(30)) @ Q.T
         monkeypatch.setattr(phikrylov, "kiops_eval", functools.partial(
             phikrylov.kiops_eval, m_init=1, m_max=1))
-        cfg = ControllerConfig(atol=1e-16, rtol=1e-13, h0=1.0, h_min=1.0)
+        monkeypatch.setattr(integrator, "H_MIN_FRACTION", 0.1)
+        cfg = ControllerConfig(atol=1e-16, rtol=1e-13, h0=1.0)
         out = integrate_adaptive(rng.standard_normal(30), 0.0, 10.0,
                                  linear_problem(M), cfg)
         assert not out.success
@@ -380,6 +381,16 @@ class TestAdaptive:
         assert out.message.startswith("state evaluation failed:")
         assert out.records == []
 
+    def test_zero_initial_mechanism_state(self, toy_mech):
+        # Mass fractions that are all zero hold no moles: the kinetics
+        # refuses the state, and the run ends as for any unevaluable one.
+        state = ThermoState(T=1000.0, p=101325.0, Y=[0.0, 0.0, 0.0])
+        out = integrate_mechanism(state, toy_mech, 0.1,
+                                  ControllerConfig(atol=1e-8, rtol=1e-6))
+        assert not out.success
+        assert out.message.startswith("state evaluation failed:")
+        assert out.records == []
+
     def test_output_sampling(self):
         prob = OdeProblem(f=lambda y: -y, jac=lambda y: (-y, -np.eye(1)))
         # Samples come from linear interpolation between accepted steps.
@@ -474,11 +485,12 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             integrate_adaptive(np.ones(1), 1.0, 1.0, prob, cfg)
 
-    def test_failure_is_reported_not_raised(self, toy_mech):
-        # An unreachable tolerance with a huge floor: the march reports
-        # failure through SolverOutput rather than raising.
+    def test_failure_is_reported_not_raised(self, toy_mech, monkeypatch):
+        # An unreachable tolerance with a huge floor (1e-3 s): the march
+        # reports failure through SolverOutput rather than raising.
+        monkeypatch.setattr(integrator, "H_MIN_FRACTION", 1e-3 / 0.3)
         bad = ThermoState(T=1000.0, p=101325.0, Y=np.array([0.1, 0.0, 0.9]))
-        cfg = ControllerConfig(atol=1e-300, rtol=1e-16, h_min=1e-3, h0=1e-3)
+        cfg = ControllerConfig(atol=1e-300, rtol=1e-16, h0=1e-3)
         out = integrate_mechanism(bad, toy_mech, 0.3, cfg)
         assert isinstance(out, SolverOutput)
         assert not out.success and out.message

@@ -333,15 +333,19 @@ class TestProductionAndRhs:
         with pytest.raises(InvalidStateError):
             rhs_vector(y, toy_mech, 101325.0)
 
-    @pytest.mark.parametrize("T, p", [
-        (1000.0, 0.0), (1000.0, -1.0), (1000.0, np.nan),
-        (0.0, 101325.0), (np.nan, 101325.0), (np.inf, 101325.0)])
+    @pytest.mark.parametrize("T, p, Y", [
+        *(pytest.param(T, p, [0.1, 0.0, 0.9], id=f"{T}-{p}") for T, p in (
+            (1000.0, 0.0), (1000.0, -1.0), (1000.0, np.nan),
+            (0.0, 101325.0), (np.nan, 101325.0), (np.inf, 101325.0))),
+        pytest.param(1000.0, 101325.0, [0.0, 0.0, 0.0], id="Y-zero"),
+        pytest.param(1000.0, 101325.0, [-5e-9, 0.0, 0.0], id="Y-clipped-zero")])
     @pytest.mark.parametrize("evaluate", [rhs_vector, rhs_and_jacobian])
-    def test_bad_temperature_or_pressure_rejected(self, toy_mech, evaluate, T, p):
+    def test_bad_temperature_or_pressure_rejected(self, toy_mech, evaluate, T, p, Y):
         # Both entry points share one state check; a bad pressure shows as a
-        # non-physical density.
+        # non-physical density. Mass fractions that are all zero once
+        # clipped hold no moles, so they have no density either.
         with pytest.raises(InvalidStateError):
-            evaluate(np.array([T, 0.1, 0.0, 0.9]), toy_mech, p)
+            evaluate(np.array([T, *Y]), toy_mech, p)
 
 
 def oracle_error(mech, y, p):

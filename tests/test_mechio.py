@@ -271,8 +271,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("lines", [
         "facmin 2.0\n", "facmax 0.5\n", "safety 0\n", "embedded_order 3\n",
-        "clamp_mode bogus\n", "h0 1e-20\nh_min 1e-10\n", "n_output_samples -3\n",
-        "sweep 1e-6 1e-4\nreference 0 1e-11\n", "h0 nan\n", "h_min 0\n",
+        "clamp_mode bogus\n", "n_output_samples -3\n",
+        "sweep 1e-6 1e-4\nreference 0 1e-11\n", "h0 nan\n",
         "t_final inf\n", "t_final 0.5\n",
         "sweep 1e-6 1e-4\nreference 1e-8 1e-6\nreference 1e-9 1e-7\n",
         # These replace CONFIG's line of the same key (old line, new line).
