@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -84,8 +84,9 @@ def cmd_run(args):
     run_cfg, mech, state0 = load_run(args)
     out_dir = _out_dir(args)
     sample_times = np.linspace(0.0, run_cfg.t_final, run_cfg.n_output_samples)
-    result = integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
-                                 output_times=sample_times)
+    result = integrate_mechanism(state0, mech, run_cfg.t_final,
+                                 atol=run_cfg.atol, rtol=run_cfg.rtol,
+                                 h0=run_cfg.h0, output_times=sample_times)
     _warn_saturated([result])
     mechio.write_csv(os.path.join(out_dir, "solution.csv"),
                      ["t", "T"] + [f"Y_{s.name}" for s in mech.species],
@@ -114,8 +115,8 @@ def cmd_sweep(args):
     out_dir = _out_dir(args)
 
     ref_atol, ref_rtol = run_cfg.reference_tols
-    ref = integrate_mechanism(state0, mech, run_cfg.t_final,
-                              replace(run_cfg, atol=ref_atol, rtol=ref_rtol))
+    ref = integrate_mechanism(state0, mech, run_cfg.t_final, atol=ref_atol,
+                              rtol=ref_rtol, h0=run_cfg.h0)
     results = [ref]
     if not ref.success:
         _warn_saturated(results)
@@ -127,8 +128,8 @@ def cmd_sweep(args):
     def one_point(tols):
         atol, rtol = tols
         start = time.perf_counter()
-        res = integrate_mechanism(state0, mech, run_cfg.t_final,
-                                  replace(run_cfg, atol=atol, rtol=rtol))
+        res = integrate_mechanism(state0, mech, run_cfg.t_final, atol=atol,
+                                  rtol=rtol, h0=run_cfg.h0)
         elapsed = time.perf_counter() - start
         results.append(res)
         if res.success:
@@ -172,8 +173,9 @@ def cmd_spectrum(args):
             bounds = (float("nan"),) * 4
         rows.append((record.t, *bounds, record.cpu_ns * 1e-9 / record.h))
 
-    result = integrate_mechanism(state0, mech, run_cfg.t_final, run_cfg,
-                                 step_hook=hook)
+    result = integrate_mechanism(state0, mech, run_cfg.t_final,
+                                 atol=run_cfg.atol, rtol=run_cfg.rtol,
+                                 h0=run_cfg.h0, step_hook=hook)
     _warn_saturated([result])
     mechio.write_csv(os.path.join(out_dir, "spectrum.csv"),
                      ("t", "alpha", "beta", "omega", "max_real", "norm_step_cost"),

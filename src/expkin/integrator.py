@@ -41,24 +41,9 @@ ERROR_EXPONENT = 1 / 3
 H_MIN_FRACTION = 1.0e-15
 
 
-@dataclass
-class ControllerConfig:
-    """Tolerances and initial step size of the adaptive march."""
-
-    atol: float = 1.0e-10
-    rtol: float = 1.0e-8
-    h0: float = None             # default: 1e-10 * interval length
-
-    def __post_init__(self):
-        if not (self.atol > 0 and self.rtol > 0):
-            raise ValueError("tolerances must be positive")
-        # With h0 = NaN the march never ends.
-        if self.h0 is not None and not 0 < self.h0 < float("inf"):
-            raise ValueError("h0 must be positive and finite")
-
-    def krylov_tolerance(self):
-        """Krylov tolerance: 0.01 * rtol, floored at 1e-14."""
-        return max(0.01 * self.rtol, 1.0e-14)
+def krylov_tolerance(rtol):
+    """Krylov tolerance of the phi evaluations: 0.01 * rtol, floored at 1e-14."""
+    return max(0.01 * rtol, 1.0e-14)
 
 
 @dataclass
@@ -187,8 +172,8 @@ def _interp_samples(times, ts, ys):
     return out
 
 
-def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
-                       step_hook=None):
+def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
+                       output_times=None, step_hook=None):
     """March EPI3V with the adaptive controller from t0 to t_final.
 
     F and J come from one `problem.jac` call per new state, and rejected
@@ -198,14 +183,17 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
     failure there rejects the attempt (err_est = inf). The final step is
     truncated to land exactly on t_final. Every attempt is logged and passed
     to `step_hook`, including one whose evaluation failed.
+
+    `atol` and `rtol` weight the error estimate; `h0` is the first step size
+    (default 1e-10 of the interval).
     """
     if not (t_final > t0):
         raise ValueError("t_final must exceed t0")
     span = t_final - t0
     h_min = H_MIN_FRACTION * span
-    h = cfg.h0 if cfg.h0 is not None else 1.0e-10 * span
+    h = h0 if h0 is not None else 1.0e-10 * span
     h = max(h, h_min)
-    ktol = cfg.krylov_tolerance()
+    ktol = krylov_tolerance(rtol)
 
     t = t0
     y = np.asarray(y0, dtype=float).copy()
@@ -239,7 +227,7 @@ def integrate_adaptive(y0, t0, t_final, problem, cfg, output_times=None,
         try:
             y_new, lte, _ = epi3v_step(y, h_try, F, J, problem,
                                        krylov_tol=ktol, stats=kstats)
-            err = scaled_error_norm(lte, y, cfg.atol, cfg.rtol)
+            err = scaled_error_norm(lte, y, atol, rtol)
             if err <= 1.0 and not last:
                 F_new, J_new = problem.jac(y_new)
         except (PhiConvergenceError, KineticsError) as exc:
@@ -279,14 +267,15 @@ def integrate_fixed(y0, t0, t_final, n_steps, problem, krylov_tol=1.0e-12):
     return y
 
 
-def integrate_mechanism(state0, mech, t_final, cfg, output_times=None,
-                        step_hook=None):
+def integrate_mechanism(state0, mech, t_final, *, atol, rtol, h0=None,
+                        output_times=None, step_hook=None):
     """integrate_adaptive() from t = 0 on a chemical mechanism from a
     ThermoState. A state the kinetics cannot evaluate ends the run at once
     (see integrate_adaptive)."""
     telemetry = RateTelemetry()
     problem = problem_from_mechanism(mech, state0.p, telemetry=telemetry)
-    out = integrate_adaptive(state0.to_vector(), 0.0, t_final, problem, cfg,
+    out = integrate_adaptive(state0.to_vector(), 0.0, t_final, problem,
+                             atol=atol, rtol=rtol, h0=h0,
                              output_times=output_times, step_hook=step_hook)
     out.telemetry = telemetry
     return out

@@ -20,7 +20,6 @@ import csv
 import re
 from dataclasses import MISSING, dataclass, field, fields
 
-from .integrator import ControllerConfig
 from .kinetics import KineticsError, Mechanism, Reaction, Species
 
 FORMAT_VERSION = 1
@@ -216,28 +215,37 @@ def serialize_mechanism(mech):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(kw_only=True)
-class RunConfig(ControllerConfig):
-    """One reactor run: initial condition and output settings, plus the
-    controller settings it inherits; every value is checked on creation."""
+@dataclass
+class RunConfig:
+    """One reactor run: initial condition, controller tolerances and output
+    settings. Every config key but Y, sweep and reference is a field of the
+    same name; every value is checked on creation."""
 
     mechanism: str
     T0: float
     pressure: float
     Y0: dict
     t_final: float
+    atol: float = 1.0e-10
+    rtol: float = 1.0e-8
+    h0: float = None             # default: 1e-10 * t_final
     method: str = "epi3v"
     n_output_samples: int = 200
     sweep_points: list = field(default_factory=list)
     reference_tols: tuple = None
 
     def __post_init__(self):
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise MechIoError("BadConfigValue", str(exc)) from None
-        for name in ("T0", "pressure", "t_final"):
-            if not 0 < getattr(self, name) < float("inf"):
+        tols = [(self.atol, self.rtol), *self.sweep_points]
+        if self.reference_tols is not None:
+            tols.append(self.reference_tols)
+        for atol, rtol in tols:
+            if not (atol > 0 and rtol > 0):    # written so that NaN fails too
+                raise MechIoError("BadConfigValue",
+                                  f"tolerances must be positive, got {atol} {rtol}")
+        # With h0 = NaN the march would never end.
+        for name in ("T0", "pressure", "t_final", "h0"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < float("inf"):
                 raise MechIoError("BadConfigValue", f"{name} must be positive and finite")
         if self.n_output_samples < 1:
             raise MechIoError("BadConfigValue", "n_output_samples must be at least 1")
@@ -248,12 +256,11 @@ class RunConfig(ControllerConfig):
             ref_atol, ref_rtol = self.reference_tols
             # Equality is allowed so a sweep can include the reference pair itself
             # (a self-consistency check: that row's error should be ~0).
-            if not (ref_atol > 0 and ref_rtol > 0 and all(
-                    ref_atol <= atol and ref_rtol <= rtol
-                    for atol, rtol in self.sweep_points)):
+            if not all(ref_atol <= atol and ref_rtol <= rtol
+                       for atol, rtol in self.sweep_points):
                 raise MechIoError("BadConfigValue",
-                                  "reference tolerances must be positive and at least "
-                                  "as tight as every sweep point")
+                                  "reference tolerances must be at least as tight "
+                                  "as every sweep point")
         total = sum(self.Y0.values())
         # Written so that a NaN sum fails too.
         if not abs(total - 1.0) <= MASS_SUM_TOL:
@@ -267,8 +274,8 @@ class RunConfig(ControllerConfig):
 
 
 # The one-value config keys: each RunConfig field typed float, int or str,
-# under its own name. A field without a default is a required key. Both
-# modules that declare the fields postpone annotations, so types are strings.
+# under its own name. A field without a default is a required key. This
+# module postpones annotations, so types are strings.
 _SCALAR_KEYS = {f.name: f for f in fields(RunConfig)
                 if f.type in ("float", "int", "str")}
 

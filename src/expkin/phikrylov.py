@@ -225,7 +225,7 @@ M_MAX = 128
 EASY_SUCCESS = 0.01    # err below this fraction of the budget doubles tau
 
 
-def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MAX):
+def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     """Adaptive Krylov evaluation of w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k.
 
     `bs` is the list [b_0, ..., b_p], 1 <= p <= 3 (entries may be None for
@@ -233,7 +233,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     Returns a PhiResult with w(T) at every time point and this call's stats.
 
     Builds the augmented matrix once. When its size n + p is at most the
-    first basis size min(m_init, m_max), a basis would span the whole space,
+    first basis size min(M_INIT, M_MAX), a basis would span the whole space,
     so the call exponentiates the augmented matrix directly, at every time
     point in one `expm` call (recorded as one substep of dimension n + p and
     no matvecs).
@@ -245,7 +245,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     exponentiates the substep and its inner time points in one `expm` call,
     so extra time points cost no matvecs. On happy breakdown the basis is
     exact and serves every remaining time point. On an error-budget failure
-    the basis is first grown (x4/3 up to m_max), then the substep is halved;
+    the basis is first grown (x4/3 up to M_MAX), then the substep is halved;
     an easy success doubles the next substep.
     """
     time_points = tuple(float(t) for t in time_points)
@@ -277,7 +277,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     w[-1] = 1.0 / nu
 
     stats = PhiStats(calls=1)
-    m = max(1, min(m_init, m_max))
+    m = min(M_INIT, M_MAX)
     if n + p <= m:
         # The first basis would span the whole augmented space, so the
         # Krylov path could only end in happy breakdown: exponentiate the
@@ -290,7 +290,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=M_INIT, m_max=M_MA
     values = []
     tau_now = 0.0
     tau = 1.0
-    m_cap = min(m_max, n + p)
+    m_cap = min(M_MAX, n + p)
 
     while tau_now < 1.0:
         hits_end = tau >= 1.0 - tau_now

@@ -23,8 +23,8 @@ import pytest
 from conftest import FIXTURE_DIR
 from expkin.cli import EXIT_OK, main as cli_main, spectrum_bounds
 from expkin.integrator import (
-    ControllerConfig, OdeProblem, controller_update, epi3v_step,
-    integrate_fixed, integrate_mechanism, problem_from_mechanism,
+    OdeProblem, controller_update, epi3v_step, integrate_fixed,
+    integrate_mechanism, problem_from_mechanism,
 )
 from expkin.kinetics import ThermoState
 from expkin.mechio import MechIoError, parse_mechanism, read_csv, serialize_mechanism
@@ -48,9 +48,8 @@ def toy_mech():
 def toy_run(toy_mech):
     """One adaptive toy-ignition run at (atol, rtol) = (1e-10, 1e-8)."""
     state0 = ThermoState(T=1000.0, p=101325.0, Y=np.array([0.1, 0.0, 0.9]))
-    cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
     traj = []
-    out = integrate_mechanism(state0, toy_mech, 0.3, cfg,
+    out = integrate_mechanism(state0, toy_mech, 0.3, atol=1e-10, rtol=1e-8,
                               step_hook=lambda rec, y, J: traj.append(
                                   (rec.t, rec.accepted, y.copy())))
     assert out.success

@@ -1,4 +1,5 @@
 """End-to-end CLI runs on the packaged toy mechanism."""
+import ast
 import re
 import shutil
 from dataclasses import fields
@@ -141,6 +142,34 @@ class TestRun:
         package = FIXTURE_DIR.parent
         assert sorted(listed) == sorted(
             p.stem for p in package.glob("*.py") if p.stem != "__init__")
+
+    def test_module_layering(self):
+        # The package's modules import each other only downwards: kinetics
+        # and phikrylov are leaves, the parser does not know the solver, and
+        # only the CLI joins the two.
+        def internal(node):
+            if isinstance(node, ast.Import):
+                return {a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("expkin.")}
+            if not isinstance(node, ast.ImportFrom):
+                return set()
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "expkin":
+                    return set()
+                module = module[len("expkin"):].lstrip(".")
+            return {module.split(".")[0]} if module else {a.name for a in node.names}
+
+        imports = {
+            path.stem: set().union(*map(internal, ast.walk(ast.parse(path.read_text()))))
+            for path in FIXTURE_DIR.parent.glob("*.py") if path.stem != "__init__"}
+        assert imports == {
+            "kinetics": set(),
+            "phikrylov": set(),
+            "mechio": {"kinetics"},
+            "integrator": {"kinetics", "phikrylov"},
+            "cli": {"mechio", "integrator", "kinetics"},
+        }
 
     def test_reproducible_solution(self, workdir):
         run_cli("run", "--config", str(workdir / "run.cfg"),

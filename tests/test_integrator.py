@@ -1,5 +1,4 @@
 """EPI3V stepper, error controller and the adaptive march."""
-import functools
 import sys
 import threading
 import time
@@ -10,9 +9,9 @@ import pytest
 from conftest import FIXTURE_DIR, mechgen
 from expkin import integrator, phikrylov
 from expkin.integrator import (
-    ControllerConfig, OdeProblem, SolverOutput, StepRecord, _interp_samples,
-    controller_update, epi3v_step, exp_euler_step, integrate_adaptive,
-    integrate_fixed, integrate_mechanism, problem_from_mechanism,
+    OdeProblem, SolverOutput, StepRecord, _interp_samples, controller_update,
+    epi3v_step, exp_euler_step, integrate_adaptive, integrate_fixed,
+    integrate_mechanism, krylov_tolerance, problem_from_mechanism,
     scaled_error_norm,
 )
 from expkin.kinetics import Y_NEG_TOL, KineticsError, ThermoState, rhs_vector
@@ -124,11 +123,6 @@ class TestFixedOrder:
 
 
 class TestErrorNormAndController:
-    def cfg(self, **kw):
-        base = dict(atol=1e-8, rtol=1e-6)
-        base.update(kw)
-        return ControllerConfig(**base)
-
     def test_scaled_norm_hand_value(self):
         lte = np.array([2e-8, 0.0])
         y = np.array([1.0, 1.0])
@@ -166,7 +160,8 @@ class TestErrorNormAndController:
         # The paper-literal reading (h_hat > 100 h: double h_hat) went with
         # the clamp_mode field. h_hat = 0.9e4 h is clamped to facmax h.
         with pytest.raises(TypeError):
-            self.cfg(clamp_mode="paper_literal")
+            integrate_adaptive(np.ones(1), 0.0, 1.0, linear_problem([[-1.0]]),
+                               atol=1e-8, rtol=1e-6, clamp_mode="paper_literal")
         accept, h = controller_update(1e-12, 1.0)
         assert accept and h == pytest.approx(5.0)
 
@@ -174,7 +169,8 @@ class TestErrorNormAndController:
         # The paper-literal reading divided h by 100 whenever h_hat < 1000 h.
         # With the one clamp left, h_hat = 0.9 h is kept as it is.
         with pytest.raises(TypeError):
-            self.cfg(clamp_mode="paper_literal")
+            integrate_adaptive(np.ones(1), 0.0, 1.0, linear_problem([[-1.0]]),
+                               atol=1e-8, rtol=1e-6, clamp_mode="paper_literal")
         accept, h = controller_update(1.0, 1.0)
         assert accept and h == pytest.approx(0.9)
 
@@ -186,31 +182,30 @@ class TestErrorNormAndController:
 class TestAdaptive:
     def test_dead_problem_stays_constant(self, dead_mech):
         st = ThermoState(T=900.0, p=1e5, Y=np.array([0.4, 0.6]))
-        cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
-        out = integrate_mechanism(st, dead_mech, 1.0, cfg)
+        out = integrate_mechanism(st, dead_mech, 1.0, atol=1e-10, rtol=1e-8)
         assert out.success
         np.testing.assert_allclose(out.y, st.to_vector(), rtol=1e-12)
 
     def test_linear_decay_matches_exact(self):
         M = np.diag([-1.0, -100.0])
         y0 = np.array([1.0, 1.0])
-        cfg = ControllerConfig(atol=1e-12, rtol=1e-10, h0=1e-6)
-        out = integrate_adaptive(y0, 0.0, 1.0, linear_problem(M), cfg)
+        out = integrate_adaptive(y0, 0.0, 1.0, linear_problem(M), atol=1e-12,
+                                 rtol=1e-10, h0=1e-6)
         assert out.success and out.t == 1.0
         np.testing.assert_allclose(out.y, np.exp(np.diag(M)), rtol=1e-8,
                                    atol=1e-12)
 
     def test_lands_exactly_on_t_final(self):
         prob = OdeProblem(f=lambda y: -y, jac=lambda y: (-y, -np.eye(1)))
-        cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
-        out = integrate_adaptive(np.ones(1), 0.0, 0.37, prob, cfg)
+        out = integrate_adaptive(np.ones(1), 0.0, 0.37, prob, atol=1e-10,
+                                 rtol=1e-8)
         assert out.t == 0.37
 
     def test_toy_against_independent_reference(self, toy_mech, toy_state):
         import scipy.integrate
         from expkin.kinetics import rhs_vector
-        cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
-        out = integrate_mechanism(toy_state, toy_mech, 0.25, cfg)
+        out = integrate_mechanism(toy_state, toy_mech, 0.25, atol=1e-10,
+                                  rtol=1e-8)
         assert out.success
         sol = scipy.integrate.solve_ivp(
             lambda t, y: rhs_vector(y, toy_mech, toy_state.p),
@@ -221,8 +216,8 @@ class TestAdaptive:
         assert abs(out.y[0] - ref[0]) / ref[0] < 1e-5
 
     def test_two_kiops_calls_per_attempt(self, toy_mech, toy_state):
-        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
-        out = integrate_mechanism(toy_state, toy_mech, 0.2, cfg)
+        out = integrate_mechanism(toy_state, toy_mech, 0.2, atol=1e-8,
+                                  rtol=1e-6)
         completed = [r for r in out.records if np.isfinite(r.err_est)]
         assert completed
         assert all(r.kiops_calls == 2 for r in completed)
@@ -231,13 +226,13 @@ class TestAdaptive:
                                                       toy_state):
         # Work counts are carried per attempt, so an integration running in
         # another thread cannot leak its phi calls into these records.
-        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
         outs = [None, None]
         start = threading.Barrier(2)
 
         def worker(i):
             start.wait()
-            outs[i] = integrate_mechanism(toy_state, toy_mech, 0.2, cfg)
+            outs[i] = integrate_mechanism(toy_state, toy_mech, 0.2, atol=1e-8,
+                                          rtol=1e-6)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
         interval = sys.getswitchinterval()
@@ -261,12 +256,12 @@ class TestAdaptive:
         rng = np.random.default_rng(111)
         Q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
         M = Q @ np.diag(-1e12 * rng.random(30)) @ Q.T
-        monkeypatch.setattr(phikrylov, "kiops_eval", functools.partial(
-            phikrylov.kiops_eval, m_init=1, m_max=1))
+        monkeypatch.setattr(phikrylov, "M_INIT", 1)
+        monkeypatch.setattr(phikrylov, "M_MAX", 1)
         monkeypatch.setattr(integrator, "H_MIN_FRACTION", 0.1)
-        cfg = ControllerConfig(atol=1e-16, rtol=1e-13, h0=1.0)
         out = integrate_adaptive(rng.standard_normal(30), 0.0, 10.0,
-                                 linear_problem(M), cfg)
+                                 linear_problem(M), atol=1e-16, rtol=1e-13,
+                                 h0=1.0)
         assert not out.success
         rec, = out.records
         assert not rec.accepted and rec.err_est == float("inf")
@@ -280,8 +275,8 @@ class TestAdaptive:
             return -y, -np.eye(1)
 
         prob = OdeProblem(f=lambda y: -y, jac=slow_jac)
-        cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
-        out = integrate_adaptive(np.ones(1), 0.0, 1.0, prob, cfg)
+        out = integrate_adaptive(np.ones(1), 0.0, 1.0, prob, atol=1e-10,
+                                 rtol=1e-8)
         assert out.records[0].cpu_ns >= 2e6
 
     def test_rejection_reuses_F_and_J(self, toy_mech, toy_state):
@@ -298,8 +293,8 @@ class TestAdaptive:
             return j0(y)
 
         prob.f, prob.jac = f, jac
-        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
-        out = integrate_adaptive(toy_state.to_vector(), 0.0, 0.2, prob, cfg)
+        out = integrate_adaptive(toy_state.to_vector(), 0.0, 0.2, prob,
+                                 atol=1e-8, rtol=1e-6)
         assert out.success
         n_accept = len(out.accepted_records)
         n_reject = len(out.records) - n_accept
@@ -310,8 +305,8 @@ class TestAdaptive:
         assert calls["f"] == len(out.records)
 
     def test_every_attempt_logged(self, toy_mech, toy_state):
-        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
-        out = integrate_mechanism(toy_state, toy_mech, 0.2, cfg)
+        out = integrate_mechanism(toy_state, toy_mech, 0.2, atol=1e-8,
+                                  rtol=1e-6)
         assert out.records[-1].accepted
         assert out.records[0].h == pytest.approx(1e-10 * 0.2)
 
@@ -331,9 +326,9 @@ class TestAdaptive:
             return f0(y)
 
         prob.f = f
-        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
         seen = []
-        out = integrate_adaptive(toy_state.to_vector(), 0.0, 0.2, prob, cfg,
+        out = integrate_adaptive(toy_state.to_vector(), 0.0, 0.2, prob,
+                                 atol=1e-8, rtol=1e-6,
                                  step_hook=lambda rec, y, J: seen.append(rec))
         assert out.success
         assert out.records[0].err_est == float("inf")
@@ -354,7 +349,7 @@ class TestAdaptive:
         state = ThermoState(T=1000.0, p=101325.0, Y=Y)
         seen = []
         out = integrate_mechanism(state, mech, 0.5,
-                                  ControllerConfig(atol=1e-9, rtol=1e-3),
+                                  atol=1e-9, rtol=1e-3,
                                   step_hook=lambda rec, y, J: seen.append(y))
         assert out.success, out.message
         assert out.t == 0.5 and out.y[0] > 1900.0
@@ -365,8 +360,7 @@ class TestAdaptive:
     def test_unevaluable_initial_state_fails_without_records(self, toy_mech):
         y0 = np.array([1000.0, -1e-6, 0.0, 1.0 + 1e-6])
         prob = problem_from_mechanism(toy_mech, 101325.0)
-        out = integrate_adaptive(y0, 0.0, 0.1, prob,
-                                 ControllerConfig(atol=1e-8, rtol=1e-6))
+        out = integrate_adaptive(y0, 0.0, 0.1, prob, atol=1e-8, rtol=1e-6)
         assert not out.success
         assert out.message.startswith("state evaluation failed:")
         assert out.records == []
@@ -376,7 +370,7 @@ class TestAdaptive:
         # first kinetics evaluation refuses it and the run ends at once.
         state = ThermoState(T=1000.0, p=101325.0, Y=[-1e-6, 0.0, 1.0 + 1e-6])
         out = integrate_mechanism(state, toy_mech, 0.1,
-                                  ControllerConfig(atol=1e-8, rtol=1e-6))
+                                  atol=1e-8, rtol=1e-6)
         assert not out.success
         assert out.message.startswith("state evaluation failed:")
         assert out.records == []
@@ -386,7 +380,7 @@ class TestAdaptive:
         # refuses the state, and the run ends as for any unevaluable one.
         state = ThermoState(T=1000.0, p=101325.0, Y=[0.0, 0.0, 0.0])
         out = integrate_mechanism(state, toy_mech, 0.1,
-                                  ControllerConfig(atol=1e-8, rtol=1e-6))
+                                  atol=1e-8, rtol=1e-6)
         assert not out.success
         assert out.message.startswith("state evaluation failed:")
         assert out.records == []
@@ -396,10 +390,9 @@ class TestAdaptive:
         # Samples come from linear interpolation between accepted steps.
         # EPI3V is exact on a linear problem, so they equal the linear
         # interpolant of exp(-t) through the accepted step ends.
-        cfg = ControllerConfig(atol=1e-12, rtol=1e-10, h0=1e-3)
         times = np.linspace(0.0, 1.0, 11)
-        out = integrate_adaptive(np.ones(1), 0.0, 1.0, prob, cfg,
-                                 output_times=times)
+        out = integrate_adaptive(np.ones(1), 0.0, 1.0, prob, atol=1e-12,
+                                 rtol=1e-10, h0=1e-3, output_times=times)
         ends = np.array([0.0] + [r.t + r.h for r in out.accepted_records])
         np.testing.assert_allclose(out.samples[:, 0],
                                    np.interp(times, ends, np.exp(-ends)),
@@ -451,9 +444,10 @@ class TestAdaptive:
             if rec.accepted:
                 seen.append((rec, y.copy(), J))
 
-        integrate_mechanism(state, mech, cfg.t_final, cfg, step_hook=hook)
+        integrate_mechanism(state, mech, cfg.t_final, atol=cfg.atol,
+                            rtol=cfg.rtol, h0=cfg.h0, step_hook=hook)
         prob = problem_from_mechanism(mech, state.p)
-        ktol = cfg.krylov_tolerance()
+        ktol = krylov_tolerance(cfg.rtol)
         for t_pick in (0.15, 0.17, 0.185):
             rec, y, J = next(s for s in seen if s[0].t >= t_pick)
             assert rec.t <= 0.19
@@ -473,40 +467,32 @@ class TestAdaptive:
 
     def test_step_hook_sees_accepted_state(self, toy_mech, toy_state):
         seen = []
-        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
-        integrate_mechanism(toy_state, toy_mech, 0.1, cfg,
+        integrate_mechanism(toy_state, toy_mech, 0.1, atol=1e-8, rtol=1e-6,
                             step_hook=lambda rec, y, J: seen.append(
                                 (rec.t, y[0], J.shape)))
         assert seen and all(s[2] == (4, 4) for s in seen)
 
     def test_invalid_span(self):
         prob = OdeProblem(f=lambda y: -y, jac=lambda y: (-y, -np.eye(1)))
-        cfg = ControllerConfig(atol=1e-8, rtol=1e-6)
         with pytest.raises(ValueError):
-            integrate_adaptive(np.ones(1), 1.0, 1.0, prob, cfg)
+            integrate_adaptive(np.ones(1), 1.0, 1.0, prob, atol=1e-8,
+                               rtol=1e-6)
 
     def test_failure_is_reported_not_raised(self, toy_mech, monkeypatch):
         # An unreachable tolerance with a huge floor (1e-3 s): the march
         # reports failure through SolverOutput rather than raising.
         monkeypatch.setattr(integrator, "H_MIN_FRACTION", 1e-3 / 0.3)
         bad = ThermoState(T=1000.0, p=101325.0, Y=np.array([0.1, 0.0, 0.9]))
-        cfg = ControllerConfig(atol=1e-300, rtol=1e-16, h0=1e-3)
-        out = integrate_mechanism(bad, toy_mech, 0.3, cfg)
+        out = integrate_mechanism(bad, toy_mech, 0.3, atol=1e-300, rtol=1e-16,
+                                  h0=1e-3)
         assert isinstance(out, SolverOutput)
         assert not out.success and out.message
 
 
-class TestControllerConfig:
+class TestKrylovTolerance:
     def test_default_krylov_tol_tracks_rtol(self):
-        cfg = ControllerConfig(atol=1e-10, rtol=1e-8)
-        assert cfg.krylov_tolerance() == pytest.approx(1e-10)
+        assert krylov_tolerance(1e-8) == pytest.approx(1e-10)
 
     def test_krylov_tol_floor(self):
-        cfg = ControllerConfig(atol=1e-14, rtol=1e-13)
-        assert cfg.krylov_tolerance() == pytest.approx(1e-14)
+        assert krylov_tolerance(1e-13) == pytest.approx(1e-14)
 
-    def test_invalid_tolerances(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(atol=0.0, rtol=1e-8)
-        with pytest.raises(ValueError):
-            ControllerConfig(atol=1e-8, rtol=-1.0)

@@ -8,9 +8,7 @@ import scipy.sparse.linalg
 
 from conftest import stiff_diag_matrix
 from expkin import phikrylov
-from expkin.integrator import (
-    ControllerConfig, epi3v_step, integrate_mechanism, problem_from_mechanism,
-)
+from expkin.integrator import epi3v_step, integrate_mechanism, problem_from_mechanism
 from expkin.kinetics import rhs_and_jacobian
 from expkin.phikrylov import (
     M_INIT, PhiConvergenceError, dense_phi_oracle, expm, kiops_eval, phi_scalar,
@@ -147,11 +145,11 @@ class TestKiopsAdaptivity:
         assert hard.stats.substeps >= mild.stats.substeps
         assert hard.stats.matvecs > mild.stats.matvecs
 
-    def test_krylov_cap_respected(self):
+    def test_krylov_cap_respected(self, monkeypatch):
         rng = np.random.default_rng(808)
         A = stiff_diag_matrix(rng, 80, 1e4)
-        res = kiops_eval(A, [None, rng.standard_normal(80)],
-                         tol=1e-10, m_max=24)
+        monkeypatch.setattr(phikrylov, "M_MAX", 24)
+        res = kiops_eval(A, [None, rng.standard_normal(80)], tol=1e-10)
         assert res.stats.max_krylov_dim <= 24
 
     def test_tighter_tolerance_smaller_error(self):
@@ -165,13 +163,14 @@ class TestKiopsAdaptivity:
             errs.append(np.linalg.norm(res.values[0] - want))
         assert errs[2] < errs[0]
 
-    def test_convergence_failure_reports_diagnostics(self):
+    def test_convergence_failure_reports_diagnostics(self, monkeypatch):
         # m capped at 1 with a hugely stiff operator: the substep underflows.
         rng = np.random.default_rng(111)
         A = stiff_diag_matrix(rng, 30, 1e12)
+        monkeypatch.setattr(phikrylov, "M_INIT", 1)
+        monkeypatch.setattr(phikrylov, "M_MAX", 1)
         with pytest.raises(PhiConvergenceError) as exc_info:
-            kiops_eval(A, [None, rng.standard_normal(30)],
-                       tol=1e-14, m_init=1, m_max=1)
+            kiops_eval(A, [None, rng.standard_normal(30)], tol=1e-14)
         assert exc_info.value.diagnostics  # non-empty context dict
 
     def test_happy_breakdown_exact(self):
@@ -236,8 +235,8 @@ class TestProjectionCounts:
     def test_toy_attempts_use_one_projection_per_call(self, toy_mech, toy_state):
         # On toy3 (n = 4, so n + p <= M_INIT) every phi call exponentiates its
         # augmented matrix directly: one substep, no matvecs.
-        out = integrate_mechanism(toy_state, toy_mech, 0.3,
-                                  ControllerConfig(atol=1e-10, rtol=1e-8))
+        out = integrate_mechanism(toy_state, toy_mech, 0.3, atol=1e-10,
+                                  rtol=1e-8)
         assert out.success
         completed = [r for r in out.records if np.isfinite(r.err_est)]
         assert len(completed) >= len(out.accepted_records) > 1000

@@ -275,19 +275,23 @@ class TestParseConfig:
         "sweep 1e-6 1e-4\nreference 0 1e-11\n", "h0 nan\n",
         "t_final inf\n", "t_final 0.5\n",
         "sweep 1e-6 1e-4\nreference 1e-8 1e-6\nreference 1e-9 1e-7\n",
+        # Sweep points are checked like atol/rtol, with no reference line.
+        "sweep 0 1e-3\n", "sweep -1e-6 -1e-4\n", "sweep nan nan\n",
         # These replace CONFIG's line of the same key (old line, new line).
         pytest.param(("Y F 0.1", "Y F nan"), id="Y F nan"),
         pytest.param(("T0 1000.0", "T0 -5"), id="T0 -5"),
         pytest.param(("pressure 101325.0", "pressure nan"), id="pressure nan"),
+        pytest.param(("atol 1e-10", "atol 0"), id="atol 0"),
+        pytest.param(("rtol 1e-8", "rtol -1"), id="rtol -1"),
         # Two replaced lines: fractions that sum to 1 with one negative.
         pytest.param((("Y F 0.1", "Y F -0.5"), ("Y B 0.9", "Y B 1.5")),
                      id="Y F -0.5, Y B 1.5"),
     ])
     def test_bad_value_rejected_at_parse_time(self, lines):
-        # Controller settings and the sweep reference are checked when the
-        # config is parsed, not when a subcommand first uses them. CONFIG is
-        # toy_ignition.cfg without its comments and method line, so the
-        # appended "t_final 0.5" repeats a key of that fixture: a key given
+        # Controller settings, sweep points and the sweep reference are
+        # checked when the config is parsed, not when a subcommand first
+        # uses them. CONFIG is toy_ignition.cfg without its comments and
+        # method line, so the appended "t_final 0.5" repeats a key of that fixture: a key given
         # twice is refused rather than letting the last line win. The
         # clamp_mode key and the controller constants (safety, facmin,
         # facmax, embedded_order) were removed, so their lines are refused

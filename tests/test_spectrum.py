@@ -1,4 +1,5 @@
-"""Eigenvalue bounding-rectangle diagnostics and step cost: the rows of
+"""`expkin spectrum`: the Jacobian's eigenvalue bounding rectangle
+(`cli.spectrum_bounds`) and the normalised step cost, the rows of
 spectrum.csv."""
 import shutil
 import types
@@ -9,7 +10,7 @@ import pytest
 from conftest import FIXTURE_DIR
 from expkin import cli, integrator
 from expkin.cli import EXIT_OK, main, spectrum_bounds
-from expkin.integrator import H_MIN_FRACTION, ControllerConfig, integrate_mechanism
+from expkin.integrator import H_MIN_FRACTION, integrate_mechanism
 from expkin.kinetics import ThermoState, rhs_and_jacobian
 from expkin.mechio import read_csv
 
@@ -158,8 +159,8 @@ class TestStepCost:
     def test_zero_step_rejected(self, toy_mech, toy_state):
         # The step cost divides by h: the march never takes a step below its
         # floor, H_MIN_FRACTION of the interval, which is positive.
-        out = integrate_mechanism(toy_state, toy_mech, 0.2,
-                                  ControllerConfig(atol=1e-8, rtol=1e-6))
+        out = integrate_mechanism(toy_state, toy_mech, 0.2, atol=1e-8,
+                                  rtol=1e-6)
         assert out.success and out.records
         assert H_MIN_FRACTION * 0.2 > 0
         assert all(r.h >= H_MIN_FRACTION * 0.2 for r in out.records)
