@@ -125,16 +125,6 @@ def epi3v_step(y, h, F, J, problem, krylov_tol=1.0e-12, stats=None):
     return y + w1 + lte, lte, stats
 
 
-def exp_euler_step(y, h, F, J, krylov_tol=1.0e-12):
-    """Embedded first-stage method: y + h phi_1(h J) F.
-
-    The adaptive march does not call it; the tests use it as the reference
-    for the embedded error estimate (EPI3V minus this step).
-    """
-    res = phikrylov.kiops_eval(h * J, [None, h * F], tol=krylov_tol)
-    return y + res.values[0]
-
-
 def scaled_error_norm(lte, y, atol, rtol):
     """RMS of lte components scaled by atol + rtol |y|."""
     scale = atol + rtol * np.abs(y)
@@ -253,18 +243,6 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
             return finish(False, "step size underflow" + failure)
         h = h_next
     return finish(True, "completed")
-
-
-def integrate_fixed(y0, t0, t_final, n_steps, problem, krylov_tol=1.0e-12):
-    """n_steps equal EPI3V steps; controller bypassed. Returns the final state."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    h = (t_final - t0) / n_steps
-    y = np.asarray(y0, dtype=float).copy()
-    for _ in range(n_steps):
-        F, J = problem.jac(y)
-        y, _, _ = epi3v_step(y, h, F, J, problem, krylov_tol=krylov_tol)
-    return y
 
 
 def integrate_mechanism(state0, mech, t_final, *, atol, rtol, h0=None,

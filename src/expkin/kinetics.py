@@ -517,44 +517,3 @@ def rhs_and_jacobian(y, mech, p, *, telemetry=None):
     J[0, 0] -= float(omega @ pt.cp)
     J[0] /= D
     return F, _check_finite(J, "Jacobian")
-
-
-def fd_jacobian(f, y, typical=None, step=None):
-    """Dense central-difference Jacobian of f at y, the oracle for
-    rhs_and_jacobian().
-
-    Perturbation per component: step * max(|y_j|, typical_j), with step
-    sqrt(machine eps) by default. Falls back to a one-sided difference if a
-    perturbed evaluation fails.
-
-    Valid only at interior states: rhs_vector reads mass fractions in
-    [-Y_NEG_TOL, 0) as 0, so at a species with Y_k = 0 the backward point
-    lands in that clip and the central difference halves the column. The
-    exact derivative there is the one-sided forward difference.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    if typical is None:
-        typical = np.ones(n)
-    if step is None:
-        step = np.sqrt(np.finfo(float).eps)
-    f0 = None
-    J = np.empty((n, n))
-    for j in range(n):
-        delta = step * max(abs(y[j]), typical[j])
-        yp = y.copy()
-        ym = y.copy()
-        yp[j] += delta
-        ym[j] -= delta
-        try:
-            J[:, j] = (f(yp) - f(ym)) / (2 * delta)
-        except KineticsError:
-            if f0 is None:
-                f0 = f(y)
-            try:
-                J[:, j] = (f(yp) - f0) / delta
-            except KineticsError:
-                J[:, j] = (f0 - f(ym)) / delta
-    if not np.all(np.isfinite(J)):
-        raise InvalidStateError("non-finite Jacobian entry")
-    return J

@@ -1,5 +1,5 @@
 """Parsing and serialization of mechanism files and run configs, and the
-CSV codec the CLI writes its outputs with.
+CSV writer the CLI writes its outputs with.
 
 The mechanism format is a sectioned line-oriented plain-text format
 (documented in docs/format.md):
@@ -71,14 +71,11 @@ def parse_mechanism(text):
     names = {}
     reactions = []
     section = None
-    saw_version = False
-    for lineno, line in _iter_lines(text):
-        if line.lower().startswith("format"):
-            toks = line.split()
-            if len(toks) != 2 or toks[1] != str(FORMAT_VERSION):
-                _fail("BadFormatVersion", f"unsupported format line {line!r}", lineno)
-            saw_version = True
-            continue
+    records = _iter_lines(text)
+    lineno, line = next(records, (None, ""))
+    if line.lower().split() != ["format", str(FORMAT_VERSION)]:
+        _fail("BadFormatVersion", f"first record {line!r} is not the 'format 1' header", lineno)
+    for lineno, line in records:
         if line.startswith("["):
             if line == "[species]":
                 section = "species"
@@ -87,8 +84,6 @@ def parse_mechanism(text):
             else:
                 _fail("UnknownSection", f"unknown section {line!r}", lineno)
             continue
-        if not saw_version:
-            _fail("BadFormatVersion", "missing 'format 1' header", lineno)
         if section == "species":
             sp = _parse_species_line(line, lineno)
             if sp.name in names:
@@ -343,20 +338,3 @@ def write_csv(path, header, rows):
         fh.writelines(",".join([repr(float(v)) if isinstance(v, float) else str(v)
                                 for v in row]) + "\n"
                       for row in rows)
-
-
-def read_csv(path):
-    """Read back a CSV written by write_csv; numeric fields become floats."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for row in reader:
-            parsed = []
-            for cell in row:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(cell)
-            rows.append(parsed)
-    return header, rows

@@ -1,9 +1,9 @@
 """Evaluation of phi-function linear combinations.
 
-Provides the scalar phi functions, a dense augmented-matrix oracle, a Pade
-matrix exponential, a block CGS2 Arnoldi process, and an adaptive Krylov
-evaluator (KIOPS-style: Gaudreault, Rainwater & Tokman, J. Comput. Phys.
-372, 2018) with tau-substepping for
+Provides a dense augmented-matrix oracle, a Pade matrix exponential, a
+block CGS2 Arnoldi process, and an adaptive Krylov evaluator (KIOPS-style:
+Gaudreault, Rainwater & Tokman, J. Comput. Phys. 372, 2018) with
+tau-substepping for
 
     w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k
 
@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PHI_ORDER = 3
-PHI_TAYLOR_CUTOFF = 0.5      # |z| below which the Taylor series is used
-PHI_TAYLOR_TERMS = 30
 
 # Degree-13 Pade approximation of exp(): coefficients and the 1-norm bound
 # below which no squaring is needed.
@@ -44,28 +42,6 @@ class PhiConvergenceError(RuntimeError):
         if self.diagnostics:
             message += ": " + ", ".join(f"{k}={v:.6g}" for k, v in self.diagnostics.items())
         super().__init__(message)
-
-
-def phi_scalar(k, z):
-    """phi_k(z) for k in 0..3; phi_0 = exp, phi_{k+1}(z) = (phi_k(z) - 1/k!)/z."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"phi order {k} not supported")
-    z = float(z)
-    if k == 0:
-        return math.exp(z)
-    if abs(z) < PHI_TAYLOR_CUTOFF:
-        # phi_k(z) = sum_j z^j / (j + k)!
-        acc = 0.0
-        term = 1.0 / math.factorial(k)
-        for j in range(PHI_TAYLOR_TERMS):
-            acc += term
-            term *= z / (j + k + 1)
-        return acc
-    if k == 1:
-        return (math.exp(z) - 1.0) / z
-    if k == 2:
-        return (math.exp(z) - 1.0 - z) / z**2
-    return (math.exp(z) - 0.5 * z**2 - z - 1.0) / z**3
 
 
 def expm(A):

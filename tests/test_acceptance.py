@@ -16,21 +16,19 @@ import math
 import shutil
 import time
 
-import mpmath
 import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR
 from expkin.cli import EXIT_OK, main as cli_main, spectrum_bounds
 from expkin.integrator import (
-    OdeProblem, controller_update, epi3v_step, integrate_fixed,
-    integrate_mechanism, problem_from_mechanism,
+    OdeProblem, controller_update, epi3v_step, integrate_mechanism,
+    problem_from_mechanism,
 )
 from expkin.kinetics import ThermoState
-from expkin.mechio import MechIoError, parse_mechanism, read_csv, serialize_mechanism
-from expkin.phikrylov import dense_phi_oracle, expm, kiops_eval, phi_scalar
-
-mpmath.mp.dps = 40
+from expkin.mechio import MechIoError, parse_mechanism, serialize_mechanism
+from expkin.phikrylov import dense_phi_oracle, expm, kiops_eval
+from oracles import integrate_fixed, phi_mp, phi_scalar, read_csv
 
 
 def report(name, ok, detail=""):
@@ -67,13 +65,7 @@ def test_phi_scalar_oracle():
     for k in range(4):
         for z in zs:
             got = phi_scalar(k, z)
-            if z == 0.0:
-                want = 1.0 / math.factorial(k)
-            else:
-                val = mpmath.exp(mpmath.mpf(repr(z)))
-                for j in range(1, k + 1):
-                    val = (val - 1 / mpmath.factorial(j - 1)) / mpmath.mpf(repr(z))
-                want = float(val)
+            want = 1.0 / math.factorial(k) if z == 0.0 else phi_mp(k, z)
             worst = max(worst, abs(got - want) / abs(want))
     elapsed = time.perf_counter() - start
     report("phi scalar vs high-precision oracle", worst <= 1e-12,

@@ -11,7 +11,8 @@ from conftest import FIXTURE_DIR, FORMAT_DOC, make_mechanism, make_species, mech
 from expkin import cli, integrator
 from expkin.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from expkin.integrator import StepRecord, integrate_mechanism
-from expkin.mechio import read_csv, serialize_mechanism
+from expkin.mechio import serialize_mechanism
+from oracles import read_csv
 
 SHORT_CFG = """\
 mechanism toy3.mech
@@ -170,6 +171,48 @@ class TestRun:
             "integrator": {"kinetics", "phikrylov"},
             "cli": {"mechio", "integrator", "kinetics"},
         }
+
+    def test_public_surface(self):
+        # Every public top-level name of the package is used by the package
+        # or the benchmark, apart from the thin views of private helpers
+        # that only the tests read. String constants count as uses: the
+        # benchmark's tracing hooks name their targets as strings.
+        def referenced(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    yield node.id
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr
+                elif isinstance(node, ast.alias):
+                    yield from node.name.split(".")
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    yield node.value
+
+        def defined(tree):
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    yield node.name
+                elif isinstance(node, ast.Assign):
+                    yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+        root = FORMAT_DOC.parents[1]
+        package = [ast.parse(p.read_text()) for p in FIXTURE_DIR.parent.glob("*.py")]
+        bench = [ast.parse(p.read_text()) for p in (root / "perfbench").glob("*.py")]
+        used = set().union(*(referenced(t) for t in package + bench))
+        public = {n for t in package for n in defined(t) if not n.startswith("_")}
+        assert public - used == {
+            "dense_phi_oracle", "density", "concentrations", "reaction_rates",
+            "rate_constants", "equilibrium_constants"}
+
+        # The test references stay independent of the package's private helpers.
+        oracles = ast.parse((root / "tests" / "oracles.py").read_text())
+        private = [a.name for node in ast.walk(oracles)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").startswith("expkin")
+                   for a in node.names if a.name.startswith("_")]
+        private += [node.attr for node in ast.walk(oracles)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
+        assert private == []
 
     def test_reproducible_solution(self, workdir):
         run_cli("run", "--config", str(workdir / "run.cfg"),

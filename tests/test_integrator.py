@@ -10,13 +10,13 @@ from conftest import FIXTURE_DIR, mechgen
 from expkin import integrator, phikrylov
 from expkin.integrator import (
     OdeProblem, SolverOutput, StepRecord, _interp_samples, controller_update,
-    epi3v_step, exp_euler_step, integrate_adaptive, integrate_fixed,
-    integrate_mechanism, krylov_tolerance, problem_from_mechanism,
-    scaled_error_norm,
+    epi3v_step, integrate_adaptive, integrate_mechanism, krylov_tolerance,
+    problem_from_mechanism, scaled_error_norm,
 )
 from expkin.kinetics import Y_NEG_TOL, KineticsError, ThermoState, rhs_vector
 from expkin.mechio import parse_config, parse_mechanism
 from expkin.phikrylov import expm
+from oracles import exp_euler_step, integrate_fixed
 
 
 def linear_problem(M):

@@ -9,9 +9,10 @@ from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
     TYPICAL_T, TYPICAL_Y, _unpack, concentrations, density, equilibrium_constants,
-    fd_jacobian, production_rates, rate_constants, reaction_rates,
-    rhs_and_jacobian, rhs_vector, species_thermo,
+    production_rates, rate_constants, reaction_rates, rhs_and_jacobian,
+    rhs_vector, species_thermo,
 )
+from oracles import fd_jacobian
 
 
 def two_species_state(T=1000.0, p=101325.0, ya=0.5):

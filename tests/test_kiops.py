@@ -11,8 +11,9 @@ from expkin import phikrylov
 from expkin.integrator import epi3v_step, integrate_mechanism, problem_from_mechanism
 from expkin.kinetics import rhs_and_jacobian
 from expkin.phikrylov import (
-    M_INIT, PhiConvergenceError, dense_phi_oracle, expm, kiops_eval, phi_scalar,
+    M_INIT, PhiConvergenceError, dense_phi_oracle, expm, kiops_eval,
 )
+from oracles import phi_scalar
 
 
 def augmented_operator(A, bs):

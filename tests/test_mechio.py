@@ -10,8 +10,9 @@ from conftest import FIXTURE_DIR, FORMAT_DOC, mechgen, random_balanced_mechanism
 from expkin import mechio
 from expkin.mechio import (
     _SCALAR_KEYS, _UNSUPPORTED_RXN, MechIoError, RunConfig, parse_config,
-    parse_mechanism, read_csv, serialize_mechanism, write_csv,
+    parse_mechanism, serialize_mechanism, write_csv,
 )
+from oracles import read_csv
 
 MINIMAL = """\
 format 1
@@ -66,6 +67,28 @@ class TestParseMechanism:
         with pytest.raises(MechIoError) as e:
             parse_mechanism(MINIMAL.replace("format 1", "format 2"))
         assert code_of(e) == "BadFormatVersion"
+
+    def test_species_named_like_the_header(self):
+        # Only the first record is the header: a species FORMATE is a species.
+        text = MINIMAL.replace(
+            "\n\n[reactions]",
+            "\nFORMATE 0.030 200.0 1000.0 6000.0 3.5 0 0 0 0 0.0 5.0 3.5 0 0 0 0 0.0 5.0"
+            "\n\n[reactions]\nFORMATE => B 1.0e6 0.0 8.0e4")
+        mech = parse_mechanism(text)
+        assert [s.name for s in mech.species] == ["A", "B", "FORMATE"]
+        assert mech.reactions[0].reactants == {2: 1}
+
+    def test_header_after_first_record(self):
+        with pytest.raises(MechIoError) as e:
+            parse_mechanism(MINIMAL.replace("format 1\n\n[species]\n",
+                                            "[species]\nformat 1\n"))
+        assert code_of(e) == "BadFormatVersion"
+
+    def test_repeated_header_is_a_record(self):
+        with pytest.raises(MechIoError) as e:
+            parse_mechanism(MINIMAL.replace("[reactions]\n", "[reactions]\nformat 1\n"))
+        assert code_of(e) == "BadReaction"
+        assert e.value.line == 9
 
     def test_unknown_section(self):
         with pytest.raises(MechIoError) as e:

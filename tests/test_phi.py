@@ -1,25 +1,14 @@
 """Scalar phi functions, the Pade exponential, the dense oracle and Arnoldi."""
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
 from conftest import stiff_diag_matrix
-from expkin.phikrylov import Arnoldi, dense_phi_oracle, expm, phi_scalar
-
-mpmath.mp.dps = 40
-
-
-def phi_mp(k, z):
-    """High-precision phi_k via the defining recurrence."""
-    z = mpmath.mpf(repr(z))
-    val = mpmath.exp(z)
-    for j in range(1, k + 1):
-        val = (val - 1 / mpmath.factorial(j - 1)) / z
-    return float(val)
+from expkin.phikrylov import Arnoldi, dense_phi_oracle, expm
+from oracles import phi_mp, phi_scalar
 
 
 class TestPhiScalar:

@@ -1,4 +1,5 @@
-"""Property tests of the kinetics on generated mechanisms.
+"""Property tests of the kinetics and of one EPI3V step on generated
+mechanisms.
 
 The networks come from the benchmark's seeded generator
 (`perfbench/mechgen.py`) at K = 9-20 species, and the states are interior:
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mechgen
+from expkin.integrator import epi3v_step, problem_from_mechanism
 from expkin.kinetics import rhs_and_jacobian, rhs_vector
 from expkin.mechio import parse_mechanism, serialize_mechanism
 from test_kinetics import assert_mass_conserving, oracle_error
@@ -60,3 +62,29 @@ def test_jacobian_matches_fd_oracle(case):
 def test_jacobian_mass_conserving(case):
     mech, y = case
     assert_mass_conserving(rhs_and_jacobian(y, mech, PRESSURE)[1])
+
+
+def one_step(mech, y, divisor=1):
+    """(y_new, lte) of one EPI3V step from y with h = 1e-2 / (divisor ||J||_1)."""
+    problem = problem_from_mechanism(mech, PRESSURE)
+    F, J = problem.jac(y)
+    h = 1e-2 / (divisor * np.linalg.norm(J, 1))
+    y_new, lte, _ = epi3v_step(y, h, F, J, problem, krylov_tol=1e-14)
+    return y_new, lte
+
+
+@PROPERTY
+@given(cases())
+def test_step_conserves_mass(case):
+    y_new, _ = one_step(*case)
+    assert abs(y_new[1:].sum() - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(cases())
+def test_step_lte_is_third_order(case):
+    # The window of the order tests in test_acceptance.py.
+    _, lte = one_step(*case)
+    _, lte_half = one_step(*case, divisor=2)
+    slope = np.log2(np.linalg.norm(lte) / np.linalg.norm(lte_half))
+    assert 2.7 <= slope <= 3.3

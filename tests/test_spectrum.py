@@ -12,7 +12,7 @@ from expkin import cli, integrator
 from expkin.cli import EXIT_OK, main, spectrum_bounds
 from expkin.integrator import H_MIN_FRACTION, integrate_mechanism
 from expkin.kinetics import ThermoState, rhs_and_jacobian
-from expkin.mechio import read_csv
+from oracles import read_csv
 
 # The toy ignition before its radical pool builds up: about 40 steps.
 EARLY_CFG = """\
