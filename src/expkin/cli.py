@@ -50,14 +50,28 @@ def load_run(args):
         mech = mechio.parse_mechanism(_read_text(mech_path))
     except MechIoError as exc:
         raise CliError(f"mechanism error: {exc}", EXIT_CONFIG)
-    Y = np.zeros(mech.n_species)
     try:
-        for name, frac in run_cfg.Y0.items():
+        return run_cfg, mech, _initial_state(run_cfg, mech)
+    except MechIoError as exc:
+        raise CliError(f"config error: {exc}", EXIT_CONFIG)
+
+
+def _initial_state(run_cfg, mech):
+    """The config's initial state on the mechanism; refuses a Y species the
+    mechanism lacks and a T0 outside a species' thermo range."""
+    Y = np.zeros(mech.n_species)
+    for name, frac in run_cfg.Y0.items():
+        try:
             Y[mech.species_index(name)] = frac
-    except KeyError as exc:
-        raise CliError(f"config error: UnknownSpecies: species {exc} not in mechanism",
-                       EXIT_CONFIG)
-    return run_cfg, mech, ThermoState(T=run_cfg.T0, Y=Y, p=run_cfg.pressure)
+        except KeyError:
+            raise MechIoError("UnknownSpecies",
+                              f"species {name!r} not in mechanism") from None
+    for s in mech.species:
+        if not s.t_low <= run_cfg.T0 <= s.t_high:
+            raise MechIoError("BadConfigValue",
+                              f"T0 {run_cfg.T0} K outside thermo range "
+                              f"[{s.t_low}, {s.t_high}] of species {s.name!r}")
+    return ThermoState(T=run_cfg.T0, Y=Y, p=run_cfg.pressure)
 
 
 def _out_dir(args):

@@ -11,13 +11,15 @@ reactant/product slot indices. The Jacobian is analytical in the manner of
 pyJac (Niemeyer, Curtis & Sung, Comput. Phys. Commun. 215, 2017): rate-of-
 progress derivatives in the concentrations come from the mass-action
 products, temperature derivatives from the Arrhenius and equilibrium-constant
-log-derivatives, and both are chained through rho(T, Y). `rhs_and_jacobian`
-returns the source term and the Jacobian from one evaluation of the thermo,
-rate constants and rates of progress, so linearising at a state costs one
-kinetics pass.
+log-derivatives, and both are chained through rho(T, Y). One private
+evaluation, `_evaluate`, checks the state and makes one pass over the thermo,
+rate constants and rates of progress; `rhs_vector`, `rhs_and_jacobian` and
+`reaction_rates` each take their part of its result. So linearising at a
+state costs one kinetics pass, and the three agree bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -100,6 +102,9 @@ class Species:
     def __post_init__(self):
         if not np.isfinite(self.molar_mass) or self.molar_mass <= 0:
             raise KineticsError(f"species {self.name!r}: molar mass must be > 0")
+        if not all(map(math.isfinite, (self.t_low, self.t_mid, self.t_high,
+                                       *self.coeffs_low, *self.coeffs_high))):
+            raise KineticsError(f"species {self.name!r}: non-finite thermo number")
         if not (self.t_low < self.t_mid < self.t_high):
             raise KineticsError(
                 f"species {self.name!r}: thermo ranges must satisfy "
@@ -137,6 +142,9 @@ class Reaction:
                     raise KineticsError(
                         f"stoichiometric coefficient {nu} must be a non-negative integer"
                     )
+        fits = (*self.arrhenius, *(self.explicit_reverse or ()))
+        if not all(map(math.isfinite, fits)):
+            raise KineticsError(f"Arrhenius numbers must be finite, got {fits}")
         A = self.arrhenius[0]
         if not (A > 0):
             raise KineticsError(f"pre-exponential factor must be > 0, got {A}")
@@ -277,8 +285,8 @@ class ThermoState:
 def _unpack(y):
     """T and Y of the state vector y, the one check of an evaluated state:
     T must be positive and finite and each Y within [-Y_NEG_TOL,
-    1 + Y_NEG_TOL]. Y is a view of y. A bad pressure shows as a bad density
-    (`_density`)."""
+    1 + Y_NEG_TOL]. Y is clipped (`_clip_negative`). A bad pressure shows as
+    a bad density (`_density`)."""
     y = np.asarray(y, dtype=float)
     T, Y = float(y[0]), y[1:]
     if not 0 < T < np.inf:
@@ -287,7 +295,7 @@ def _unpack(y):
     if out.any():
         bad = int(np.argmax(out))
         raise InvalidStateError(f"mass fraction {bad} out of bounds: {Y[bad]}")
-    return T, Y
+    return T, _clip_negative(Y)
 
 
 def _clip_negative(Y):
@@ -379,72 +387,21 @@ def rate_constants(T, mech, *, telemetry=None):
     return _rate_constants(T, H, S, mech.tables, telemetry=telemetry)[:2]
 
 
-def _products(x):
-    """Row products of x (n, width) and, per entry, the product of the
-    others in its row (prefix times suffix: exact when some entry is 0).
+def _others(x):
+    """Per entry of x (n, width), the product of the other entries in its
+    row (prefix times suffix: exact when some entry is 0).
 
     One pass over the slot columns each way; width is the largest
     stoichiometric order, so at most a few columns.
     """
-    others = np.empty_like(x)
-    prefix = np.ones(x.shape[0])
-    for j in range(x.shape[1]):
-        others[:, j] = prefix
-        prefix = prefix * x[:, j]
+    others = np.ones_like(x)
+    for j in range(1, x.shape[1]):
+        others[:, j] = others[:, j - 1] * x[:, j - 1]
     suffix = x[:, -1]
     for j in range(x.shape[1] - 2, -1, -1):
         others[:, j] *= suffix
         suffix = suffix * x[:, j]
-    return prefix, others
-
-
-@dataclass
-class _Point:
-    """What rhs_vector and rhs_and_jacobian share at one state (mass fractions
-    clipped)."""
-
-    Y: np.ndarray
-    rho: float
-    mean_inv: float
-    chi: np.ndarray
-    cp: np.ndarray
-    H: np.ndarray
-    dcp: np.ndarray
-    q: np.ndarray
-    dq_dT: np.ndarray = None      # dq/dT at fixed concentrations
-    dq_dchi: np.ndarray = None    # (N, K + 1); the last column is the padding slot
-
-
-def _evaluate(T, Y, p, mech, *, telemetry, derivatives=False):
-    Y = _clip_negative(Y)
-    rho, mean_inv = _density(T, Y, p, mech)
-    chi = rho * Y / mech.molar_masses
-    cp, H, S, dcp = species_thermo(T, mech)
-    tb = mech.tables
-    kf, kr, dkf, dkr = _rate_constants(T, H, S, tb, telemetry=telemetry)
-    chi1 = np.append(chi, 1.0)
-    xf = chi1[tb.reactant_slots]
-    xr = chi1[tb.product_slots]
-    if not derivatives:
-        q = kf * xf.prod(axis=1) - kr * xr.prod(axis=1)
-        return _Point(Y, rho, mean_inv, chi, cp, H, dcp, q)
-    cf, others_f = _products(xf)
-    cr, others_r = _products(xr)
-    fwd = kf * cf
-    rev = kr * cr
-    # dq_j/dchi_k: sum over reaction j's slots holding species k, one bincount.
-    n, k1 = mech.n_reactions, chi1.size
-    slots = np.hstack((tb.reactant_slots, tb.product_slots))
-    weights = np.hstack((kf[:, None] * others_f, -kr[:, None] * others_r))
-    flat = (np.arange(n)[:, None] * k1 + slots).ravel()
-    dq_dchi = np.bincount(flat, weights.ravel(), n * k1).reshape(n, k1)
-    return _Point(Y, rho, mean_inv, chi, cp, H, dcp, fwd - rev,
-                  dkf * fwd - dkr * rev, dq_dchi)
-
-
-def reaction_rates(state, mech, *, telemetry=None):
-    """Net molar rate of progress of every reaction, mol/(m^3 s)."""
-    return _evaluate(state.T, state.Y, state.p, mech, telemetry=telemetry).q
+    return others
 
 
 def production_rates(rates, mech):
@@ -462,44 +419,53 @@ def _check_finite(values, what):
     return values
 
 
-def _source(pt, mech):
-    """[dT/dt, dY/dt] at an evaluated point, and the net production rates."""
-    omega = production_rates(pt.q, mech)
-    cp_mass = float(pt.Y @ (pt.cp / mech.molar_masses))  # J/(kg K)
-    out = np.empty(mech.n_species + 1)
-    out[0] = -float(omega @ pt.H) / (pt.rho * cp_mass)
-    out[1:] = omega * mech.molar_masses / pt.rho
-    return _check_finite(out, "rhs"), omega
-
-
-def rhs_vector(y, mech, p, *, telemetry=None):
-    """Time derivative of the state vector [T, Y_1..Y_K] of the isobaric
-    reactor at pressure p; refuses a state `_unpack` or `_density` refuses."""
-    T, Y = _unpack(y)
-    return _source(_evaluate(T, Y, p, mech, telemetry=telemetry), mech)[0]
-
-
-def rhs_and_jacobian(y, mech, p, *, telemetry=None):
-    """rhs_vector at y and its exact dense Jacobian d[dT/dt, dY/dt]/d[T, Y],
-    as (F, J) from one evaluation of the kinetics; F equals rhs_vector(y).
+def _evaluate(y, mech, p, telemetry, jacobian):
+    """(q, F, J) at state vector y: the net rates of progress, the source
+    term [dT/dt, dY/dt] and, if `jacobian` is set, its exact dense Jacobian
+    dF/d[T, Y] (else None), from one pass over the kinetics.
 
     J includes the coupling through rho(T, Y) = p / (R T sum Y_i/W_i). Mass
-    fractions in [-Y_NEG_TOL, 0) read as 0 here as in rhs_vector, and their
-    columns are the derivatives at 0 from above. A factor whose exponent is
-    clamped (see RateTelemetry) is constant, so its derivative is 0.
+    fractions in [-Y_NEG_TOL, 0) read as 0, and their columns are the
+    derivatives at 0 from above. A factor whose exponent is clamped (see
+    RateTelemetry) is constant, so its derivative is 0.
     """
     T, Y = _unpack(y)
-    pt = _evaluate(T, Y, p, mech, telemetry=telemetry, derivatives=True)
-    F, omega = _source(pt, mech)
-    Y, rho, mean_inv, W = pt.Y, pt.rho, pt.mean_inv, mech.molar_masses
-    K = mech.n_species
-    nu_t = mech.tables.nu_net.T
+    rho, mean_inv = _density(T, Y, p, mech)
+    W, K = mech.molar_masses, mech.n_species
+    chi = rho * Y / W
+    cp, H, S, dcp = species_thermo(T, mech)
+    tb = mech.tables
+    kf, kr, dkf, dkr = _rate_constants(T, H, S, tb, telemetry=telemetry)
+    chi1 = np.append(chi, 1.0)
+    xf = chi1[tb.reactant_slots]
+    xr = chi1[tb.product_slots]
+    fwd = kf * xf.prod(axis=1)
+    rev = kr * xr.prod(axis=1)
+    q = fwd - rev
+    omega = production_rates(q, mech)
+    cp_w = cp / W
+    D = rho * float(Y @ cp_w)                        # rho c_p, J/(m^3 K)
+    F = np.empty(K + 1)
+    F[0] = -float(omega @ H) / D
+    F[1:] = omega * W / rho
+    _check_finite(F, "rhs")
+    if not jacobian:
+        return q, F, None
+    # dq_j/dchi_k: sum over reaction j's slots holding species k, one
+    # bincount; the last column is the padding slot.
+    n, k1 = mech.n_reactions, chi1.size
+    slots = np.hstack((tb.reactant_slots, tb.product_slots))
+    weights = np.hstack((kf[:, None] * _others(xf), -kr[:, None] * _others(xr)))
+    flat = (np.arange(n)[:, None] * k1 + slots).ravel()
+    dq_dchi = np.bincount(flat, weights.ravel(), n * k1).reshape(n, k1)
+    nu_t = tb.nu_net.T
     # domega/dchi at fixed T. With chi_i = rho Y_i / W_i, dchi/dT = -chi/T
-    # and dchi_i/dY_k = rho delta_ik / W_i - chi_i / (mean_inv W_k).
-    A = (nu_t @ pt.dq_dchi)[:, :K]
-    A_chi = A @ pt.chi
+    # and dchi_i/dY_k = rho delta_ik / W_i - chi_i / (mean_inv W_k); dq/dT
+    # at fixed concentrations is dkf fwd - dkr rev.
+    A = (nu_t @ dq_dchi)[:, :K]
+    A_chi = A @ chi
     domega = np.empty((K, K + 1))
-    domega[:, 0] = nu_t @ pt.dq_dT - A_chi / T
+    domega[:, 0] = nu_t @ (dkf * fwd - dkr * rev) - A_chi / T
     domega[:, 1:] = (rho * A - A_chi[:, None] / mean_inv) / W
     # dY/dt = omega W / rho, with drho/dT = -rho/T, drho/dY_k = -rho/(mean_inv W_k).
     dY = F[1:]
@@ -507,13 +473,28 @@ def rhs_and_jacobian(y, mech, p, *, telemetry=None):
     J[1:] = (W / rho)[:, None] * domega
     J[1:, 0] += dY / T
     J[1:, 1:] += dY[:, None] / (mean_inv * W)
-    # dT/dt = -(omega . H) / D with D = rho cp_mass and dH/dT = cp.
-    cp_w = pt.cp / W
-    D = rho * float(Y @ cp_w)
+    # dT/dt = -(omega . H) / D with dH/dT = cp.
     dD = np.empty(K + 1)
-    dD[0] = -D / T + rho * float(Y @ (pt.dcp / W))
+    dD[0] = -D / T + rho * float(Y @ (dcp / W))
     dD[1:] = rho * cp_w - D / (mean_inv * W)
-    J[0] = -(pt.H @ domega) - F[0] * dD
-    J[0, 0] -= float(omega @ pt.cp)
+    J[0] = -(H @ domega) - F[0] * dD
+    J[0, 0] -= float(omega @ cp)
     J[0] /= D
-    return F, _check_finite(J, "Jacobian")
+    return q, F, _check_finite(J, "Jacobian")
+
+
+def reaction_rates(state, mech, *, telemetry=None):
+    """Net molar rate of progress of every reaction, mol/(m^3 s)."""
+    return _evaluate(state.to_vector(), mech, state.p, telemetry, False)[0]
+
+
+def rhs_vector(y, mech, p, *, telemetry=None):
+    """Time derivative of the state vector [T, Y_1..Y_K] of the isobaric
+    reactor at pressure p; refuses a state `_unpack` or `_density` refuses."""
+    return _evaluate(y, mech, p, telemetry, False)[1]
+
+
+def rhs_and_jacobian(y, mech, p, *, telemetry=None):
+    """(F, J): rhs_vector at y and its exact dense Jacobian dF/d[T, Y], from
+    one evaluation of the kinetics (see `_evaluate`)."""
+    return _evaluate(y, mech, p, telemetry, True)[1:]

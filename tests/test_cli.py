@@ -283,6 +283,18 @@ class TestErrorPaths:
         assert rc == EXIT_CONFIG
         assert "UnknownSpecies: species 'Q'" in capsys.readouterr().err
 
+    def test_T0_outside_thermo_range(self, workdir, capsys):
+        # toy3's species all cover [200, 6000] K: 100 K is refused when the
+        # config meets the mechanism, and the range edge is accepted.
+        (workdir / "cold.cfg").write_text(SHORT_CFG.replace("T0 1000.0", "T0 100.0"))
+        rc = run_cli("validate", "--config", str(workdir / "cold.cfg"))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: BadConfigValue: T0 100.0 K outside thermo range "
+            "[200.0, 6000.0] of species 'F'\n")
+        (workdir / "edge.cfg").write_text(SHORT_CFG.replace("T0 1000.0", "T0 200.0"))
+        assert run_cli("validate", "--config", str(workdir / "edge.cfg")) == EXIT_OK
+
     def test_sweep_without_points(self, workdir, capsys):
         # Neither sweep points nor a reference, then points without one.
         (workdir / "noref.cfg").write_text(SHORT_CFG + "sweep 1e-6 1e-4\n")

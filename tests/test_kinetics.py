@@ -74,6 +74,9 @@ class TestDensity:
         st = ThermoState(T=1000.0, p=1e5, Y=np.array([-1e-6, 1.0]))
         with pytest.raises(InvalidStateError):
             rhs_vector(st.to_vector(), ab_mech, st.p)
+        # The rates of progress pass the same state check.
+        with pytest.raises(InvalidStateError):
+            reaction_rates(st, ab_mech)
 
 
 class TestThermo:

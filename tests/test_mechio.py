@@ -175,6 +175,24 @@ class TestParseMechanism:
         assert code_of(e) == "MassImbalance"
         assert e.value.line is not None
 
+    @pytest.mark.parametrize("old, new, code", [
+        ("F => X          1.0e6  0.0  1.8e5", "F => X          1.0e6  0.0  nan",
+         "BadReaction"),
+        ("X  0.030  200.0 1000.0 6000.0  3.5", "X  0.030  200.0 1000.0 6000.0  nan",
+         "BadSpecies"),
+        ("B  0.030  200.0 1000.0 6000.0  3.5 0.0 0.0 0.0 0.0 3000.0",
+         "B  0.030  200.0 1000.0 6000.0  3.5 0.0 0.0 0.0 0.0 inf", "BadSpecies"),
+    ], ids=["nan-E", "nan-a1", "inf-a6"])
+    def test_non_finite_number_refused(self, old, new, code):
+        # A NaN activation energy, a NaN a1 (which the c_p-continuity
+        # check cannot see) and an infinite a6, each in toy3.
+        text = (FIXTURE_DIR / "toy3.mech").read_text()
+        assert old in text
+        with pytest.raises(MechIoError) as e:
+            parse_mechanism(text.replace(old, new))
+        assert code_of(e) == code
+        assert e.value.line is not None
+
     def test_no_species(self):
         with pytest.raises(MechIoError) as e:
             parse_mechanism("format 1\n[species]\n[reactions]\n")
