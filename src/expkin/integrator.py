@@ -189,7 +189,7 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
     y = np.asarray(y0, dtype=float).copy()
     records = []
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
     F = None
     J = None
 
@@ -237,7 +237,7 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
             if not np.all(np.isfinite(y)):
                 return finish(False, "non-finite state")
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             F, J = F_new, J_new
         elif h_try <= h_min * (1 + 1e-12):
             return finish(False, "step size underflow" + failure)

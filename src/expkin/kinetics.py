@@ -34,7 +34,11 @@ TYPICAL_Y = 1.0e-6
 
 
 class KineticsError(ValueError):
-    """Base class for kinetics evaluation errors."""
+    """Base class for kinetics errors; `reaction` is the bad reaction's index."""
+
+    def __init__(self, message, reaction=None):
+        self.reaction = reaction
+        super().__init__(message)
 
 
 class ThermoRangeError(KineticsError):
@@ -152,16 +156,15 @@ class Reaction:
             raise KineticsError("explicit reverse pre-exponential must be > 0")
 
 
-def _slots(stoich):
-    """Species index once per unit of stoichiometric coefficient."""
-    return [idx for idx, nu in sorted(stoich.items()) for _ in range(int(nu))]
-
-
-def _padded(rows, fill):
-    """Lists of unequal length as one (len(rows), width >= 1) index array."""
-    width = max([1] + [len(r) for r in rows])
-    return np.array([r + [fill] * (width - len(r)) for r in rows],
-                    dtype=np.intp).reshape(len(rows), width)
+def _slots(nu):
+    """Row j of nu (N, K) as species index k nu[j, k] times, ascending,
+    padded with K to a common width >= 1: an (N, width) index array."""
+    order = nu.sum(axis=1)
+    width = max(1, order.max(initial=0))
+    slots = np.full((len(nu), width), nu.shape[1], dtype=np.intp)
+    slots[np.arange(width) < order[:, None]] = np.repeat(
+        np.broadcast_to(np.arange(nu.shape[1]), nu.shape), nu.ravel())
+    return slots
 
 
 class _Tables:
@@ -173,12 +176,12 @@ class _Tables:
     - Arrhenius rows (N, 3): `arrhenius` forward and `reverse_arrhenius`
       (used where `explicit_mask`); `balance_mask` marks reactions reversed
       by detailed balance;
-    - `reactant_slots`/`product_slots` (N, width): a species index once per
-      unit of stoichiometry, padded with K, which indexes a constant 1.
+    - `reactant_slots`/`product_slots`: `_slots` of `nu_forward`/`nu_reverse`,
+      padded with K, which indexes a constant 1.
     """
 
     def __init__(self, mech):
-        K, N = mech.n_species, mech.n_reactions
+        N = mech.n_reactions
         species, reactions = mech.species, mech.reactions
         self.nu_net = np.subtract(mech.nu_reverse, mech.nu_forward, dtype=float)
         self.dnu = self.nu_net.sum(axis=1)
@@ -196,25 +199,25 @@ class _Tables:
         self.reverse_arrhenius = np.array(
             [r.explicit_reverse if e else (1.0, 0.0, 0.0)
              for r, e in zip(reactions, explicit)], dtype=float).reshape(N, 3)
-        self.reactant_slots = _padded([_slots(r.reactants) for r in reactions], K)
-        self.product_slots = _padded([_slots(r.products) for r in reactions], K)
+        self.reactant_slots = _slots(mech.nu_forward)
+        self.product_slots = _slots(mech.nu_reverse)
 
 
 @dataclass(frozen=True)
 class Mechanism:
     """Immutable set of species and reactions plus precomputed arrays.
 
-    `molar_masses` and the integer stoichiometric matrices `nu_forward` and
-    `nu_reverse` (N, K) are filled in by __post_init__; `tables` holds the
-    rest of what an evaluation needs and is built on first use. None of
-    them takes part in equality.
+    It is built from `species` and `reactions` alone: __post_init__ checks
+    them and derives `molar_masses` and the integer stoichiometric matrices
+    `nu_forward` and `nu_reverse` (N, K), which take no part in equality;
+    `tables` derives the rest from these on first use.
     """
 
     species: tuple
     reactions: tuple
-    molar_masses: np.ndarray = field(default=None, compare=False, repr=False)
-    nu_forward: np.ndarray = field(default=None, compare=False, repr=False)
-    nu_reverse: np.ndarray = field(default=None, compare=False, repr=False)
+    molar_masses: np.ndarray = field(init=False, compare=False, repr=False)
+    nu_forward: np.ndarray = field(init=False, compare=False, repr=False)
+    nu_reverse: np.ndarray = field(init=False, compare=False, repr=False)
 
     MASS_BALANCE_TOL = 1.0e-8  # kg/mol
 
@@ -234,15 +237,14 @@ class Mechanism:
                 for idx, n in stoich.items():
                     if not 0 <= idx < K:
                         raise KineticsError(
-                            f"reaction {j}: species index {idx} out of range")
+                            f"reaction {j}: species index {idx} out of range", j)
                     nu[j, idx] = n
         imbalance = np.abs((nu_r - nu_f) @ W)
         unbalanced = np.flatnonzero(imbalance > self.MASS_BALANCE_TOL)
         if unbalanced.size:
             j = int(unbalanced[0])
             raise KineticsError(
-                f"reaction {j} violates mass balance by {imbalance[j]:.3e} kg/mol"
-            )
+                f"reaction {j} violates mass balance by {imbalance[j]:.3e} kg/mol", j)
         object.__setattr__(self, "molar_masses", W)
         object.__setattr__(self, "nu_forward", nu_f)
         object.__setattr__(self, "nu_reverse", nu_r)
@@ -285,8 +287,8 @@ class ThermoState:
 def _unpack(y):
     """T and Y of the state vector y, the one check of an evaluated state:
     T must be positive and finite and each Y within [-Y_NEG_TOL,
-    1 + Y_NEG_TOL]. Y is clipped (`_clip_negative`). A bad pressure shows as
-    a bad density (`_density`)."""
+    1 + Y_NEG_TOL]. Mass fractions in [-Y_NEG_TOL, 0) read as 0. A bad
+    pressure shows as a bad density (`_density`)."""
     y = np.asarray(y, dtype=float)
     T, Y = float(y[0]), y[1:]
     if not 0 < T < np.inf:
@@ -295,14 +297,9 @@ def _unpack(y):
     if out.any():
         bad = int(np.argmax(out))
         raise InvalidStateError(f"mass fraction {bad} out of bounds: {Y[bad]}")
-    return T, _clip_negative(Y)
-
-
-def _clip_negative(Y):
-    """Mass fractions in [-Y_NEG_TOL, 0) read as 0."""
-    if Y.min() >= 0:
-        return Y
-    return np.where((Y < 0) & (Y >= -Y_NEG_TOL), 0.0, Y)
+    if Y.min() < 0:
+        Y = np.where(Y < 0, 0.0, Y)
+    return T, Y
 
 
 def _density(T, Y, p, mech):
@@ -319,13 +316,13 @@ def _density(T, Y, p, mech):
 
 def density(state, mech):
     """Mixture mass density from the ideal-gas law, kg/m^3."""
-    return _density(state.T, _clip_negative(state.Y), state.p, mech)[0]
+    return _density(*_unpack(state.to_vector()), state.p, mech)[0]
 
 
 def concentrations(state, mech):
     """Molar concentrations chi_i = rho Y_i / W_i, mol/m^3."""
-    Y = _clip_negative(state.Y)
-    return _density(state.T, Y, state.p, mech)[0] * Y / mech.molar_masses
+    T, Y = _unpack(state.to_vector())
+    return _density(T, Y, state.p, mech)[0] * Y / mech.molar_masses
 
 
 def species_thermo(T, mech):

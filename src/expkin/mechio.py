@@ -101,8 +101,7 @@ def parse_mechanism(text):
     except KineticsError as exc:
         # The species were checked above, so the one check Mechanism can
         # fail here is a reaction's mass balance; attribute it to its line.
-        j = int(re.match(r"reaction (\d+)", str(exc)).group(1))
-        _fail("MassImbalance", str(exc), reactions[j][1])
+        _fail("MassImbalance", str(exc), reactions[exc.reaction][1])
 
 
 def _parse_species_line(line, lineno):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import (flat_thermo, make_mechanism, make_species,
+from conftest import (flat_thermo, make_mechanism, make_species, mechgen,
                       random_balanced_mechanism)
 from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
-    TYPICAL_T, TYPICAL_Y, _unpack, concentrations, density, equilibrium_constants,
+    TYPICAL_T, TYPICAL_Y, _slots, _unpack, concentrations, density, equilibrium_constants,
     production_rates, rate_constants, reaction_rates, rhs_and_jacobian,
     rhs_vector, species_thermo,
 )
@@ -77,6 +77,16 @@ class TestDensity:
         # The rates of progress pass the same state check.
         with pytest.raises(InvalidStateError):
             reaction_rates(st, ab_mech)
+
+    @pytest.mark.parametrize("Y", [[-1e-6, 1.0], [0.5, 3.0]],
+                             ids=["too-negative", "above-one"])
+    @pytest.mark.parametrize("view", [density, concentrations])
+    def test_density_views_check_the_state(self, ab_mech, view, Y):
+        # Both states are refused by rhs_vector; without the check they
+        # read as a negative concentration and a density of 0.104 kg/m^3.
+        st = ThermoState(T=1000.0, p=1e5, Y=np.array(Y))
+        with pytest.raises(InvalidStateError):
+            view(st, ab_mech)
 
 
 class TestThermo:
@@ -517,6 +527,22 @@ class TestValidation:
             Reaction(reactants={0: 1.5}, products={1: 1},
                      arrhenius=(1.0, 0.0, 0.0))
 
+    def test_mass_imbalance_names_the_reaction(self):
+        sp = [make_species("A", 0.030), make_species("B", 0.030),
+              make_species("C", 0.060)]
+        rx = [Reaction(reactants=r, products=p, arrhenius=(1.0, 0.0, 0.0))
+              for r, p in (({0: 1}, {1: 1}), ({0: 2}, {2: 1}), ({0: 1}, {2: 1}))]
+        with pytest.raises(KineticsError) as e:
+            make_mechanism(sp, rx)
+        assert e.value.reaction == 2
+
+    @pytest.mark.parametrize("name", ["molar_masses", "nu_forward", "nu_reverse"])
+    def test_derived_arrays_are_not_arguments(self, name):
+        # They are derived from species and reactions; passing one is an
+        # error rather than a value that is silently overwritten.
+        with pytest.raises(TypeError):
+            Mechanism((make_species("A", 0.030),), (), **{name: np.ones(1)})
+
     def test_duplicate_species_rejected(self):
         sp = [make_species("A", 0.030), make_species("A", 0.030)]
         with pytest.raises(KineticsError):
@@ -527,3 +553,51 @@ class TestValidation:
         T, Y = _unpack(st.to_vector())
         assert T == st.T and st.p == 2e5
         np.testing.assert_array_equal(Y, st.Y)
+
+
+def nu_matrix(sides, K):
+    """Integer (N, K) matrix of stoichiometry dicts."""
+    nu = np.zeros((len(sides), K), dtype=int)
+    for j, side in enumerate(sides):
+        for k, n in side.items():
+            nu[j, k] = n
+    return nu
+
+
+def expanded_slots(sides, K):
+    """Stoichiometry dicts one reaction at a time: each species index once
+    per unit of coefficient, ascending, padded with K to width >= 1."""
+    rows = [[k for k in sorted(side) for _ in range(side[k])] for side in sides]
+    width = max([1] + [len(r) for r in rows])
+    return np.array([r + [K] * (width - len(r)) for r in rows],
+                    dtype=np.intp).reshape(len(rows), width)
+
+
+class TestSlots:
+    @pytest.mark.parametrize("K", [9, 20, 53])
+    def test_generated_networks(self, K):
+        mech = mechgen.generate_mechanism(K, 11)
+        tb = mech.tables
+        for side, nu, slots in (("reactants", mech.nu_forward, tb.reactant_slots),
+                                ("products", mech.nu_reverse, tb.product_slots)):
+            want = expanded_slots([getattr(r, side) for r in mech.reactions], K)
+            np.testing.assert_array_equal(_slots(nu), want)
+            np.testing.assert_array_equal(slots, want)
+            assert slots.dtype == np.intp
+
+    def test_no_reactions(self):
+        mech = make_mechanism([make_species("A", 0.030)], [])
+        for slots in (mech.tables.reactant_slots, mech.tables.product_slots):
+            assert slots.shape == (0, 1) and slots.dtype == np.intp
+
+    def test_empty_reactant_side(self):
+        # A reaction built directly (no Mechanism, which would refuse its
+        # mass balance) that makes one A and two B from nothing.
+        rxn = Reaction(reactants={}, products={1: 2, 0: 1},
+                       arrhenius=(1.0, 0.0, 0.0))
+        for side in (rxn.reactants, rxn.products):
+            np.testing.assert_array_equal(_slots(nu_matrix([side], 3)),
+                                          expanded_slots([side], 3))
+        np.testing.assert_array_equal(_slots(nu_matrix([rxn.reactants], 3)), [[3]])
+        np.testing.assert_array_equal(_slots(nu_matrix([rxn.products], 3)),
+                                      [[0, 1, 1]])

@@ -175,6 +175,15 @@ class TestParseMechanism:
         assert code_of(e) == "MassImbalance"
         assert e.value.line is not None
 
+    def test_mass_imbalance_reports_a_later_line(self):
+        # The second reaction breaks mass balance; the first balances.
+        bad = MINIMAL.replace("A + B <=> 2 B", "A + B <=> B")
+        lines = bad.splitlines()
+        with pytest.raises(MechIoError) as e:
+            parse_mechanism(bad)
+        assert code_of(e) == "MassImbalance"
+        assert e.value.line == lines.index("A + B <=> B 2.0e5 0.5 4.0e4") + 1
+
     @pytest.mark.parametrize("old, new, code", [
         ("F => X          1.0e6  0.0  1.8e5", "F => X          1.0e6  0.0  nan",
          "BadReaction"),
