@@ -128,14 +128,14 @@ class Reaction:
     """One elementary reaction with integer stoichiometry.
 
     `reactants` and `products` map species index -> stoichiometric coefficient.
-    `arrhenius` is (A, temperature exponent, activation energy J/mol).
+    `arrhenius` is (A, temperature exponent, activation energy J/mol). A
+    `reversible` reaction's reverse rate comes from detailed balance.
     """
 
     reactants: dict
     products: dict
     arrhenius: tuple
     reversible: bool = False
-    explicit_reverse: tuple = None
 
     def __post_init__(self):
         if not self.reactants and not self.products:
@@ -146,14 +146,11 @@ class Reaction:
                     raise KineticsError(
                         f"stoichiometric coefficient {nu} must be a non-negative integer"
                     )
-        fits = (*self.arrhenius, *(self.explicit_reverse or ()))
-        if not all(map(math.isfinite, fits)):
-            raise KineticsError(f"Arrhenius numbers must be finite, got {fits}")
+        if not all(map(math.isfinite, self.arrhenius)):
+            raise KineticsError(f"Arrhenius numbers must be finite, got {self.arrhenius}")
         A = self.arrhenius[0]
         if not (A > 0):
             raise KineticsError(f"pre-exponential factor must be > 0, got {A}")
-        if self.explicit_reverse is not None and not (self.explicit_reverse[0] > 0):
-            raise KineticsError("explicit reverse pre-exponential must be > 0")
 
 
 def _slots(nu):
@@ -173,9 +170,8 @@ class _Tables:
     - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row sums;
     - NASA-7 coefficients `nasa_low`/`nasa_high` (K, 7) and the range
       limits `t_low`, `t_mid`, `t_high`;
-    - Arrhenius rows (N, 3): `arrhenius` forward and `reverse_arrhenius`
-      (used where `explicit_mask`); `balance_mask` marks reactions reversed
-      by detailed balance;
+    - forward Arrhenius rows `arrhenius` (N, 3), and `reversible` (N,), the
+      reactions reversed by detailed balance;
     - `reactant_slots`/`product_slots`: `_slots` of `nu_forward`/`nu_reverse`,
       padded with K, which indexes a constant 1.
     """
@@ -190,15 +186,9 @@ class _Tables:
         self.t_low = np.array([s.t_low for s in species])
         self.t_mid = np.array([s.t_mid for s in species])
         self.t_high = np.array([s.t_high for s in species])
-        explicit = [r.reversible and r.explicit_reverse is not None for r in reactions]
-        self.explicit_mask = np.array(explicit, dtype=bool)
-        self.balance_mask = np.array([r.reversible for r in reactions],
-                                     dtype=bool) & ~self.explicit_mask
+        self.reversible = np.array([r.reversible for r in reactions], dtype=bool)
         self.arrhenius = np.array([r.arrhenius for r in reactions],
                                   dtype=float).reshape(N, 3)
-        self.reverse_arrhenius = np.array(
-            [r.explicit_reverse if e else (1.0, 0.0, 0.0)
-             for r, e in zip(reactions, explicit)], dtype=float).reshape(N, 3)
         self.reactant_slots = _slots(mech.nu_forward)
         self.product_slots = _slots(mech.nu_reverse)
 
@@ -284,12 +274,16 @@ class ThermoState:
         return np.concatenate(([self.T], self.Y))
 
 
-def _unpack(y):
+def _unpack(y, mech):
     """T and Y of the state vector y, the one check of an evaluated state:
-    T must be positive and finite and each Y within [-Y_NEG_TOL,
-    1 + Y_NEG_TOL]. Mass fractions in [-Y_NEG_TOL, 0) read as 0. A bad
-    pressure shows as a bad density (`_density`)."""
+    y must have shape (K + 1,), T must be positive and finite and each Y
+    within [-Y_NEG_TOL, 1 + Y_NEG_TOL]. Mass fractions in [-Y_NEG_TOL, 0)
+    read as 0. A bad pressure shows as a bad density (`_density`)."""
     y = np.asarray(y, dtype=float)
+    if y.shape != (mech.n_species + 1,):
+        raise InvalidStateError(f"state vector of shape {y.shape} for "
+                                f"{mech.n_species} species, expected "
+                                f"({mech.n_species + 1},)")
     T, Y = float(y[0]), y[1:]
     if not 0 < T < np.inf:
         raise InvalidStateError(f"temperature must be positive, got {T}")
@@ -316,12 +310,12 @@ def _density(T, Y, p, mech):
 
 def density(state, mech):
     """Mixture mass density from the ideal-gas law, kg/m^3."""
-    return _density(*_unpack(state.to_vector()), state.p, mech)[0]
+    return _density(*_unpack(state.to_vector(), mech), state.p, mech)[0]
 
 
 def concentrations(state, mech):
     """Molar concentrations chi_i = rho Y_i / W_i, mol/m^3."""
-    T, Y = _unpack(state.to_vector())
+    T, Y = _unpack(state.to_vector(), mech)
     return _density(T, Y, state.p, mech)[0] * Y / mech.molar_masses
 
 
@@ -361,20 +355,16 @@ def equilibrium_constants(T, mech, telemetry=None):
 def _rate_constants(T, H, S, tb, *, telemetry):
     """Forward and reverse rate constants and their T log-derivatives.
 
-    An explicit reverse Arrhenius fit takes precedence; otherwise the reverse
-    rate follows from detailed balance, b = f / K_c. Irreversible reactions
-    have b = 0.
+    The reverse rate follows from detailed balance, k_r = k_f / K_c, for
+    reversible reactions; irreversible reactions have k_r = 0.
     """
     kf, dkf = _arrhenius(tb.arrhenius, T, telemetry)
     kr = np.zeros_like(kf)
     dkr = np.zeros_like(kf)
-    bal = tb.balance_mask
-    if bal.any():
-        kc, dkc = _equilibrium(T, H, S, tb, telemetry, bal)
-        kr[bal], dkr[bal] = kf[bal] / kc, dkf[bal] - dkc
-    ex = tb.explicit_mask
-    if ex.any():
-        kr[ex], dkr[ex] = _arrhenius(tb.reverse_arrhenius[ex], T, telemetry)
+    rev = tb.reversible
+    if rev.any():
+        kc, dkc = _equilibrium(T, H, S, tb, telemetry, rev)
+        kr[rev], dkr[rev] = kf[rev] / kc, dkf[rev] - dkc
     return kf, kr, dkf, dkr
 
 
@@ -426,7 +416,7 @@ def _evaluate(y, mech, p, telemetry, jacobian):
     derivatives at 0 from above. A factor whose exponent is clamped (see
     RateTelemetry) is constant, so its derivative is 0.
     """
-    T, Y = _unpack(y)
+    T, Y = _unpack(y, mech)
     rho, mean_inv = _density(T, Y, p, mech)
     W, K = mech.molar_masses, mech.n_species
     chi = rho * Y / W

@@ -12,7 +12,7 @@ The mechanism format is a sectioned line-oriented plain-text format
 
     [reactions]
     F + X => 2 X   1.0e8  0  8.0e4
-    A <=> B        1.0e3  0.5  1.0e3  rev: 2.0e3 0.5 1.2e3
+    A <=> B        1.0e3  0.5  1.0e3
 """
 from __future__ import annotations
 
@@ -150,6 +150,10 @@ def _parse_reaction_line(line, lineno, names):
         _fail("UnsupportedReactionType",
               "third-body / falloff / pressure-dependent reactions are not supported",
               lineno)
+    if "rev:" in line:
+        _fail("UnsupportedReactionType",
+              "explicit reverse fits ('rev:') are not supported; reverse rates "
+              "come from detailed balance", lineno)
     if "<=>" in line:
         reversible = True
         lhs, rest = line.split("<=>", 1)
@@ -158,16 +162,6 @@ def _parse_reaction_line(line, lineno, names):
         lhs, rest = line.split("=>", 1)
     else:
         _fail("BadReaction", "missing '=>' or '<=>'", lineno)
-    explicit_reverse = None
-    if "rev:" in rest:
-        rest, rev_part = rest.split("rev:", 1)
-        if not reversible:
-            _fail("BadReaction", "'rev:' given for an irreversible reaction", lineno)
-        rev_toks = rev_part.split()
-        if len(rev_toks) != 3:
-            _fail("BadArrhenius", "reverse Arrhenius needs exactly 3 numbers", lineno)
-        explicit_reverse = tuple(_parse_float(t, lineno, "Arrhenius value")
-                                 for t in rev_toks)
     rest_toks = rest.split()
     if len(rest_toks) < 4:
         _fail("BadArrhenius", "reaction needs products plus 3 Arrhenius numbers", lineno)
@@ -177,7 +171,7 @@ def _parse_reaction_line(line, lineno, names):
     products = _parse_stoich_side(rhs_text, lineno, names)
     try:
         rxn = Reaction(reactants=reactants, products=products, arrhenius=arrhenius,
-                       reversible=reversible, explicit_reverse=explicit_reverse)
+                       reversible=reversible)
     except KineticsError as exc:
         _fail("BadReaction", str(exc), lineno)
     return rxn, lineno
@@ -201,11 +195,8 @@ def serialize_mechanism(mech):
                 terms.append(name if nu == 1 else f"{nu} {name}")
             return " + ".join(terms)
         arrow = "<=>" if rxn.reversible else "=>"
-        line = f"{side(rxn.reactants)} {arrow} {side(rxn.products)} " + \
-            " ".join(repr(float(v)) for v in rxn.arrhenius)
-        if rxn.explicit_reverse is not None:
-            line += " rev: " + " ".join(repr(float(v)) for v in rxn.explicit_reverse)
-        lines.append(line)
+        lines.append(f"{side(rxn.reactants)} {arrow} {side(rxn.products)} "
+                     + " ".join(repr(float(v)) for v in rxn.arrhenius))
     return "\n".join(lines) + "\n"
 
 

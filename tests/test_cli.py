@@ -12,6 +12,7 @@ from conftest import FIXTURE_DIR, FORMAT_DOC, make_mechanism, make_species, mech
 from expkin import cli, integrator
 from expkin.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from expkin.integrator import StepRecord, integrate_mechanism
+from expkin.kinetics import Reaction
 from expkin.mechio import RunConfig, serialize_mechanism
 from oracles import read_csv
 
@@ -494,7 +495,8 @@ def test_option_count_is_pinned():
     # The independently settable options are the RunConfig fields (one per
     # config key; Y, sweep and reference included) and the distinct flags of
     # every subcommand. A new one fails here until this pin and the count in
-    # ROADMAP.md are updated.
+    # ROADMAP.md are updated. The per-reaction fields of the mechanism format
+    # are pinned the same way.
     parser = cli.build_parser()
     sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {opt for p in sub.choices.values() for a in p._actions
@@ -502,3 +504,5 @@ def test_option_count_is_pinned():
     assert sorted(flags) == ["--config", "--out"]
     assert len(fields(RunConfig)) == 12
     assert len(fields(RunConfig)) + len(flags) == 14
+    assert [f.name for f in fields(Reaction)] == [
+        "reactants", "products", "arrhenius", "reversible"]

@@ -375,6 +375,19 @@ class TestAdaptive:
         assert out.message.startswith("state evaluation failed:")
         assert out.records == []
 
+    @pytest.mark.parametrize("Y", [[0.1, 0.0, 0.0, 0.9], [0.1, 0.9]],
+                             ids=["too-long", "too-short"])
+    def test_wrong_length_initial_mechanism_state(self, toy_mech, Y):
+        # A state with a mass fraction more or fewer than the mechanism has
+        # species is refused by the kinetics, which names both lengths.
+        state = ThermoState(T=1000.0, p=101325.0, Y=Y)
+        out = integrate_mechanism(state, toy_mech, 0.1,
+                                  atol=1e-8, rtol=1e-6)
+        assert not out.success
+        assert out.message.startswith("state evaluation failed:")
+        assert f"shape ({len(Y) + 1},) for 3 species, expected (4,)" in out.message
+        assert out.records == []
+
     def test_zero_initial_mechanism_state(self, toy_mech):
         # Mass fractions that are all zero hold no moles: the kinetics
         # refuses the state, and the run ends as for any unevaluable one.

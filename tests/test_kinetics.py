@@ -78,12 +78,15 @@ class TestDensity:
         with pytest.raises(InvalidStateError):
             reaction_rates(st, ab_mech)
 
-    @pytest.mark.parametrize("Y", [[-1e-6, 1.0], [0.5, 3.0]],
-                             ids=["too-negative", "above-one"])
+    @pytest.mark.parametrize("Y", [[-1e-6, 1.0], [0.5, 3.0],
+                                   [0.5, 0.25, 0.25], [1.0]],
+                             ids=["too-negative", "above-one",
+                                  "too-long", "too-short"])
     @pytest.mark.parametrize("view", [density, concentrations])
     def test_density_views_check_the_state(self, ab_mech, view, Y):
-        # Both states are refused by rhs_vector; without the check they
-        # read as a negative concentration and a density of 0.104 kg/m^3.
+        # Each state is refused by rhs_vector. Without the check the first
+        # two read as a negative concentration and a density of 0.104
+        # kg/m^3; a single Y would broadcast over both species.
         st = ThermoState(T=1000.0, p=1e5, Y=np.array(Y))
         with pytest.raises(InvalidStateError):
             view(st, ab_mech)
@@ -221,14 +224,13 @@ class TestRates:
         assert kr[0] == kf[0] / kc
         assert kr[0] == pytest.approx(3.0, rel=1e-14)
 
-    def test_explicit_reverse_takes_precedence(self):
-        # Detailed balance would give 6 / K_c = 6e-9 (K_c = 1e9); the fit wins.
-        rxn = Reaction(reactants={0: 1}, products={1: 1},
-                       arrhenius=(6.0, 0.0, 0.0), reversible=True,
-                       explicit_reverse=(7.0, 0.0, 0.0))
-        mech = one_reaction_mech(rxn, b_a6=-1000.0 * np.log(1e9))
-        _, kr = rate_constants(1000.0, mech)
-        assert kr[0] == pytest.approx(7.0)
+    def test_explicit_reverse_is_not_an_argument(self):
+        # Detailed balance is the one reverse-rate law, so a reaction takes
+        # no explicit reverse fit.
+        with pytest.raises(TypeError):
+            Reaction(reactants={0: 1}, products={1: 1},
+                     arrhenius=(6.0, 0.0, 0.0), reversible=True,
+                     explicit_reverse=(7.0, 0.0, 0.0))
 
     def test_reaction_rate_hand_value(self, ab_mech):
         # A => B, k = 2, chi_A known from the state: q = k * chi_A.
@@ -352,12 +354,16 @@ class TestProductionAndRhs:
             (1000.0, 0.0), (1000.0, -1.0), (1000.0, np.nan),
             (0.0, 101325.0), (np.nan, 101325.0), (np.inf, 101325.0))),
         pytest.param(1000.0, 101325.0, [0.0, 0.0, 0.0], id="Y-zero"),
-        pytest.param(1000.0, 101325.0, [-5e-9, 0.0, 0.0], id="Y-clipped-zero")])
+        pytest.param(1000.0, 101325.0, [-5e-9, 0.0, 0.0], id="Y-clipped-zero"),
+        pytest.param(1000.0, 101325.0, [0.1, 0.0, 0.0, 0.9], id="Y-too-long"),
+        pytest.param(1000.0, 101325.0, [0.1, 0.9], id="Y-too-short")])
     @pytest.mark.parametrize("evaluate", [rhs_vector, rhs_and_jacobian])
     def test_bad_temperature_or_pressure_rejected(self, toy_mech, evaluate, T, p, Y):
         # Both entry points share one state check; a bad pressure shows as a
         # non-physical density. Mass fractions that are all zero once
-        # clipped hold no moles, so they have no density either.
+        # clipped hold no moles, so they have no density either. A state
+        # vector is T and one mass fraction per species; any other length
+        # is refused before numpy broadcasts or multiplies it.
         with pytest.raises(InvalidStateError):
             evaluate(np.array([T, *Y]), toy_mech, p)
 
@@ -435,7 +441,7 @@ class TestJacobian:
         n_reversible = 0
         for _ in range(20):
             mech = random_balanced_mechanism(rng)
-            n_reversible += int(mech.tables.balance_mask.sum())
+            n_reversible += int(mech.tables.reversible.sum())
             Y = rng.dirichlet(np.ones(mech.n_species))
             y = np.concatenate(([rng.uniform(600.0, 2500.0)], Y))
             p = rng.uniform(5e4, 5e6)
@@ -445,24 +451,23 @@ class TestJacobian:
             np.testing.assert_array_equal(F, rhs_vector(y, mech, p))
         assert n_reversible > 0
 
-    def test_oracle_explicit_reverse(self):
-        # A + B <=> 2 C with an explicit reverse fit, beside 2 A <=> B by
-        # detailed balance and an irreversible 2 C => A + B. C's c_p
-        # depends on T, so dc_p/dT enters the temperature column.
+    def test_oracle_mixed_reversibility(self):
+        # A + B <=> 2 C and 2 A <=> B by detailed balance, beside an
+        # irreversible 2 C => A + B. C's c_p depends on T, so dc_p/dT enters
+        # the temperature column.
         c_coeffs = (3.0, 1.5e-3, -4.0e-7, 3.0e-11, 0.0, 5.0e2, 6.0)
         sp = [make_species("A", 0.020, a6=2.0e3, a7=4.0),
               make_species("B", 0.040, a1=4.5, a6=-1.0e3, a7=7.0),
               Species(name="C", molar_mass=0.030, t_low=200.0, t_mid=1000.0,
                       t_high=6000.0, coeffs_low=c_coeffs, coeffs_high=c_coeffs)]
         rx = [Reaction(reactants={0: 1, 1: 1}, products={2: 2},
-                       arrhenius=(3.0e5, 0.5, 4.0e4), reversible=True,
-                       explicit_reverse=(2.0e4, -0.3, 6.0e4)),
+                       arrhenius=(3.0e5, 0.5, 4.0e4), reversible=True),
               Reaction(reactants={0: 2}, products={1: 1},
                        arrhenius=(1.0e6, 0.0, 3.0e4), reversible=True),
               Reaction(reactants={2: 2}, products={0: 1, 1: 1},
                        arrhenius=(5.0e3, 1.0, 2.0e4))]
         mech = make_mechanism(sp, rx)
-        assert mech.tables.explicit_mask.tolist() == [True, False, False]
+        assert mech.tables.reversible.tolist() == [True, True, False]
         y = np.array([1300.0, 0.3, 0.5, 0.2])
         assert oracle_error(mech, y, 2.0e5) < 1e-6
         assert_mass_conserving(rhs_and_jacobian(y, mech, 2.0e5)[1])
@@ -548,9 +553,9 @@ class TestValidation:
         with pytest.raises(KineticsError):
             make_mechanism(sp, [])
 
-    def test_state_vector_round_trip(self):
+    def test_state_vector_round_trip(self, ab_mech):
         st = ThermoState(T=1234.5, p=2e5, Y=np.array([0.25, 0.75]))
-        T, Y = _unpack(st.to_vector())
+        T, Y = _unpack(st.to_vector(), ab_mech)
         assert T == st.T and st.p == 2e5
         np.testing.assert_array_equal(Y, st.Y)
 

@@ -207,18 +207,19 @@ class TestParseMechanism:
             parse_mechanism("format 1\n[species]\n[reactions]\n")
         assert code_of(e) == "NoSpecies"
 
-    def test_explicit_reverse_parsed(self):
-        text = MINIMAL.replace("A + B <=> 2 B 2.0e5 0.5 4.0e4",
-                               "A + B <=> 2 B 2.0e5 0.5 4.0e4 rev: 1.0e3 0.0 2.0e4")
-        mech = parse_mechanism(text)
-        assert mech.reactions[1].explicit_reverse == (1.0e3, 0.0, 2.0e4)
-
-    def test_rev_on_irreversible_rejected(self):
-        text = MINIMAL.replace("A => B 1.0e6 0.0 8.0e4",
-                               "A => B 1.0e6 0.0 8.0e4 rev: 1.0 0.0 0.0")
+    @pytest.mark.parametrize("old, new", [
+        ("A + B <=> 2 B 2.0e5 0.5 4.0e4",
+         "A + B <=> 2 B 2.0e5 0.5 4.0e4 rev: 1.0e3 0.0 2.0e4"),
+        ("A => B 1.0e6 0.0 8.0e4", "A => B 1.0e6 0.0 8.0e4 rev: 1.0 0.0 0.0"),
+    ], ids=["reversible", "irreversible"])
+    def test_explicit_reverse_refused(self, old, new):
+        # Reverse rates come from detailed balance alone, so an explicit
+        # reverse fit is refused like the other unsupported syntax.
         with pytest.raises(MechIoError) as e:
-            parse_mechanism(text)
-        assert code_of(e) == "BadReaction"
+            parse_mechanism(MINIMAL.replace(old, new))
+        assert code_of(e) == "UnsupportedReactionType"
+        assert "rev:" in str(e.value)
+        assert e.value.line is not None
 
 
 class TestRoundTrip:

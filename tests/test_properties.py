@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import mechgen
 from expkin.integrator import epi3v_step, problem_from_mechanism
-from expkin.kinetics import rhs_and_jacobian, rhs_vector
+from expkin.kinetics import (equilibrium_constants, rate_constants,
+                              rhs_and_jacobian, rhs_vector)
 from expkin.mechio import parse_mechanism, serialize_mechanism
 from test_kinetics import assert_mass_conserving, oracle_error
 
@@ -65,6 +66,21 @@ def test_jacobian_mass_conserving(case):
     assert_mass_conserving(J)
     # F and J come from one evaluation, and F is the same bits as rhs_vector.
     assert np.array_equal(F, rhs_vector(y, mech, PRESSURE))
+
+
+@PROPERTY
+@given(cases())
+def test_reverse_rates_follow_detailed_balance(case):
+    # Detailed balance is the one reverse-rate law: k_r = k_f / K_c, bit for
+    # bit, for reversible reactions and 0 for the others.
+    mech, y = case
+    T = y[0]
+    kf, kr = rate_constants(T, mech)
+    rev = mech.tables.reversible
+    assert rev.any() and not rev.all()
+    expected = np.zeros_like(kf)
+    expected[rev] = kf[rev] / equilibrium_constants(T, mech)[rev]
+    assert np.array_equal(kr, expected)
 
 
 def one_step(mech, y, divisor=1):
