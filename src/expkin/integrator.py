@@ -131,7 +131,9 @@ def scaled_error_norm(lte, y, atol, rtol):
     # Overflow here just yields inf, which the controller treats as a
     # rejection; no need to warn about it.
     with np.errstate(over="ignore"):
-        return float(np.sqrt(np.mean((lte / scale) ** 2)))
+        sq = (lte / scale) ** 2
+        # sum / size: the bits of np.mean without its dispatch.
+        return float(np.sqrt(sq.sum() / sq.size))
 
 
 def controller_update(err_scaled, h_old, h_min=0.0):
@@ -234,7 +236,7 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
         if accept:
             t = t_final if last else t + h_try
             y = y_new
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 return finish(False, "non-finite state")
             ts.append(t)
             ys.append(y)

@@ -68,10 +68,9 @@ class RateTelemetry:
 def _clamped_exp(arg, telemetry=None):
     """exp(arg) with arg clipped to +-EXP_ARG_MAX, and the mask of the
     unclipped entries (where the factor's derivative passes through)."""
-    arg = np.asarray(arg, dtype=float)
-    clipped = np.clip(arg, -EXP_ARG_MAX, EXP_ARG_MAX)
+    clipped = np.minimum(np.maximum(arg, -EXP_ARG_MAX), EXP_ARG_MAX)
     live = clipped == arg
-    if telemetry is not None and not np.all(live):
+    if telemetry is not None and not live.all():
         telemetry.mark_saturated()
     return np.exp(clipped), live
 
@@ -165,15 +164,21 @@ def _slots(nu):
 
 
 class _Tables:
-    """The arrays every evaluation of one mechanism uses.
+    """The arrays every evaluation of one mechanism uses, all read-only.
 
     - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row sums;
-    - NASA-7 coefficients `nasa_low`/`nasa_high` (K, 7) and the range
-      limits `t_low`, `t_mid`, `t_high`;
+    - NASA-7 coefficients `nasa_low`/`nasa_high` (K, 7), the range
+      limits `t_low`, `t_mid`, `t_high` and the window where every fit
+      holds, [`t_min`, `t_max`] (floats);
     - forward Arrhenius rows `arrhenius` (N, 3), and `reversible` (N,), the
-      reactions reversed by detailed balance;
+      reactions reversed by detailed balance; `no_reverse` (N,) zeros, the
+      k_r and d ln k_r/dT of a mechanism without reversible reactions, else
+      None;
     - `reactant_slots`/`product_slots`: `_slots` of `nu_forward`/`nu_reverse`,
-      padded with K, which indexes a constant 1.
+      padded with K, which indexes a constant 1;
+    - `jacobian_index`: the flat index into dq/dchi (N, K + 1) of every
+      reactant slot, then every product slot, row by row (the `bincount`
+      scatter of the Jacobian).
     """
 
     def __init__(self, mech):
@@ -186,11 +191,20 @@ class _Tables:
         self.t_low = np.array([s.t_low for s in species])
         self.t_mid = np.array([s.t_mid for s in species])
         self.t_high = np.array([s.t_high for s in species])
+        self.t_min = float(self.t_low.max())
+        self.t_max = float(self.t_high.min())
         self.reversible = np.array([r.reversible for r in reactions], dtype=bool)
         self.arrhenius = np.array([r.arrhenius for r in reactions],
                                   dtype=float).reshape(N, 3)
+        self.no_reverse = None if self.reversible.any() else np.zeros(N)
         self.reactant_slots = _slots(mech.nu_forward)
         self.product_slots = _slots(mech.nu_reverse)
+        slots = np.hstack((self.reactant_slots, self.product_slots))
+        self.jacobian_index = (np.arange(N)[:, None] * (mech.n_species + 1)
+                               + slots).ravel()
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -287,23 +301,26 @@ def _unpack(y, mech):
     T, Y = float(y[0]), y[1:]
     if not 0 < T < np.inf:
         raise InvalidStateError(f"temperature must be positive, got {T}")
-    out = (Y < -Y_NEG_TOL) | (Y > 1 + Y_NEG_TOL)
-    if out.any():
-        bad = int(np.argmax(out))
-        raise InvalidStateError(f"mass fraction {bad} out of bounds: {Y[bad]}")
-    if Y.min() < 0:
+    low = Y.min()
+    if not (low >= -Y_NEG_TOL and Y.max() <= 1 + Y_NEG_TOL):
+        # A NaN passes the bounds and fails in _density.
+        out = (Y < -Y_NEG_TOL) | (Y > 1 + Y_NEG_TOL)
+        if out.any():
+            bad = int(np.argmax(out))
+            raise InvalidStateError(f"mass fraction {bad} out of bounds: {Y[bad]}")
+    if low < 0:
         Y = np.where(Y < 0, 0.0, Y)
     return T, Y
 
 
 def _density(T, Y, p, mech):
     """rho and 1/W_mean = sum Y_i/W_i of clipped mass fractions Y."""
-    mean_inv = float(np.sum(Y / mech.molar_masses))
+    mean_inv = float((Y / mech.molar_masses).sum())
     # Written so that NaN fails too; a mixture of no moles has no density.
     if not mean_inv > 0:
         raise InvalidStateError(f"non-physical mixture: sum Y/W = {mean_inv}")
     rho = p / (R_GAS * T * mean_inv)
-    if not np.isfinite(rho) or rho <= 0:
+    if not math.isfinite(rho) or rho <= 0:
         raise InvalidStateError(f"non-physical density {rho}")
     return rho, mean_inv
 
@@ -322,7 +339,7 @@ def concentrations(state, mech):
 def species_thermo(T, mech):
     """Molar c_p, H, S and dc_p/dT of every species at temperature T."""
     tb = mech.tables
-    if not (tb.t_low.max() <= T <= tb.t_high.min()):
+    if not (tb.t_min <= T <= tb.t_max):
         bad = int(np.argmax((T < tb.t_low) | (T > tb.t_high)))
         raise ThermoRangeError(mech.species[bad].name, T,
                                tb.t_low[bad], tb.t_high[bad])
@@ -332,8 +349,9 @@ def species_thermo(T, mech):
 def _arrhenius(rows, T, telemetry):
     """k = A T^beta exp(-E/(R T)) of Arrhenius rows (n, 3), and d ln k/dT."""
     A, beta, E = rows.T
-    e, live = _clamped_exp(-E / (R_GAS * T), telemetry)
-    return A * T**beta * e, (beta + np.where(live, E / (R_GAS * T), 0.0)) / T
+    e_rt = E / (R_GAS * T)
+    e, live = _clamped_exp(-e_rt, telemetry)
+    return A * T**beta * e, (beta + np.where(live, e_rt, 0.0)) / T
 
 
 def _equilibrium(T, H, S, tb, telemetry, rows=slice(None)):
@@ -359,12 +377,13 @@ def _rate_constants(T, H, S, tb, *, telemetry):
     reversible reactions; irreversible reactions have k_r = 0.
     """
     kf, dkf = _arrhenius(tb.arrhenius, T, telemetry)
+    if tb.no_reverse is not None:
+        return kf, tb.no_reverse, dkf, tb.no_reverse
     kr = np.zeros_like(kf)
     dkr = np.zeros_like(kf)
     rev = tb.reversible
-    if rev.any():
-        kc, dkc = _equilibrium(T, H, S, tb, telemetry, rev)
-        kr[rev], dkr[rev] = kf[rev] / kc, dkf[rev] - dkc
+    kc, dkc = _equilibrium(T, H, S, tb, telemetry, rev)
+    kr[rev], dkr[rev] = kf[rev] / kc, dkf[rev] - dkc
     return kf, kr, dkf, dkr
 
 
@@ -400,7 +419,7 @@ def production_rates(rates, mech):
 
 
 def _check_finite(values, what):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = int(np.argmax(~np.isfinite(values.ravel())))
         raise InvalidStateError(f"non-finite {what} component {bad}")
     return values
@@ -419,11 +438,13 @@ def _evaluate(y, mech, p, telemetry, jacobian):
     T, Y = _unpack(y, mech)
     rho, mean_inv = _density(T, Y, p, mech)
     W, K = mech.molar_masses, mech.n_species
-    chi = rho * Y / W
+    # chi1 is chi = rho Y / W with a trailing 1, the padding slots' factor.
+    chi1 = np.empty(K + 1)
+    chi = np.divide(rho * Y, W, out=chi1[:K])
+    chi1[K] = 1.0
     cp, H, S, dcp = species_thermo(T, mech)
     tb = mech.tables
     kf, kr, dkf, dkr = _rate_constants(T, H, S, tb, telemetry=telemetry)
-    chi1 = np.append(chi, 1.0)
     xf = chi1[tb.reactant_slots]
     xr = chi1[tb.product_slots]
     fwd = kf * xf.prod(axis=1)
@@ -440,11 +461,10 @@ def _evaluate(y, mech, p, telemetry, jacobian):
         return q, F, None
     # dq_j/dchi_k: sum over reaction j's slots holding species k, one
     # bincount; the last column is the padding slot.
-    n, k1 = mech.n_reactions, chi1.size
-    slots = np.hstack((tb.reactant_slots, tb.product_slots))
+    n = mech.n_reactions
     weights = np.hstack((kf[:, None] * _others(xf), -kr[:, None] * _others(xr)))
-    flat = (np.arange(n)[:, None] * k1 + slots).ravel()
-    dq_dchi = np.bincount(flat, weights.ravel(), n * k1).reshape(n, k1)
+    dq_dchi = np.bincount(tb.jacobian_index, weights.ravel(),
+                          n * (K + 1)).reshape(n, K + 1)
     nu_t = tb.nu_net.T
     # domega/dchi at fixed T. With chi_i = rho Y_i / W_i, dchi/dT = -chi/T
     # and dchi_i/dY_k = rho delta_ik / W_i - chi_i / (mean_inv W_k); dq/dT

@@ -83,20 +83,27 @@ def expm(A):
     return F.reshape(A.shape)
 
 
-def _augmented_matrix(A, bs):
-    """Block matrix [[A, B], [0, J_p]] with B columns b_p .. b_1."""
-    A = np.asarray(A, dtype=float)
+def _augmented_matrix(A, bs, nu):
+    """Block matrix [[A, nu B], [0, J_p]] with B columns b_p .. b_1 (a None
+    b is a zero column), and its starting vector [b_0, 0, ..., 0, 1/nu]
+    (a None b_0 is zero)."""
     n = A.shape[0]
     p = len(bs) - 1
     if p < 1:
         raise ValueError("need at least b_0 and b_1")
     aug = np.zeros((n + p, n + p))
     aug[:n, :n] = A
-    for col, k in enumerate(range(p, 0, -1)):
-        aug[:n, n + col] = bs[k]
+    for col, b in enumerate(bs[:0:-1]):
+        if b is not None:
+            aug[:n, n + col] = np.multiply(nu, b)
     for i in range(p - 1):
         aug[n + i, n + i + 1] = 1.0
-    return aug
+    w = np.zeros(n + p)
+    if bs[0] is not None:
+        w[:n] = bs[0]
+    # The last entry stays 1/nu, so the state never vanishes.
+    w[-1] = 1.0 / nu
+    return aug, w
 
 
 def dense_phi_oracle(A, bs):
@@ -108,14 +115,10 @@ def dense_phi_oracle(A, bs):
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    bs = [np.zeros(n) if b is None else np.asarray(b, dtype=float) for b in bs]
     p = len(bs) - 1
     if n + p > 400:
         raise ValueError("dense oracle limited to n + p <= 400")
-    aug = _augmented_matrix(A, bs)
-    v = np.zeros(n + p)
-    v[:n] = bs[0]
-    v[-1] = 1.0
+    aug, v = _augmented_matrix(A, bs, 1.0)
     return (expm(aug) @ v)[:n]
 
 
@@ -205,7 +208,8 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     """Adaptive Krylov evaluation of w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k.
 
     `bs` is the list [b_0, ..., b_p], 1 <= p <= 3 (entries may be None for
-    zero vectors); `time_points` is strictly increasing in (0, 1] ending at 1.
+    zero vectors, which cost no work); `time_points` is strictly increasing
+    in (0, 1] ending at 1.
     Returns a PhiResult with w(T) at every time point and this call's stats.
 
     Builds the augmented matrix once. When its size n + p is at most the
@@ -237,20 +241,16 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
         raise ValueError("tolerance must be positive")
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    bs = [np.zeros(n) if b is None else np.asarray(b, dtype=float) for b in bs]
 
     # Balance the two blocks of the augmented state (KIOPS-style scaling):
     # scale the b columns down by nu and the polynomial block up by 1/nu.
-    norm_b = max(float(np.abs(b).sum()) for b in bs[1:])
+    norm_b = max((float(np.abs(b).sum()) for b in bs[1:] if b is not None),
+                 default=0.0)
     if norm_b > 0:
         nu = 2.0 ** -math.ceil(math.log2(norm_b))
     else:
         nu = 1.0
-    aug = _augmented_matrix(A, bs[:1] + [nu * b for b in bs[1:]])
-    w = np.zeros(n + p)
-    w[:n] = bs[0]
-    # The last entry stays 1/nu, so the state never vanishes.
-    w[-1] = 1.0 / nu
+    aug, w = _augmented_matrix(A, bs, nu)
 
     stats = PhiStats(calls=1)
     m = min(M_INIT, M_MAX)

@@ -355,13 +355,17 @@ class TestProductionAndRhs:
             (0.0, 101325.0), (np.nan, 101325.0), (np.inf, 101325.0))),
         pytest.param(1000.0, 101325.0, [0.0, 0.0, 0.0], id="Y-zero"),
         pytest.param(1000.0, 101325.0, [-5e-9, 0.0, 0.0], id="Y-clipped-zero"),
+        pytest.param(1000.0, 101325.0, [np.nan, 0.0, 0.9], id="Y-nan"),
+        pytest.param(1000.0, 101325.0, [np.inf, 0.0, 0.9], id="Y+inf"),
+        pytest.param(1000.0, 101325.0, [-np.inf, 0.0, 0.9], id="Y-inf"),
         pytest.param(1000.0, 101325.0, [0.1, 0.0, 0.0, 0.9], id="Y-too-long"),
         pytest.param(1000.0, 101325.0, [0.1, 0.9], id="Y-too-short")])
     @pytest.mark.parametrize("evaluate", [rhs_vector, rhs_and_jacobian])
     def test_bad_temperature_or_pressure_rejected(self, toy_mech, evaluate, T, p, Y):
         # Both entry points share one state check; a bad pressure shows as a
         # non-physical density. Mass fractions that are all zero once
-        # clipped hold no moles, so they have no density either. A state
+        # clipped hold no moles, so they have no density either; nor does
+        # a NaN mass fraction, which no bound excludes. A state
         # vector is T and one mass fraction per species; any other length
         # is refused before numpy broadcasts or multiplies it.
         with pytest.raises(InvalidStateError):
@@ -576,6 +580,29 @@ def expanded_slots(sides, K):
     width = max([1] + [len(r) for r in rows])
     return np.array([r + [K] * (width - len(r)) for r in rows],
                     dtype=np.intp).reshape(len(rows), width)
+
+
+class TestTables:
+    def test_arrays_are_read_only(self, toy_mech):
+        # Every evaluation shares these arrays; none may be written.
+        arrays = {name: value for name, value in vars(toy_mech.tables).items()
+                  if isinstance(value, np.ndarray)}
+        assert {"nu_net", "jacobian_index", "no_reverse"} <= set(arrays)
+        for name, a in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+            assert not a.flags.writeable, name
+
+    def test_zero_reverse_rates_only_without_reversible_reactions(self, toy_mech):
+        # toy3's reactions are irreversible; a reversible one needs k_r.
+        assert toy_mech.tables.no_reverse.tolist() == [0.0, 0.0]
+        assert rate_constants(1000.0, toy_mech)[1] is toy_mech.tables.no_reverse
+        rxn = Reaction(reactants={0: 1}, products={1: 1},
+                       arrhenius=(1.0e6, 0.0, 1.0e5), reversible=True)
+        mech = make_mechanism([make_species("A", 0.030), make_species("B", 0.030)],
+                              [rxn])
+        assert mech.tables.no_reverse is None
+        assert rate_constants(1000.0, mech)[1][0] > 0
 
 
 class TestSlots:

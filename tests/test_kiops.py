@@ -126,6 +126,25 @@ class TestKiopsBasics:
         b = kiops_eval(A, [np.zeros(10), b1], tol=1e-12)
         np.testing.assert_allclose(a.values[0], b.values[0], rtol=1e-10)
 
+    @pytest.mark.parametrize("n", [4, 40], ids=["dense", "krylov"])
+    @pytest.mark.parametrize("pattern", [(0, 1), (0, 0, 0, 1), (1, 0, 1)],
+                             ids=["phi1", "phi3", "b0-and-phi2"])
+    def test_none_entries_match_zero_vectors_bit_for_bit(self, n, pattern):
+        # A None entry allocates nothing and is left out of the scaling
+        # norm; the values and the work counts are those of a zero vector.
+        rng = np.random.default_rng(515)
+        A = stiff_diag_matrix(rng, n, 1e3)
+        vectors = [rng.standard_normal(n) if used else None for used in pattern]
+        zeros = [np.zeros(n) if v is None else v for v in vectors]
+        a = kiops_eval(A, vectors, time_points=(0.75, 1.0), tol=1e-10)
+        b = kiops_eval(A, zeros, time_points=(0.75, 1.0), tol=1e-10)
+        assert (a.stats.matvecs == 0) == (n + len(pattern) - 1 <= M_INIT)
+        assert a.stats == b.stats
+        for got, want in zip(a.values, b.values, strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(dense_phi_oracle(A, vectors),
+                                      dense_phi_oracle(A, zeros))
+
     def test_deterministic(self):
         rng = np.random.default_rng(606)
         A = stiff_diag_matrix(rng, 40, 1e3)
