@@ -8,9 +8,12 @@ One step with step size h, F = F(y_n), J = J(y_n):
     y_{n+1} = y_n + phi_1(h J) h F + phi_3(h J) 2 h R(Y1)
 
 The phi_3 term is also the local truncation error estimate (the difference
-to the embedded exponential-Euler step y_n + h phi_1(h J) F). Each step
-attempt uses exactly two Krylov evaluations: one for phi_1 at time points
-{3/4, 1}, one for the phi_3 term.
+to the embedded exponential-Euler step y_n + h phi_1(h J) F). On a small
+state (n + MAX_PHI_ORDER <= M_INIT) an attempt takes the phi_1 and phi_3
+matrices of h J at T = 3/4 and 1 from one dense exponential
+(`phikrylov.phi_blocks`) and does no Krylov work. On a larger state it uses
+exactly two Krylov evaluations: one for phi_1 at time points {3/4, 1}, one
+for the phi_3 term.
 
 F and J come from one call, `OdeProblem.jac(y_n)`, which for a mechanism is
 one kinetics pass per new state; rejected attempts reuse them. Each attempt
@@ -103,25 +106,42 @@ def problem_from_mechanism(mech, pressure, *, telemetry=None):
 def epi3v_step(y, h, F, J, problem, krylov_tol=1.0e-12, stats=None):
     """One EPI3V step. Returns (y_new, lte, stats).
 
-    Both phi evaluations are counted into `stats` (a new PhiStats when None),
-    each one as it begins, so a step that raises has counted the failing call.
+    A small state takes its phi matrices from `phikrylov.phi_blocks` and
+    counts no work. Otherwise both Krylov evaluations are counted into
+    `stats` (a new PhiStats when None), each one as it begins, so a step that
+    raises has counted the failing call.
     """
     stats = PhiStats() if stats is None else stats
     A = h * J
+    hF = h * F
+    n = len(y)
+    if n + phikrylov.MAX_PHI_ORDER <= phikrylov.M_INIT:
+        # [T phi_1 | T^2 phi_2 | T^3 phi_3](T h J) at T = 3/4 and T = 1.
+        P34, P1 = phikrylov.phi_blocks(A, (0.75, 1.0))
+        w34, w1 = P34[:, :n] @ hF, P1[:, :n] @ hF
 
-    def phi(bs, time_points):
-        stats.calls += 1
-        res = phikrylov.kiops_eval(A, bs, time_points=time_points, tol=krylov_tol)
-        stats.add_work(res.stats)
-        return res.values
+        def phi3(v):
+            return P1[:, 2 * n:] @ v
+    else:
+        def phi(bs, time_points):
+            stats.calls += 1
+            res = phikrylov.kiops_eval(A, bs, time_points=time_points,
+                                       tol=krylov_tol)
+            stats.add_work(res.stats)
+            return res.values
 
-    # Call 1: phi_1(T h J) h F at T = 3/4 and T = 1, one Krylov process.
-    w34, w1 = phi([None, h * F], (0.75, 1.0))
+        # Call 1: phi_1(T h J) h F at T = 3/4 and T = 1, one Krylov process.
+        w34, w1 = phi([None, hF], (0.75, 1.0))
+
+        def phi3(v):
+            # Call 2: phi_3(h J) v.
+            return phi([None, None, None, v], (1.0,))[0]
+
     # w(3/4) carries the leading factor T = 3/4 of the evaluation convention.
     Y1 = y + w34 / 0.75
     r = problem.f(Y1) - F - J @ (Y1 - y)
-    # Call 2: phi_3(h J) 2 h R(Y1); this vector is also the LTE estimate.
-    lte, = phi([None, None, None, 2.0 * h * r], (1.0,))
+    # phi_3(h J) 2 h R(Y1); this vector is also the LTE estimate.
+    lte = phi3(2.0 * h * r)
     return y + w1 + lte, lte, stats
 
 

@@ -8,9 +8,9 @@ tau-substepping for
     w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k
 
 at one or more time points T in (0, 1]. The evaluator forms the augmented
-matrix once per call. An augmented matrix no larger than the first Krylov
-basis is exponentiated directly; otherwise one Krylov projection per substep
-serves every requested time point inside that substep.
+matrix once per call, and one Krylov projection per substep serves every
+requested time point inside that substep. For small operators `phi_blocks`
+gives the phi_1 .. phi_3 matrices themselves from one dense exponential.
 """
 from __future__ import annotations
 
@@ -122,6 +122,25 @@ def dense_phi_oracle(A, bs):
     return (expm(aug) @ v)[:n]
 
 
+def phi_blocks(A, time_points):
+    """The matrices T phi_1(T A), T^2 phi_2(T A), T^3 phi_3(T A) at every T.
+
+    One `expm` call on the stack of T M, where M is the 4n x 4n block matrix
+    [[A, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], [0, 0, 0, 0]]: the top block
+    row of exp(T M) is [exp(T A), T phi_1(T A), T^2 phi_2(T A), T^3 phi_3(T A)]
+    (Van Loan, IEEE TAC 23, 1978; Sidje, ACM TOMS 24, 1998, Thm. 1). Returns
+    an array (len(time_points), n, 3n) whose columns k n .. (k+1) n - 1 hold
+    T^(k+1) phi_(k+1)(T A), the scaling `kiops_eval` uses.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    q = MAX_PHI_ORDER
+    M = np.zeros(((q + 1) * n, (q + 1) * n))
+    M[:n, :n] = A
+    M[:q * n, n:] = np.eye(q * n)
+    return expm(np.multiply.outer(time_points, M))[:, :n, n:]
+
+
 @dataclass
 class PhiStats:
     """Krylov work counts of one or more phi evaluations.
@@ -168,7 +187,7 @@ class Arnoldi:
     def __init__(self, A, v, m_cap):
         self.matvec = np.asarray(A, dtype=float).dot
         v = np.asarray(v, dtype=float)
-        self.beta = float(np.linalg.norm(v))
+        self.beta = math.sqrt(v.dot(v))
         if self.beta == 0:
             raise ValueError("Arnoldi starting vector must be nonzero")
         self.V = np.zeros((v.size, m_cap + 1))
@@ -176,6 +195,9 @@ class Arnoldi:
         self.V[:, 0] = v / self.beta
         self.m = 0
         self.happy = False
+        # max|H| over the columns built so far (a column's entries below its
+        # subdiagonal are zero, so each new column updates it alone).
+        self.hmax = 0.0
 
     def extend(self, m_target):
         while self.m < m_target and not self.happy:
@@ -188,11 +210,11 @@ class Arnoldi:
             c = Vj.T @ w
             w -= Vj @ c
             self.H[:j + 1, j] = h + c
-            hnext = float(np.linalg.norm(w))
+            hnext = math.sqrt(w.dot(w))
             self.H[j + 1, j] = hnext
             self.m = j + 1
-            scale = max(1.0, float(np.abs(self.H[: j + 2, : j + 1]).max()))
-            if hnext <= 1.0e-14 * scale:
+            self.hmax = max(self.hmax, float(np.abs(self.H[:j + 2, j]).max()))
+            if hnext <= 1.0e-14 * max(1.0, self.hmax):
                 self.happy = True
             else:
                 self.V[:, j + 1] = w / hnext
@@ -212,13 +234,8 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     in (0, 1] ending at 1.
     Returns a PhiResult with w(T) at every time point and this call's stats.
 
-    Builds the augmented matrix once. When its size n + p is at most the
-    first basis size min(M_INIT, M_MAX), a basis would span the whole space,
-    so the call exponentiates the augmented matrix directly, at every time
-    point in one `expm` call (recorded as one substep of dimension n + p and
-    no matvecs).
-
-    Otherwise it substeps tau across (0, 1], every substep aiming at T = 1.
+    Builds the augmented matrix once, then substeps tau across (0, 1], every
+    substep aiming at T = 1.
     Each substep projects the running augmented state onto one Krylov basis
     and advances it with a small Pade exponential; every requested time point
     inside the substep is read from that same basis, and each attempt
@@ -254,15 +271,6 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
 
     stats = PhiStats(calls=1)
     m = min(M_INIT, M_MAX)
-    if n + p <= m:
-        # The first basis would span the whole augmented space, so the
-        # Krylov path could only end in happy breakdown: exponentiate the
-        # augmented matrix itself, at every time point in one call.
-        stats.substeps = 1
-        stats.max_krylov_dim = n + p
-        W = expm(np.multiply.outer(time_points, aug)) @ w
-        return PhiResult(values=list(W[:, :n]), stats=stats)
-
     values = []
     tau_now = 0.0
     tau = 1.0

@@ -84,6 +84,25 @@ def toy_state(toy_mech):
     return ThermoState(T=1000.0, p=101325.0, Y=np.array([0.1, 0.0, 0.9]))
 
 
+@pytest.fixture
+def net12_mech():
+    """The generated K = 12 network (seed 0) of test_cli's NETWORK_CFG. Its
+    phi calls have n + p = 14 and 16, above M_INIT, so steps on it take the
+    Krylov path."""
+    return mechgen.generate_mechanism(12, 0)
+
+
+@pytest.fixture
+def net12_state(net12_mech):
+    """NETWORK_CFG's initial state: F0 0.1, B0 0.9 at 1000 K, 1 atm."""
+    from expkin.kinetics import ThermoState
+    names = [sp.name for sp in net12_mech.species]
+    Y = np.zeros(len(names))
+    Y[names.index("F0")] = 0.1
+    Y[names.index("B0")] = 0.9
+    return ThermoState(T=1000.0, p=101325.0, Y=Y)
+
+
 def random_balanced_mechanism(rng, n_species=None, n_reactions=None):
     """A random mechanism whose reactions all conserve mass exactly.
 

@@ -103,20 +103,21 @@ class TestRun:
         assert rows
         accepted = [r for r in rows if r[2] == 1.0]
         assert accepted
-        # Completed attempts always use exactly two Krylov evaluations.
-        kiops_calls = header.index("kiops_calls")
-        assert all(r[kiops_calls] == 2.0 for r in accepted)
         # One row per solver record, and the matvecs column is theirs.
         out, = outputs
         assert len(rows) == len(out.records)
         matvecs = header.index("matvecs")
         assert sum(r[matvecs] for r in rows) == sum(r.matvecs for r in out.records)
         if case == "toy3":
-            # n + p = 5 and 7 (at most M_INIT): every phi call exponentiates
-            # its augmented matrix directly, with no matvecs.
-            assert sum(r[matvecs] for r in rows) == 0
-            assert max(r[header.index("krylov_dim")] for r in rows) == 7
+            # n + MAX_PHI_ORDER = 7 (at most M_INIT): every attempt takes its
+            # phi matrices from one dense exponential and does no Krylov work.
+            krylov = [header.index(name) for name in
+                      ("krylov_dim", "substeps", "matvecs", "kiops_calls")]
+            assert all(r[i] == 0.0 for r in rows for i in krylov)
         else:
+            # Completed attempts use exactly two Krylov evaluations.
+            kiops_calls = header.index("kiops_calls")
+            assert all(r[kiops_calls] == 2.0 for r in accepted)
             assert sum(r[matvecs] for r in rows) > 0
 
     def test_format_doc_lists_steps_columns(self):

@@ -215,15 +215,16 @@ class TestAdaptive:
         ref = sol.y[:, -1]
         assert abs(out.y[0] - ref[0]) / ref[0] < 1e-5
 
-    def test_two_kiops_calls_per_attempt(self, toy_mech, toy_state):
-        out = integrate_mechanism(toy_state, toy_mech, 0.2, atol=1e-8,
+    def test_two_kiops_calls_per_attempt(self, net12_mech, net12_state):
+        # n = 13: every attempt takes the Krylov path.
+        out = integrate_mechanism(net12_state, net12_mech, 1e-4, atol=1e-8,
                                   rtol=1e-6)
         completed = [r for r in out.records if np.isfinite(r.err_est)]
         assert completed
         assert all(r.kiops_calls == 2 for r in completed)
 
-    def test_kiops_calls_independent_of_other_threads(self, toy_mech,
-                                                      toy_state):
+    def test_kiops_calls_independent_of_other_threads(self, net12_mech,
+                                                      net12_state):
         # Work counts are carried per attempt, so an integration running in
         # another thread cannot leak its phi calls into these records.
         outs = [None, None]
@@ -231,8 +232,8 @@ class TestAdaptive:
 
         def worker(i):
             start.wait()
-            outs[i] = integrate_mechanism(toy_state, toy_mech, 0.2, atol=1e-8,
-                                          rtol=1e-6)
+            outs[i] = integrate_mechanism(net12_state, net12_mech, 1e-4,
+                                          atol=1e-8, rtol=1e-6)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
         interval = sys.getswitchinterval()

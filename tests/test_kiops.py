@@ -8,12 +8,15 @@ import scipy.sparse.linalg
 
 from conftest import stiff_diag_matrix
 from expkin import phikrylov
-from expkin.integrator import epi3v_step, integrate_mechanism, problem_from_mechanism
+from expkin.integrator import (
+    epi3v_step, integrate_mechanism, problem_from_mechanism, scaled_error_norm,
+)
 from expkin.kinetics import rhs_and_jacobian
 from expkin.phikrylov import (
-    M_INIT, PhiConvergenceError, dense_phi_oracle, expm, kiops_eval,
+    M_INIT, PhiConvergenceError, PhiStats, dense_phi_oracle, expm, kiops_eval,
+    phi_blocks,
 )
-from oracles import phi_scalar
+from oracles import phi_mp, phi_scalar
 
 
 def augmented_operator(A, bs):
@@ -126,7 +129,7 @@ class TestKiopsBasics:
         b = kiops_eval(A, [np.zeros(10), b1], tol=1e-12)
         np.testing.assert_allclose(a.values[0], b.values[0], rtol=1e-10)
 
-    @pytest.mark.parametrize("n", [4, 40], ids=["dense", "krylov"])
+    @pytest.mark.parametrize("n", [4, 40], ids=["happy", "krylov"])
     @pytest.mark.parametrize("pattern", [(0, 1), (0, 0, 0, 1), (1, 0, 1)],
                              ids=["phi1", "phi3", "b0-and-phi2"])
     def test_none_entries_match_zero_vectors_bit_for_bit(self, n, pattern):
@@ -138,7 +141,11 @@ class TestKiopsBasics:
         zeros = [np.zeros(n) if v is None else v for v in vectors]
         a = kiops_eval(A, vectors, time_points=(0.75, 1.0), tol=1e-10)
         b = kiops_eval(A, zeros, time_points=(0.75, 1.0), tol=1e-10)
-        assert (a.stats.matvecs == 0) == (n + len(pattern) - 1 <= M_INIT)
+        assert a.stats.matvecs > 0
+        if n + len(pattern) - 1 <= M_INIT:
+            # The first basis spans the augmented space, so the one substep
+            # ends in happy breakdown, with no rejection.
+            assert a.stats.substeps == 1 and a.stats.rejections == 0
         assert a.stats == b.stats
         for got, want in zip(a.values, b.values, strict=True):
             np.testing.assert_array_equal(got, want)
@@ -195,9 +202,9 @@ class TestKiopsAdaptivity:
 
     def test_happy_breakdown_exact(self):
         # Rank-deficient Krylov space: b1 an eigenvector gives the exact
-        # answer with a single basis vector. At n = 3 the augmented matrix is
-        # exponentiated directly; at n = 12 (n + p above M_INIT) the Krylov
-        # basis breaks down happily at dimension 2.
+        # answer with a single basis vector. At n = 3 (where the first basis
+        # could span the augmented space) and at n = 12 the Krylov basis
+        # breaks down happily at dimension 2.
         for diag in ([-2.0, -5.0, -9.0], [-2.0, -5.0] + [-9.0 - k for k in range(10)]):
             A = np.diag(diag)
             b1 = np.zeros(len(diag))
@@ -205,7 +212,7 @@ class TestKiopsAdaptivity:
             res = kiops_eval(A, [None, b1], tol=1e-12)
             assert res.values[0][1] == pytest.approx(phi_scalar(1, -5.0), rel=1e-12)
             assert np.all(np.delete(res.values[0], 1) == 0.0)
-        assert res.stats.max_krylov_dim == 2 and res.stats.matvecs == 2
+            assert res.stats.max_krylov_dim == 2 and res.stats.matvecs == 2
 
 
 class TestAgainstExpmMultiply:
@@ -252,17 +259,6 @@ class TestProjectionCounts:
         assert two.stats.substeps == one.stats.substeps
         np.testing.assert_array_equal(two.values[1], one.values[0])
 
-    def test_toy_attempts_use_one_projection_per_call(self, toy_mech, toy_state):
-        # On toy3 (n = 4, so n + p <= M_INIT) every phi call exponentiates its
-        # augmented matrix directly: one substep, no matvecs.
-        out = integrate_mechanism(toy_state, toy_mech, 0.3, atol=1e-10,
-                                  rtol=1e-8)
-        assert out.success
-        completed = [r for r in out.records if np.isfinite(r.err_est)]
-        assert len(completed) >= len(out.accepted_records) > 1000
-        assert all(r.kiops_calls == 2 and r.substeps == 2 for r in completed)
-        assert all(r.matvecs == 0 and r.krylov_dim == 7 for r in completed)
-
 
 def count_expm_calls(monkeypatch):
     """Record the argument shape of every phikrylov.expm call."""
@@ -278,15 +274,32 @@ def count_expm_calls(monkeypatch):
 
 
 class TestOneExponentialPerEvaluation:
-    def test_toy_attempt_makes_two_expm_calls(self, toy_mech, toy_state, monkeypatch):
+    def test_toy_attempt_makes_one_expm_call(self, toy_mech, toy_state, monkeypatch):
         problem = problem_from_mechanism(toy_mech, toy_state.p)
         y = toy_state.to_vector()
         F, J = problem.jac(y)
         shapes = count_expm_calls(monkeypatch)
         _, _, stats = epi3v_step(y, 1e-4, F, J, problem)
-        assert stats.calls == 2 and stats.matvecs == 0
-        # Call 1 stacks T = 3/4 and T = 1; call 2 has T = 1 alone.
-        assert shapes == [(2, 5, 5), (1, 7, 7)]
+        assert stats == PhiStats()
+        # n = 4: the phi blocks of h J at T = 3/4 and T = 1, one 16 x 16
+        # matrix each.
+        assert shapes == [(2, 16, 16)]
+
+    def test_toy_attempts_use_one_expm_call_each(self, toy_mech, toy_state,
+                                                 monkeypatch):
+        # On toy3 (n + MAX_PHI_ORDER <= M_INIT) every attempt, completed or
+        # failed at Y1 or at its new state, makes one expm call and no
+        # Krylov work.
+        shapes = count_expm_calls(monkeypatch)
+        out = integrate_mechanism(toy_state, toy_mech, 0.3, atol=1e-10,
+                                  rtol=1e-8)
+        assert out.success
+        completed = [r for r in out.records if np.isfinite(r.err_est)]
+        assert len(completed) >= len(out.accepted_records) > 1000
+        assert len(shapes) == len(out.records)
+        assert set(shapes) == {(2, 16, 16)}
+        assert all(r.kiops_calls == r.substeps == r.matvecs == r.krylov_dim == 0
+                   for r in out.records)
 
     def test_krylov_path_one_expm_per_attempt(self, monkeypatch):
         # One expm per substep attempt, accepted (substeps) or rejected; the
@@ -301,24 +314,71 @@ class TestOneExponentialPerEvaluation:
         assert sum(shape[0] == 2 for shape in shapes) >= 1
 
 
-class TestDenseBranch:
-    """n + p <= M_INIT: kiops_eval exponentiates the augmented matrix."""
+class TestPhiBlocks:
+    """phi_blocks: [T phi_1 | T^2 phi_2 | T^3 phi_3](T A) from one expm."""
 
-    @pytest.mark.parametrize("h", [1e-5, 1e-3])
-    @pytest.mark.parametrize("p, time_points", [(1, (0.75, 1.0)), (3, (1.0,))])
-    def test_toy_matches_scipy_expm(self, toy_mech, toy_state, h, p, time_points):
+    @staticmethod
+    def block(P, p):
+        n = P.shape[0]
+        return P[:, (p - 1) * n:p * n]
+
+    @pytest.mark.parametrize("h, bound", [(1e-5, 1e-12), (1e-3, 1e-12),
+                                          (1.72, 1e-10)],
+                             ids=["1e-05", "0.001", "norm1e6"])
+    def test_toy_matches_scipy_expm(self, toy_mech, toy_state, h, bound):
+        # T^p phi_p(T h J) h F for p = 1..3 at T = 3/4 and 1, against scipy's
+        # exponential of the unscaled augmented operator. At h = 1.72,
+        # ||h J||_1 is about 1e6 and expm squares 18 times (toy3-sweep's
+        # loose steps up to 20); each squaring doubles the rounding error,
+        # measured 3.2e-11 against a 50-digit reference.
         y = toy_state.to_vector()
         F, J = rhs_and_jacobian(y, toy_mech, toy_state.p)
         A = h * J
-        bs = [None] * p + [h * F]
-        assert A.shape[0] + p <= M_INIT
-        res = kiops_eval(A, bs, time_points=time_points, tol=1e-12)
-        assert res.stats.matvecs == 0 and res.stats.substeps == 1
-        assert res.stats.max_krylov_dim == A.shape[0] + p
-        aug, v = augmented_operator(A, bs)
-        for T, got in zip(time_points, res.values):
-            want = (scipy.linalg.expm(T * aug) @ v)[:A.shape[0]]
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), T
+        n = A.shape[0]
+        blocks = phi_blocks(A, (0.75, 1.0))
+        assert blocks.shape == (2, n, 3 * n)
+        for p in (1, 2, 3):
+            aug, v = augmented_operator(A, [None] * p + [h * F])
+            for T, P in zip((0.75, 1.0), blocks):
+                got = self.block(P, p) @ (h * F)
+                want = (scipy.linalg.expm(T * aug) @ v)[:n]
+                assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want), (p, T)
+
+    @pytest.mark.parametrize("lam, bound", [
+        ([-3e3, -20.0, -1.0, -1e-4, 1e-6, 0.3, 2.0], 1e-12),
+        ([-1e6, -3e3, -20.0, -1.0, -1e-4, 0.3, 2.0], 1e-10),
+    ], ids=["mild", "stiff"])
+    def test_diagonal_matches_scalar_phi(self, lam, bound):
+        # On a diagonal operator each block is diagonal with entries
+        # T^p phi_p(T lambda), checked against the 40-digit scalar phi.
+        n = len(lam)
+        blocks = phi_blocks(np.diag(lam), (0.75, 1.0))
+        for T, P in zip((0.75, 1.0), blocks):
+            for p in (1, 2, 3):
+                got = self.block(P, p)
+                want = np.array([T**p * phi_mp(p, T * z) for z in lam])
+                np.testing.assert_allclose(np.diag(got), want, rtol=bound, atol=0)
+                assert np.all(got[~np.eye(n, dtype=bool)] == 0.0)
+
+
+class TestDenseAgainstKrylovStep:
+    @pytest.mark.parametrize("h", [1e-8, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_toy_step_agrees(self, toy_mech, toy_state, h, monkeypatch):
+        # One EPI3V step on toy3 through the phi blocks and through the two
+        # Krylov calls (forced by a first basis too small for the dense
+        # rule): y_new and lte agree in the controller's norm.
+        problem = problem_from_mechanism(toy_mech, toy_state.p)
+        y = toy_state.to_vector()
+        F, J = problem.jac(y)
+        y_dense, lte_dense, stats = epi3v_step(y, h, F, J, problem,
+                                               krylov_tol=1e-12)
+        assert stats == PhiStats()
+        monkeypatch.setattr(phikrylov, "M_INIT", 2)
+        y_kry, lte_kry, stats = epi3v_step(y, h, F, J, problem,
+                                           krylov_tol=1e-12)
+        assert stats.calls == 2 and stats.matvecs > 0
+        for a, b in ((y_dense, y_kry), (lte_dense, lte_kry)):
+            assert scaled_error_norm(a - b, y, 1e-10, 1e-8) <= 1e-9
 
 
 def expm_with_identity(A):

@@ -138,7 +138,62 @@ def arnoldi(A, v, m_max):
     return proc.V[:, :proc.m], proc.H[:proc.m, :proc.m], proc.happy
 
 
+def arnoldi_rescan(A, v, m_max):
+    """The Arnoldi process as `Arnoldi.extend` ran it before it kept a
+    running max|H|: each iteration rescans all of H and takes
+    np.linalg.norm (the reference for bit equality)."""
+    A = np.asarray(A, dtype=float)
+    v = np.asarray(v, dtype=float)
+    beta = float(np.linalg.norm(v))
+    V = np.zeros((v.size, m_max + 1))
+    H = np.zeros((m_max + 1, m_max + 1))
+    V[:, 0] = v / beta
+    happy = False
+    m = 0
+    while m < m_max and not happy:
+        j = m
+        Vj = V[:, :j + 1]
+        w = A.dot(V[:, j])
+        h = Vj.T @ w
+        w -= Vj @ h
+        c = Vj.T @ w
+        w -= Vj @ c
+        H[:j + 1, j] = h + c
+        hnext = float(np.linalg.norm(w))
+        H[j + 1, j] = hnext
+        m = j + 1
+        scale = max(1.0, float(np.abs(H[: j + 2, : j + 1]).max()))
+        if hnext <= 1.0e-14 * scale:
+            happy = True
+        else:
+            V[:, j + 1] = w / hnext
+    return beta, V, H, m, happy
+
+
 class TestArnoldi:
+    @pytest.mark.parametrize("case", ["stiff", "happy"])
+    def test_bits_match_rescanning_reference(self, case):
+        # The running max|H| and the dot-product norm change no bit of V, H,
+        # beta or the breakdown flag, also when the basis grows in two calls.
+        rng = np.random.default_rng(37)
+        if case == "stiff":
+            A = stiff_diag_matrix(rng, 56, 1e5)
+            v = rng.standard_normal(56)
+        else:
+            # Three eigenvector components: happy breakdown at dimension 3.
+            A = np.diag(-np.geomspace(1.0, 1e6, 12))
+            v = np.zeros(12)
+            v[[1, 5, 9]] = rng.standard_normal(3)
+        m_max = 30
+        proc = Arnoldi(A, v, m_max)
+        proc.extend(2)
+        proc.extend(m_max)
+        beta, V, H, m, happy = arnoldi_rescan(A, v, m_max)
+        assert happy == (case == "happy") and proc.happy == happy
+        assert proc.m == m and proc.beta == beta
+        np.testing.assert_array_equal(proc.V, V)
+        np.testing.assert_array_equal(proc.H, H)
+
     def test_eigenvector_breakdown(self):
         A = np.diag([2.0, 3.0, 4.0])
         v = np.array([1.0, 0.0, 0.0])
