@@ -10,10 +10,10 @@ One step with step size h, F = F(y_n), J = J(y_n):
 The phi_3 term is also the local truncation error estimate (the difference
 to the embedded exponential-Euler step y_n + h phi_1(h J) F). On a small
 state (n + MAX_PHI_ORDER <= M_INIT) an attempt takes the phi_1 and phi_3
-matrices of h J at T = 3/4 and 1 from one dense exponential
-(`phikrylov.phi_blocks`) and does no Krylov work. On a larger state it uses
-exactly two Krylov evaluations: one for phi_1 at time points {3/4, 1}, one
-for the phi_3 term.
+matrices at T = 3/4 and 1 from one dense exponential
+(`phikrylov.phi_blocks`) of h J balanced by the error weights, and does no
+Krylov work. On a larger state it uses exactly two Krylov evaluations: one
+for phi_1 at time points {3/4, 1}, one for the phi_3 term.
 
 F and J come from one call, `OdeProblem.jac(y_n)`, which for a mechanism is
 one kinetics pass per new state; rejected attempts reuse them. Each attempt
@@ -103,40 +103,63 @@ def problem_from_mechanism(mech, pressure, *, telemetry=None):
     return OdeProblem(f, jac)
 
 
-def epi3v_step(y, h, F, J, problem, krylov_tol=1.0e-12, stats=None):
+def _phi_products(A, hF, weights, krylov_tol, stats):
+    """(w34, w1, phi3) of an attempt with A = h J: T phi_1(T A) hF at T = 3/4
+    and T = 1, and the map v -> phi_3(A) v.
+
+    A small state (n + MAX_PHI_ORDER <= M_INIT) takes them from the
+    `phikrylov.phi_blocks` of D A D^-1, with D = diag(1/weights) rounded to
+    powers of two, and unscales the products. The similarity is exact, so it
+    leaves the phi values unchanged; it only balances the matrix (T beside
+    mass fractions spans many decades), which spares `expm` its squarings
+    (Brown & Hindmarsh, Appl. Math. Comput. 31, 1989), and it counts no work.
+    A larger state makes two unweighted Krylov evaluations, each counted
+    into `stats` as it begins, so a call that raises has been counted.
+    """
+    n = len(hF)
+    if n + phikrylov.MAX_PHI_ORDER <= phikrylov.M_INIT:
+        # d ~ 1/weights in powers of two, normalised to at most 1 and clipped
+        # at 2^-20: D A D^-1 then exceeds A by at most 2^20 entrywise and D v
+        # never exceeds v, for any positive weights. A wider spread makes the
+        # scaled matrix so far from normal that squaring it loses the
+        # weighted accuracy (on toy3 states at atol 1e-20, a spread of 2^40
+        # left the products 2e-3 off in the weighted norm).
+        e = np.frexp(weights)[1]
+        d = np.ldexp(1.0, np.maximum(e.min() - e, -20))
+        # [T phi_1 | T^2 phi_2 | T^3 phi_3](T D A D^-1) at T = 3/4 and 1.
+        P = phikrylov.phi_blocks(A * np.divide.outer(d, d), (0.75, 1.0))
+        w34, w1 = P[:, :, :n] @ (d * hF) / d
+
+        def phi3(v):
+            return P[1, :, 2 * n:] @ (d * v) / d
+        return w34, w1, phi3
+
+    def phi(bs, time_points):
+        stats.calls += 1
+        res = phikrylov.kiops_eval(A, bs, time_points=time_points,
+                                   tol=krylov_tol)
+        stats.add_work(res.stats)
+        return res.values
+
+    # Call 1: phi_1(T A) hF at T = 3/4 and T = 1, one Krylov process.
+    w34, w1 = phi([None, hF], (0.75, 1.0))
+
+    def phi3(v):
+        # Call 2: phi_3(A) v.
+        return phi([None, None, None, v], (1.0,))[0]
+    return w34, w1, phi3
+
+
+def epi3v_step(y, h, F, J, problem, weights, krylov_tol=1.0e-12, stats=None):
     """One EPI3V step. Returns (y_new, lte, stats).
 
-    A small state takes its phi matrices from `phikrylov.phi_blocks` and
-    counts no work. Otherwise both Krylov evaluations are counted into
-    `stats` (a new PhiStats when None), each one as it begins, so a step that
-    raises has counted the failing call.
+    `weights` are the error weights atol + rtol |y| of the state y; a small
+    state's dense phi evaluation is balanced by them (`_phi_products`). A
+    larger state's two Krylov evaluations are counted into `stats` (a new
+    PhiStats when None).
     """
     stats = PhiStats() if stats is None else stats
-    A = h * J
-    hF = h * F
-    n = len(y)
-    if n + phikrylov.MAX_PHI_ORDER <= phikrylov.M_INIT:
-        # [T phi_1 | T^2 phi_2 | T^3 phi_3](T h J) at T = 3/4 and T = 1.
-        P34, P1 = phikrylov.phi_blocks(A, (0.75, 1.0))
-        w34, w1 = P34[:, :n] @ hF, P1[:, :n] @ hF
-
-        def phi3(v):
-            return P1[:, 2 * n:] @ v
-    else:
-        def phi(bs, time_points):
-            stats.calls += 1
-            res = phikrylov.kiops_eval(A, bs, time_points=time_points,
-                                       tol=krylov_tol)
-            stats.add_work(res.stats)
-            return res.values
-
-        # Call 1: phi_1(T h J) h F at T = 3/4 and T = 1, one Krylov process.
-        w34, w1 = phi([None, hF], (0.75, 1.0))
-
-        def phi3(v):
-            # Call 2: phi_3(h J) v.
-            return phi([None, None, None, v], (1.0,))[0]
-
+    w34, w1, phi3 = _phi_products(h * J, h * F, weights, krylov_tol, stats)
     # w(3/4) carries the leading factor T = 3/4 of the evaluation convention.
     Y1 = y + w34 / 0.75
     r = problem.f(Y1) - F - J @ (Y1 - y)
@@ -233,11 +256,12 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
                 F, J = problem.jac(y)
             except KineticsError as exc:
                 return finish(False, f"state evaluation failed: {exc}")
+        weights = atol + rtol * np.abs(y)
         kstats = PhiStats()
         failure = ""
         F_new = J_new = None
         try:
-            y_new, lte, _ = epi3v_step(y, h_try, F, J, problem,
+            y_new, lte, _ = epi3v_step(y, h_try, F, J, problem, weights,
                                        krylov_tol=ktol, stats=kstats)
             err = scaled_error_norm(lte, y, atol, rtol)
             if err <= 1.0 and not last:

@@ -6,10 +6,11 @@ fractions in mechanism order). All quantities are SI: K, Pa, kg/mol, mol/m^3,
 J/mol, s.
 
 Every evaluation works on the arrays a `Mechanism` builds once: NASA-7
-coefficient tables, Arrhenius parameters, stoichiometric matrices and padded
-reactant/product slot indices. The Jacobian is analytical in the manner of
-pyJac (Niemeyer, Curtis & Sung, Comput. Phys. Commun. 215, 2017): rate-of-
-progress derivatives in the concentrations come from the mass-action
+coefficient tables, Arrhenius columns, stoichiometric matrices and one padded
+slot table of both sides of every reaction, so the mass-action products and
+their derivatives take one gather each. The Jacobian is analytical in the
+manner of pyJac (Niemeyer, Curtis & Sung, Comput. Phys. Commun. 215, 2017):
+rate-of-progress derivatives in the concentrations come from the mass-action
 products, temperature derivatives from the Arrhenius and equilibrium-constant
 log-derivatives, and both are chained through rho(T, Y). One private
 evaluation, `_evaluate`, checks the state and makes one pass over the thermo,
@@ -67,7 +68,10 @@ class RateTelemetry:
 
 def _clamped_exp(arg, telemetry=None):
     """exp(arg) with arg clipped to +-EXP_ARG_MAX, and the mask of the
-    unclipped entries (where the factor's derivative passes through)."""
+    unclipped entries (where the factor's derivative passes through), or
+    None when no entry is clipped."""
+    if np.abs(arg).max(initial=0.0) <= EXP_ARG_MAX:
+        return np.exp(arg), None
     clipped = np.minimum(np.maximum(arg, -EXP_ARG_MAX), EXP_ARG_MAX)
     live = clipped == arg
     if telemetry is not None and not live.all():
@@ -153,8 +157,8 @@ class Reaction:
 
 
 def _slots(nu):
-    """Row j of nu (N, K) as species index k nu[j, k] times, ascending,
-    padded with K to a common width >= 1: an (N, width) index array."""
+    """Row j of nu (M, K) as species index k nu[j, k] times, ascending,
+    padded with K to a common width >= 1: an (M, width) index array."""
     order = nu.sum(axis=1)
     width = max(1, order.max(initial=0))
     slots = np.full((len(nu), width), nu.shape[1], dtype=np.intp)
@@ -170,15 +174,16 @@ class _Tables:
     - NASA-7 coefficients `nasa_low`/`nasa_high` (K, 7), the range
       limits `t_low`, `t_mid`, `t_high` and the window where every fit
       holds, [`t_min`, `t_max`] (floats);
-    - forward Arrhenius rows `arrhenius` (N, 3), and `reversible` (N,), the
-      reactions reversed by detailed balance; `no_reverse` (N,) zeros, the
-      k_r and d ln k_r/dT of a mechanism without reversible reactions, else
-      None;
-    - `reactant_slots`/`product_slots`: `_slots` of `nu_forward`/`nu_reverse`,
-      padded with K, which indexes a constant 1;
-    - `jacobian_index`: the flat index into dq/dchi (N, K + 1) of every
-      reactant slot, then every product slot, row by row (the `bincount`
-      scatter of the Jacobian).
+    - the forward Arrhenius columns `pre_exponential`, `beta` and
+      `activation` (N,), and `reversible` (N,), the reactions reversed by
+      detailed balance; `no_reverse` (N,) zeros, the k_r and d ln k_r/dT of
+      a mechanism without reversible reactions, else None;
+    - `slots` (2N, width): `_slots` of [nu_forward; nu_reverse], every
+      reaction's reactants, then every reaction's products, padded with K,
+      which indexes a constant 1;
+    - `jacobian_index`: the flat index into dq/dchi (N, K + 1) of every slot
+      of `slots`, row by row (the `bincount` scatter of the Jacobian; each
+      entry of dq/dchi sums its reactant terms before its product terms).
     """
 
     def __init__(self, mech):
@@ -194,14 +199,13 @@ class _Tables:
         self.t_min = float(self.t_low.max())
         self.t_max = float(self.t_high.min())
         self.reversible = np.array([r.reversible for r in reactions], dtype=bool)
-        self.arrhenius = np.array([r.arrhenius for r in reactions],
-                                  dtype=float).reshape(N, 3)
+        arrhenius = np.array([r.arrhenius for r in reactions],
+                             dtype=float).reshape(N, 3)
+        self.pre_exponential, self.beta, self.activation = arrhenius.T.copy()
         self.no_reverse = None if self.reversible.any() else np.zeros(N)
-        self.reactant_slots = _slots(mech.nu_forward)
-        self.product_slots = _slots(mech.nu_reverse)
-        slots = np.hstack((self.reactant_slots, self.product_slots))
-        self.jacobian_index = (np.arange(N)[:, None] * (mech.n_species + 1)
-                               + slots).ravel()
+        self.slots = _slots(np.vstack((mech.nu_forward, mech.nu_reverse)))
+        self.jacobian_index = (np.tile(np.arange(N), 2)[:, None]
+                               * (mech.n_species + 1) + self.slots).ravel()
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -346,12 +350,14 @@ def species_thermo(T, mech):
     return _nasa(np.where((T > tb.t_mid)[:, None], tb.nasa_high, tb.nasa_low), T)
 
 
-def _arrhenius(rows, T, telemetry):
-    """k = A T^beta exp(-E/(R T)) of Arrhenius rows (n, 3), and d ln k/dT."""
-    A, beta, E = rows.T
-    e_rt = E / (R_GAS * T)
+def _arrhenius(tb, T, telemetry):
+    """k = A T^beta exp(-E/(R T)) of every reaction, and d ln k/dT."""
+    beta = tb.beta
+    e_rt = tb.activation / (R_GAS * T)
     e, live = _clamped_exp(-e_rt, telemetry)
-    return A * T**beta * e, (beta + np.where(live, e_rt, 0.0)) / T
+    if live is not None:
+        e_rt = np.where(live, e_rt, 0.0)
+    return tb.pre_exponential * T**beta * e, (beta + e_rt) / T
 
 
 def _equilibrium(T, H, S, tb, telemetry, rows=slice(None)):
@@ -359,9 +365,11 @@ def _equilibrium(T, H, S, tb, telemetry, rows=slice(None)):
     neg_dg = -(tb.nu_net @ ((H - T * S) / (R_GAS * T)))[rows]
     kp, live = _clamped_exp(neg_dg, telemetry)
     dnu = tb.dnu[rows]
-    dh = (tb.nu_net @ H)[rows]
+    dh_rt = (tb.nu_net @ H)[rows] / (R_GAS * T)
+    if live is not None:
+        dh_rt = np.where(live, dh_rt, 0.0)
     kc = kp * (P_STANDARD / (R_GAS * T)) ** dnu
-    return kc, (np.where(live, dh / (R_GAS * T), 0.0) - dnu) / T
+    return kc, (dh_rt - dnu) / T
 
 
 def equilibrium_constants(T, mech, telemetry=None):
@@ -376,7 +384,7 @@ def _rate_constants(T, H, S, tb, *, telemetry):
     The reverse rate follows from detailed balance, k_r = k_f / K_c, for
     reversible reactions; irreversible reactions have k_r = 0.
     """
-    kf, dkf = _arrhenius(tb.arrhenius, T, telemetry)
+    kf, dkf = _arrhenius(tb, T, telemetry)
     if tb.no_reverse is not None:
         return kf, tb.no_reverse, dkf, tb.no_reverse
     kr = np.zeros_like(kf)
@@ -445,10 +453,11 @@ def _evaluate(y, mech, p, telemetry, jacobian):
     cp, H, S, dcp = species_thermo(T, mech)
     tb = mech.tables
     kf, kr, dkf, dkr = _rate_constants(T, H, S, tb, telemetry=telemetry)
-    xf = chi1[tb.reactant_slots]
-    xr = chi1[tb.product_slots]
-    fwd = kf * xf.prod(axis=1)
-    rev = kr * xr.prod(axis=1)
+    # Mass-action products of both sides at once: reactants, then products.
+    n = mech.n_reactions
+    x = chi1[tb.slots]
+    k_prod = np.concatenate((kf, kr)) * x.prod(axis=1)
+    fwd, rev = k_prod[:n], k_prod[n:]
     q = fwd - rev
     omega = production_rates(q, mech)
     cp_w = cp / W
@@ -461,8 +470,7 @@ def _evaluate(y, mech, p, telemetry, jacobian):
         return q, F, None
     # dq_j/dchi_k: sum over reaction j's slots holding species k, one
     # bincount; the last column is the padding slot.
-    n = mech.n_reactions
-    weights = np.hstack((kf[:, None] * _others(xf), -kr[:, None] * _others(xr)))
+    weights = np.concatenate((kf, -kr))[:, None] * _others(x)
     dq_dchi = np.bincount(tb.jacobian_index, weights.ravel(),
                           n * (K + 1)).reshape(n, K + 1)
     nu_t = tb.nu_net.T

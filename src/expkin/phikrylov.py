@@ -14,6 +14,7 @@ gives the phi_1 .. phi_3 matrices themselves from one dense exponential.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,14 +22,51 @@ import numpy as np
 
 MAX_PHI_ORDER = 3
 
-# Degree-13 Pade approximation of exp(): coefficients and the 1-norm bound
-# below which no squaring is needed.
-_PADE13_B = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 5.371920351148152
+
+def _pade(theta, b):
+    """(theta_m, C) of the degree-m Pade approximant of exp() with
+    coefficients b_0 .. b_m: C holds coefficient rows over the even powers
+    [I, A^2, A^4, ...]. For m <= 9 its rows are the odd coefficients
+    (U = A times their sum) and the even ones (V). For m = 13, over
+    [I, A^2, A^4, A^6], they are the A^6 factors of U / A and of V, then the
+    remaining terms of U / A and of V."""
+    b = np.array(b)
+    if len(b) < 14:
+        C = np.array([b[1::2], b[0::2]])
+    else:
+        C = np.zeros((4, 4))
+        C[0, 1:], C[1, 1:] = b[9::2], b[8:13:2]
+        C[2], C[3] = b[1:8:2], b[0:7:2]
+    C.flags.writeable = False
+    return theta, C
+
+
+# The Pade degrees m = 3, 5, 7, 9, 13 with theta_m, the 1-norm up to which
+# the degree-m approximant's backward error stays below unit roundoff
+# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3); above
+# theta_13 the matrix is scaled by a power of two and squared.
+_PADE = tuple(_pade(theta, b) for theta, b in (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                            25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0,
+                         302702400.0, 30270240.0, 2162160.0, 110880.0,
+                         3960.0, 90.0, 1.0)),
+    (5.371920351148152, (64764752532480000.0, 32382376266240000.0,
+                         7771770303897600.0, 1187353796428800.0,
+                         129060195264000.0, 10559470521600.0, 670442572800.0,
+                         33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+                         16380.0, 182.0, 1.0)),
+))
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(n):
+    """The n x n identity, shared and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 class PhiConvergenceError(RuntimeError):
@@ -45,41 +83,48 @@ class PhiConvergenceError(RuntimeError):
 
 
 def expm(A):
-    """Matrix exponential by degree-13 Pade with scaling and squaring.
+    """Matrix exponential by Pade approximation with scaling and squaring.
 
     `A` is one matrix (n, n) or a stack (..., n, n), exponentiated with
-    batched products and one batched solve. Each matrix is scaled by the
-    exponent of its own 1-norm, so it gets the result it would get alone.
+    batched products and one batched solve. The Pade degree is the lowest of
+    3, 5, 7, 9 and 13 whose theta_m bounds the largest 1-norm in the stack
+    (Higham 2005). Only at degree 13 is a matrix above theta_13 scaled, by
+    the exponent of its own 1-norm, and squared back, so it gets the squarings
+    it would get alone.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
-    norms = np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0).ravel().tolist()
-    s = [max(0, math.ceil(math.log2(x / _PADE13_THETA))) if x > _PADE13_THETA else 0
+    As = A.reshape(-1, n, n)
+    norms = np.abs(As).sum(axis=1).max(axis=1).tolist()
+    top = max(norms)
+    theta, C = next((pade for pade in _PADE if top <= pade[0]), _PADE[-1])
+    s = [max(0, math.ceil(math.log2(x / theta))) if x > theta else 0
          for x in norms]
-    As = A * np.reshape([0.5**k for k in s], A.shape[:-2] + (1, 1))
-    b = _PADE13_B
-    I = np.eye(n)
-    A2 = As @ As
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = As @ (
-        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-        + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I
-    )
-    V = (
-        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-        + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
-    )
+    if top > theta:
+        As = As * np.reshape([0.5**k for k in s], (-1, 1, 1))
+    # The even powers [I, A^2, A^4, ...] in one buffer, and every sum of
+    # them that U and V need from one product with the coefficient rows.
+    batch, npow = len(As), C.shape[1]
+    P = np.empty((npow, batch, n, n))
+    P[0] = _identity(n)
+    np.matmul(As, As, out=P[1])
+    for j in range(2, npow):
+        np.matmul(P[1], P[j - 1], out=P[j])
+    W = (C @ P.reshape(npow, -1)).reshape(-1, batch, n, n)
+    if len(C) == 4:
+        W = P[3] @ W[:2] + W[2:]
+    U = As @ W[0]
+    V = W[1]
     F = np.linalg.solve(V - U, V + U)
-    # Square the whole stack as often as every matrix needs, then each
-    # matrix that needs more on its own.
-    common = min(s)
-    for _ in range(common):
-        F = F @ F
-    F = F.reshape(len(s), n, n)
-    for i, k in enumerate(s):
-        for _ in range(k - common):
-            F[i] = F[i] @ F[i]
+    if top > theta:
+        # Square the whole stack as often as every matrix needs, then each
+        # matrix that needs more on its own.
+        common = min(s)
+        for _ in range(common):
+            F = F @ F
+        for i, k in enumerate(s):
+            for _ in range(k - common):
+                F[i] = F[i] @ F[i]
     return F.reshape(A.shape)
 
 
@@ -131,13 +176,17 @@ def phi_blocks(A, time_points):
     (Van Loan, IEEE TAC 23, 1978; Sidje, ACM TOMS 24, 1998, Thm. 1). Returns
     an array (len(time_points), n, 3n) whose columns k n .. (k+1) n - 1 hold
     T^(k+1) phi_(k+1)(T A), the scaling `kiops_eval` uses.
+
+    The 1-norm of T M, at least T, sets the Pade degree and the squarings
+    of the exponential, so a caller balances A first when it can: the
+    integrator passes D A D^-1 with D from its error weights.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     q = MAX_PHI_ORDER
     M = np.zeros(((q + 1) * n, (q + 1) * n))
     M[:n, :n] = A
-    M[:q * n, n:] = np.eye(q * n)
+    M[:q * n, n:] = _identity(q * n)
     return expm(np.multiply.outer(time_points, M))[:, :n, n:]
 
 

@@ -70,7 +70,8 @@ def integrate_fixed(y0, t0, t_final, n_steps, problem, krylov_tol=1.0e-12):
     y = np.asarray(y0, dtype=float).copy()
     for _ in range(n_steps):
         F, J = problem.jac(y)
-        y, _, _ = epi3v_step(y, h, F, J, problem, krylov_tol=krylov_tol)
+        y, _, _ = epi3v_step(y, h, F, J, problem, np.ones(len(y)),
+                             krylov_tol=krylov_tol)
     return y
 
 

@@ -120,7 +120,8 @@ def test_linear_problem_exactness():
         prob = OdeProblem(f=lambda y, M=M: M @ y,
                           jac=lambda y, M=M: (M @ y, M))
         for h in (1e-3, 1.0, 10.0):
-            y1, _, _ = epi3v_step(y0, h, M @ y0, M, prob, krylov_tol=1e-12)
+            y1, _, _ = epi3v_step(y0, h, M @ y0, M, prob, np.ones(30),
+                                  krylov_tol=1e-12)
             want = expm(h * M) @ y0
             worst = max(worst, np.linalg.norm(y1 - want)
                         / max(np.linalg.norm(want), 1e-300))

@@ -33,7 +33,7 @@ class TestStep:
         y0 = rng.standard_normal(6)
         prob = linear_problem(M)
         for h in (0.01, 0.5, 2.0):
-            y1, lte, _ = epi3v_step(y0, h, prob.f(y0), M, prob,
+            y1, lte, _ = epi3v_step(y0, h, prob.f(y0), M, prob, np.ones(6),
                                     krylov_tol=1e-13)
             want = expm(h * M) @ y0
             np.testing.assert_allclose(y1, want, rtol=1e-9, atol=1e-11)
@@ -43,7 +43,7 @@ class TestStep:
         prob = OdeProblem(f=lambda y: np.zeros_like(y),
                           jac=lambda y: (np.zeros_like(y), np.zeros((3, 3))))
         y0 = np.array([1.0, -2.0, 3.0])
-        y1, lte, _ = epi3v_step(y0, 1.0, *prob.jac(y0), prob)
+        y1, lte, _ = epi3v_step(y0, 1.0, *prob.jac(y0), prob, np.ones(3))
         np.testing.assert_allclose(y1, y0, atol=1e-14)
         np.testing.assert_allclose(lte, 0.0, atol=1e-14)
 
@@ -57,9 +57,11 @@ class TestStep:
         exact = lambda t: 0.5 / (1.0 - 0.5 * t)
         F, J = prob.jac(y0)
         h = 0.05
-        e1 = abs(epi3v_step(y0, h, F, J, prob, krylov_tol=1e-14)[0][0]
+        e1 = abs(epi3v_step(y0, h, F, J, prob, np.ones(1),
+                            krylov_tol=1e-14)[0][0]
                  - exact(h))
-        e2 = abs(epi3v_step(y0, h / 2, F, J, prob, krylov_tol=1e-14)[0][0]
+        e2 = abs(epi3v_step(y0, h / 2, F, J, prob, np.ones(1),
+                            krylov_tol=1e-14)[0][0]
                  - exact(h / 2))
         assert 28.0 < e1 / e2 < 38.0
 
@@ -69,7 +71,7 @@ class TestStep:
                           jac=lambda y: (np.sin(y), np.diag(np.cos(y))))
         y0 = np.array([0.3, 1.1])
         F, J = prob.jac(y0)
-        y1, lte, _ = epi3v_step(y0, 0.2, F, J, prob, krylov_tol=1e-13)
+        y1, lte, _ = epi3v_step(y0, 0.2, F, J, prob, np.ones(2), krylov_tol=1e-13)
         y_euler = exp_euler_step(y0, 0.2, F, J, krylov_tol=1e-13)
         np.testing.assert_allclose(y1 - y_euler, lte, rtol=1e-8, atol=1e-13)
 
@@ -79,7 +81,8 @@ class TestStep:
         y0 = rng.standard_normal(4)
         prob = linear_problem(M)
         ye = exp_euler_step(y0, 0.7, prob.f(y0), M, krylov_tol=1e-13)
-        y3, _, _ = epi3v_step(y0, 0.7, prob.f(y0), M, prob, krylov_tol=1e-13)
+        y3, _, _ = epi3v_step(y0, 0.7, prob.f(y0), M, prob, np.ones(4),
+                              krylov_tol=1e-13)
         np.testing.assert_allclose(ye, y3, rtol=1e-9, atol=1e-11)
 
 
@@ -470,11 +473,13 @@ class TestAdaptive:
                 method="Radau", rtol=1e-13, atol=1e-20,
                 jac=lambda t, v: prob.jac(v)[1]).y[:, -1]
             F = rhs_vector(y, mech, state.p)
+            weights = cfg.atol + cfg.rtol * np.abs(y)
             err_euler = scaled_error_norm(
                 exp_euler_step(y, rec.h, F, J, krylov_tol=ktol) - ref, y,
                 cfg.atol, cfg.rtol)
             err_epi3v = scaled_error_norm(
-                epi3v_step(y, rec.h, F, J, prob, krylov_tol=ktol)[0] - ref, y,
+                epi3v_step(y, rec.h, F, J, prob, weights,
+                           krylov_tol=ktol)[0] - ref, y,
                 cfg.atol, cfg.rtol)
             assert rec.err_est == pytest.approx(err_euler, rel=0.01)
             assert rec.err_est >= 100.0 * err_epi3v

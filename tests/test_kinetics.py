@@ -605,22 +605,35 @@ class TestTables:
         assert rate_constants(1000.0, mech)[1][0] > 0
 
 
+def padded(slots, width, K):
+    """Index array `slots` padded on the right with K to `width` columns."""
+    out = np.full((len(slots), width), K, dtype=np.intp)
+    out[:, :slots.shape[1]] = slots
+    return out
+
+
 class TestSlots:
     @pytest.mark.parametrize("K", [9, 20, 53])
     def test_generated_networks(self, K):
+        # One table for both sides: every reaction's reactants, then every
+        # reaction's products, each padded to the wider side.
         mech = mechgen.generate_mechanism(K, 11)
-        tb = mech.tables
-        for side, nu, slots in (("reactants", mech.nu_forward, tb.reactant_slots),
-                                ("products", mech.nu_reverse, tb.product_slots)):
+        N, slots = mech.n_reactions, mech.tables.slots
+        assert slots.dtype == np.intp
+        for side, nu, rows in (("reactants", mech.nu_forward, slots[:N]),
+                               ("products", mech.nu_reverse, slots[N:])):
             want = expanded_slots([getattr(r, side) for r in mech.reactions], K)
             np.testing.assert_array_equal(_slots(nu), want)
-            np.testing.assert_array_equal(slots, want)
-            assert slots.dtype == np.intp
+            np.testing.assert_array_equal(rows, padded(want, slots.shape[1], K))
+        assert slots.shape[1] == max(
+            expanded_slots([r.reactants for r in mech.reactions], K).shape[1],
+            expanded_slots([r.products for r in mech.reactions], K).shape[1])
 
     def test_no_reactions(self):
         mech = make_mechanism([make_species("A", 0.030)], [])
-        for slots in (mech.tables.reactant_slots, mech.tables.product_slots):
-            assert slots.shape == (0, 1) and slots.dtype == np.intp
+        slots = mech.tables.slots
+        assert slots.shape == (0, 1) and slots.dtype == np.intp
+        assert mech.tables.jacobian_index.shape == (0,)
 
     def test_empty_reactant_side(self):
         # A reaction built directly (no Mechanism, which would refuse its

@@ -1,13 +1,14 @@
 """Adaptive Krylov phi evaluator against the dense augmented-matrix oracle."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
 from conftest import stiff_diag_matrix
-from expkin import phikrylov
+from expkin import integrator, phikrylov
 from expkin.integrator import (
     epi3v_step, integrate_mechanism, problem_from_mechanism, scaled_error_norm,
 )
@@ -279,7 +280,7 @@ class TestOneExponentialPerEvaluation:
         y = toy_state.to_vector()
         F, J = problem.jac(y)
         shapes = count_expm_calls(monkeypatch)
-        _, _, stats = epi3v_step(y, 1e-4, F, J, problem)
+        _, _, stats = epi3v_step(y, 1e-4, F, J, problem, np.ones(len(y)))
         assert stats == PhiStats()
         # n = 4: the phi blocks of h J at T = 3/4 and T = 1, one 16 x 16
         # matrix each.
@@ -370,26 +371,39 @@ class TestDenseAgainstKrylovStep:
         problem = problem_from_mechanism(toy_mech, toy_state.p)
         y = toy_state.to_vector()
         F, J = problem.jac(y)
-        y_dense, lte_dense, stats = epi3v_step(y, h, F, J, problem,
+        weights = 1e-10 + 1e-8 * np.abs(y)
+        y_dense, lte_dense, stats = epi3v_step(y, h, F, J, problem, weights,
                                                krylov_tol=1e-12)
         assert stats == PhiStats()
         monkeypatch.setattr(phikrylov, "M_INIT", 2)
-        y_kry, lte_kry, stats = epi3v_step(y, h, F, J, problem,
+        y_kry, lte_kry, stats = epi3v_step(y, h, F, J, problem, weights,
                                            krylov_tol=1e-12)
         assert stats.calls == 2 and stats.matvecs > 0
         for a, b in ((y_dense, y_kry), (lte_dense, lte_kry)):
             assert scaled_error_norm(a - b, y, 1e-10, 1e-8) <= 1e-9
 
 
+# Degree-13 Pade coefficients and theta_13 (Higham, SIAM J. Matrix Anal.
+# Appl. 26(4), 2005), kept here so that the reference below does not read
+# the module's tables.
+PADE13_B = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+         7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+
+
 def expm_with_identity(A):
     """The single-matrix Pade 13 exponential with b*I added to U and V, the
-    form expm had before it took stacks (the reference for bit equality)."""
+    form expm had before it took stacks and chose its degree."""
     n = A.shape[0]
-    theta = phikrylov._PADE13_THETA
+    theta = THETA[13]
     norm1 = float(np.abs(A).sum(axis=0).max())
     s = max(0, int(math.ceil(math.log2(norm1 / theta)))) if norm1 > theta else 0
     As = A / 2**s
-    b = phikrylov._PADE13_B
+    b = PADE13_B
     I = np.eye(n)
     A2 = As @ As
     A4 = A2 @ A2
@@ -402,6 +416,16 @@ def expm_with_identity(A):
     for _ in range(s):
         F = F @ F
     return F
+
+
+def norm1(X):
+    return float(np.abs(X).sum(axis=-2).max())
+
+
+def with_norm(rng, n, norm):
+    """A random n x n matrix with 1-norm `norm`."""
+    A = rng.standard_normal((n, n))
+    return A * (norm / norm1(A))
 
 
 class TestExpmStack:
@@ -419,8 +443,112 @@ class TestExpmStack:
             want = expm(X)
             assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("span", [0.1, 3.0, 1e4])
-    def test_single_matrix_bits_unchanged(self, span):
+    @pytest.mark.parametrize("span, bound_ref, bound_scipy", [
+        (0.1, 1e-15, 1e-15), (3.0, 1e-15, 1e-14), (1e4, 1e-12, 2e-12)])
+    def test_single_matrix_matches_references(self, span, bound_ref,
+                                              bound_scipy):
+        # The degree rule changes the bits of every matrix below theta_13
+        # (degree 5 at span 0.1, 13 at 3.0 and 1e4, which squares 13 times),
+        # so the pin is a normwise bound against the old degree-13 form and
+        # against scipy. Measured: 3.1e-16 / 3.0e-16, 3.6e-16 / 3.0e-15 and
+        # 4.8e-13 / 9.8e-13; the largest entrywise difference, 7e-11
+        # relative, sits in entries of size 1e-198 at span 1e4.
         rng = np.random.default_rng(1616)
         A = stiff_diag_matrix(rng, 11, span) + 0.1 * span * rng.standard_normal((11, 11))
-        np.testing.assert_array_equal(expm(A), expm_with_identity(A))
+        got = expm(A)
+        for want, bound in ((expm_with_identity(A), bound_ref),
+                            (scipy.linalg.expm(A), bound_scipy)):
+            assert norm1(got - want) <= bound * norm1(want)
+
+
+class TestPadeDegree:
+    """expm picks the lowest degree m whose theta_m bounds the stack's
+    largest 1-norm (Higham 2005), and squares only at degree 13."""
+
+    def test_thresholds_are_highams(self):
+        assert [theta for theta, _ in phikrylov._PADE] == list(THETA.values())
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
+    @pytest.mark.parametrize("side", [0.999, 1.001], ids=["below", "above"])
+    def test_norm_beside_theta(self, m, side):
+        # Just below theta_m expm uses degree m; just above, the next one
+        # (13 above theta_9 and, with one squaring, above theta_13).
+        rng = np.random.default_rng(1717 + m)
+        degrees = sorted(THETA)
+        used = m if side < 1 else degrees[min(degrees.index(m) + 1, 4)]
+        for _ in range(5):
+            A = with_norm(rng, 8, side * THETA[m])
+            got, want = expm(A), scipy.linalg.expm(A)
+            if used <= 9:
+                assert norm1(got - want) <= 1e-14 * norm1(want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11)
+
+    def test_stack_uses_one_degree(self):
+        # Norms 0.5 and 1.5 theta_5: the stack takes degree 7 for both, so
+        # the small member's bits follow the bracket of the largest norm,
+        # not its own, and still match its single-matrix exponential.
+        rng = np.random.default_rng(1818)
+        small = with_norm(rng, 8, 0.5 * THETA[5])
+        large = with_norm(rng, 8, 1.5 * THETA[5])
+        got = expm(np.stack([small, large]))
+        again = expm(np.stack([small, 1.1 * large]))
+        alone = expm(small)
+        np.testing.assert_array_equal(got[0], again[0])
+        assert not np.array_equal(got[0], alone)
+        for X, G in zip((small, large), got):
+            want = expm(X)
+            assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def mp_product(A, b, p, T):
+    """T^p phi_p(T A) b from a 50-digit mpmath exponential of the (n + p)
+    augmented matrix."""
+    aug, v = augmented_operator(A, [None] * p + [b])
+    with mpmath.workdps(50):
+        E = mpmath.expm(mpmath.matrix((T * aug).tolist()))
+        w = E * mpmath.matrix(v.tolist())
+        return np.array([float(w[i]) for i in range(len(b))])
+
+
+class TestWeightedPhiProducts:
+    """The dense path's phi products, taken from the blocks of D h J D^-1
+    with D = diag(1/weights) in powers of two, then unscaled."""
+
+    @staticmethod
+    def products(A, hF, weights):
+        stats = PhiStats()
+        w34, w1, phi3 = integrator._phi_products(A, hF, weights, 1e-12, stats)
+        assert stats == PhiStats()
+        return w34, w1, phi3(hF)
+
+    def test_toy_against_mpmath(self, toy_mech, toy_state):
+        # At h = 1.72 ||h J||_1 is about 1e6. Balanced by toy3's own error
+        # weights (atol 1e-10, rtol 1e-8) expm needs no squaring; measured
+        # 2.2e-14, 6.3e-14 and 6.2e-14 off the reference, against 3.3e-12
+        # for unit weights (18 squarings).
+        y = toy_state.to_vector()
+        F, J = rhs_and_jacobian(y, toy_mech, toy_state.p)
+        h = 1.72
+        A, hF = h * J, h * F
+        got = self.products(A, hF, 1e-10 + 1e-8 * np.abs(y))
+        for g, (p, T) in zip(got, ((1, 0.75), (1, 1.0), (3, 1.0))):
+            want = mp_product(A, hF, p, T)
+            assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want), (p, T)
+
+    @pytest.mark.parametrize("h", [1e-8, 1e-5, 1e-3, 0.1, 1.72])
+    @pytest.mark.parametrize("exponents", [(-1070, 1020, 0, -1000),
+                                           (1020, -1074, 3, 500)],
+                             ids=["tiny-first", "huge-first"])
+    def test_extreme_weights_stay_finite(self, toy_mech, toy_state, h,
+                                         exponents):
+        # Weights 2^-1074 .. 2^1020 apart: D is clipped to a 2^20 spread, so
+        # every block stays finite (a warning fails the test) and the
+        # products stay near the unit-weight ones (measured <= 5e-5).
+        y = toy_state.to_vector()
+        F, J = rhs_and_jacobian(y, toy_mech, toy_state.p)
+        A, hF = h * J, h * F
+        got = self.products(A, hF, 2.0 ** np.array(exponents, dtype=float))
+        for g, want in zip(got, self.products(A, hF, np.ones(len(y)))):
+            assert np.isfinite(g).all()
+            assert np.linalg.norm(g - want) <= 1e-4 * np.linalg.norm(want)

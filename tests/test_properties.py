@@ -88,7 +88,8 @@ def one_step(mech, y, divisor=1):
     problem = problem_from_mechanism(mech, PRESSURE)
     F, J = problem.jac(y)
     h = 1e-2 / (divisor * np.linalg.norm(J, 1))
-    y_new, lte, _ = epi3v_step(y, h, F, J, problem, krylov_tol=1e-14)
+    y_new, lte, _ = epi3v_step(y, h, F, J, problem, np.ones(len(y)),
+                               krylov_tol=1e-14)
     return y_new, lte
 
 
