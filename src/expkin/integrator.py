@@ -168,13 +168,12 @@ def epi3v_step(y, h, F, J, problem, weights, krylov_tol=1.0e-12, stats=None):
     return y + w1 + lte, lte, stats
 
 
-def scaled_error_norm(lte, y, atol, rtol):
-    """RMS of lte components scaled by atol + rtol |y|."""
-    scale = atol + rtol * np.abs(y)
+def scaled_error_norm(lte, weights):
+    """RMS of lte components scaled by the error weights atol + rtol |y|."""
     # Overflow here just yields inf, which the controller treats as a
     # rejection; no need to warn about it.
     with np.errstate(over="ignore"):
-        sq = (lte / scale) ** 2
+        sq = (lte / weights) ** 2
         # sum / size: the bits of np.mean without its dispatch.
         return float(np.sqrt(sq.sum() / sq.size))
 
@@ -263,7 +262,7 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
         try:
             y_new, lte, _ = epi3v_step(y, h_try, F, J, problem, weights,
                                        krylov_tol=ktol, stats=kstats)
-            err = scaled_error_norm(lte, y, atol, rtol)
+            err = scaled_error_norm(lte, weights)
             if err <= 1.0 and not last:
                 F_new, J_new = problem.jac(y_new)
         except (PhiConvergenceError, KineticsError) as exc:

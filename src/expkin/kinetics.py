@@ -5,18 +5,21 @@ State vector layout is [T, Y_1, ..., Y_K] (temperature first, then mass
 fractions in mechanism order). All quantities are SI: K, Pa, kg/mol, mol/m^3,
 J/mol, s.
 
-Every evaluation works on the arrays a `Mechanism` builds once: NASA-7
-coefficient tables, Arrhenius columns, stoichiometric matrices and one padded
-slot table of both sides of every reaction, so the mass-action products and
-their derivatives take one gather each. The Jacobian is analytical in the
-manner of pyJac (Niemeyer, Curtis & Sung, Comput. Phys. Commun. 215, 2017):
-rate-of-progress derivatives in the concentrations come from the mass-action
-products, temperature derivatives from the Arrhenius and equilibrium-constant
-log-derivatives, and both are chained through rho(T, Y). One private
-evaluation, `_evaluate`, checks the state and makes one pass over the thermo,
-rate constants and rates of progress; `rhs_vector`, `rhs_and_jacobian` and
-`reaction_rates` each take their part of its result. So linearising at a
-state costs one kinetics pass, and the three agree bit for bit.
+Every evaluation works on the arrays a `Mechanism` builds once (`_Tables`):
+an R/W-scaled NASA-7 table of both ranges, the Arrhenius rows
+[ln A, beta, E/R], stoichiometric matrices, one padded slot table of the
+forward rows and of the reverse rows of reversible reactions, and the
+sparse scatter of the Jacobian. So one pass takes the thermo from one
+product, ln k and d ln k/dT from another, and the mass-action products and
+their derivatives from one gather of slot columns. The Jacobian is
+analytical in the manner of pyJac (Niemeyer, Curtis & Sung, Comput. Phys.
+Commun. 215, 2017): rate-of-progress derivatives in the concentrations come
+from the mass-action products, temperature derivatives from the Arrhenius
+and equilibrium-constant log-derivatives, and both are chained through
+rho(T, Y). One private evaluation, `_evaluate`, checks the state and makes
+that pass; `rhs_vector`, `rhs_and_jacobian` and `reaction_rates` each take
+their part of its result. So linearising at a state costs one kinetics
+pass, and the three agree bit for bit.
 """
 from __future__ import annotations
 
@@ -30,7 +33,10 @@ R_GAS = 8.314462618          # J/(mol K)
 P_STANDARD = 1.0e5           # Pa, reference pressure for equilibrium constants
 EXP_ARG_MAX = 700.0          # exp() argument clamp, avoids overflow
 Y_NEG_TOL = 1.0e-8           # mass fractions in [-Y_NEG_TOL, 0) are treated as 0
-TYPICAL_T = 1.0              # typical magnitudes for FD perturbation sizing
+# Typical magnitudes that size the perturbations of a forward-difference
+# Jacobian. Only perfbench/prepare.py's reference Jacobian (and the tests'
+# difference oracles) use them, until ROADMAP item 2 replaces it.
+TYPICAL_T = 1.0
 TYPICAL_Y = 1.0e-6
 
 
@@ -66,32 +72,55 @@ class RateTelemetry:
         self.saturated = True
 
 
-def _clamped_exp(arg, telemetry=None):
-    """exp(arg) with arg clipped to +-EXP_ARG_MAX, and the mask of the
-    unclipped entries (where the factor's derivative passes through), or
-    None when no entry is clipped."""
+def _clamp(arg, telemetry=None):
+    """arg clipped to +-EXP_ARG_MAX, the argument of a safe exp(), and the
+    mask of the unclipped entries (where the factor's derivative passes
+    through), or None when no entry is clipped."""
     if np.abs(arg).max(initial=0.0) <= EXP_ARG_MAX:
-        return np.exp(arg), None
+        return arg, None
     clipped = np.minimum(np.maximum(arg, -EXP_ARG_MAX), EXP_ARG_MAX)
     live = clipped == arg
     if telemetry is not None and not live.all():
         telemetry.mark_saturated()
-    return np.exp(clipped), live
+    return clipped, live
 
 
-def _nasa(a, T):
-    """Molar c_p, H, S and dc_p/dT at T of NASA-7 rows a, shape (n, 7);
-    four arrays of length n."""
-    T2, T3, T4 = T * T, T * T * T, T * T * T * T
-    RT = R_GAS * T
-    weights = np.array([
-        [R_GAS, R_GAS * T, R_GAS * T2, R_GAS * T3, R_GAS * T4, 0.0, 0.0],
-        [RT, RT * T / 2, RT * T2 / 3, RT * T3 / 4, RT * T4 / 5, R_GAS, 0.0],
-        [R_GAS * np.log(T), R_GAS * T, R_GAS * T2 / 2, R_GAS * T3 / 3,
-         R_GAS * T4 / 4, 0.0, R_GAS],
-        [0.0, R_GAS, 2 * R_GAS * T, 3 * R_GAS * T2, 4 * R_GAS * T3, 0.0, 0.0],
-    ])
-    return (np.asarray(a, dtype=float) @ weights.T).T
+def _nasa7_map():
+    """(4, 7, 7): row i of block q maps NASA-7 coefficient a_(i+1) onto the
+    columns [1, T, T^2, T^3, T^4, T^5, ln T] of c_p/R, H/R, S/R and
+    (dc_p/dT)/R (q = 0 .. 3)."""
+    L = np.zeros((4, 7, 7))
+    for i in range(5):
+        # c_p/R = a1 + a2 T + a3 T^2 + a4 T^3 + a5 T^4
+        L[0, i, i] = 1.0
+        # H/R = a6 + a1 T + a2 T^2/2 + a3 T^3/3 + a4 T^4/4 + a5 T^5/5
+        L[1, i, i + 1] = 1.0 / (i + 1)
+    L[1, 5, 0] = 1.0
+    # S/R = a7 + a2 T + a3 T^2/2 + a4 T^3/3 + a5 T^4/4 + a1 ln T
+    for i in range(1, 5):
+        L[2, i, i] = 1.0 / i
+        # (dc_p/dT)/R = a2 + 2 a3 T + 3 a4 T^2 + 4 a5 T^3
+        L[3, i, i - 1] = float(i)
+    L[2, 6, 0] = L[2, 0, 6] = 1.0
+    L.flags.writeable = False
+    return L
+
+
+_NASA7_MAP = _nasa7_map()
+
+
+def _thermo_table(coeffs):
+    """(4n, 7) table of NASA-7 rows `coeffs` (n, 7): its product with
+    `_thermo_powers(T)` gives c_p/R, H/R, S/R and (dc_p/dT)/R at T, in four
+    blocks of n."""
+    a = np.asarray(coeffs, dtype=float).reshape(-1, 7)
+    return (a @ _NASA7_MAP).reshape(-1, 7)
+
+
+def _thermo_powers(T):
+    """[1, T, T^2, T^3, T^4, T^5, ln T], the columns of `_thermo_table`."""
+    T2 = T * T
+    return np.array([1.0, T, T2, T2 * T, T2 * T2, T2 * T2 * T, math.log(T)])
 
 
 @dataclass(frozen=True)
@@ -119,7 +148,8 @@ class Species:
             )
         if len(self.coeffs_low) != 7 or len(self.coeffs_high) != 7:
             raise KineticsError(f"species {self.name!r}: need 7+7 NASA coefficients")
-        cp_lo, cp_hi = _nasa([self.coeffs_low, self.coeffs_high], self.t_mid)[0]
+        cp_lo, cp_hi = (_thermo_table([self.coeffs_low, self.coeffs_high])
+                        @ _thermo_powers(self.t_mid))[:2]
         if abs(cp_lo - cp_hi) > 0.01 * max(abs(cp_lo), abs(cp_hi)):
             raise KineticsError(
                 f"species {self.name!r}: c_p discontinuity at T_mid exceeds 1%"
@@ -170,42 +200,96 @@ def _slots(nu):
 class _Tables:
     """The arrays every evaluation of one mechanism uses, all read-only.
 
-    - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row sums;
-    - NASA-7 coefficients `nasa_low`/`nasa_high` (K, 7), the range
-      limits `t_low`, `t_mid`, `t_high` and the window where every fit
-      holds, [`t_min`, `t_max`] (floats);
-    - the forward Arrhenius columns `pre_exponential`, `beta` and
-      `activation` (N,), and `reversible` (N,), the reactions reversed by
-      detailed balance; `no_reverse` (N,) zeros, the k_r and d ln k_r/dT of
-      a mechanism without reversible reactions, else None;
-    - `slots` (2N, width): `_slots` of [nu_forward; nu_reverse], every
-      reaction's reactants, then every reaction's products, padded with K,
-      which indexes a constant 1;
-    - `jacobian_index`: the flat index into dq/dchi (N, K + 1) of every slot
-      of `slots`, row by row (the `bincount` scatter of the Jacobian; each
-      entry of dq/dchi sums its reactant terms before its product terms).
+    An evaluation runs over "rows": the forward direction of every reaction
+    (rows 0 .. N - 1), then the reverse direction of every reversible one,
+    whose rate constant follows from detailed balance. A mechanism without
+    reversible reactions has no reverse rows.
+
+    - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row
+      sums, `reversible` (N,) the reactions with a reverse row;
+    - `thermo` (2, 4K, 7): the NASA-7 tables (`_thermo_table`) of the low
+      and the high range, scaled by R/W, so that one product with
+      `_thermo_powers(T)` gives c_p, H, S and dc_p/dT per unit mass; the
+      range limits `t_low`, `t_mid`, `t_high` (K,), the window where every
+      fit holds, [`t_min`, `t_max`], and [`t_mid_min`, `t_mid_max`] (floats);
+    - `arrhenius` (3, N): ln A, beta and E/R of every reaction, and
+      `e_r_max`, the largest |E|/R;
+    - `reverse` (R,): the reversible reactions' indices; `equilibrium_nu`
+      (K, R): their nu_net times W_k, which turns specific H and S into
+      reaction changes; `dnu_reverse` (R,);
+    - `nu_rows` (rows, K): the signed nu_net of every row (a reverse row
+      negates its reaction's), so that omega = r nu_rows for the rates of
+      progress r of the rows;
+    - `inv_molar_masses` (K,) and `inv_w` (K + 1,), the same with a
+      leading 0 in the [T, Y] column layout; `w_ratio` (K, K + 1), the
+      columns W_i and W_i / W_k;
+    - `slots` (width, rows): `_slots` of every row's reactants (a reverse
+      row's are its reaction's products), shifted by one, so that it
+      indexes the vector [0, chi_1 .. chi_K, 1] (index K + 1, the padding,
+      holds a constant 1) and the columns of dq/d[T, chi], where column 0
+      is dq/dT at fixed chi;
+    - the scatter of B = nu^T dq/d[T, chi] (K, K + 1) in one `bincount`:
+      `jacobian_gather` picks Jacobian weights (slot by slot, then the
+      dq/dT one, each over all rows; padding slots left out),
+      `jacobian_nu` multiplies each by one nonzero entry of its row of
+      `nu_rows`, and `jacobian_index` is the flat index into B of the
+      product. nu is sparse (7% nonzero at K = 53), so this beats the dense
+      product.
     """
 
     def __init__(self, mech):
-        N = mech.n_reactions
+        N, K = mech.n_reactions, mech.n_species
         species, reactions = mech.species, mech.reactions
+        W = mech.molar_masses
         self.nu_net = np.subtract(mech.nu_reverse, mech.nu_forward, dtype=float)
         self.dnu = self.nu_net.sum(axis=1)
-        self.nasa_low = np.array([s.coeffs_low for s in species], dtype=float)
-        self.nasa_high = np.array([s.coeffs_high for s in species], dtype=float)
+        self.reversible = np.array([r.reversible for r in reactions], dtype=bool)
+        scale = np.tile(R_GAS / W, 4)[:, None]
+        self.thermo = np.stack([
+            scale * _thermo_table([getattr(s, side) for s in species])
+            for side in ("coeffs_low", "coeffs_high")])
         self.t_low = np.array([s.t_low for s in species])
         self.t_mid = np.array([s.t_mid for s in species])
         self.t_high = np.array([s.t_high for s in species])
         self.t_min = float(self.t_low.max())
         self.t_max = float(self.t_high.min())
-        self.reversible = np.array([r.reversible for r in reactions], dtype=bool)
-        arrhenius = np.array([r.arrhenius for r in reactions],
-                             dtype=float).reshape(N, 3)
-        self.pre_exponential, self.beta, self.activation = arrhenius.T.copy()
-        self.no_reverse = None if self.reversible.any() else np.zeros(N)
-        self.slots = _slots(np.vstack((mech.nu_forward, mech.nu_reverse)))
-        self.jacobian_index = (np.tile(np.arange(N), 2)[:, None]
-                               * (mech.n_species + 1) + self.slots).ravel()
+        self.t_mid_min = float(self.t_mid.min())
+        self.t_mid_max = float(self.t_mid.max())
+        rev = np.flatnonzero(self.reversible)
+        rows = np.concatenate((np.arange(N), rev))
+        A, beta, E = np.array([r.arrhenius for r in reactions],
+                              dtype=float).reshape(N, 3).T
+        self.arrhenius = np.array([np.log(A), beta, E / R_GAS])
+        self.e_r_max = float(np.abs(self.arrhenius[2]).max(initial=0.0))
+        self.reverse = rev
+        self.equilibrium_nu = (self.nu_net[rev] * W).T.copy()
+        self.dnu_reverse = self.dnu[rev]
+        self.nu_rows = np.concatenate((self.nu_net, -self.nu_net[rev]))
+        self.inv_molar_masses = 1.0 / W
+        self.inv_w = np.concatenate(([0.0], self.inv_molar_masses))
+        self.w_ratio = np.multiply.outer(W, self.inv_w)
+        self.w_ratio[:, 0] = W
+        self.slots = (_slots(np.vstack((mech.nu_forward, mech.nu_reverse[rev])))
+                      + 1).T.copy()
+        # The Jacobian scatter: every weight of `_evaluate` (slot by slot,
+        # then dq/dT, each over all rows) but the padding slots', repeated
+        # once per nonzero of its row of nu_rows. Those nonzeros come row by
+        # row, `count[r]` of them for row r.
+        column = np.vstack((self.slots,
+                            np.zeros((1, len(rows)), dtype=np.intp))).ravel()
+        weight = np.flatnonzero(column <= K)
+        row = weight % len(rows)
+        nz_row, nz_species = np.nonzero(self.nu_rows)
+        count = np.bincount(nz_row, minlength=len(rows))
+        repeats = count[row]
+        # Expanded entry t, of weight i, takes nonzero first[i] + t - offset[i].
+        first = (np.cumsum(count) - count)[row]
+        offset = np.cumsum(repeats) - repeats
+        nz = np.arange(repeats.sum()) + np.repeat(first - offset, repeats)
+        self.jacobian_gather = np.repeat(weight, repeats)
+        self.jacobian_nu = self.nu_rows[nz_row[nz], nz_species[nz]]
+        self.jacobian_index = (nz_species[nz] * (K + 1)
+                               + column[self.jacobian_gather])
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -319,7 +403,7 @@ def _unpack(y, mech):
 
 def _density(T, Y, p, mech):
     """rho and 1/W_mean = sum Y_i/W_i of clipped mass fractions Y."""
-    mean_inv = float((Y / mech.molar_masses).sum())
+    mean_inv = float(Y @ mech.tables.inv_molar_masses)
     # Written so that NaN fails too; a mixture of no moles has no density.
     if not mean_inv > 0:
         raise InvalidStateError(f"non-physical mixture: sum Y/W = {mean_inv}")
@@ -340,82 +424,123 @@ def concentrations(state, mech):
     return _density(T, Y, state.p, mech)[0] * Y / mech.molar_masses
 
 
-def species_thermo(T, mech):
-    """Molar c_p, H, S and dc_p/dT of every species at temperature T."""
-    tb = mech.tables
+def _check_range(T, tb, mech):
+    """Refuse a temperature outside some species' thermo fit."""
     if not (tb.t_min <= T <= tb.t_max):
         bad = int(np.argmax((T < tb.t_low) | (T > tb.t_high)))
         raise ThermoRangeError(mech.species[bad].name, T,
                                tb.t_low[bad], tb.t_high[bad])
-    return _nasa(np.where((T > tb.t_mid)[:, None], tb.nasa_high, tb.nasa_low), T)
 
 
-def _arrhenius(tb, T, telemetry):
-    """k = A T^beta exp(-E/(R T)) of every reaction, and d ln k/dT."""
-    beta = tb.beta
-    e_rt = tb.activation / (R_GAS * T)
-    e, live = _clamped_exp(-e_rt, telemetry)
-    if live is not None:
-        e_rt = np.where(live, e_rt, 0.0)
-    return tb.pre_exponential * T**beta * e, (beta + e_rt) / T
+def _thermo(T, tb):
+    """c_p, H, S and dc_p/dT per unit mass of every species at T, (4, K):
+    one product of the table of the range T lies in, or of both and a
+    per-species pick when T lies between two species' t_mid."""
+    K = len(tb.t_mid)
+    powers = _thermo_powers(T)
+    if T <= tb.t_mid_min:
+        return (tb.thermo[0] @ powers).reshape(4, K)
+    if T > tb.t_mid_max:
+        return (tb.thermo[1] @ powers).reshape(4, K)
+    both = (tb.thermo @ powers).reshape(2, 4, K)
+    return np.where(T > tb.t_mid, both[1], both[0])
 
 
-def _equilibrium(T, H, S, tb, telemetry, rows=slice(None)):
-    """Concentration-based K_c of reactions `rows`, and d ln K_c/dT."""
-    neg_dg = -(tb.nu_net @ ((H - T * S) / (R_GAS * T)))[rows]
-    kp, live = _clamped_exp(neg_dg, telemetry)
-    dnu = tb.dnu[rows]
-    dh_rt = (tb.nu_net @ H)[rows] / (R_GAS * T)
+def species_thermo(T, mech):
+    """Molar c_p, H, S and dc_p/dT of every species at temperature T."""
+    tb = mech.tables
+    _check_range(T, tb, mech)
+    return _thermo(T, tb) * mech.molar_masses
+
+
+def _equilibrium(T, th, nu_w, dnu, telemetry):
+    """Concentration-based K_c and d ln K_c/dT of the reactions whose
+    nu_net times W_k are the columns of `nu_w` (K, n), from the specific
+    thermo `th` (see `_thermo`)."""
+    dh, ds = th[1:3] @ nu_w
+    dh_rt = dh / (R_GAS * T)
+    neg_dg, live = _clamp(ds / R_GAS - dh_rt, telemetry)
     if live is not None:
         dh_rt = np.where(live, dh_rt, 0.0)
-    kc = kp * (P_STANDARD / (R_GAS * T)) ** dnu
+    kc = np.exp(neg_dg) * (P_STANDARD / (R_GAS * T)) ** dnu
     return kc, (dh_rt - dnu) / T
 
 
 def equilibrium_constants(T, mech, telemetry=None):
-    """Concentration-based equilibrium constant K_c of every reaction."""
-    _, H, S, _ = species_thermo(T, mech)
-    return _equilibrium(T, H, S, mech.tables, telemetry)[0]
+    """Concentration-based equilibrium constant K_c of every reaction; a
+    reversible reaction's is the one its reverse rate constant divides by."""
+    tb = mech.tables
+    _check_range(T, tb, mech)
+    th = _thermo(T, tb)
+    kc = _equilibrium(T, th, (tb.nu_net * mech.molar_masses).T, tb.dnu,
+                      telemetry)[0]
+    kc[tb.reverse] = _equilibrium(T, th, tb.equilibrium_nu, tb.dnu_reverse,
+                                  telemetry)[0]
+    return kc
 
 
-def _rate_constants(T, H, S, tb, *, telemetry):
-    """Forward and reverse rate constants and their T log-derivatives.
+def _rate_constants(T, th, tb, telemetry):
+    """Rate constant k = A T^beta exp(-E/(R T)) of every row (see _Tables)
+    and d ln k/dT, from one product. A reverse row's k is k_f / K_c
+    (detailed balance) and its log-derivative d ln k_f/dT - d ln K_c/dT.
 
-    The reverse rate follows from detailed balance, k_r = k_f / K_c, for
-    reversible reactions; irreversible reactions have k_r = 0.
+    When no |E|/(R T) can exceed EXP_ARG_MAX no entry is checked; else an
+    activation factor beyond it is clamped, constant (its derivative is
+    dropped), and marks `telemetry` saturated.
     """
-    kf, dkf = _arrhenius(tb, T, telemetry)
-    if tb.no_reverse is not None:
-        return kf, tb.no_reverse, dkf, tb.no_reverse
-    kr = np.zeros_like(kf)
-    dkr = np.zeros_like(kf)
-    rev = tb.reversible
-    kc, dkc = _equilibrium(T, H, S, tb, telemetry, rev)
-    kr[rev], dkr[rev] = kf[rev] / kc, dkf[rev] - dkc
-    return kf, kr, dkf, dkr
+    inv_T = 1.0 / T
+    ln_T = math.log(T)
+    ln_k, dln_k = np.array([[1.0, ln_T, -inv_T],
+                            [0.0, inv_T, inv_T * inv_T]]) @ tb.arrhenius
+    if tb.e_r_max > EXP_ARG_MAX * T:
+        e_rt = tb.arrhenius[2] * inv_T
+        arg, live = _clamp(-e_rt, telemetry)
+        if live is not None:
+            ln_a, beta = tb.arrhenius[:2]
+            ln_k = np.where(live, ln_k, ln_a + beta * ln_T + arg)
+            dln_k = np.where(live, dln_k, beta * inv_T)
+    k = np.exp(ln_k)
+    if not len(tb.reverse):
+        return k, dln_k
+    kc, dkc = _equilibrium(T, th, tb.equilibrium_nu, tb.dnu_reverse, telemetry)
+    return (np.concatenate((k, k[tb.reverse] / kc)),
+            np.concatenate((dln_k, dln_k[tb.reverse] - dkc)))
 
 
 def rate_constants(T, mech, *, telemetry=None):
-    """Forward and reverse rate constants (k_f, k_r) of every reaction."""
-    _, H, S, _ = species_thermo(T, mech)
-    return _rate_constants(T, H, S, mech.tables, telemetry=telemetry)[:2]
+    """Forward and reverse rate constants (k_f, k_r) of every reaction; the
+    reverse one follows from detailed balance, k_r = k_f / K_c, for
+    reversible reactions, and is 0 for irreversible ones."""
+    tb = mech.tables
+    _check_range(T, tb, mech)
+    k = _rate_constants(T, _thermo(T, tb), tb, telemetry)[0]
+    n = mech.n_reactions
+    kr = np.zeros(n)
+    kr[tb.reversible] = k[n:]
+    return k[:n], kr
 
 
-def _others(x):
-    """Per entry of x (n, width), the product of the other entries in its
-    row (prefix times suffix: exact when some entry is 0).
-
-    One pass over the slot columns each way; width is the largest
-    stoichiometric order, so at most a few columns.
-    """
-    others = np.ones_like(x)
-    for j in range(1, x.shape[1]):
-        others[:, j] = others[:, j - 1] * x[:, j - 1]
-    suffix = x[:, -1]
-    for j in range(x.shape[1] - 2, -1, -1):
-        others[:, j] *= suffix
-        suffix = suffix * x[:, j]
-    return others
+def _slot_products(x, jacobian):
+    """(p, others) of slot values x (width, rows): p = x[0] x[1] ... of
+    every row and, if `jacobian` is set, for every entry the product of its
+    row's other entries (prefix times suffix: exact when some entry is 0),
+    else None. p's bits do not depend on `jacobian`."""
+    if not jacobian:
+        p = x[0]
+        for xj in x[1:]:
+            p = p * xj
+        return p, None
+    others = np.empty_like(x)
+    others[0] = 1.0
+    for j in range(1, len(x)):
+        np.multiply(others[j - 1], x[j - 1], out=others[j])
+    p = others[-1] * x[-1]
+    suffix = x[-1]
+    for j in range(len(x) - 2, -1, -1):
+        others[j] *= suffix
+        if j:
+            suffix = suffix * x[j]
+    return p, others
 
 
 def production_rates(rates, mech):
@@ -434,73 +559,77 @@ def _check_finite(values, what):
 
 
 def _evaluate(y, mech, p, telemetry, jacobian):
-    """(q, F, J) at state vector y: the net rates of progress, the source
-    term [dT/dt, dY/dt] and, if `jacobian` is set, its exact dense Jacobian
-    dF/d[T, Y] (else None), from one pass over the kinetics.
+    """(r, F, J) at state vector y: the rates of progress of every row (see
+    _Tables), the source term [dT/dt, dY/dt] and, if `jacobian` is set, its
+    exact dense Jacobian dF/d[T, Y] (else None), from one pass over the
+    kinetics.
 
-    J includes the coupling through rho(T, Y) = p / (R T sum Y_i/W_i). Mass
-    fractions in [-Y_NEG_TOL, 0) read as 0, and their columns are the
+    The pass takes the specific thermo from one product (`_thermo`), ln k
+    and d ln k/dT of every row from another (`_rate_constants`), and the
+    mass-action products from the slot columns. With B = nu^T dq/d[T, chi]
+    (dq/dT at fixed chi in column 0), g = (W/rho) (B_chi chi) and the
+    specific c_p, h = H/W and mean c_p-bar = sum Y c_p:
+
+        J_Y = B (W/rho | W_i/W_k) + (F_Y - g) (1/T, 1/(W_k sum Y/W))
+        J_T = -(h J_Y + F_T (Y dc_p/dT, c_p) + e_0 (c_p F_Y)) / c_p-bar
+
+    which includes the coupling through rho(T, Y) = p / (R T sum Y_i/W_i).
+    Mass fractions in [-Y_NEG_TOL, 0) read as 0, and their columns are the
     derivatives at 0 from above. A factor whose exponent is clamped (see
     RateTelemetry) is constant, so its derivative is 0.
     """
     T, Y = _unpack(y, mech)
-    rho, mean_inv = _density(T, Y, p, mech)
-    W, K = mech.molar_masses, mech.n_species
-    # chi1 is chi = rho Y / W with a trailing 1, the padding slots' factor.
-    chi1 = np.empty(K + 1)
-    chi = np.divide(rho * Y, W, out=chi1[:K])
-    chi1[K] = 1.0
-    cp, H, S, dcp = species_thermo(T, mech)
     tb = mech.tables
-    kf, kr, dkf, dkr = _rate_constants(T, H, S, tb, telemetry=telemetry)
-    # Mass-action products of both sides at once: reactants, then products.
-    n = mech.n_reactions
-    x = chi1[tb.slots]
-    k_prod = np.concatenate((kf, kr)) * x.prod(axis=1)
-    fwd, rev = k_prod[:n], k_prod[n:]
-    q = fwd - rev
-    omega = production_rates(q, mech)
-    cp_w = cp / W
-    D = rho * float(Y @ cp_w)                        # rho c_p, J/(m^3 K)
+    rho, mean_inv = _density(T, Y, p, mech)
+    K = mech.n_species
+    _check_range(T, tb, mech)
+    th = _thermo(T, tb)
+    cp, h, _, dcp = th
+    k, dln_k = _rate_constants(T, th, tb, telemetry)
+    # [0, chi_1 .. chi_K, 1], the vector `slots` indexes.
+    chi1 = np.empty(K + 2)
+    chi1[0], chi1[-1] = 0.0, 1.0
+    chi = np.multiply(Y, rho * tb.inv_molar_masses, out=chi1[1:-1])
+    prod, others = _slot_products(chi1[tb.slots], jacobian)
+    r = k * prod
     F = np.empty(K + 1)
-    F[0] = -float(omega @ H) / D
-    F[1:] = omega * W / rho
+    w_rho = mech.molar_masses / rho
+    F_Y = np.multiply(r @ tb.nu_rows, w_rho, out=F[1:])
+    cp_mean = float(Y @ cp)
+    F[0] = -float(h @ F_Y) / cp_mean
     _check_finite(F, "rhs")
     if not jacobian:
-        return q, F, None
-    # dq_j/dchi_k: sum over reaction j's slots holding species k, one
-    # bincount; the last column is the padding slot.
-    weights = np.concatenate((kf, -kr))[:, None] * _others(x)
-    dq_dchi = np.bincount(tb.jacobian_index, weights.ravel(),
-                          n * (K + 1)).reshape(n, K + 1)
-    nu_t = tb.nu_net.T
-    # domega/dchi at fixed T. With chi_i = rho Y_i / W_i, dchi/dT = -chi/T
-    # and dchi_i/dY_k = rho delta_ik / W_i - chi_i / (mean_inv W_k); dq/dT
-    # at fixed concentrations is dkf fwd - dkr rev.
-    A = (nu_t @ dq_dchi)[:, :K]
-    A_chi = A @ chi
-    domega = np.empty((K, K + 1))
-    domega[:, 0] = nu_t @ (dkf * fwd - dkr * rev) - A_chi / T
-    domega[:, 1:] = (rho * A - A_chi[:, None] / mean_inv) / W
-    # dY/dt = omega W / rho, with drho/dT = -rho/T, drho/dY_k = -rho/(mean_inv W_k).
-    dY = F[1:]
+        return r, F, None
+    # The weights of dq/d[T, chi]: every slot's k times its others, then
+    # dq/dT at fixed chi = d ln k/dT r; one scatter sums nu^T times them.
+    n = mech.n_reactions
+    weights = np.empty((len(others) + 1, len(r)))
+    np.multiply(k, others, out=weights[:-1])
+    np.multiply(dln_k, r, out=weights[-1])
+    B = np.bincount(tb.jacobian_index,
+                    weights.ravel()[tb.jacobian_gather] * tb.jacobian_nu,
+                    K * (K + 1)).reshape(K, K + 1)
+    g = w_rho * (B[:, 1:] @ chi)
     J = np.empty((K + 1, K + 1))
-    J[1:] = (W / rho)[:, None] * domega
-    J[1:, 0] += dY / T
-    J[1:, 1:] += dY[:, None] / (mean_inv * W)
-    # dT/dt = -(omega . H) / D with dH/dT = cp.
-    dD = np.empty(K + 1)
-    dD[0] = -D / T + rho * float(Y @ (dcp / W))
-    dD[1:] = rho * cp_w - D / (mean_inv * W)
-    J[0] = -(H @ domega) - F[0] * dD
-    J[0, 0] -= float(omega @ cp)
-    J[0] /= D
-    return q, F, _check_finite(J, "Jacobian")
+    J_Y = np.multiply(B, tb.w_ratio, out=J[1:])
+    J_Y[:, 0] /= rho
+    c = tb.inv_w * (1.0 / mean_inv)
+    c[0] = 1.0 / T
+    J_Y += np.multiply.outer(F_Y - g, c)
+    J_T = np.matmul(h, J_Y, out=J[0])
+    J_T[1:] += F[0] * cp
+    J_T[0] += F[0] * float(Y @ dcp) + float(cp @ F_Y)
+    J_T *= -1.0 / cp_mean
+    return r, F, _check_finite(J, "Jacobian")
 
 
 def reaction_rates(state, mech, *, telemetry=None):
     """Net molar rate of progress of every reaction, mol/(m^3 s)."""
-    return _evaluate(state.to_vector(), mech, state.p, telemetry, False)[0]
+    r = _evaluate(state.to_vector(), mech, state.p, telemetry, False)[0]
+    n = mech.n_reactions
+    q = r[:n].copy()
+    q[mech.tables.reversible] -= r[n:]
+    return q
 
 
 def rhs_vector(y, mech, p, *, telemetry=None):

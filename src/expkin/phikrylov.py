@@ -1,9 +1,9 @@
 """Evaluation of phi-function linear combinations.
 
-Provides a dense augmented-matrix oracle, a Pade matrix exponential, a
-block CGS2 Arnoldi process, and an adaptive Krylov evaluator (KIOPS-style:
-Gaudreault, Rainwater & Tokman, J. Comput. Phys. 372, 2018) with
-tau-substepping for
+Provides a dense augmented-matrix oracle, a matrix exponential (Taylor
+below theta_20, Pade 13 above), a block CGS2 Arnoldi process, and an
+adaptive Krylov evaluator (KIOPS-style: Gaudreault, Rainwater & Tokman,
+J. Comput. Phys. 372, 2018) with tau-substepping for
 
     w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k
 
@@ -23,42 +23,57 @@ import numpy as np
 MAX_PHI_ORDER = 3
 
 
-def _pade(theta, b):
-    """(theta_m, C) of the degree-m Pade approximant of exp() with
-    coefficients b_0 .. b_m: C holds coefficient rows over the even powers
-    [I, A^2, A^4, ...]. For m <= 9 its rows are the odd coefficients
-    (U = A times their sum) and the even ones (V). For m = 13, over
-    [I, A^2, A^4, A^6], they are the A^6 factors of U / A and of V, then the
-    remaining terms of U / A and of V."""
-    b = np.array(b)
-    if len(b) < 14:
-        C = np.array([b[1::2], b[0::2]])
-    else:
-        C = np.zeros((4, 4))
-        C[0, 1:], C[1, 1:] = b[9::2], b[8:13:2]
-        C[2], C[3] = b[1:8:2], b[0:7:2]
+def _taylor(theta, m, s):
+    """(theta_m, s, C) of the degree-m Taylor polynomial T_m of exp(),
+    evaluated by Paterson-Stockmeyer over the powers [I, A, ..., A^s] with
+    m = r s: row j of C (r, s + 1) holds the coefficients 1/k! of
+    A^(s j) .. A^(s j + s - 1), and the last row also 1/m! on A^s, so that
+    T_m(A) = C_0 + A^s (C_1 + A^s (... + A^s C_(r-1)))."""
+    r = m // s
+    # int / int is correctly rounded.
+    c = [1 / math.factorial(k) for k in range(m + 1)]
+    C = np.zeros((r, s + 1))
+    for j in range(r):
+        C[j, :s] = c[s * j:s * j + s]
+    C[-1, s] = c[m]
     C.flags.writeable = False
-    return theta, C
+    return theta, s, C
 
 
-# The Pade degrees m = 3, 5, 7, 9, 13 with theta_m, the 1-norm up to which
-# the degree-m approximant's backward error stays below unit roundoff
-# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3); above
-# theta_13 the matrix is scaled by a power of two and squared.
-_PADE = tuple(_pade(theta, b) for theta, b in (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
-                            25200.0, 1512.0, 56.0, 1.0)),
-    (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0,
-                         302702400.0, 30270240.0, 2162160.0, 110880.0,
-                         3960.0, 90.0, 1.0)),
-    (5.371920351148152, (64764752532480000.0, 32382376266240000.0,
-                         7771770303897600.0, 1187353796428800.0,
-                         129060195264000.0, 10559470521600.0, 670442572800.0,
-                         33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-                         16380.0, 182.0, 1.0)),
+# The Taylor degrees m = 2, 4, 6, 9, 12, 16, 20, each with its theta_m, the
+# 1-norm up to which the truncated series' backward error stays below unit
+# roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1),
+# and the s that evaluates it in s + m/s - 2 products, the fewest for m.
+_TAYLOR = tuple(_taylor(theta, m, s) for theta, m, s in (
+    (2.580956802971767e-8, 2, 2),
+    (3.397168839976962e-4, 4, 2),
+    (9.065656407595102e-3, 6, 3),
+    (8.957760203223343e-2, 9, 3),
+    (2.996158913811581e-1, 12, 4),
+    (7.802874256626574e-1, 16, 4),
+    (1.438252596804337, 20, 5),
 ))
+
+
+def _pade13():
+    """(theta_13, C) of the degree-13 Pade approximant of exp() (Higham,
+    SIAM J. Matrix Anal. Appl. 26(4), 2005): over the even powers
+    [I, A^2, A^4, A^6], the rows of C are the A^6 factors of U / A and of
+    V, then the remaining terms of U / A and of V."""
+    b = np.array((64764752532480000.0, 32382376266240000.0,
+                  7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                  10559470521600.0, 670442572800.0, 33522128640.0,
+                  1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+    C = np.zeros((4, 4))
+    C[0, 1:], C[1, 1:] = b[9::2], b[8:13:2]
+    C[2], C[3] = b[1:8:2], b[0:7:2]
+    C.flags.writeable = False
+    return 5.371920351148152, C
+
+
+# Above theta_20 the degree-13 Pade approximant takes over; a matrix above
+# theta_13 is scaled by a power of two and squared.
+_PADE13 = _pade13()
 
 
 @functools.lru_cache(maxsize=16)
@@ -83,36 +98,39 @@ class PhiConvergenceError(RuntimeError):
 
 
 def expm(A):
-    """Matrix exponential by Pade approximation with scaling and squaring.
+    """Matrix exponential of one matrix (n, n) or a stack (..., n, n).
 
-    `A` is one matrix (n, n) or a stack (..., n, n), exponentiated with
-    batched products and one batched solve. The Pade degree is the lowest of
-    3, 5, 7, 9 and 13 whose theta_m bounds the largest 1-norm in the stack
-    (Higham 2005). Only at degree 13 is a matrix above theta_13 scaled, by
-    the exponent of its own 1-norm, and squared back, so it gets the squarings
-    it would get alone.
+    A stack whose largest 1-norm is at most theta_20 gets the Taylor
+    polynomial of the lowest degree m in 2, 4, 6, 9, 12, 16, 20 whose
+    theta_m bounds that norm (Al-Mohy & Higham 2011), in 1 to 7 batched
+    products and no solve (`_taylor_stack`). A larger stack gets the
+    degree-13 Pade approximant with scaling and squaring (Higham 2005) from
+    batched products and one batched solve; a matrix above theta_13 is
+    scaled by the exponent of its own 1-norm and squared back, so it gets
+    the squarings it would get alone.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
     As = A.reshape(-1, n, n)
     norms = np.abs(As).sum(axis=1).max(axis=1).tolist()
     top = max(norms)
-    theta, C = next((pade for pade in _PADE if top <= pade[0]), _PADE[-1])
+    if top <= _TAYLOR[-1][0]:
+        return _taylor_stack(As, top).reshape(A.shape)
+    theta, C = _PADE13
     s = [max(0, math.ceil(math.log2(x / theta))) if x > theta else 0
          for x in norms]
     if top > theta:
         As = As * np.reshape([0.5**k for k in s], (-1, 1, 1))
-    # The even powers [I, A^2, A^4, ...] in one buffer, and every sum of
+    # The even powers [I, A^2, A^4, A^6] in one buffer, and every sum of
     # them that U and V need from one product with the coefficient rows.
-    batch, npow = len(As), C.shape[1]
-    P = np.empty((npow, batch, n, n))
+    batch = len(As)
+    P = np.empty((4, batch, n, n))
     P[0] = _identity(n)
     np.matmul(As, As, out=P[1])
-    for j in range(2, npow):
+    for j in range(2, 4):
         np.matmul(P[1], P[j - 1], out=P[j])
-    W = (C @ P.reshape(npow, -1)).reshape(-1, batch, n, n)
-    if len(C) == 4:
-        W = P[3] @ W[:2] + W[2:]
+    W = (C @ P.reshape(4, -1)).reshape(-1, batch, n, n)
+    W = P[3] @ W[:2] + W[2:]
     U = As @ W[0]
     V = W[1]
     F = np.linalg.solve(V - U, V + U)
@@ -126,6 +144,25 @@ def expm(A):
             for _ in range(k - common):
                 F[i] = F[i] @ F[i]
     return F.reshape(A.shape)
+
+
+def _taylor_stack(As, top):
+    """T_m of every matrix of the stack As (batch, n, n), for the lowest
+    Taylor degree m whose theta_m bounds `top`, by Paterson-Stockmeyer: the
+    powers [I, A, ..., A^s] in one buffer, every chunk sum from one product
+    with the coefficient rows, then Horner in A^s."""
+    _, s, C = next(t for t in _TAYLOR if top <= t[0])
+    batch, n = len(As), As.shape[-1]
+    P = np.empty((s + 1, batch, n, n))
+    P[0] = _identity(n)
+    P[1] = As
+    for j in range(2, s + 1):
+        np.matmul(As, P[j - 1], out=P[j])
+    W = (C @ P.reshape(s + 1, -1)).reshape(-1, batch, n, n)
+    F = W[-1]
+    for Wj in W[-2::-1]:
+        F = Wj + P[s] @ F
+    return F
 
 
 def _augmented_matrix(A, bs, nu):
@@ -177,9 +214,10 @@ def phi_blocks(A, time_points):
     an array (len(time_points), n, 3n) whose columns k n .. (k+1) n - 1 hold
     T^(k+1) phi_(k+1)(T A), the scaling `kiops_eval` uses.
 
-    The 1-norm of T M, at least T, sets the Pade degree and the squarings
-    of the exponential, so a caller balances A first when it can: the
-    integrator passes D A D^-1 with D from its error weights.
+    The 1-norm of T M, at least T, sets the tier, degree and squarings of
+    the exponential, so a caller balances A first when it can: the
+    integrator passes D A D^-1 with D from its error weights, which keeps
+    most toy stacks at norm T <= 1, on the Taylor tier.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -286,7 +324,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     Builds the augmented matrix once, then substeps tau across (0, 1], every
     substep aiming at T = 1.
     Each substep projects the running augmented state onto one Krylov basis
-    and advances it with a small Pade exponential; every requested time point
+    and advances it with a small dense exponential; every requested time point
     inside the substep is read from that same basis, and each attempt
     exponentiates the substep and its inner time points in one `expm` call,
     so extra time points cost no matvecs. On happy breakdown the basis is

@@ -2,9 +2,10 @@
 
 None of these runs in `expkin` itself: the scalar phi functions (in double
 precision and at 40 digits), the embedded exponential-Euler step and a
-fixed-step EPI3V march, a central-difference Jacobian, and a CSV reader for
-the files `expkin.mechio.write_csv` writes. They use only public names of
-the package.
+fixed-step EPI3V march, a central-difference Jacobian, a loop-form source
+term and Jacobian written from the NASA-7 and Arrhenius definitions, and a
+CSV reader for the files `expkin.mechio.write_csv` writes. They use only
+public names of the package.
 """
 import csv
 import math
@@ -14,7 +15,8 @@ import numpy as np
 
 from expkin import phikrylov
 from expkin.integrator import epi3v_step
-from expkin.kinetics import InvalidStateError, KineticsError
+from expkin.kinetics import (EXP_ARG_MAX, P_STANDARD, R_GAS, InvalidStateError,
+                             KineticsError)
 
 PHI_TAYLOR_CUTOFF = 0.5      # |z| below which the Taylor series is used
 PHI_TAYLOR_TERMS = 30
@@ -114,6 +116,117 @@ def fd_jacobian(f, y, typical=None, step=None):
     if not np.all(np.isfinite(J)):
         raise InvalidStateError("non-finite Jacobian entry")
     return J
+
+
+def _nasa7(sp, T):
+    """Molar c_p, H, S and dc_p/dT of one species at T from its NASA-7 fit
+    (the high range above t_mid)."""
+    a1, a2, a3, a4, a5, a6, a7 = sp.coeffs_high if T > sp.t_mid else sp.coeffs_low
+    cp = R_GAS * (a1 + a2 * T + a3 * T**2 + a4 * T**3 + a5 * T**4)
+    h = R_GAS * (a1 * T + a2 * T**2 / 2 + a3 * T**3 / 3 + a4 * T**4 / 4
+                 + a5 * T**5 / 5 + a6)
+    s = R_GAS * (a1 * math.log(T) + a2 * T + a3 * T**2 / 2 + a4 * T**3 / 3
+                 + a5 * T**4 / 4 + a7)
+    dcp = R_GAS * (a2 + 2 * a3 * T + 3 * a4 * T**2 + 4 * a5 * T**3)
+    return cp, h, s, dcp
+
+
+def _clamped(arg):
+    """(arg clipped to +-EXP_ARG_MAX, whether it was clipped)."""
+    clipped = min(max(arg, -EXP_ARG_MAX), EXP_ARG_MAX)
+    return clipped, clipped != arg
+
+
+def kinetics_reference(mech, y, p):
+    """(F, J, saturated) of the isobaric reactor at state y = [T, Y...] and
+    pressure p, one reaction and one species at a time.
+
+    rho = p / (R T sum Y_k/W_k), chi_k = rho Y_k / W_k; the forward rate
+    constant is A T^beta exp(-E/(R T)), a reversible reaction's reverse one
+    k_f / K_c with K_c = exp(-dG/(R T)) (P_STANDARD/(R T))^dnu; an exponent
+    beyond EXP_ARG_MAX is clipped (`saturated`) and its factor is constant.
+    F = [-sum_k H_k omega_k / (rho c_p), omega W / rho] with
+    c_p = sum_k Y_k c_p,k / W_k, and J = dF/d[T, Y] by the chain rule
+    through chi(T, Y) and rho(T, Y). Mass fractions below 0 read as 0.
+    """
+    K = mech.n_species
+    T = float(y[0])
+    Y = [max(float(v), 0.0) for v in y[1:]]
+    W = [sp.molar_mass for sp in mech.species]
+    thermo = [_nasa7(sp, T) for sp in mech.species]
+    cp = [t[0] for t in thermo]
+    H = [t[1] for t in thermo]
+    dcp = [t[3] for t in thermo]
+    mean_inv = sum(Y[k] / W[k] for k in range(K))
+    rho = p / (R_GAS * T * mean_inv)
+    chi = [rho * Y[k] / W[k] for k in range(K)]
+    # d chi_k/dT and d chi_k/dY_m; d rho/dT and d rho/dY_m.
+    dchi_dT = [-c / T for c in chi]
+    drho = [-rho / T] + [-rho / (W[m] * mean_inv) for m in range(K)]
+    saturated = False
+    # d omega_i / d[T, Y_m], accumulated reaction by reaction.
+    omega = [0.0] * K
+    domega = [[0.0] * (K + 1) for _ in range(K)]
+    for rxn in mech.reactions:
+        A, beta, E = rxn.arrhenius
+        arg, clip = _clamped(-E / (R_GAS * T))
+        saturated |= clip
+        kf = A * T**beta * math.exp(arg)
+        dlnkf = (beta + (0.0 if clip else E / (R_GAS * T))) / T
+        sides = [(kf, dlnkf, rxn.reactants, 1.0)]
+        if rxn.reversible:
+            nu = {k: rxn.products.get(k, 0) - rxn.reactants.get(k, 0)
+                  for k in set(rxn.products) | set(rxn.reactants)}
+            dH = sum(n * H[k] for k, n in nu.items())
+            dS = sum(n * thermo[k][2] for k, n in nu.items())
+            dnu = sum(nu.values())
+            arg, clip = _clamped(-(dH - T * dS) / (R_GAS * T))
+            saturated |= clip
+            kc = math.exp(arg) * (P_STANDARD / (R_GAS * T)) ** dnu
+            dlnkc = ((0.0 if clip else dH / (R_GAS * T)) - dnu) / T
+            sides.append((kf / kc, dlnkf - dlnkc, rxn.products, -1.0))
+        # q = sum over sides of sign k prod chi^nu, and dq/d[T, Y].
+        q = 0.0
+        dq = [0.0] * (K + 1)
+        for k_side, dlnk, stoich, sign in sides:
+            prod = math.prod(chi[k] ** n for k, n in stoich.items())
+            q += sign * k_side * prod
+            dq[0] += sign * dlnk * k_side * prod
+            for k, n in stoich.items():
+                # d prod / d chi_k
+                dprod = n * chi[k] ** (n - 1) * math.prod(
+                    chi[i] ** m for i, m in stoich.items() if i != k)
+                g = sign * k_side * dprod
+                dq[0] += g * dchi_dT[k]
+                for m in range(K):
+                    dchi = (rho / W[k] if m == k else 0.0) - chi[k] / (W[m] * mean_inv)
+                    dq[1 + m] += g * dchi
+        for k in set(rxn.products) | set(rxn.reactants):
+            n = rxn.products.get(k, 0) - rxn.reactants.get(k, 0)
+            omega[k] += n * q
+            for c in range(K + 1):
+                domega[k][c] += n * dq[c]
+    J = np.empty((K + 1, K + 1))
+    F = np.empty(K + 1)
+    for i in range(K):
+        F[1 + i] = omega[i] * W[i] / rho
+        for c in range(K + 1):
+            J[1 + i, c] = (W[i] / rho * domega[i][c]
+                           - omega[i] * W[i] / rho**2 * drho[c])
+    cp_mean = sum(Y[k] * cp[k] / W[k] for k in range(K))
+    D = rho * cp_mean
+    heat = sum(H[k] * omega[k] for k in range(K))
+    F[0] = -heat / D
+    for c in range(K + 1):
+        dheat = sum(H[k] * domega[k][c] for k in range(K))
+        dD = drho[c] * cp_mean
+        if c == 0:
+            dheat += sum(cp[k] * omega[k] for k in range(K))
+            dD += rho * sum(Y[k] * dcp[k] / W[k] for k in range(K))
+        else:
+            dD += rho * cp[c - 1] / W[c - 1]
+        J[0, c] = -dheat / D + heat * dD / D**2
+    return F, J, saturated
 
 
 def read_csv(path):

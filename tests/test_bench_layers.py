@@ -1,0 +1,32 @@
+"""Smoke test of the layer timing tool, bench/layers.py: it runs with tiny
+repeat counts and writes a report with every key; the timings themselves
+are not checked."""
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+KERNELS = {
+    "rhs_vector@toy3", "rhs_and_jacobian@toy3", "rhs_vector@gen53",
+    "rhs_and_jacobian@gen53", "phi_blocks@toy3", "expm@toy3_stack",
+    "expm@hessenberg_stack", "kiops_eval@gen53", "arnoldi_extend10@gen53",
+}
+
+
+def test_layers_report_keys(tmp_path):
+    out = tmp_path / "BENCH_layers.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "layers.py"), "--repeat", "1",
+         "--number", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=60, check=True)
+    report = json.loads(out.read_text())
+    assert {"topic", "host", "cpu_count", "numpy", "blas", "blas_threads",
+            "kernels"} <= set(report)
+    assert report["topic"] == "layers" and report["blas_threads"] == 1
+    assert set(report["kernels"]) == KERNELS
+    for name, timing in report["kernels"].items():
+        assert {"us_p50", "us_min", "us_max", "calls_per_batch"} <= set(timing)
+        assert name in done.stdout
+    assert report["kernels"]["expm@toy3_stack"]["shape"] == [2, 16, 16]
+    assert report["kernels"]["expm@hessenberg_stack"]["shape"] == [2, 11, 11]

@@ -587,21 +587,25 @@ class TestTables:
         # Every evaluation shares these arrays; none may be written.
         arrays = {name: value for name, value in vars(toy_mech.tables).items()
                   if isinstance(value, np.ndarray)}
-        assert {"nu_net", "jacobian_index", "no_reverse"} <= set(arrays)
+        assert {"nu_net", "jacobian_index", "slots", "thermo",
+                "arrhenius"} <= set(arrays)
         for name, a in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
             assert not a.flags.writeable, name
 
-    def test_zero_reverse_rates_only_without_reversible_reactions(self, toy_mech):
-        # toy3's reactions are irreversible; a reversible one needs k_r.
-        assert toy_mech.tables.no_reverse.tolist() == [0.0, 0.0]
-        assert rate_constants(1000.0, toy_mech)[1] is toy_mech.tables.no_reverse
+    def test_reverse_rows_only_for_reversible_reactions(self, toy_mech):
+        # toy3's reactions are irreversible: no reverse rows, zero k_r. A
+        # reversible one gets a reverse row and k_r > 0.
+        tb = toy_mech.tables
+        assert len(tb.reverse) == 0 and tb.slots.shape[1] == 2
+        assert rate_constants(1000.0, toy_mech)[1].tolist() == [0.0, 0.0]
         rxn = Reaction(reactants={0: 1}, products={1: 1},
                        arrhenius=(1.0e6, 0.0, 1.0e5), reversible=True)
         mech = make_mechanism([make_species("A", 0.030), make_species("B", 0.030)],
                               [rxn])
-        assert mech.tables.no_reverse is None
+        assert mech.tables.reverse.tolist() == [0]
+        assert mech.tables.nu_rows.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
         assert rate_constants(1000.0, mech)[1][0] > 0
 
 
@@ -615,24 +619,30 @@ def padded(slots, width, K):
 class TestSlots:
     @pytest.mark.parametrize("K", [9, 20, 53])
     def test_generated_networks(self, K):
-        # One table for both sides: every reaction's reactants, then every
-        # reaction's products, each padded to the wider side.
+        # One table for both directions: every reaction's reactants, then
+        # the products of every reversible reaction, each padded to the
+        # wider side, one row per slot column and shifted by one, to index
+        # [0, chi_1 .. chi_K, 1].
         mech = mechgen.generate_mechanism(K, 11)
-        N, slots = mech.n_reactions, mech.tables.slots
-        assert slots.dtype == np.intp
-        for side, nu, rows in (("reactants", mech.nu_forward, slots[:N]),
-                               ("products", mech.nu_reverse, slots[N:])):
+        N, slots = mech.n_reactions, mech.tables.slots.T - 1
+        reversible = [r for r in mech.reactions if r.reversible]
+        assert 0 < len(reversible) < N
+        assert slots.dtype == np.intp and len(slots) == N + len(reversible)
+        for side, nu, rxns, rows in (
+                ("reactants", mech.nu_forward, mech.reactions, slots[:N]),
+                ("products", mech.nu_reverse, reversible, slots[N:])):
             want = expanded_slots([getattr(r, side) for r in mech.reactions], K)
             np.testing.assert_array_equal(_slots(nu), want)
+            want = expanded_slots([getattr(r, side) for r in rxns], K)
             np.testing.assert_array_equal(rows, padded(want, slots.shape[1], K))
         assert slots.shape[1] == max(
             expanded_slots([r.reactants for r in mech.reactions], K).shape[1],
-            expanded_slots([r.products for r in mech.reactions], K).shape[1])
+            expanded_slots([r.products for r in reversible], K).shape[1])
 
     def test_no_reactions(self):
         mech = make_mechanism([make_species("A", 0.030)], [])
         slots = mech.tables.slots
-        assert slots.shape == (0, 1) and slots.dtype == np.intp
+        assert slots.shape == (1, 0) and slots.dtype == np.intp
         assert mech.tables.jacobian_index.shape == (0,)
 
     def test_empty_reactant_side(self):

@@ -1,4 +1,5 @@
 """Adaptive Krylov phi evaluator against the dense augmented-matrix oracle."""
+import functools
 import math
 
 import mpmath
@@ -380,7 +381,7 @@ class TestDenseAgainstKrylovStep:
                                            krylov_tol=1e-12)
         assert stats.calls == 2 and stats.matvecs > 0
         for a, b in ((y_dense, y_kry), (lte_dense, lte_kry)):
-            assert scaled_error_norm(a - b, y, 1e-10, 1e-8) <= 1e-9
+            assert scaled_error_norm(a - b, weights) <= 1e-9
 
 
 # Degree-13 Pade coefficients and theta_13 (Higham, SIAM J. Matrix Anal.
@@ -391,15 +392,14 @@ PADE13_B = (
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
-THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-         7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+THETA_13 = 5.371920351148152
 
 
 def expm_with_identity(A):
     """The single-matrix Pade 13 exponential with b*I added to U and V, the
     form expm had before it took stacks and chose its degree."""
     n = A.shape[0]
-    theta = THETA[13]
+    theta = THETA_13
     norm1 = float(np.abs(A).sum(axis=0).max())
     s = max(0, int(math.ceil(math.log2(norm1 / theta)))) if norm1 > theta else 0
     As = A / 2**s
@@ -447,12 +447,13 @@ class TestExpmStack:
         (0.1, 1e-15, 1e-15), (3.0, 1e-15, 1e-14), (1e4, 1e-12, 2e-12)])
     def test_single_matrix_matches_references(self, span, bound_ref,
                                               bound_scipy):
-        # The degree rule changes the bits of every matrix below theta_13
-        # (degree 5 at span 0.1, 13 at 3.0 and 1e4, which squares 13 times),
-        # so the pin is a normwise bound against the old degree-13 form and
-        # against scipy. Measured: 3.1e-16 / 3.0e-16, 3.6e-16 / 3.0e-15 and
-        # 4.8e-13 / 9.8e-13; the largest entrywise difference, 7e-11
-        # relative, sits in entries of size 1e-198 at span 1e4.
+        # The degree rule changes the bits of every matrix below theta_20
+        # (Taylor degree 12 at span 0.1, norm 0.23; Pade 13 at 3.0 and 1e4,
+        # which squares 13 times), so the pin is a normwise bound against
+        # the old degree-13 form and against scipy. Measured: 2.0e-16 /
+        # 1.4e-16, 3.6e-16 / 3.0e-15 and 4.8e-13 / 9.8e-13; the largest
+        # entrywise difference, 7e-11 relative, sits in entries of size
+        # 1e-198 at span 1e4.
         rng = np.random.default_rng(1616)
         A = stiff_diag_matrix(rng, 11, span) + 0.1 * span * rng.standard_normal((11, 11))
         got = expm(A)
@@ -461,36 +462,82 @@ class TestExpmStack:
             assert norm1(got - want) <= bound * norm1(want)
 
 
-class TestPadeDegree:
-    """expm picks the lowest degree m whose theta_m bounds the stack's
-    largest 1-norm (Higham 2005), and squares only at degree 13."""
+@functools.lru_cache(maxsize=None)
+def taylor_theta(m, terms=120):
+    """theta_m of the degree-m Taylor polynomial T_m at 50 digits: the x at
+    which sum_k |c_k| x^(k-1) = 2^-53, for the series
+    log(e^-x T_m(x)) = sum_{k>m} c_k x^k, by bisection."""
+    with mpmath.workdps(50):
+        p = [1 / mpmath.factorial(k) if k <= m else mpmath.mpf(0)
+             for k in range(terms + 1)]
+        # L = log T_m from L' T_m = T_m', then minus x.
+        L = [mpmath.mpf(0)] * (terms + 1)
+        for k in range(1, terms + 1):
+            L[k] = p[k] - sum(j * L[j] * p[k - j] for j in range(1, k)) / k
+        L[1] -= 1
+        assert max(abs(c) for c in L[:m + 1]) < mpmath.mpf(10) ** -45
+        tail = [abs(c) for c in L[m + 1:]]
 
-    def test_thresholds_are_highams(self):
-        assert [theta for theta, _ in phikrylov._PADE] == list(THETA.values())
+        def excess(x):
+            return sum(c * x ** k for k, c in enumerate(tail, start=m)) - mpmath.mpf(2) ** -53
+        lo, hi = mpmath.mpf(0), mpmath.mpf(2)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if excess(mid) > 0 else (mid, hi)
+        return float(lo)
 
-    @pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
+
+TAYLOR_DEGREES = (2, 4, 6, 9, 12, 16, 20)
+
+
+class SolveCounter:
+    """Counts np.linalg.solve calls: the Pade tier makes one, Taylor none."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        solve = np.linalg.solve
+
+        def counting(*args):
+            self.calls += 1
+            return solve(*args)
+        monkeypatch.setattr(np.linalg, "solve", counting)
+
+
+class TestTaylorDegree:
+    """expm takes the Taylor polynomial of the lowest degree m whose theta_m
+    bounds the stack's largest 1-norm (Al-Mohy & Higham 2011) up to
+    theta_20, and the degree-13 Pade approximant above it."""
+
+    def test_thresholds_from_backward_error_series(self):
+        thetas = [theta for theta, _, _ in phikrylov._TAYLOR]
+        for m, theta in zip(TAYLOR_DEGREES, thetas, strict=True):
+            assert theta == pytest.approx(taylor_theta(m), rel=1e-6), m
+        assert phikrylov._PADE13[0] == THETA_13
+
+    @pytest.mark.parametrize("m", TAYLOR_DEGREES)
     @pytest.mark.parametrize("side", [0.999, 1.001], ids=["below", "above"])
-    def test_norm_beside_theta(self, m, side):
-        # Just below theta_m expm uses degree m; just above, the next one
-        # (13 above theta_9 and, with one squaring, above theta_13).
+    def test_norm_beside_theta(self, m, side, monkeypatch):
+        # Just below theta_m expm uses degree m; just above, the next one,
+        # and above theta_20 the Pade approximant, the only tier that solves.
         rng = np.random.default_rng(1717 + m)
-        degrees = sorted(THETA)
-        used = m if side < 1 else degrees[min(degrees.index(m) + 1, 4)]
+        solves = SolveCounter(monkeypatch)
+        pade = m == 20 and side > 1
+        norm = side * taylor_theta(m)
         for _ in range(5):
-            A = with_norm(rng, 8, side * THETA[m])
+            A = with_norm(rng, 8, norm)
             got, want = expm(A), scipy.linalg.expm(A)
-            if used <= 9:
-                assert norm1(got - want) <= 1e-14 * norm1(want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11)
+            assert norm1(got - want) <= 1e-14 * norm1(want)
+        assert solves.calls == (5 if pade else 0)
 
     def test_stack_uses_one_degree(self):
-        # Norms 0.5 and 1.5 theta_5: the stack takes degree 7 for both, so
+        # Norms 0.5 and 1.5 theta_9: the stack takes degree 12 for both, so
         # the small member's bits follow the bracket of the largest norm,
-        # not its own, and still match its single-matrix exponential.
+        # not its own (degree 9), and still match its single-matrix
+        # exponential.
         rng = np.random.default_rng(1818)
-        small = with_norm(rng, 8, 0.5 * THETA[5])
-        large = with_norm(rng, 8, 1.5 * THETA[5])
+        theta = phikrylov._TAYLOR[TAYLOR_DEGREES.index(9)][0]
+        small = with_norm(rng, 8, 0.5 * theta)
+        large = with_norm(rng, 8, 1.5 * theta)
         got = expm(np.stack([small, large]))
         again = expm(np.stack([small, 1.1 * large]))
         alone = expm(small)
@@ -498,6 +545,22 @@ class TestPadeDegree:
         assert not np.array_equal(got[0], alone)
         for X, G in zip((small, large), got):
             want = expm(X)
+            assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_stack_straddling_theta_20_takes_pade(self, monkeypatch):
+        # Norms 0.5 and 1.5 theta_20: every member takes Pade 13, one solve
+        # for the stack, and matches its single-matrix exponential (the
+        # small one's alone is Taylor).
+        rng = np.random.default_rng(1919)
+        theta = phikrylov._TAYLOR[-1][0]
+        small = with_norm(rng, 8, 0.5 * theta)
+        large = with_norm(rng, 8, 1.5 * theta)
+        alone = [expm(small), expm(large)]
+        solves = SolveCounter(monkeypatch)
+        got = expm(np.stack([small, large]))
+        assert solves.calls == 1
+        assert not np.array_equal(got[0], alone[0])
+        for G, want in zip(got, alone):
             assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
 
 

@@ -6,15 +6,19 @@ The networks come from the benchmark's seeded generator
 Dirichlet mass fractions, with no species at zero, and T from 800 to
 2500 K. Examples are derandomised, so every run checks the same cases.
 """
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mechgen
 from expkin.integrator import epi3v_step, problem_from_mechanism
-from expkin.kinetics import (equilibrium_constants, rate_constants,
-                              rhs_and_jacobian, rhs_vector)
+from expkin.kinetics import (Mechanism, RateTelemetry, equilibrium_constants,
+                              rate_constants, rhs_and_jacobian, rhs_vector)
 from expkin.mechio import parse_mechanism, serialize_mechanism
+from oracles import kinetics_reference
 from test_kinetics import assert_mass_conserving, oracle_error
 
 PRESSURE = 101325.0
@@ -108,3 +112,73 @@ def test_step_lte_is_third_order(case):
     _, lte_half = one_step(*case, divisor=2)
     slope = np.log2(np.linalg.norm(lte) / np.linalg.norm(lte_half))
     assert 2.7 <= slope <= 3.3
+
+
+def two_range_thermo(mech, seed):
+    """The mechanism with every species' flat fit replaced by a two-range
+    one: c_p/R = a1 + a2 T + a3 T^2 up to a t_mid drawn in [900, 1100] K,
+    constant above it, with c_p, H and S continuous at t_mid."""
+    rng = np.random.default_rng(seed)
+    species = []
+    for sp in mech.species:
+        a1, _, _, _, _, a6, a7 = sp.coeffs_low
+        t = rng.uniform(900.0, 1100.0)
+        a2, a3 = rng.uniform(-1e-3, 1e-3), rng.uniform(-2e-7, 2e-7)
+        b1 = a1 + a2 * t + a3 * t**2
+        high = (b1, 0.0, 0.0, 0.0, 0.0,
+                a6 + a1 * t + a2 * t**2 / 2 + a3 * t**3 / 3 - b1 * t,
+                a7 + (a1 - b1) * np.log(t) + a2 * t + a3 * t**2 / 2)
+        species.append(replace(sp, t_mid=t, coeffs_low=(a1, a2, a3, 0.0, 0.0, a6, a7),
+                               coeffs_high=high))
+    return Mechanism(species=tuple(species), reactions=mech.reactions)
+
+
+def clamped_first_reaction(mech):
+    """The mechanism with E = 1e9 J/mol in reaction 0: its exponent clamps."""
+    first = mech.reactions[0]
+    rxn = replace(first, arrhenius=(*first.arrhenius[:2], 1.0e9))
+    return Mechanism(species=mech.species, reactions=(rxn, *mech.reactions[1:]))
+
+
+def reference_states(mech, seed):
+    """Three states: interior at a random T; T = 1000 K (between two
+    species' t_mid in a two-range mechanism) with one mass fraction at 0 and
+    one at -5e-9; and a hot one."""
+    rng = np.random.default_rng(seed)
+    K = mech.n_species
+    Y = rng.dirichlet(np.ones(K))
+    edge = rng.dirichlet(np.ones(K))
+    edge[:2] = 0.0, -5e-9
+    edge[2:] /= edge[2:].sum()
+    return [np.concatenate(([T], Y)) for T, Y in (
+        (rng.uniform(800.0, 2500.0), Y), (1000.0, edge), (2400.0, Y))]
+
+
+@pytest.mark.parametrize("K, seed", [(9, 0), (9, 3), (20, 1), (20, 2),
+                                     (53, 0), (53, 11)])
+@pytest.mark.parametrize("variant", ["flat", "two-range", "clamp"])
+def test_kinetics_match_loop_reference(K, seed, variant):
+    # The vectorised pass against the loop-form reference: F normwise (and
+    # its Y block on its own), J row by row, and the saturation flag set
+    # exactly when an exponent was clamped.
+    mech = mechgen.generate_mechanism(K, seed)
+    assert mech.tables.reversible.any()
+    if variant == "two-range":
+        mech = two_range_thermo(mech, seed)
+        assert len(set(mech.tables.t_mid)) == K
+    elif variant == "clamp":
+        mech = clamped_first_reaction(mech)
+    for y in reference_states(mech, seed):
+        F_ref, J_ref, saturated = kinetics_reference(mech, y, PRESSURE)
+        tel_rhs, tel_jac = RateTelemetry(), RateTelemetry()
+        F = rhs_vector(y, mech, PRESSURE, telemetry=tel_rhs)
+        F_jac, J = rhs_and_jacobian(y, mech, PRESSURE, telemetry=tel_jac)
+        assert saturated == (variant == "clamp")
+        assert tel_rhs.saturated == tel_jac.saturated == saturated
+        np.testing.assert_array_equal(F, F_jac)
+        assert np.linalg.norm(F - F_ref) <= 1e-13 * np.linalg.norm(F_ref)
+        assert (np.linalg.norm(F[1:] - F_ref[1:])
+                <= 1e-13 * np.linalg.norm(F_ref[1:]))
+        # A species no reaction touches has a zero row in both.
+        row_scale = np.abs(J_ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(J - J_ref) <= 1e-12 * row_scale)
