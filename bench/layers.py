@@ -4,9 +4,10 @@
 
 Times `rhs_vector` and `rhs_and_jacobian` at a toy3 state and at a state of
 a generated K = 53 mechanism (`perfbench/mechgen.py`, network 0, the size of
-the gen53-ignition workload), `phi_blocks` and its `expm` stack (2, 16, 16)
-at the toy3 state, `expm` of a (2, 11, 11) Krylov-Hessenberg stack, and
-`kiops_eval` and `Arnoldi.extend(10)` at the K = 53 state. Each kernel runs
+the gen53-ignition workload), `phi_blocks` and `expm` on the matrix and the
+(2, 16, 16) stack that one EPI3V step at the toy3 state hands them, `expm`
+of a (2, 11, 11) Krylov-Hessenberg stack, and `kiops_eval` and
+`Arnoldi.extend(10)` at the K = 53 state. Each kernel runs
 `--repeat` batches of `--number` calls (0: as many as fill about 20 ms);
 the report holds the median, minimum and maximum per-call time of the
 batches in microseconds, with the host, its core count and the numpy and
@@ -35,7 +36,7 @@ import numpy as np  # noqa: E402
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from expkin import mechio, phikrylov  # noqa: E402
+from expkin import integrator, mechio, phikrylov  # noqa: E402
 from expkin.kinetics import rhs_and_jacobian, rhs_vector  # noqa: E402
 
 TOY_T = 1500.0
@@ -43,7 +44,7 @@ GEN_SPECIES = 53
 GEN_NETWORK_SEED = 0
 GEN_T = 1050.0
 PRESSURE = 101325.0
-TOY_STEP = 1.0e-5       # h of the toy's phi_blocks stack
+TOY_STEP = 1.0e-5       # h of the toy's EPI3V step
 GEN_STEP = 1.0e-7       # h of the K = 53 Krylov calls
 
 
@@ -55,10 +56,12 @@ def load_mechgen():
     return module
 
 
+FIXTURES = ROOT / "src" / "expkin" / "fixtures"
+
+
 def toy_state():
     """toy_ignition.cfg's mixture at TOY_T, every species present."""
-    mech = mechio.parse_mechanism(
-        (ROOT / "src" / "expkin" / "fixtures" / "toy3.mech").read_text())
+    mech = mechio.parse_mechanism((FIXTURES / "toy3.mech").read_text())
     Y = np.full(mech.n_species, 0.01)
     Y[mech.species_index("F")] = 0.1
     Y[mech.species_index("B")] = 0.9 - 0.01 * (mech.n_species - 2)
@@ -88,25 +91,29 @@ def per_call_us(fn, repeat, number):
 
 
 def toy_stack(mech, y):
-    """The (2, 16, 16) stack phi_blocks hands expm at the toy state: T M of
-    the balanced h J at T = 3/4 and 1, with the toy run's error weights."""
+    """(A, stack): the first arguments of `phi_blocks` (the balanced h J)
+    and of `expm` (the (2, 16, 16) stack) in one EPI3V step of TOY_STEP at
+    the toy state, with toy_ignition.cfg's error weights, so both are what
+    the integrator builds."""
+    cfg = mechio.parse_config((FIXTURES / "toy_ignition.cfg").read_text())
     F, J = rhs_and_jacobian(y, mech, PRESSURE)
-    weights = 1e-10 + 1e-8 * np.abs(y)
-    e = np.frexp(weights)[1]
-    d = np.ldexp(1.0, np.maximum(e.min() - e, -20))
-    A = TOY_STEP * J * np.divide.outer(d, d)
-    captured = []
-    original = phikrylov.expm
+    weights = cfg.atol + cfg.rtol * np.abs(y)
+    originals = phikrylov.phi_blocks, phikrylov.expm
+    captured = {}
 
-    def capture(X):
-        captured.append(np.array(X))
-        return original(X)
-    phikrylov.expm = capture
+    def capture(fn):
+        def first_call_recorded(X, *args):
+            captured.setdefault(fn.__name__, np.array(X))
+            return fn(X, *args)
+        return first_call_recorded
+    phikrylov.phi_blocks, phikrylov.expm = map(capture, originals)
     try:
-        phikrylov.phi_blocks(A, (0.75, 1.0))
+        integrator.epi3v_step(y, TOY_STEP, F, J,
+                              integrator.problem_from_mechanism(mech, PRESSURE),
+                              weights)
     finally:
-        phikrylov.expm = original
-    return A, captured[0]
+        phikrylov.phi_blocks, phikrylov.expm = originals
+    return captured["phi_blocks"], captured["expm"]
 
 
 def hessenberg_stack(A, v):

@@ -141,10 +141,10 @@ class Species:
         if not all(map(math.isfinite, (self.t_low, self.t_mid, self.t_high,
                                        *self.coeffs_low, *self.coeffs_high))):
             raise KineticsError(f"species {self.name!r}: non-finite thermo number")
-        if not (self.t_low < self.t_mid < self.t_high):
+        if not (0 < self.t_low < self.t_mid < self.t_high):
             raise KineticsError(
                 f"species {self.name!r}: thermo ranges must satisfy "
-                "T_low < T_mid < T_high"
+                "0 < T_low < T_mid < T_high"
             )
         if len(self.coeffs_low) != 7 or len(self.coeffs_high) != 7:
             raise KineticsError(f"species {self.name!r}: need 7+7 NASA coefficients")
@@ -207,11 +207,11 @@ class _Tables:
 
     - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row
       sums, `reversible` (N,) the reactions with a reverse row;
-    - `thermo` (2, 4K, 7): the NASA-7 tables (`_thermo_table`) of the low
-      and the high range, scaled by R/W, so that one product with
-      `_thermo_powers(T)` gives c_p, H, S and dc_p/dT per unit mass; the
-      range limits `t_low`, `t_mid`, `t_high` (K,), the window where every
-      fit holds, [`t_min`, `t_max`], and [`t_mid_min`, `t_mid_max`] (floats);
+    - `thermo` (8K, 7): the NASA-7 tables (`_thermo_table`) of the low
+      and then the high range, scaled by R/W, so that one product with
+      `_thermo_powers(T)` gives c_p, H, S and dc_p/dT per unit mass in
+      both ranges; the range limits `t_low`, `t_mid`, `t_high` (K,) and
+      the window where every fit holds, [`t_min`, `t_max`] (floats);
     - `arrhenius` (3, N): ln A, beta and E/R of every reaction, and
       `e_r_max`, the largest |E|/R;
     - `reverse` (R,): the reversible reactions' indices; `equilibrium_nu`
@@ -245,7 +245,7 @@ class _Tables:
         self.dnu = self.nu_net.sum(axis=1)
         self.reversible = np.array([r.reversible for r in reactions], dtype=bool)
         scale = np.tile(R_GAS / W, 4)[:, None]
-        self.thermo = np.stack([
+        self.thermo = np.vstack([
             scale * _thermo_table([getattr(s, side) for s in species])
             for side in ("coeffs_low", "coeffs_high")])
         self.t_low = np.array([s.t_low for s in species])
@@ -253,8 +253,6 @@ class _Tables:
         self.t_high = np.array([s.t_high for s in species])
         self.t_min = float(self.t_low.max())
         self.t_max = float(self.t_high.min())
-        self.t_mid_min = float(self.t_mid.min())
-        self.t_mid_max = float(self.t_mid.max())
         rev = np.flatnonzero(self.reversible)
         rows = np.concatenate((np.arange(N), rev))
         A, beta, E = np.array([r.arrhenius for r in reactions],
@@ -434,15 +432,8 @@ def _check_range(T, tb, mech):
 
 def _thermo(T, tb):
     """c_p, H, S and dc_p/dT per unit mass of every species at T, (4, K):
-    one product of the table of the range T lies in, or of both and a
-    per-species pick when T lies between two species' t_mid."""
-    K = len(tb.t_mid)
-    powers = _thermo_powers(T)
-    if T <= tb.t_mid_min:
-        return (tb.thermo[0] @ powers).reshape(4, K)
-    if T > tb.t_mid_max:
-        return (tb.thermo[1] @ powers).reshape(4, K)
-    both = (tb.thermo @ powers).reshape(2, 4, K)
+    one product of both ranges' tables, then each species' range picked."""
+    both = (tb.thermo @ _thermo_powers(T)).reshape(2, 4, -1)
     return np.where(T > tb.t_mid, both[1], both[0])
 
 
@@ -472,10 +463,16 @@ def equilibrium_constants(T, mech, telemetry=None):
     tb = mech.tables
     _check_range(T, tb, mech)
     th = _thermo(T, tb)
-    kc = _equilibrium(T, th, (tb.nu_net * mech.molar_masses).T, tb.dnu,
-                      telemetry)[0]
+    # The reversible reactions' K_c come from the rate path's own product,
+    # so k_r = k_f / K_c holds bit for bit: one product over all reactions
+    # sums some columns in another order (another BLAS blocking), which
+    # moves K_c by an ulp.
+    kc = np.empty(mech.n_reactions)
     kc[tb.reverse] = _equilibrium(T, th, tb.equilibrium_nu, tb.dnu_reverse,
                                   telemetry)[0]
+    rest = ~tb.reversible
+    kc[rest] = _equilibrium(T, th, (tb.nu_net[rest] * mech.molar_masses).T,
+                            tb.dnu[rest], telemetry)[0]
     return kc
 
 
@@ -524,31 +521,20 @@ def _slot_products(x, jacobian):
     """(p, others) of slot values x (width, rows): p = x[0] x[1] ... of
     every row and, if `jacobian` is set, for every entry the product of its
     row's other entries (prefix times suffix: exact when some entry is 0),
-    else None. p's bits do not depend on `jacobian`."""
-    if not jacobian:
-        p = x[0]
-        for xj in x[1:]:
-            p = p * xj
-        return p, None
+    else None."""
     others = np.empty_like(x)
     others[0] = 1.0
     for j in range(1, len(x)):
         np.multiply(others[j - 1], x[j - 1], out=others[j])
     p = others[-1] * x[-1]
+    if not jacobian:
+        return p, None
     suffix = x[-1]
     for j in range(len(x) - 2, -1, -1):
         others[j] *= suffix
         if j:
             suffix = suffix * x[j]
     return p, others
-
-
-def production_rates(rates, mech):
-    """Net molar production rate of every species, mol/(m^3 s)."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != (mech.n_reactions,):
-        raise ValueError("rate vector length does not match reaction count")
-    return mech.tables.nu_net.T @ rates
 
 
 def _check_finite(values, what):

@@ -205,8 +205,7 @@ class TestRun:
         public = {n for t in package for n in defined(t) if not n.startswith("_")}
         assert public - used == {
             "dense_phi_oracle", "density", "concentrations", "reaction_rates",
-            "rate_constants", "equilibrium_constants", "species_thermo",
-            "production_rates"}
+            "rate_constants", "equilibrium_constants", "species_thermo"}
 
         # The test references stay independent of the package's private helpers.
         oracles = ast.parse((root / "tests" / "oracles.py").read_text())

@@ -9,7 +9,7 @@ from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
     TYPICAL_T, TYPICAL_Y, _slots, _unpack, concentrations, density, equilibrium_constants,
-    production_rates, rate_constants, reaction_rates, rhs_and_jacobian,
+    rate_constants, reaction_rates, rhs_and_jacobian,
     rhs_vector, species_thermo,
 )
 from oracles import fd_jacobian
@@ -283,14 +283,6 @@ class TestRates:
 
 
 class TestProductionAndRhs:
-    def test_production_rate_stoichiometry(self, ab_mech):
-        omega = production_rates(np.array([4.0]), ab_mech)
-        np.testing.assert_allclose(omega, [-4.0, 4.0])
-
-    def test_production_rate_length_check(self, ab_mech):
-        with pytest.raises(ValueError):
-            production_rates(np.array([1.0, 2.0]), ab_mech)
-
     def test_dead_mechanism_rhs_zero(self, dead_mech):
         st = two_species_state()
         np.testing.assert_array_equal(rhs(st, dead_mech), np.zeros(3))

@@ -114,6 +114,17 @@ class TestParseMechanism:
                 "A 0.030 200.0", "A 200.0", 1))
         assert code_of(e) == "BadSpecies"
 
+    @pytest.mark.parametrize("ranges", ["-100.0 0.0 6000.0", "0.0 1000.0 6000.0"],
+                             ids=["t_mid-zero", "t_low-zero"])
+    def test_non_positive_thermo_range_refused(self, ranges):
+        # The NASA-7 entropy takes ln T, so a fit reaching down to T <= 0 is
+        # a bad species line, not a failing logarithm.
+        with pytest.raises(MechIoError) as e:
+            parse_mechanism(MINIMAL.replace(
+                "A 0.030 200.0 1000.0 6000.0", f"A 0.030 {ranges}", 1))
+        assert code_of(e) == "BadSpecies"
+        assert e.value.line is not None
+
     def test_bad_number(self):
         with pytest.raises(MechIoError) as e:
             parse_mechanism(MINIMAL.replace("1.0e6", "fast"))
