@@ -23,6 +23,7 @@ evaluate is a rejection, not the end of the run.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -124,14 +125,20 @@ def _phi_products(A, hF, weights, krylov_tol, stats):
         # scaled matrix so far from normal that squaring it loses the
         # weighted accuracy (on toy3 states at atol 1e-20, a spread of 2^40
         # left the products 2e-3 off in the weighted norm).
-        e = np.frexp(weights)[1]
-        d = np.ldexp(1.0, np.maximum(e.min() - e, -20))
+        # On n <= 7 entries, math's frexp and ldexp cost less than numpy's.
+        e = [math.frexp(w)[1] for w in weights.tolist()]
+        low = min(e)
+        d = [math.ldexp(1.0, max(low - x, -20)) for x in e]
+        ratios = np.divide.outer(d, d)
         # [T phi_1 | T^2 phi_2 | T^3 phi_3](T D A D^-1) at T = 3/4 and 1.
-        P = phikrylov.phi_blocks(A * np.divide.outer(d, d), (0.75, 1.0))
-        w34, w1 = P[:, :, :n] @ (d * hF) / d
+        P = phikrylov.phi_blocks(A * ratios, (0.75, 1.0))
+        # phi(A) = D^-1 phi(D A D^-1) D: entry (i, j) times d_j / d_i, a
+        # power of two, so these products are exact.
+        w34, w1 = P[:, :, :n] * ratios.T @ hF
+        phi3_A = P[1, :, 2 * n:] * ratios.T
 
         def phi3(v):
-            return P[1, :, 2 * n:] @ (d * v) / d
+            return phi3_A @ v
         return w34, w1, phi3
 
     def phi(bs, time_points):
@@ -174,13 +181,14 @@ def scaled_error_norm(lte, weights):
     # rejection; no need to warn about it.
     with np.errstate(over="ignore"):
         sq = (lte / weights) ** 2
-        # sum / size: the bits of np.mean without its dispatch.
-        return float(np.sqrt(sq.sum() / sq.size))
+        # sum / size: the bits of np.mean without its dispatch; both square
+        # roots are correctly rounded.
+        return math.sqrt(float(np.add.reduce(sq)) / sq.size)
 
 
 def controller_update(err_scaled, h_old, h_min=0.0):
     """Accept/reject decision and the next step size (Wanner-style I controller)."""
-    if not np.isfinite(err_scaled):
+    if not math.isfinite(err_scaled):
         return False, max(h_old * FACMIN, h_min)
     accept = err_scaled <= 1.0
     if err_scaled == 0.0:
@@ -279,7 +287,11 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
         if accept:
             t = t_final if last else t + h_try
             y = y_new
-            if not np.isfinite(y).all():
+            # An inf or NaN entry makes the sum inf or NaN, so only such a
+            # sum (or one that overflowed) is scanned entry by entry. The
+            # check stays for every problem: its jac need validate nothing.
+            if (not math.isfinite(np.add.reduce(y))
+                    and not np.isfinite(y).all()):
                 return finish(False, "non-finite state")
             ts.append(t)
             ys.append(y)

@@ -387,9 +387,12 @@ def _unpack(y, mech):
     T, Y = float(y[0]), y[1:]
     if not 0 < T < np.inf:
         raise InvalidStateError(f"temperature must be positive, got {T}")
-    low = Y.min()
-    if not (low >= -Y_NEG_TOL and Y.max() <= 1 + Y_NEG_TOL):
-        # A NaN passes the bounds and fails in _density.
+    # On a few species the builtin min and max of a list cost a fifth of
+    # numpy's reductions. They skip a NaN that does not come first; a NaN
+    # passes the bounds either way and fails in _density.
+    values = Y.tolist()
+    low = min(values)
+    if not (low >= -Y_NEG_TOL and max(values) <= 1 + Y_NEG_TOL):
         out = (Y < -Y_NEG_TOL) | (Y > 1 + Y_NEG_TOL)
         if out.any():
             bad = int(np.argmax(out))
@@ -487,8 +490,9 @@ def _rate_constants(T, th, tb, telemetry):
     """
     inv_T = 1.0 / T
     ln_T = math.log(T)
-    ln_k, dln_k = np.array([[1.0, ln_T, -inv_T],
-                            [0.0, inv_T, inv_T * inv_T]]) @ tb.arrhenius
+    # One flat tuple reshaped: numpy builds it faster than nested rows.
+    ln_k, dln_k = np.array((1.0, ln_T, -inv_T, 0.0, inv_T, inv_T * inv_T)
+                           ).reshape(2, 3) @ tb.arrhenius
     if tb.e_r_max > EXP_ARG_MAX * T:
         e_rt = tb.arrhenius[2] * inv_T
         arg, live = _clamp(-e_rt, telemetry)
@@ -537,10 +541,16 @@ def _slot_products(x, jacobian):
     return p, others
 
 
-def _check_finite(values, what):
-    if not np.isfinite(values).all():
-        bad = int(np.argmax(~np.isfinite(values.ravel())))
-        raise InvalidStateError(f"non-finite {what} component {bad}")
+def _check_finite(values, what, carrier):
+    """Refuse `values` if some entry is not finite. `carrier` is a scalar
+    that is not finite whenever some entry is not, so the entries are
+    scanned only when it is not finite: a finite array whose carrier
+    overflowed passes."""
+    if not math.isfinite(carrier):
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(np.argmax(~finite.ravel()))
+            raise InvalidStateError(f"non-finite {what} component {bad}")
     return values
 
 
@@ -582,8 +592,10 @@ def _evaluate(y, mech, p, telemetry, jacobian):
     w_rho = mech.molar_masses / rho
     F_Y = np.multiply(r @ tb.nu_rows, w_rho, out=F[1:])
     cp_mean = float(Y @ cp)
-    F[0] = -float(h @ F_Y) / cp_mean
-    _check_finite(F, "rhs")
+    # F[0] carries the check of F: an inf or NaN in F_Y makes the dot
+    # product, and with it F[0], inf or NaN (0 times inf is NaN).
+    F[0] = f_T = -float(h @ F_Y) / cp_mean
+    _check_finite(F, "rhs", f_T)
     if not jacobian:
         return r, F, None
     # The weights of dq/d[T, chi]: every slot's k times its others, then
@@ -603,10 +615,13 @@ def _evaluate(y, mech, p, telemetry, jacobian):
     c[0] = 1.0 / T
     J_Y += np.multiply.outer(F_Y - g, c)
     J_T = np.matmul(h, J_Y, out=J[0])
-    J_T[1:] += F[0] * cp
-    J_T[0] += F[0] * float(Y @ dcp) + float(cp @ F_Y)
+    J_T[1:] += f_T * cp
+    J_T[0] += f_T * float(Y @ dcp) + float(cp @ F_Y)
     J_T *= -1.0 / cp_mean
-    return r, F, _check_finite(J, "Jacobian")
+    # The sum of all entries carries the check: an inf or NaN entry makes
+    # it inf or NaN. (J_T alone would carry it only where no gemv skips a
+    # zero entry of h.)
+    return r, F, _check_finite(J, "Jacobian", np.add.reduce(J, axis=None))
 
 
 def reaction_rates(state, mech, *, telemetry=None):

@@ -14,6 +14,7 @@ gives the phi_1 .. phi_3 matrices themselves from one dense exponential.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ _TAYLOR = tuple(_taylor(theta, m, s) for theta, m, s in (
     (7.802874256626574e-1, 16, 4),
     (1.438252596804337, 20, 5),
 ))
+_TAYLOR_THETAS = tuple(theta for theta, _, _ in _TAYLOR)
 
 
 def _pade13():
@@ -151,7 +153,7 @@ def _taylor_stack(As, top):
     Taylor degree m whose theta_m bounds `top`, by Paterson-Stockmeyer: the
     powers [I, A, ..., A^s] in one buffer, every chunk sum from one product
     with the coefficient rows, then Horner in A^s."""
-    _, s, C = next(t for t in _TAYLOR if top <= t[0])
+    _, s, C = _TAYLOR[bisect.bisect_left(_TAYLOR_THETAS, top)]
     batch, n = len(As), As.shape[-1]
     P = np.empty((s + 1, batch, n, n))
     P[0] = _identity(n)
@@ -221,11 +223,25 @@ def phi_blocks(A, time_points):
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
+    shifts, times = _shift_stack(n, tuple(time_points))
+    stack = shifts.copy()
+    np.multiply(times, A, out=stack[:, :n, :n])
+    return expm(stack)[:, :n, n:]
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_stack(n, time_points):
+    """(stack, times): the stack T M of `phi_blocks` with A = 0 (only the
+    T I blocks set), and the time points as a (len, 1, 1) column, both
+    shared and read-only; a copy of the stack takes T A in its top-left
+    blocks."""
     q = MAX_PHI_ORDER
     M = np.zeros(((q + 1) * n, (q + 1) * n))
-    M[:n, :n] = A
     M[:q * n, n:] = _identity(q * n)
-    return expm(np.multiply.outer(time_points, M))[:, :n, n:]
+    stack = np.multiply.outer(time_points, M)
+    times = np.reshape(time_points, (-1, 1, 1)).astype(float)
+    stack.flags.writeable = times.flags.writeable = False
+    return stack, times
 
 
 @dataclass
@@ -338,8 +354,9 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
         raise ValueError(f"phi orders 1 to {MAX_PHI_ORDER} supported, got {p}")
     if not time_points or time_points[-1] != 1.0:
         raise ValueError("last time point must equal 1")
-    if any(t <= 0 for t in time_points) or any(
-            b <= a for a, b in zip(time_points, time_points[1:])):
+    # Written so that a NaN fails too.
+    if not (time_points[0] > 0 and all(
+            a < b for a, b in zip(time_points, time_points[1:]))):
         raise ValueError("time points must be strictly increasing in (0, 1]")
     if not (tol > 0):
         raise ValueError("tolerance must be positive")

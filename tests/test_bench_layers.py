@@ -11,6 +11,7 @@ KERNELS = {
     "rhs_vector@toy3", "rhs_and_jacobian@toy3", "rhs_vector@gen53",
     "rhs_and_jacobian@gen53", "phi_blocks@toy3", "expm@toy3_stack",
     "expm@hessenberg_stack", "kiops_eval@gen53", "arnoldi_extend10@gen53",
+    "epi3v_step@toy3", "epi3v_step@gen53",
 }
 
 

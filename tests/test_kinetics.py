@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import (flat_thermo, make_mechanism, make_species, mechgen,
-                      random_balanced_mechanism)
+from conftest import (FIXTURE_DIR, flat_thermo, make_mechanism, make_species,
+                      mechgen, random_balanced_mechanism)
 from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
-    TYPICAL_T, TYPICAL_Y, _slots, _unpack, concentrations, density, equilibrium_constants,
-    rate_constants, reaction_rates, rhs_and_jacobian,
-    rhs_vector, species_thermo,
+    TYPICAL_T, TYPICAL_Y, _check_finite, _slots, _unpack, concentrations,
+    density, equilibrium_constants, rate_constants, reaction_rates,
+    rhs_and_jacobian, rhs_vector, species_thermo,
 )
+from expkin.mechio import parse_mechanism
 from oracles import fd_jacobian
 
 
@@ -554,6 +555,49 @@ class TestValidation:
         T, Y = _unpack(st.to_vector(), ab_mech)
         assert T == st.T and st.p == 2e5
         np.testing.assert_array_equal(Y, st.Y)
+
+    @staticmethod
+    def toy_with_branching(arrhenius):
+        """toy3 with the chain-branching step's Arrhenius numbers replaced."""
+        return parse_mechanism((FIXTURE_DIR / "toy3.mech").read_text().replace(
+            "F + X => 2 X    6.0e5  0.0  8.0e4", "F + X => 2 X " + arrhenius))
+
+    @pytest.mark.parametrize("evaluate", [rhs_vector, rhs_and_jacobian])
+    def test_non_finite_rhs_refused(self, evaluate):
+        # k = 1e300 T^10 overflows at 1500 K, so the branching rate of
+        # progress and every dY/dt it feeds are inf or NaN; dT/dt, the
+        # component the message names, takes them in through h . dY/dt.
+        mech = self.toy_with_branching("1.0e300 10.0 0.0")
+        y = np.array([1500.0, 0.1, 0.01, 0.89])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidStateError) as e:
+                evaluate(y, mech, 101325.0)
+        assert str(e.value) == "non-finite rhs component 0"
+
+    def test_non_finite_jacobian_refused(self):
+        # k = 1e305 times a chain-carrier fraction of 1e-300 keeps the rates
+        # finite, but dq/dchi_X = k chi_F is about 1e305, and h times it
+        # overflows in the T row: J[0, 2] is inf while F is finite.
+        mech = self.toy_with_branching("1.0e305 0.0 0.0")
+        y = np.array([1500.0, 0.1, 1e-300, 0.9])
+        assert np.isfinite(rhs_vector(y, mech, 101325.0)).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidStateError) as e:
+                rhs_and_jacobian(y, mech, 101325.0)
+        assert str(e.value) == "non-finite Jacobian component 2"
+
+    def test_check_finite_scans_only_when_the_carrier_is_not_finite(self):
+        # Entries of 1e308 are finite, though their sum overflows: the
+        # scan that a non-finite carrier starts finds nothing to refuse.
+        big = np.array([[1e308, 1e308], [1.0, 2.0]])
+        with np.errstate(over="ignore"):
+            carrier = np.add.reduce(big, axis=None)
+        assert carrier == np.inf
+        assert _check_finite(big, "Jacobian", carrier) is big
+        bad = np.array([[1.0, 2.0], [np.nan, 3.0]])
+        with pytest.raises(InvalidStateError, match="^non-finite Jacobian "
+                                                    "component 2$"):
+            _check_finite(bad, "Jacobian", np.add.reduce(bad, axis=None))
 
 
 def nu_matrix(sides, K):

@@ -47,9 +47,13 @@ class TestRequestValidation:
                        time_points=(0.5,), tol=1e-10)
 
     def test_time_points_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            kiops_eval(np.zeros((2, 2)), (None, np.ones(2)),
-                       time_points=(0.8, 0.8, 1.0), tol=1e-10)
+        # A NaN compares false both ways, so it must not pass as ordered:
+        # unrefused, these two returned 0 and 1 values instead of 2 and 3.
+        for time_points in ((0.8, 0.8, 1.0), (math.nan, 1.0),
+                            (0.5, math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                kiops_eval(np.zeros((2, 2)), (None, np.ones(2)),
+                           time_points=time_points, tol=1e-10)
 
     def test_positive_tolerance(self):
         with pytest.raises(ValueError):
@@ -361,6 +365,99 @@ class TestPhiBlocks:
                 want = np.array([T**p * phi_mp(p, T * z) for z in lam])
                 np.testing.assert_allclose(np.diag(got), want, rtol=bound, atol=0)
                 assert np.all(got[~np.eye(n, dtype=bool)] == 0.0)
+
+    @staticmethod
+    def reference_stack(A, time_points):
+        """The stack T M of phi_blocks built in one piece: M with A and the
+        identity blocks, then one outer product with the time points."""
+        n = A.shape[0]
+        M = np.zeros((4 * n, 4 * n))
+        M[:n, :n] = A
+        M[:3 * n, n:] = np.eye(3 * n)
+        return np.multiply.outer(time_points, M)
+
+    def assert_bits_match_reference(self, A, monkeypatch):
+        stacks = []
+        real = phikrylov.expm
+
+        def recorded(X):
+            stacks.append(np.array(X))
+            return real(X)
+
+        monkeypatch.setattr(phikrylov, "expm", recorded)
+        n = A.shape[0]
+        # Twice: the first call must not change the cached blocks.
+        for _ in range(2):
+            got = phi_blocks(A, (0.75, 1.0))
+            want = self.reference_stack(A, (0.75, 1.0))
+            np.testing.assert_array_equal(stacks.pop(), want)
+            np.testing.assert_array_equal(got, real(want)[:, :n, n:])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bits_match_full_stack_reference(self, n, monkeypatch):
+        rng = np.random.default_rng(100 + n)
+        A = rng.standard_normal((n, n)) * np.geomspace(1e-3, 1e3, n)
+        A[0, -1] = -0.0
+        self.assert_bits_match_reference(A, monkeypatch)
+
+    @pytest.mark.parametrize("h", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_bits_match_on_balanced_toy_jacobian(self, toy_mech, toy_state, h,
+                                                 monkeypatch):
+        # The balanced h J that an EPI3V attempt at toy_ignition.cfg's
+        # tolerances hands to phi_blocks.
+        problem = problem_from_mechanism(toy_mech, toy_state.p)
+        y = toy_state.to_vector()
+        F, J = problem.jac(y)
+        seen = []
+        real = phikrylov.phi_blocks
+
+        def recorded(A, time_points):
+            seen.append(A)
+            return real(A, time_points)
+
+        with monkeypatch.context() as m:
+            m.setattr(phikrylov, "phi_blocks", recorded)
+            epi3v_step(y, h, F, J, problem, 1e-10 + 1e-8 * np.abs(y))
+        A, = seen
+        assert not np.array_equal(A, h * J)
+        self.assert_bits_match_reference(A, monkeypatch)
+
+
+def reference_phi_products(A, hF, weights):
+    """The small-state branch of integrator._phi_products with d from
+    numpy and the unscaling applied to each vector: scale it by d,
+    multiply, divide by d."""
+    n = len(hF)
+    e = np.frexp(weights)[1]
+    d = np.ldexp(1.0, np.maximum(e.min() - e, -20))
+    P = phikrylov.phi_blocks(A * np.divide.outer(d, d), (0.75, 1.0))
+    w34, w1 = P[:, :, :n] @ (d * hF) / d
+
+    def phi3(v):
+        return P[1, :, 2 * n:] @ (d * v) / d
+    return w34, w1, phi3
+
+
+class TestFoldedUnscaling:
+    @pytest.mark.parametrize("atol", [1e-10, 1e-20, 1e-30],
+                             ids=["toy", "clip", "past-clip"])
+    @pytest.mark.parametrize("h", [1e-8, 1e-6, 1e-4, 1e-3])
+    def test_bits_match_reference(self, toy_mech, toy_state, h, atol):
+        # d_j / d_i is a power of two, so scaling the phi blocks by it is
+        # exact. At atol 1e-20 and 1e-30 the absent species' weight lies 50
+        # and 83 binades below T's, so d spreads to the 2^-20 clip.
+        y = toy_state.to_vector()
+        F, J = rhs_and_jacobian(y, toy_mech, toy_state.p)
+        weights = atol + 1e-8 * np.abs(y)
+        e = np.frexp(weights)[1]
+        assert (e.max() - e.min() > 20) == (atol < 1e-10)
+        v = np.random.default_rng(7).standard_normal(len(y)) * weights
+        got = integrator._phi_products(h * J, h * F, weights, 1e-12,
+                                       PhiStats())
+        want = reference_phi_products(h * J, h * F, weights)
+        for a, b in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got[2](v), want[2](v))
 
 
 class TestDenseAgainstKrylovStep:
