@@ -6,13 +6,19 @@ Times `rhs_vector` and `rhs_and_jacobian` at a toy3 state and at a state of
 a generated K = 53 mechanism (`perfbench/mechgen.py`, network 0, the size of
 the gen53-ignition workload), `phi_blocks` and `expm` on the matrix and the
 (2, 16, 16) stack that one EPI3V step at the toy3 state hands them, `expm`
-of a (2, 11, 11) Krylov-Hessenberg stack, `kiops_eval` and
-`Arnoldi.extend(10)` at the K = 53 state, and one `epi3v_step` attempt
-(F and J given) at each state. Each kernel runs
-`--repeat` batches of `--number` calls (0: as many as fill about 20 ms);
-the report holds the median, minimum and maximum per-call time of the
-batches in microseconds, with the host, its core count and the numpy and
-BLAS versions, and goes to stdout and to `--out`.
+of a (2, 11, 11) Krylov-Hessenberg stack, the two `kiops_eval` calls of an
+attempt at the K = 53 state (phi_1 at T = 3/4 and 1, phi_3 at T = 1),
+`Arnoldi.extend(10)` there, and one `epi3v_step` attempt (F and J given) at
+each state. Each kernel runs `--repeat` batches of `--number` calls (0: as
+many as fill about 20 ms); the report holds the median, minimum and maximum
+per-call time of the batches in microseconds, with the host, its core count
+and the numpy and BLAS versions, and goes to stdout and to `--out`.
+
+The host's speed drifts, so each kernel's batches are bracketed by two
+samples of the calibration kernel of `perfbench/gauge.py`: the report
+gives their mean time (`gauge_s`) beside the kernel's times, and the times
+at the gauge's reference speed (`us_p50_scaled` and so on, each time
+multiplied by REFERENCE_S / gauge_s), which compare across runs and hosts.
 """
 from __future__ import annotations
 
@@ -55,15 +61,17 @@ GEN_ATOL = 1.0e-9
 GEN_RTOL = 1.0e-3
 
 
-def load_mechgen():
+def load_perfbench(name):
+    """The module perfbench/<name>.py."""
     spec = importlib.util.spec_from_file_location(
-        "mechgen", ROOT / "perfbench" / "mechgen.py")
+        name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 FIXTURES = ROOT / "src" / "expkin" / "fixtures"
+GAUGE = load_perfbench("gauge")
 
 
 def toy_state():
@@ -78,7 +86,7 @@ def toy_state():
 def gen_state():
     """The K = 53 network's initial mixture at GEN_T with 1% of the mass
     spread evenly over all species, so no column of J is a zero-Y column."""
-    mechgen = load_mechgen()
+    mechgen = load_perfbench("mechgen")
     mech = mechgen.generate_mechanism(GEN_SPECIES, GEN_NETWORK_SEED)
     Y = np.full(mech.n_species, 0.01 / mech.n_species)
     for name, frac in mechgen.initial_mass_fractions(mech).items():
@@ -87,14 +95,25 @@ def gen_state():
 
 
 def per_call_us(fn, repeat, number):
-    """(median, min, max) per-call microseconds over `repeat` batches."""
+    """(median, min, max) per-call microseconds over `repeat` batches, the
+    mean time of the gauge kernel sampled before and after them, and the
+    three times at the gauge's reference speed."""
     fn()
     if number <= 0:
         number, _ = timeit.Timer(fn).autorange()
         number = max(1, number // 10)
+    gauge = GAUGE.SpeedGauge()
+    gauge.sample()
     times = [t / number * 1e6 for t in timeit.Timer(fn).repeat(repeat, number)]
-    return {"us_p50": statistics.median(times), "us_min": min(times),
-            "us_max": max(times), "calls_per_batch": number}
+    gauge.sample()
+    gauge_s = statistics.mean(s for _, s in gauge.samples)
+    result = {"us_p50": statistics.median(times), "us_min": min(times),
+              "us_max": max(times), "calls_per_batch": number,
+              "gauge_s": gauge_s}
+    scale = GAUGE.REFERENCE_S / gauge_s
+    for key in ("us_p50", "us_min", "us_max"):
+        result[key + "_scaled"] = result[key] * scale
+    return result
 
 
 def attempt(mech, y, h, atol, rtol):
@@ -175,6 +194,8 @@ def measure(repeat, number):
         "expm@hessenberg_stack": lambda: phikrylov.expm(stack_hess),
         "kiops_eval@gen53": lambda: phikrylov.kiops_eval(
             A_gen, [None, hF_gen], (0.75, 1.0), tol=1e-10),
+        "kiops_eval_phi3@gen53": lambda: phikrylov.kiops_eval(
+            A_gen, [None, None, None, hF_gen], (1.0,), tol=1e-10),
         "arnoldi_extend10@gen53": arnoldi,
         "epi3v_step@toy3": step_toy,
         "epi3v_step@gen53": attempt(gen_mech, y_gen, GEN_ATTEMPT_STEP, GEN_ATOL,
@@ -213,6 +234,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "blas": blas_info(),
         "blas_threads": 1,
+        "gauge_reference_s": GAUGE.REFERENCE_S,
         "repeat": args.repeat,
         "started_unix": started,
         "kernels": kernels,
@@ -220,7 +242,8 @@ def main(argv=None):
     text = json.dumps(report, indent=2)
     pathlib.Path(args.out).write_text(text + "\n")
     for name, r in kernels.items():
-        print(f"{name:28s} {r['us_p50']:10.1f} us")
+        print(f"{name:28s} {r['us_p50']:10.1f} us "
+              f"{r['us_p50_scaled']:10.1f} us scaled")
     return 0
 
 

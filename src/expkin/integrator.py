@@ -227,10 +227,14 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
     to `step_hook`, including one whose evaluation failed.
 
     `atol` and `rtol` weight the error estimate; `h0` is the first step size
-    (default 1e-10 of the interval).
+    (default 1e-10 of the interval), positive and finite.
     """
     if not (t_final > t0):
         raise ValueError("t_final must exceed t0")
+    # Written so that a NaN fails too: with h0 = NaN every step size is NaN
+    # and the march would never end.
+    if h0 is not None and not 0 < h0 < math.inf:
+        raise ValueError("h0 must be positive and finite")
     span = t_final - t0
     h_min = H_MIN_FRACTION * span
     h = h0 if h0 is not None else 1.0e-10 * span

@@ -284,11 +284,21 @@ class Arnoldi:
     vector is projected out of the basis twice, each time in one block
     product, and `H` takes the sum of the two projections. The process stops
     early on happy breakdown (`happy` set), when the new residual falls below
-    1e-14 max|H|.
+    1e-14 max(1, max|H|).
+
+    `columns` seeds the first iterations: iteration j < len(columns) takes
+    A V[:, j] as column `columns[j]` of A, with no product and no
+    projection. The caller vouches that V[:, j] is the unit vector
+    e_columns[j] and that this column of A is zero in the rows
+    columns[0] .. columns[j], so the projections it skips are exact zeros
+    (`kiops_eval` passes the shift block of its augmented matrix). For a
+    finite A the basis and H are those of the unseeded process, bit for bit.
     """
 
-    def __init__(self, A, v, m_cap):
-        self.matvec = np.asarray(A, dtype=float).dot
+    def __init__(self, A, v, m_cap, columns=()):
+        self.A = np.asarray(A, dtype=float)
+        self.matvec = self.A.dot
+        self.columns = columns
         v = np.asarray(v, dtype=float)
         self.beta = math.sqrt(v.dot(v))
         if self.beta == 0:
@@ -298,29 +308,45 @@ class Arnoldi:
         self.V[:, 0] = v / self.beta
         self.m = 0
         self.happy = False
-        # max|H| over the columns built so far (a column's entries below its
-        # subdiagonal are zero, so each new column updates it alone).
-        self.hmax = 0.0
+        # max(1, max|H|) over the columns built so far (a column's entries
+        # below its subdiagonal are zero, so each new column updates it
+        # alone): the scale of the breakdown test.
+        self.scale = 1.0
 
     def extend(self, m_target):
-        while self.m < m_target and not self.happy:
-            j = self.m
-            Vj = self.V[:, :j + 1]
-            w = self.matvec(self.V[:, j])
-            h = Vj.T @ w
-            w -= Vj @ h
-            # The second pass keeps the basis orthonormal to rounding error.
-            c = Vj.T @ w
-            w -= Vj @ c
-            self.H[:j + 1, j] = h + c
-            hnext = math.sqrt(w.dot(w))
-            self.H[j + 1, j] = hnext
-            self.m = j + 1
-            self.hmax = max(self.hmax, float(np.abs(self.H[:j + 2, j]).max()))
-            if hnext <= 1.0e-14 * max(1.0, self.hmax):
-                self.happy = True
+        V, H, matvec, columns = self.V, self.H, self.matvec, self.columns
+        j, scale = self.m, self.scale
+        v = V[:, j]
+        while j < m_target and not self.happy:
+            if j < len(columns):
+                # The column as a matvec returns it: a contiguous copy, so
+                # its norm sums in the product's order, and + 0.0 turns a
+                # -0.0 entry into the product's +0.0.
+                w = self.A[:, columns[j]] + 0.0
             else:
-                self.V[:, j + 1] = w / hnext
+                Vj = V[:, :j + 1]
+                VjT = Vj.T
+                w = matvec(v)
+                h = VjT @ w
+                w -= Vj @ h
+                # The second pass keeps the basis orthonormal to rounding
+                # error.
+                c = VjT @ w
+                w -= Vj @ c
+                h += c
+                H[:j + 1, j] = h
+                scale = max(scale, *map(abs, h.tolist()))
+            hnext = math.sqrt(w.dot(w))
+            H[j + 1, j] = hnext
+            scale = max(scale, hnext)
+            j += 1
+            if hnext <= 1.0e-14 * scale:
+                self.happy = True
+                break
+            # The next vector, kept contiguous for the next product.
+            w /= hnext
+            V[:, j] = v = w
+        self.m, self.scale = j, scale
 
 
 MIN_SUBSTEP = 1.0e-8   # fraction of the full [0, 1] interval
@@ -346,7 +372,9 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     so extra time points cost no matvecs. On happy breakdown the basis is
     exact and serves every remaining time point. On an error-budget failure
     the basis is first grown (x4/3 up to M_MAX), then the substep is halved;
-    an easy success doubles the next substep.
+    an easy success doubles the next substep. Without b_0 the first basis
+    takes its known first vectors from the augmented matrix's columns
+    (`Arnoldi`'s `columns`); each still counts as one matvec.
     """
     time_points = tuple(float(t) for t in time_points)
     p = len(bs) - 1
@@ -372,6 +400,14 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     else:
         nu = 1.0
     aug, w = _augmented_matrix(A, bs, nu)
+    # With no b_0 the first start vector is e_(n+p-1), and the shift block
+    # makes the next basis vectors e_(n+p-2), e_(n+p-3), .. up to the column
+    # of the first b_k given: the first k products are columns of aug.
+    if bs[0] is None:
+        k = next((k for k in range(1, p) if bs[k] is not None), p)
+        columns = range(n + p - 1, n + p - 1 - k, -1)
+    else:
+        columns = ()
 
     stats = PhiStats(calls=1)
     m = min(M_INIT, M_MAX)
@@ -383,7 +419,8 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     while tau_now < 1.0:
         hits_end = tau >= 1.0 - tau_now
         tau_try = 1.0 - tau_now if hits_end else tau
-        proc = Arnoldi(aug, w, m_cap)
+        proc = Arnoldi(aug, w, m_cap, columns)
+        columns = ()
         beta = proc.beta
         while True:
             proc.extend(min(m, m_cap))

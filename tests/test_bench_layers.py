@@ -1,6 +1,6 @@
 """Smoke test of the layer timing tool, bench/layers.py: it runs with tiny
-repeat counts and writes a report with every key; the timings themselves
-are not checked."""
+repeat counts and writes a report with every key, the gauge-scaled times
+included; the timings themselves are not checked."""
 import json
 import pathlib
 import subprocess
@@ -10,7 +10,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 KERNELS = {
     "rhs_vector@toy3", "rhs_and_jacobian@toy3", "rhs_vector@gen53",
     "rhs_and_jacobian@gen53", "phi_blocks@toy3", "expm@toy3_stack",
-    "expm@hessenberg_stack", "kiops_eval@gen53", "arnoldi_extend10@gen53",
+    "expm@hessenberg_stack", "kiops_eval@gen53", "kiops_eval_phi3@gen53",
+    "arnoldi_extend10@gen53",
     "epi3v_step@toy3", "epi3v_step@gen53",
 }
 
@@ -23,11 +24,17 @@ def test_layers_report_keys(tmp_path):
         capture_output=True, text=True, timeout=60, check=True)
     report = json.loads(out.read_text())
     assert {"topic", "host", "cpu_count", "numpy", "blas", "blas_threads",
-            "kernels"} <= set(report)
+            "gauge_reference_s", "kernels"} <= set(report)
     assert report["topic"] == "layers" and report["blas_threads"] == 1
     assert set(report["kernels"]) == KERNELS
     for name, timing in report["kernels"].items():
-        assert {"us_p50", "us_min", "us_max", "calls_per_batch"} <= set(timing)
+        assert {"us_p50", "us_min", "us_max", "calls_per_batch", "gauge_s",
+                "us_p50_scaled", "us_min_scaled",
+                "us_max_scaled"} <= set(timing)
+        # Each scaled time is its time at the gauge's reference speed.
+        scale = report["gauge_reference_s"] / timing["gauge_s"]
+        for key in ("us_p50", "us_min", "us_max"):
+            assert timing[key + "_scaled"] == timing[key] * scale
         assert name in done.stdout
     assert report["kernels"]["expm@toy3_stack"]["shape"] == [2, 16, 16]
     assert report["kernels"]["expm@hessenberg_stack"]["shape"] == [2, 11, 11]

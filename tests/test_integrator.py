@@ -495,6 +495,23 @@ class TestAdaptive:
             integrate_adaptive(np.ones(1), 1.0, 1.0, prob, atol=1e-8,
                                rtol=1e-6)
 
+    @pytest.mark.parametrize("h0", [np.nan, np.inf, 0.0, -1e-3])
+    def test_bad_h0_refused(self, h0):
+        # Unrefused, h0 = NaN made every step size NaN, so no attempt was
+        # accepted and the underflow test never fired: the march never
+        # ended. The hook stops such a march after 1000 attempts.
+        prob = linear_problem([[-1.0, 0.0], [0.0, -2.0]])
+
+        def bounded(rec, y, J):
+            bounded.attempts += 1
+            if bounded.attempts > 1000:
+                raise RuntimeError("the march did not end")
+        bounded.attempts = 0
+        with pytest.raises(ValueError, match="h0"):
+            integrate_adaptive(np.ones(2), 0.0, 1.0, prob, atol=1e-8,
+                               rtol=1e-6, h0=h0, step_hook=bounded)
+        assert bounded.attempts == 0
+
     def test_failure_is_reported_not_raised(self, toy_mech, monkeypatch):
         # An unreachable tolerance with a huge floor (1e-3 s): the march
         # reports failure through SolverOutput rather than raising.

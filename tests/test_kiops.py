@@ -21,22 +21,25 @@ from expkin.phikrylov import (
 from oracles import phi_mp, phi_scalar
 
 
-def augmented_operator(A, bs):
-    """[[A, b_p .. b_1], [0, shift]] and the start vector [b_0; 0 .. 0, 1].
+def augmented_operator(A, bs, nu=1.0):
+    """[[A, nu b_p .. nu b_1], [0, shift]] and the start vector
+    [b_0; 0 .. 0, 1/nu].
 
-    Built here independently of the module, with no scaling, so that
-    exp(T aug) v = sum_k T^k phi_k(T A) b_k in the first n entries.
+    Built here independently of the module, so that
+    exp(T aug) v = sum_k T^k phi_k(T A) b_k in the first n entries for any
+    nu; `kiops_eval` scales by a power of two.
     """
     n, p = A.shape[0], len(bs) - 1
     aug = np.zeros((n + p, n + p))
     aug[:n, :n] = A
     for col, k in enumerate(range(p, 0, -1)):
-        aug[:n, n + col] = np.zeros(n) if bs[k] is None else bs[k]
+        if bs[k] is not None:
+            aug[:n, n + col] = np.multiply(nu, bs[k])
     aug[n:-1, n + 1:] = np.eye(p - 1)
     v = np.zeros(n + p)
     if bs[0] is not None:
         v[:n] = bs[0]
-    v[-1] = 1.0
+    v[-1] = 1.0 / nu
     return aug, v
 
 
@@ -264,6 +267,228 @@ class TestProjectionCounts:
         assert two.stats.matvecs == one.stats.matvecs
         assert two.stats.substeps == one.stats.substeps
         np.testing.assert_array_equal(two.values[1], one.values[0])
+
+
+class UnseededArnoldi:
+    """`phikrylov.Arnoldi` as it ran before it seeded known columns and
+    trimmed its iteration: a product and two projections for every vector,
+    and max|H| from a numpy scan of each new column (the reference for bit
+    equality)."""
+
+    def __init__(self, A, v, m_cap):
+        self.matvec = np.asarray(A, dtype=float).dot
+        v = np.asarray(v, dtype=float)
+        self.beta = math.sqrt(v.dot(v))
+        self.V = np.zeros((v.size, m_cap + 1))
+        self.H = np.zeros((m_cap + 1, m_cap + 1))
+        self.V[:, 0] = v / self.beta
+        self.m = 0
+        self.happy = False
+        self.hmax = 0.0
+
+    def extend(self, m_target):
+        while self.m < m_target and not self.happy:
+            j = self.m
+            Vj = self.V[:, :j + 1]
+            w = self.matvec(self.V[:, j])
+            h = Vj.T @ w
+            w -= Vj @ h
+            c = Vj.T @ w
+            w -= Vj @ c
+            self.H[:j + 1, j] = h + c
+            hnext = math.sqrt(w.dot(w))
+            self.H[j + 1, j] = hnext
+            self.m = j + 1
+            self.hmax = max(self.hmax, float(np.abs(self.H[:j + 2, j]).max()))
+            if hnext <= 1.0e-14 * max(1.0, self.hmax):
+                self.happy = True
+            else:
+                self.V[:, j + 1] = w / hnext
+
+
+def scaled_augmented(A, bs):
+    """The augmented matrix and start vector of `kiops_eval`, with its nu:
+    the power of two at or above the largest 1-norm of the b's, inverted."""
+    norm_b = max((float(np.abs(b).sum()) for b in bs[1:] if b is not None),
+                 default=0.0)
+    nu = 2.0 ** -math.ceil(math.log2(norm_b)) if norm_b > 0 else 1.0
+    return augmented_operator(A, bs, nu)
+
+
+def kiops_unseeded(A, bs, time_points, tol):
+    """`kiops_eval` as it ran before the seeded basis, on `UnseededArnoldi`:
+    (values, stats), or the PhiConvergenceError message."""
+    A = np.asarray(A, dtype=float)
+    n, p = A.shape[0], len(bs) - 1
+    aug, w = scaled_augmented(A, bs)
+    stats = PhiStats(calls=1)
+    m = min(phikrylov.M_INIT, phikrylov.M_MAX)
+    m_cap = min(phikrylov.M_MAX, n + p)
+    values, tau_now, tau = [], 0.0, 1.0
+    while tau_now < 1.0:
+        hits_end = tau >= 1.0 - tau_now
+        tau_try = 1.0 - tau_now if hits_end else tau
+        proc = UnseededArnoldi(aug, w, m_cap)
+        beta = proc.beta
+        while True:
+            proc.extend(min(m, m_cap))
+            j = proc.m
+            if proc.happy:
+                hits_end = True
+                tau_try = 1.0 - tau_now
+                Hx = proc.H[:j, :j]
+            else:
+                Hx = np.zeros((j + 1, j + 1))
+                Hx[:j, :j] = proc.H[:j, :j]
+                Hx[0, j] = 1.0
+            tau_end = 1.0 if hits_end else tau_now + tau_try
+            inner = [T - tau_now for T in time_points[len(values):]
+                     if T < tau_end]
+            F = expm(np.multiply.outer([tau_try, *inner], Hx))
+            if proc.happy:
+                easy = True
+                break
+            err = beta * proc.H[j, j - 1] * abs(F[0, j - 1, j])
+            budget = tol * beta * tau_try
+            if err <= budget:
+                easy = err <= phikrylov.EASY_SUCCESS * budget
+                break
+            stats.rejections += 1
+            if m < m_cap:
+                m = min(m_cap, max(m + 1, int(math.ceil(4.0 * m / 3.0))))
+            else:
+                hits_end = False
+                tau_try = 0.5 * tau_try
+                if tau_try < phikrylov.MIN_SUBSTEP:
+                    return str(PhiConvergenceError(
+                        "Krylov substep underflow before reaching tolerance",
+                        diagnostics={"tau": tau_try, "tau_now": tau_now,
+                                     "err": err, "m": j, "beta": beta}))
+        stats.substeps += 1
+        stats.max_krylov_dim = max(stats.max_krylov_dim, j)
+        stats.matvecs += j
+        basis = beta * proc.V[:, :j]
+        values.extend((basis @ F_T[:j, 0])[:n] for F_T in F[1:])
+        w = basis @ F[0, :j, 0]
+        if (len(values) < len(time_points)
+                and time_points[len(values)] == tau_end):
+            values.append(w[:n].copy())
+        tau_now = tau_end
+        tau = 2.0 * tau_try if easy else tau_try
+    return values, stats
+
+
+def assert_bits_match_unseeded(A, bs, time_points=(1.0,), tol=1e-10):
+    """kiops_eval and kiops_unseeded agree bit for bit, in every value and
+    every count, or raise the same error; returns kiops_eval's stats."""
+    want = kiops_unseeded(A, bs, time_points, tol)
+    if isinstance(want, str):
+        with pytest.raises(PhiConvergenceError) as exc_info:
+            kiops_eval(A, bs, time_points, tol)
+        assert str(exc_info.value) == want
+        return None
+    res = kiops_eval(A, bs, time_points, tol)
+    assert res.stats == want[1]
+    assert [v.tobytes() for v in res.values] == [v.tobytes() for v in want[0]]
+    return res.stats
+
+
+class TestSeededBasis:
+    """The first basis vectors of a call without b_0 are unit vectors of the
+    shift block up to the first b_k given, then that column of the augmented
+    matrix; `kiops_eval` writes them without products. Every value and
+    count stays that of the unseeded process, bit for bit."""
+
+    @pytest.mark.parametrize("pattern", [
+        "1", "01", "11", "001", "101", "011", "111", "010", "100", "110",
+    ])
+    @pytest.mark.parametrize("time_points", [(1.0,), (0.75, 1.0)])
+    def test_bits_match_for_every_none_pattern(self, pattern, time_points):
+        # pattern[k - 1] tells whether b_k is given; the signed zeros in the
+        # b's must not reach the basis as -0.0.
+        rng = np.random.default_rng(4242)
+        A = stiff_diag_matrix(rng, 40, 1e4)
+        bs = [None]
+        for given in pattern:
+            b = rng.standard_normal(40) if given == "1" else None
+            if b is not None:
+                b[:5] = -0.0
+            bs.append(b)
+        assert_bits_match_unseeded(A, bs, time_points)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_bits_match_with_b0(self, p):
+        # A given b_0 makes a general start vector: nothing is seeded.
+        rng = np.random.default_rng(4343)
+        A = stiff_diag_matrix(rng, 40, 1e4)
+        bs = [rng.standard_normal(40), *[None] * (p - 1),
+              rng.standard_normal(40)]
+        assert_bits_match_unseeded(A, bs)
+
+    def test_bits_match_when_tau_halves(self, monkeypatch):
+        # A basis capped at 4 cannot hold a stiff step, so tau halves and
+        # the later substeps start from general vectors.
+        monkeypatch.setattr(phikrylov, "M_INIT", 4)
+        monkeypatch.setattr(phikrylov, "M_MAX", 4)
+        rng = np.random.default_rng(4444)
+        A = stiff_diag_matrix(rng, 30, 50.0)
+        for bs in ([None, rng.standard_normal(30)],
+                   [None, None, None, rng.standard_normal(30)]):
+            stats = assert_bits_match_unseeded(A, bs, (0.75, 1.0))
+            assert stats.substeps > 1 and stats.rejections > 0
+
+    def test_bits_match_when_m_regrows(self):
+        # A tight tolerance on a stiff operator grows the basis past M_INIT
+        # on the seeded process.
+        rng = np.random.default_rng(4545)
+        A = stiff_diag_matrix(rng, 60, 1e5)
+        for bs in ([None, rng.standard_normal(60)],
+                   [None, None, None, rng.standard_normal(60)]):
+            stats = assert_bits_match_unseeded(A, bs, (0.75, 1.0), 1e-13)
+            assert stats.rejections > 0 and stats.max_krylov_dim > M_INIT
+
+    def test_bits_match_with_one_vector_bases(self, monkeypatch):
+        # M_INIT = M_MAX = 1: each basis is the seeded start vector alone.
+        # Its error estimate does not shrink with tau, so a nonzero b ends
+        # in a substep underflow, which must fail with the same message; a
+        # zero b_1 breaks down happily at once.
+        monkeypatch.setattr(phikrylov, "M_INIT", 1)
+        monkeypatch.setattr(phikrylov, "M_MAX", 1)
+        rng = np.random.default_rng(4646)
+        A = stiff_diag_matrix(rng, 12, 1e3)
+        b = rng.standard_normal(12)
+        for bs in ([None, b], [None, None, None, b]):
+            assert assert_bits_match_unseeded(A, bs, (0.75, 1.0)) is None
+        stats = assert_bits_match_unseeded(A, [None, np.zeros(12)],
+                                           (0.75, 1.0))
+        assert stats.matvecs == 1
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_happy_breakdown_at_seeded_vector(self, p):
+        # b_p = 0: the seeded column is zero, so the process breaks down
+        # happily after p vectors, as the unseeded one does.
+        rng = np.random.default_rng(4747)
+        A = stiff_diag_matrix(rng, 20, 1e3)
+        bs = [None] * p + [np.zeros(20)]
+        stats = assert_bits_match_unseeded(A, bs, (0.75, 1.0))
+        assert stats.max_krylov_dim == stats.matvecs == p
+
+    def test_seeded_arnoldi_basis_bits(self):
+        # The seeded process writes the unseeded V and H, signed zeros
+        # included, and builds the same number of vectors.
+        rng = np.random.default_rng(4848)
+        A = stiff_diag_matrix(rng, 30, 1e4)
+        b = rng.standard_normal(30)
+        b[::3] = -0.0
+        aug, w = scaled_augmented(A, [None, None, None, b])
+        want = UnseededArnoldi(aug, w, 12)
+        want.extend(12)
+        got = phikrylov.Arnoldi(aug, w, 12, columns=[32, 31, 30])
+        got.extend(2)
+        got.extend(12)
+        assert (got.m, got.happy, got.beta) == (want.m, want.happy, want.beta)
+        assert got.V.tobytes() == want.V.tobytes()
+        assert got.H.tobytes() == want.H.tobytes()
 
 
 def count_expm_calls(monkeypatch):
