@@ -8,11 +8,16 @@ the gen53-ignition workload), `phi_blocks` and `expm` on the matrix and the
 (2, 16, 16) stack that one EPI3V step at the toy3 state hands them, `expm`
 of a (2, 11, 11) Krylov-Hessenberg stack, the two `kiops_eval` calls of an
 attempt at the K = 53 state (phi_1 at T = 3/4 and 1, phi_3 at T = 1),
-`Arnoldi.extend(10)` there, and one `epi3v_step` attempt (F and J given) at
-each state. Each kernel runs `--repeat` batches of `--number` calls (0: as
-many as fill about 20 ms); the report holds the median, minimum and maximum
-per-call time of the batches in microseconds, with the host, its core count
-and the numpy and BLAS versions, and goes to stdout and to `--out`.
+`Arnoldi.extend(10)` there, one `epi3v_step` attempt (F and J given) at
+each state, and the set-up and output of a K = 53 run: `parse_mechanism` of
+the network's text, `kinetics._Tables` of the parsed mechanism (the
+evaluation arrays its first evaluation builds) and `write_csv` of a
+200 x 55 table of floats, the size of the gen53-ignition `solution.csv`,
+to a temporary directory. Each kernel runs `--repeat` batches of `--number`
+calls (0: as many as fill about 20 ms); the report holds the median,
+minimum and maximum per-call time of the batches in microseconds, with the
+host, its core count and the numpy and BLAS versions, and goes to stdout
+and to `--out`.
 
 The host's speed drifts, so each kernel's batches are bracketed by two
 samples of the calibration kernel of `perfbench/gauge.py`: the report
@@ -35,6 +40,7 @@ import pathlib  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
 
@@ -43,7 +49,7 @@ import numpy as np  # noqa: E402
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from expkin import integrator, mechio, phikrylov  # noqa: E402
+from expkin import integrator, kinetics, mechio, phikrylov  # noqa: E402
 from expkin.kinetics import rhs_and_jacobian, rhs_vector  # noqa: E402
 
 TOY_T = 1500.0
@@ -59,6 +65,7 @@ GEN_STEP = 1.0e-7       # h of the K = 53 Krylov calls
 GEN_ATTEMPT_STEP = 1.0e-10
 GEN_ATOL = 1.0e-9
 GEN_RTOL = 1.0e-3
+CSV_ROWS = 200          # the gen53-ignition run's output samples
 
 
 def load_perfbench(name):
@@ -171,9 +178,14 @@ def blas_info():
     return f"{blas.get('name', '?')} {blas.get('version', '?')}"
 
 
-def measure(repeat, number):
+def measure(repeat, number, tmpdir):
     toy_mech, y_toy = toy_state()
     gen_mech, y_gen = gen_state()
+    gen_text = mechio.serialize_mechanism(gen_mech)
+    solution = np.random.default_rng(0).random(
+        (CSV_ROWS, gen_mech.n_species + 2)).tolist()
+    solution_csv = pathlib.Path(tmpdir) / "solution.csv"
+    solution_header = ["t", "T"] + [f"Y_{s.name}" for s in gen_mech.species]
     cfg = mechio.parse_config((FIXTURES / "toy_ignition.cfg").read_text())
     step_toy = attempt(toy_mech, y_toy, TOY_STEP, cfg.atol, cfg.rtol)
     A_toy, stack_toy = toy_stack(step_toy)
@@ -200,6 +212,10 @@ def measure(repeat, number):
         "epi3v_step@toy3": step_toy,
         "epi3v_step@gen53": attempt(gen_mech, y_gen, GEN_ATTEMPT_STEP, GEN_ATOL,
                                     GEN_RTOL),
+        "parse_mechanism@gen53": lambda: mechio.parse_mechanism(gen_text),
+        "tables@gen53": lambda: kinetics._Tables(gen_mech),
+        "write_csv_solution@gen53": lambda: mechio.write_csv(
+            solution_csv, solution_header, solution),
     }
     norms = {"expm@toy3_stack": stack_toy, "expm@hessenberg_stack": stack_hess}
     results = {}
@@ -224,7 +240,8 @@ def main(argv=None):
     if args.repeat < 1 or args.number < 0:
         ap.error("--repeat must be >= 1 and --number >= 0")
     started = time.time()
-    kernels = measure(args.repeat, args.number)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        kernels = measure(args.repeat, args.number, tmpdir)
     report = {
         "topic": "layers",
         "host": platform.node(),

@@ -9,6 +9,7 @@ import os
 import sys
 import time
 from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -105,11 +106,12 @@ def cmd_run(args):
     mechio.write_csv(os.path.join(out_dir, "solution.csv"),
                      ["t", "T"] + [f"Y_{s.name}" for s in mech.species],
                      np.column_stack((sample_times, result.samples)).tolist())
-    # One row per StepRecord, its fields in order, `accepted` as 0/1.
-    mechio.write_csv(os.path.join(out_dir, "steps.csv"),
-                     [f.name for f in fields(StepRecord)],
-                     [{**vars(r), "accepted": int(r.accepted)}.values()
-                      for r in result.records])
+    # One row per StepRecord: the tuple of its fields, `accepted` as 0/1.
+    columns = [f.name for f in fields(StepRecord)]
+    flag = columns.index("accepted")
+    mechio.write_csv(os.path.join(out_dir, "steps.csv"), columns,
+                     [row[:flag] + (int(row[flag]),) + row[flag + 1:]
+                      for row in map(attrgetter(*columns), result.records)])
     if not result.success:
         print(f"solver failure: {result.message}", file=sys.stderr)
         return EXIT_SOLVER

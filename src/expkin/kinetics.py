@@ -38,6 +38,10 @@ Y_NEG_TOL = 1.0e-8           # mass fractions in [-Y_NEG_TOL, 0) are treated as 
 # difference oracles) use them, until ROADMAP item 2 replaces it.
 TYPICAL_T = 1.0
 TYPICAL_Y = 1.0e-6
+# Largest stoichiometric coefficient of a species in a reaction. The slot
+# table (`_slots`) holds one column per unit of the largest reaction order,
+# so an unbounded count would size it without limit.
+MAX_STOICH = 100
 
 
 class KineticsError(ValueError):
@@ -136,7 +140,7 @@ class Species:
     coeffs_high: tuple               # 7 coefficients, valid on [t_mid, t_high]
 
     def __post_init__(self):
-        if not np.isfinite(self.molar_mass) or self.molar_mass <= 0:
+        if not math.isfinite(self.molar_mass) or self.molar_mass <= 0:
             raise KineticsError(f"species {self.name!r}: molar mass must be > 0")
         if not all(map(math.isfinite, (self.t_low, self.t_mid, self.t_high,
                                        *self.coeffs_low, *self.coeffs_high))):
@@ -149,7 +153,7 @@ class Species:
         if len(self.coeffs_low) != 7 or len(self.coeffs_high) != 7:
             raise KineticsError(f"species {self.name!r}: need 7+7 NASA coefficients")
         cp_lo, cp_hi = (_thermo_table([self.coeffs_low, self.coeffs_high])
-                        @ _thermo_powers(self.t_mid))[:2]
+                        @ _thermo_powers(self.t_mid))[:2].tolist()
         if abs(cp_lo - cp_hi) > 0.01 * max(abs(cp_lo), abs(cp_hi)):
             raise KineticsError(
                 f"species {self.name!r}: c_p discontinuity at T_mid exceeds 1%"
@@ -171,14 +175,14 @@ class Reaction:
     reversible: bool = False
 
     def __post_init__(self):
-        if not self.reactants and not self.products:
+        counts = (*self.reactants.values(), *self.products.values())
+        if not counts:
             raise KineticsError("reaction with empty stoichiometry")
-        for stoich in (self.reactants, self.products):
-            for idx, nu in stoich.items():
-                if int(nu) != nu or nu < 0:
-                    raise KineticsError(
-                        f"stoichiometric coefficient {nu} must be a non-negative integer"
-                    )
+        for nu in counts:
+            # Written so that NaN fails too; `nu % 1` is 0 for a whole number.
+            if not 0 <= nu <= MAX_STOICH or nu % 1:
+                raise KineticsError(f"stoichiometric coefficient {nu} must be "
+                                    f"an integer from 0 to {MAX_STOICH}")
         if not all(map(math.isfinite, self.arrhenius)):
             raise KineticsError(f"Arrhenius numbers must be finite, got {self.arrhenius}")
         A = self.arrhenius[0]
@@ -323,12 +327,14 @@ class Mechanism:
         nu_f = np.zeros((N, K), dtype=int)
         nu_r = np.zeros((N, K), dtype=int)
         for j, rxn in enumerate(self.reactions):
-            for stoich, nu in ((rxn.reactants, nu_f), (rxn.products, nu_r)):
-                for idx, n in stoich.items():
-                    if not 0 <= idx < K:
-                        raise KineticsError(
-                            f"reaction {j}: species index {idx} out of range", j)
-                    nu[j, idx] = n
+            for idx, n in rxn.reactants.items():
+                if not 0 <= idx < K:
+                    raise KineticsError(f"reaction {j}: species index {idx} out of range", j)
+                nu_f[j, idx] = n
+            for idx, n in rxn.products.items():
+                if not 0 <= idx < K:
+                    raise KineticsError(f"reaction {j}: species index {idx} out of range", j)
+                nu_r[j, idx] = n
         imbalance = np.abs((nu_r - nu_f) @ W)
         unbalanced = np.flatnonzero(imbalance > self.MASS_BALANCE_TOL)
         if unbalanced.size:

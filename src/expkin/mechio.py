@@ -49,8 +49,9 @@ def _parse_float(tok, line, what="number"):
 
 # Tokens that indicate unsupported pressure-dependent reaction syntax: a
 # falloff "(+M)", a third body "+ M" and the falloff/PLOG keywords. A line is
-# refused when any one matches; three plain searches cost less than one
-# search of their alternation.
+# refused when any one matches. `_parse_reaction_line` searches a pattern
+# only when the line holds a literal no match can lack ("(", "M", or one of
+# the keywords): a substring test costs a small part of a search.
 _UNSUPPORTED_RXN = (
     re.compile(r"\(\+\s*\w+\s*\)"),
     re.compile(r"(?:^|\s)\+\s*M(?:\s|$)"),
@@ -60,9 +61,20 @@ _UNSUPPORTED_RXN = (
 
 def _iter_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
+
+
+def _parse_floats(toks, line, what="number"):
+    """The tokens `toks` as a tuple of floats; the first that does not parse
+    is refused as `_parse_float` refuses it."""
+    try:
+        return tuple(map(float, toks))
+    except ValueError:
+        for tok in toks:
+            _parse_float(tok, line, what)
+        raise
 
 
 def parse_mechanism(text):
@@ -70,6 +82,7 @@ def parse_mechanism(text):
     species = []
     names = {}
     reactions = []
+    reaction_lines = []
     section = None
     records = _iter_lines(text)
     lineno, line = next(records, (None, ""))
@@ -92,16 +105,17 @@ def parse_mechanism(text):
             species.append(sp)
         elif section == "reactions":
             reactions.append(_parse_reaction_line(line, lineno, names))
+            reaction_lines.append(lineno)
         else:
             _fail("UnknownSection", "content before any section header", lineno)
     if not species:
         _fail("NoSpecies", "mechanism declares no species")
     try:
-        return Mechanism(species=tuple(species), reactions=tuple(r for r, _ in reactions))
+        return Mechanism(species=tuple(species), reactions=tuple(reactions))
     except KineticsError as exc:
         # The species were checked above, so the one check Mechanism can
         # fail here is a reaction's mass balance; attribute it to its line.
-        _fail("MassImbalance", str(exc), reactions[exc.reaction][1])
+        _fail("MassImbalance", str(exc), reaction_lines[exc.reaction])
 
 
 def _parse_species_line(line, lineno):
@@ -109,44 +123,51 @@ def _parse_species_line(line, lineno):
     if len(toks) != 19:
         _fail("BadSpecies",
               f"species line needs name + 18 numbers, got {len(toks)} tokens", lineno)
-    name = toks[0]
-    nums = [_parse_float(t, lineno) for t in toks[1:]]
+    nums = _parse_floats(toks[1:], lineno)
     try:
-        return Species(name=name, molar_mass=nums[0], t_low=nums[1],
-                       t_mid=nums[2], t_high=nums[3],
-                       coeffs_low=tuple(nums[4:11]), coeffs_high=tuple(nums[11:18]))
+        # name, molar mass, t_low, t_mid, t_high, low and high coefficients
+        return Species(toks[0], *nums[:4], nums[4:11], nums[11:])
     except KineticsError as exc:
         _fail("BadSpecies", str(exc), lineno)
 
 
-def _parse_stoich_side(side, lineno, names):
+def _parse_stoich_side(side, lineno, names, single_spaced=False):
+    """{species index: count} of the '+'-joined terms of `side`, a repeated
+    species' counts summed. A diagnostic quotes its term stripped or, if
+    `single_spaced`, with its tokens joined by single spaces."""
     stoich = {}
     for term in side.split("+"):
-        term = term.strip()
-        if not term:
-            _fail("BadReaction", "empty stoichiometric term", lineno)
         parts = term.split()
         if len(parts) == 1:
             count, name = 1, parts[0]
         elif len(parts) == 2:
+            count, name = parts
             try:
-                count = int(parts[0])
+                count = int(count)
             except ValueError:
-                _fail("BadReaction", f"bad stoichiometric count {parts[0]!r}", lineno)
-            name = parts[1]
+                _fail("BadReaction", f"bad stoichiometric count {count!r}", lineno)
+            if count <= 0:
+                term = " ".join(parts) if single_spaced else term.strip()
+                _fail("BadReaction", f"stoichiometric count must be positive: {term!r}",
+                      lineno)
+        elif not parts:
+            _fail("BadReaction", "empty stoichiometric term", lineno)
         else:
+            term = " ".join(parts) if single_spaced else term.strip()
             _fail("BadReaction", f"cannot parse term {term!r}", lineno)
-        if count <= 0:
-            _fail("BadReaction", f"stoichiometric count must be positive: {term!r}", lineno)
-        if name not in names:
+        idx = names.get(name)
+        if idx is None:
             _fail("UnknownSpecies", f"species {name!r} not declared", lineno)
-        idx = names[name]
         stoich[idx] = stoich.get(idx, 0) + count
     return stoich
 
 
 def _parse_reaction_line(line, lineno, names):
-    if any(pattern.search(line) for pattern in _UNSUPPORTED_RXN):
+    falloff, third_body, keyword = _UNSUPPORTED_RXN
+    if (("(" in line and falloff.search(line))
+            or ("M" in line and third_body.search(line))
+            or (("LOW" in line or "TROE" in line or "PLOG" in line)
+                and keyword.search(line))):
         _fail("UnsupportedReactionType",
               "third-body / falloff / pressure-dependent reactions are not supported",
               lineno)
@@ -162,19 +183,19 @@ def _parse_reaction_line(line, lineno, names):
         lhs, rest = line.split("=>", 1)
     else:
         _fail("BadReaction", "missing '=>' or '<=>'", lineno)
-    rest_toks = rest.split()
-    if len(rest_toks) < 4:
+    # The products' text, then the three Arrhenius numbers.
+    rest = rest.rsplit(None, 3)
+    if len(rest) < 4:
         _fail("BadArrhenius", "reaction needs products plus 3 Arrhenius numbers", lineno)
-    arrhenius = tuple(_parse_float(t, lineno, "Arrhenius value") for t in rest_toks[-3:])
-    rhs_text = " ".join(rest_toks[:-3])
+    arrhenius = _parse_floats(rest[1:], lineno, "Arrhenius value")
     reactants = _parse_stoich_side(lhs, lineno, names)
-    products = _parse_stoich_side(rhs_text, lineno, names)
+    # `rest[0]` keeps the line's spacing; a diagnostic quotes a product
+    # term with single spaces between its tokens.
+    products = _parse_stoich_side(rest[0], lineno, names, single_spaced=True)
     try:
-        rxn = Reaction(reactants=reactants, products=products, arrhenius=arrhenius,
-                       reversible=reversible)
+        return Reaction(reactants, products, arrhenius, reversible)
     except KineticsError as exc:
         _fail("BadReaction", str(exc), lineno)
-    return rxn, lineno
 
 
 def serialize_mechanism(mech):
@@ -321,10 +342,12 @@ def write_csv(path, header, rows):
     The header goes through `csv.writer`, which quotes names that need it.
     Body cells are numbers: a float (np.float64 too) is written in its
     shortest round-trip form, `repr(float(v))`, any other cell as `str(v)`,
-    so a string cell must need no quoting.
+    so a string cell must need no quoting. A Python float, the common cell,
+    is tested for first and needs no conversion.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(",".join([repr(float(v)) if isinstance(v, float) else str(v)
-                                for v in row]) + "\n"
+        fh.writelines(",".join([repr(v) if type(v) is float
+                                else repr(float(v)) if isinstance(v, float)
+                                else str(v) for v in row]) + "\n"
                       for row in rows)

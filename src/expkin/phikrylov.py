@@ -122,7 +122,7 @@ def expm(A):
     s = [max(0, math.ceil(math.log2(x / theta))) if x > theta else 0
          for x in norms]
     if top > theta:
-        As = As * np.reshape([0.5**k for k in s], (-1, 1, 1))
+        As = As * np.array([0.5**k for k in s]).reshape(-1, 1, 1)
     # The even powers [I, A^2, A^4, A^6] in one buffer, and every sum of
     # them that U and V need from one product with the coefficient rows.
     batch = len(As)

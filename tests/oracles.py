@@ -3,12 +3,14 @@
 None of these runs in `expkin` itself: the scalar phi functions (in double
 precision and at 40 digits), the embedded exponential-Euler step and a
 fixed-step EPI3V march, a central-difference Jacobian, a loop-form source
-term and Jacobian written from the NASA-7 and Arrhenius definitions, and a
-CSV reader for the files `expkin.mechio.write_csv` writes. They use only
-public names of the package.
+term and Jacobian written from the NASA-7 and Arrhenius definitions, a
+line-by-line mechanism parser that searches every line with each
+unsupported-syntax pattern, and a CSV reader for the files
+`expkin.mechio.write_csv` writes. They use only public names of the package.
 """
 import csv
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -16,7 +18,8 @@ import numpy as np
 from expkin import phikrylov
 from expkin.integrator import epi3v_step
 from expkin.kinetics import (EXP_ARG_MAX, P_STANDARD, R_GAS, InvalidStateError,
-                             KineticsError)
+                             KineticsError, Mechanism, Reaction, Species)
+from expkin.mechio import FORMAT_VERSION, MechIoError
 
 PHI_TAYLOR_CUTOFF = 0.5      # |z| below which the Taylor series is used
 PHI_TAYLOR_TERMS = 30
@@ -244,3 +247,146 @@ def read_csv(path):
                     parsed.append(cell)
             rows.append(parsed)
     return header, rows
+
+
+# The reference parser's unsupported-syntax patterns: a falloff "(+M)", a
+# third body "+ M" and the falloff/PLOG keywords, each searched on every
+# reaction line.
+_UNSUPPORTED_RXN = (
+    re.compile(r"\(\+\s*\w+\s*\)"),
+    re.compile(r"(?:^|\s)\+\s*M(?:\s|$)"),
+    re.compile(r"\b(?:LOW|TROE|PLOG)\b"),
+)
+
+
+def _fail(code, message, line=None):
+    raise MechIoError(code, message, line)
+
+
+def _parse_float(tok, line, what="number"):
+    try:
+        return float(tok)
+    except ValueError:
+        _fail("BadNumber", f"cannot parse {what} {tok!r}", line)
+
+
+def _records(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_mechanism_reference(text):
+    """The mechanism text format parsed one record at a time: the reference
+    for `expkin.mechio.parse_mechanism`'s Mechanism and for the code,
+    message and line of each diagnostic. Every reaction line is searched
+    with all three unsupported-syntax patterns, each term is looked up with
+    `in`, and the products are parsed from their tokens joined by single
+    spaces."""
+    species = []
+    names = {}
+    reactions = []
+    section = None
+    records = _records(text)
+    lineno, line = next(records, (None, ""))
+    if line.lower().split() != ["format", str(FORMAT_VERSION)]:
+        _fail("BadFormatVersion", f"first record {line!r} is not the 'format 1' header", lineno)
+    for lineno, line in records:
+        if line.startswith("["):
+            if line == "[species]":
+                section = "species"
+            elif line == "[reactions]":
+                section = "reactions"
+            else:
+                _fail("UnknownSection", f"unknown section {line!r}", lineno)
+            continue
+        if section == "species":
+            sp = _species_record(line, lineno)
+            if sp.name in names:
+                _fail("DuplicateSpecies", f"species {sp.name!r} already declared", lineno)
+            names[sp.name] = len(species)
+            species.append(sp)
+        elif section == "reactions":
+            reactions.append(_reaction_record(line, lineno, names))
+        else:
+            _fail("UnknownSection", "content before any section header", lineno)
+    if not species:
+        _fail("NoSpecies", "mechanism declares no species")
+    try:
+        return Mechanism(species=tuple(species), reactions=tuple(r for r, _ in reactions))
+    except KineticsError as exc:
+        _fail("MassImbalance", str(exc), reactions[exc.reaction][1])
+
+
+def _species_record(line, lineno):
+    toks = line.split()
+    if len(toks) != 19:
+        _fail("BadSpecies",
+              f"species line needs name + 18 numbers, got {len(toks)} tokens", lineno)
+    name = toks[0]
+    nums = [_parse_float(t, lineno) for t in toks[1:]]
+    try:
+        return Species(name=name, molar_mass=nums[0], t_low=nums[1],
+                       t_mid=nums[2], t_high=nums[3],
+                       coeffs_low=tuple(nums[4:11]), coeffs_high=tuple(nums[11:18]))
+    except KineticsError as exc:
+        _fail("BadSpecies", str(exc), lineno)
+
+
+def _stoich_record(side, lineno, names):
+    stoich = {}
+    for term in side.split("+"):
+        term = term.strip()
+        if not term:
+            _fail("BadReaction", "empty stoichiometric term", lineno)
+        parts = term.split()
+        if len(parts) == 1:
+            count, name = 1, parts[0]
+        elif len(parts) == 2:
+            try:
+                count = int(parts[0])
+            except ValueError:
+                _fail("BadReaction", f"bad stoichiometric count {parts[0]!r}", lineno)
+            name = parts[1]
+        else:
+            _fail("BadReaction", f"cannot parse term {term!r}", lineno)
+        if count <= 0:
+            _fail("BadReaction", f"stoichiometric count must be positive: {term!r}", lineno)
+        if name not in names:
+            _fail("UnknownSpecies", f"species {name!r} not declared", lineno)
+        idx = names[name]
+        stoich[idx] = stoich.get(idx, 0) + count
+    return stoich
+
+
+def _reaction_record(line, lineno, names):
+    if any(pattern.search(line) for pattern in _UNSUPPORTED_RXN):
+        _fail("UnsupportedReactionType",
+              "third-body / falloff / pressure-dependent reactions are not supported",
+              lineno)
+    if "rev:" in line:
+        _fail("UnsupportedReactionType",
+              "explicit reverse fits ('rev:') are not supported; reverse rates "
+              "come from detailed balance", lineno)
+    if "<=>" in line:
+        reversible = True
+        lhs, rest = line.split("<=>", 1)
+    elif "=>" in line:
+        reversible = False
+        lhs, rest = line.split("=>", 1)
+    else:
+        _fail("BadReaction", "missing '=>' or '<=>'", lineno)
+    rest_toks = rest.split()
+    if len(rest_toks) < 4:
+        _fail("BadArrhenius", "reaction needs products plus 3 Arrhenius numbers", lineno)
+    arrhenius = tuple(_parse_float(t, lineno, "Arrhenius value") for t in rest_toks[-3:])
+    rhs_text = " ".join(rest_toks[:-3])
+    reactants = _stoich_record(lhs, lineno, names)
+    products = _stoich_record(rhs_text, lineno, names)
+    try:
+        rxn = Reaction(reactants=reactants, products=products, arrhenius=arrhenius,
+                       reversible=reversible)
+    except KineticsError as exc:
+        _fail("BadReaction", str(exc), lineno)
+    return rxn, lineno

@@ -13,6 +13,7 @@ KERNELS = {
     "expm@hessenberg_stack", "kiops_eval@gen53", "kiops_eval_phi3@gen53",
     "arnoldi_extend10@gen53",
     "epi3v_step@toy3", "epi3v_step@gen53",
+    "parse_mechanism@gen53", "tables@gen53", "write_csv_solution@gen53",
 }
 
 

@@ -13,7 +13,7 @@ from expkin import cli, integrator
 from expkin.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from expkin.integrator import StepRecord, integrate_mechanism
 from expkin.kinetics import Reaction
-from expkin.mechio import RunConfig, serialize_mechanism
+from expkin.mechio import RunConfig, serialize_mechanism, write_csv
 from oracles import read_csv
 
 SHORT_CFG = """\
@@ -119,6 +119,27 @@ class TestRun:
             kiops_calls = header.index("kiops_calls")
             assert all(r[kiops_calls] == 2.0 for r in accepted)
             assert sum(r[matvecs] for r in rows) > 0
+
+    def test_steps_csv_bytes_match_dict_rows(self, workdir, monkeypatch):
+        # The rows cmd_run built before, a dict per record with `accepted`
+        # as 0/1, written by write_csv, are the reference for the bytes.
+        outputs = []
+
+        def capture(*args, **kwargs):
+            outputs.append(integrate_mechanism(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(cli, "integrate_mechanism", capture)
+        run_cli("run", "--config", str(workdir / "run.cfg"),
+                "--out", str(workdir / "out"))
+        out, = outputs
+        assert any(r.accepted for r in out.records)
+        assert not all(r.accepted for r in out.records)
+        write_csv(workdir / "dict_rows.csv", [f.name for f in fields(StepRecord)],
+                  [{**vars(r), "accepted": int(r.accepted)}.values()
+                   for r in out.records])
+        assert ((workdir / "out" / "steps.csv").read_bytes()
+                == (workdir / "dict_rows.csv").read_bytes())
 
     def test_format_doc_lists_steps_columns(self):
         # steps.csv's header is read off the StepRecord fields, so a new field
@@ -279,6 +300,18 @@ class TestErrorPaths:
             rc = run_cli("validate", "--config", str(workdir / "bad.cfg"))
             assert rc == EXIT_CONFIG
             assert code in capsys.readouterr().err
+
+    def test_stoichiometric_count_too_large(self, workdir, capsys):
+        # A count beyond the integer stoichiometric matrices once ended in
+        # an OverflowError traceback; it is a BadReaction at its line.
+        with open(workdir / "toy3.mech", "a") as fh:
+            fh.write("F => 99999999999999999999 X 1 0 0\n")
+        lines = (workdir / "toy3.mech").read_text().splitlines()
+        rc = run_cli("validate", "--config", str(workdir / "run.cfg"))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("mechanism error: BadReaction: stoichiometric coefficient")
+        assert err.endswith(f"(line {len(lines)})\n")
 
     def test_species_not_in_mechanism(self, workdir, capsys):
         (workdir / "bad.cfg").write_text(SHORT_CFG.replace("Y F 0.1", "Y Q 0.1"))

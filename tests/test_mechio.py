@@ -8,11 +8,12 @@ import pytest
 
 from conftest import FIXTURE_DIR, FORMAT_DOC, mechgen, random_balanced_mechanism
 from expkin import mechio
+from expkin.kinetics import MAX_STOICH, KineticsError, Reaction
 from expkin.mechio import (
     _SCALAR_KEYS, _UNSUPPORTED_RXN, MechIoError, RunConfig, parse_config,
     parse_mechanism, serialize_mechanism, write_csv,
 )
-from oracles import read_csv
+from oracles import parse_mechanism_reference, read_csv
 
 MINIMAL = """\
 format 1
@@ -254,6 +255,159 @@ class TestRoundTrip:
             assert again == mech
             # Twice through is a fixed point.
             assert serialize_mechanism(again) == serialize_mechanism(mech)
+
+
+# MINIMAL plus species named "M" or holding "M", "LOW", "TROE" or "PLOG"; all
+# of one molar mass, so any reaction with as many molecules on each side
+# balances.
+STRESS = MINIMAL.replace("[reactions]", "".join(
+    f"{name} 0.030 200.0 1000.0 6000.0 3.5 0 0 0 0 10.0 5.0 3.5 0 0 0 0 10.0 5.0\n"
+    for name in ("M", "M1", "XM", "MM", "SLOW", "LOWER", "TROE2", "PLOGX"))
+    + "\n[reactions]")
+SPECIES_A = "A 0.030 200.0 1000.0 6000.0 3.5 0 0 0 0 100.0 5.0 3.5 0 0 0 0 100.0 5.0"
+REACTION_AB = "A => B 1.0e6 0.0 8.0e4"
+
+# (old, new) edits of STRESS: each makes one bad line, or one line that must
+# parse although it holds "M", "LOW", "TROE", "PLOG", "(" or odd spacing.
+CORPUS = [
+    ("format 1", "format 2"), ("format 1", "[species]"), ("format 1", ""),
+    ("[reactions]", "[rates]"), ("format 1\n", f"format 1\n{SPECIES_A}\n"),
+    (SPECIES_A, SPECIES_A.replace("200.0", "2oo")),
+    (SPECIES_A, SPECIES_A.replace(" 5.0", "", 1)),
+    (SPECIES_A, SPECIES_A.replace("3.5", "nan", 1)),
+    (SPECIES_A, SPECIES_A.replace("0.030", "0.0")),
+    (SPECIES_A, SPECIES_A.replace("200.0", "-1.0")),
+    (SPECIES_A, SPECIES_A.replace("3.5", "9.5", 1)),
+    ("B 0.030", "A 0.030"),
+    (REACTION_AB, "A => C 1.0e6 0.0 8.0e4"), (REACTION_AB, "C + A => B 1 0 0"),
+    (REACTION_AB, "A => B + C 1 0 0"), (REACTION_AB, "A - B 1 0 0"),
+    (REACTION_AB, "A => B 1 0"), (REACTION_AB, "A => 1 0 0"), (REACTION_AB, "A =>"),
+    (REACTION_AB, "A => B 1.0e6 0.0 fast"), (REACTION_AB, "A => B x y z"),
+    (REACTION_AB, "A => B 0 0 0"), (REACTION_AB, "A => B -1 0 0"),
+    (REACTION_AB, "A => B nan 0 0"), (REACTION_AB, "A => B 1 0 inf"),
+    (REACTION_AB, "A => B + 1.5 A 1 0 0"), (REACTION_AB, "0 A => 0 B 1 0 0"),
+    (REACTION_AB, "0   A => B 1 0 0"), (REACTION_AB, "A => 0   B 1 0 0"),
+    (REACTION_AB, "A => B  C\t D 1 0 0"), (REACTION_AB, "A  B \t C => D 1 0 0"),
+    (REACTION_AB, "A => + B 1 0 0"), (REACTION_AB, "A + => B 1 0 0"),
+    (REACTION_AB, "A => B ++ 1 0 0"), (REACTION_AB, "A => 2 B 1 0 0"),
+    (REACTION_AB, f"{MAX_STOICH + 1} A => {MAX_STOICH + 1} B 1 0 0"),
+    (REACTION_AB, "99999999999999999999 A => 99999999999999999999 B 1 0 0"),
+    (REACTION_AB, "60 A + 60 A => 120 B 1 0 0"),
+    (REACTION_AB, f"{MAX_STOICH} A => {MAX_STOICH} B 1 0 0"),
+    (REACTION_AB, "A + M => B + M 1 0 0"), (REACTION_AB, "A +M => B 1 0 0"),
+    (REACTION_AB, "A+M => B+M 1 0 0"), (REACTION_AB, "M => A 1 0 0"),
+    (REACTION_AB, "A (+M) => B (+M) 1 0 0"), (REACTION_AB, "A (+ N2 ) => B 1 0 0"),
+    (REACTION_AB, "A (B) => C 1 0 0"), (REACTION_AB, "A => B 1 0 0 LOW 1 2 3"),
+    (REACTION_AB, "A => B 1 0 0 TROE 0.5 1 2"), (REACTION_AB, "A => B PLOG/1/"),
+    (REACTION_AB, "A => B 1 0 0 rev: 1 0 0"),
+    (REACTION_AB, "M1 + A => SLOW + B 1 0 0"), (REACTION_AB, "LOWER <=> TROE2 1 0 0"),
+    (REACTION_AB, "XM + MM => 2 PLOGX 1 0 0"), (REACTION_AB, "A\t=>\tB\t1\t0\t0"),
+    (REACTION_AB, "  2   A  +  B   <=>   3 B   1 0 0  # note"),
+    ("A + B <=> 2 B", "A + B <=> B"),
+]
+# Codes of the error table that only parse_config raises.
+CONFIG_CODES = {"UnknownKey", "MissingKey", "BadConfigValue", "MassFractionSum"}
+
+
+def parse_outcome(parse, text):
+    """('ok', mechanism) or (code, message, line) of parsing `text`."""
+    try:
+        return "ok", parse(text)
+    except MechIoError as exc:
+        return exc.code, str(exc), exc.line
+
+
+def assert_same_mechanism(got, want):
+    """Equal mechanisms down to the derived arrays, the field types and the
+    order of each reaction's terms."""
+    assert got == want
+    for a, b in zip(got.species, want.species):
+        assert [type(v) for v in vars(a).values()] == [type(v) for v in vars(b).values()]
+    for a, b in zip(got.reactions, want.reactions):
+        assert list(a.reactants.items()) == list(b.reactants.items())
+        assert list(a.products.items()) == list(b.products.items())
+        assert type(a.arrhenius) is type(b.arrhenius) is tuple
+    for name in ("molar_masses", "nu_forward", "nu_reverse"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestParseMatchesReference:
+    """parse_mechanism against the reference parser in oracles.py, which
+    searches every reaction line with each unsupported-syntax pattern."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.mech")),
+                             ids=lambda p: p.name)
+    def test_fixtures(self, path):
+        text = path.read_text()
+        assert_same_mechanism(parse_mechanism(text), parse_mechanism_reference(text))
+
+    @pytest.mark.parametrize("n_species", [9, 20, 53, 100])
+    def test_generated_networks(self, n_species):
+        text = serialize_mechanism(mechgen.generate_mechanism(n_species, 0))
+        assert_same_mechanism(parse_mechanism(text), parse_mechanism_reference(text))
+
+    def test_minimal_and_stress(self):
+        for text in (MINIMAL, STRESS):
+            assert_same_mechanism(parse_mechanism(text), parse_mechanism_reference(text))
+
+    def test_bad_lines_match(self):
+        assert all(old in STRESS for old, _ in CORPUS)
+        texts = [STRESS.replace(old, new, 1) for old, new in CORPUS]
+        texts += ["format 1\n", "format 1\n[species]\n[reactions]\n"]
+        seen = set()
+        for text in texts:
+            got = parse_outcome(parse_mechanism, text)
+            want = parse_outcome(parse_mechanism_reference, text)
+            assert got[0] == want[0], text
+            if got[0] == "ok":
+                assert_same_mechanism(got[1], want[1])
+            else:
+                assert got == want, text
+            seen.add(got[0])
+        # Every mechanism diagnostic of the format's error table is met.
+        section = FORMAT_DOC.read_text().split("## Error codes")[1]
+        documented = {line.split("`")[1]
+                      for line in section.split("\n## ")[0].splitlines()
+                      if line.startswith("| `")}
+        assert seen == documented - CONFIG_CODES | {"ok"}
+
+    @pytest.mark.parametrize("line", [
+        "M1 + A => SLOW + B 1 0 0", "LOWER <=> TROE2 1 0 0",
+        "XM + MM => 2 PLOGX 1 0 0", "M => A 1 0 0", "SLOW + LOWER => 2 MM 1 0 0",
+    ])
+    def test_names_like_unsupported_syntax_parse(self, line):
+        mech = parse_mechanism(STRESS.replace(REACTION_AB, line))
+        assert mech.n_reactions == 2
+
+
+class TestStoichiometricLimit:
+    """Counts above MAX_STOICH are refused where they are read; no test here
+    builds a mechanism's evaluation tables."""
+
+    @pytest.mark.parametrize("line", [
+        "F => 99999999999999999999 X 1 0 0",
+        "1000000000 F => 1000000000 X 1 0 0",
+        f"F + {MAX_STOICH} F => {MAX_STOICH + 1} X 1 0 0",
+    ])
+    def test_count_above_limit_is_bad_reaction(self, line):
+        text = (FIXTURE_DIR / "toy3.mech").read_text() + line + "\n"
+        with pytest.raises(MechIoError) as e:
+            parse_mechanism(text)
+        assert code_of(e) == "BadReaction"
+        assert e.value.line == len(text.splitlines())
+        assert f"from 0 to {MAX_STOICH}" in str(e.value)
+
+    def test_count_at_limit_parses(self):
+        text = (FIXTURE_DIR / "toy3.mech").read_text()
+        mech = parse_mechanism(text + f"{MAX_STOICH} F => {MAX_STOICH} X 1 0 0\n")
+        assert mech.nu_forward[-1].max() == MAX_STOICH
+        assert "tables" not in vars(mech)
+
+    @pytest.mark.parametrize("nu", [MAX_STOICH + 1, 10**20, float("inf"),
+                                    float("nan"), -1])
+    def test_reaction_refuses_count(self, nu):
+        with pytest.raises(KineticsError):
+            Reaction(reactants={0: nu}, products={1: 1}, arrhenius=(1.0, 0.0, 0.0))
 
 
 CONFIG = """\

@@ -74,6 +74,22 @@ class TestExpm:
         np.testing.assert_allclose(expm(A) @ expm(-A), np.eye(6),
                                    rtol=0, atol=1e-12)
 
+    def test_scaled_stack_is_exact(self):
+        # Each B has 1-norm 4, inside (theta_13 / 2, theta_13], so expm(B)
+        # is the unscaled Pade approximant. expm of the stack [8 B_0,
+        # 32 B_1] scales it back to [B_0, B_1] exactly and squares 3 and 5
+        # times, so it matches squaring expm(B) bit for bit.
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal((2, 7, 7))
+        B *= 4.0 / np.abs(B).sum(axis=1).max(axis=1)[:, None, None]
+        got = expm(B * np.array([8.0, 32.0])[:, None, None])
+        want = expm(B)
+        for _ in range(3):
+            want = want @ want
+        for _ in range(2):
+            want[1] = want[1] @ want[1]
+        assert np.array_equal(got, want)
+
 
 def ode_phi_oracle(A, bs, T=1.0):
     """w(T) = sum_k T^k phi_k(T A) b_k by a tight non-stiff ODE solve.
