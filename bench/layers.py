@@ -2,11 +2,14 @@
 
     python3 bench/layers.py [--repeat 15] [--number 0] [--out BENCH_layers.json]
 
-Times `rhs_vector` and `rhs_and_jacobian` at a toy3 state and at a state of
-a generated K = 53 mechanism (`perfbench/mechgen.py`, network 0, the size of
-the gen53-ignition workload), `phi_blocks` and `expm` on the matrix and the
-(2, 16, 16) stack that one EPI3V step at the toy3 state hands them, `expm`
-of a (2, 11, 11) Krylov-Hessenberg stack, the two `kiops_eval` calls of an
+Times `rhs_vector`, `rhs_and_jacobian` and the thermo product
+(`kinetics._thermo`) at a toy3 state and at a state of a generated K = 53
+mechanism (`perfbench/mechgen.py`, network 0, the size of the gen53-ignition
+workload), `phi_blocks` and `expm` on the matrix and the (2, 16, 16) stack
+that one EPI3V step at the toy3 state hands them (a balanced ||h J||_1 of
+0.025, near the toy3-run median of 0.024, which `phi_blocks` takes at Taylor
+degree 9), `phi_blocks` on that matrix scaled to ||h J||_1 = 1 (degree 20),
+`expm` of a (2, 11, 11) Krylov-Hessenberg stack, the two `kiops_eval` calls of an
 attempt at the K = 53 state (phi_1 at T = 3/4 and 1, phi_3 at T = 1),
 `Arnoldi.extend(10)` there, one `epi3v_step` attempt (F and J given) at
 each state, and the set-up and output of a K = 53 run: `parse_mechanism` of
@@ -158,6 +161,11 @@ def toy_stack(step):
     return captured["phi_blocks"], captured["expm"]
 
 
+def norm1(X):
+    """The largest 1-norm of the matrix X or of the matrices of a stack."""
+    return float(np.abs(X).sum(axis=-2).max())
+
+
 def hessenberg_stack(A, v):
     """The (2, 11, 11) stack a 10-vector Krylov substep exponentiates: the
     Hessenberg matrix with its error-estimate column, at tau 1 and 3/4."""
@@ -189,6 +197,7 @@ def measure(repeat, number, tmpdir):
     cfg = mechio.parse_config((FIXTURES / "toy_ignition.cfg").read_text())
     step_toy = attempt(toy_mech, y_toy, TOY_STEP, cfg.atol, cfg.rtol)
     A_toy, stack_toy = toy_stack(step_toy)
+    A_toy_norm1 = A_toy / norm1(A_toy)
     F_gen, J_gen = rhs_and_jacobian(y_gen, gen_mech, PRESSURE)
     A_gen, hF_gen = GEN_STEP * J_gen, GEN_STEP * F_gen
     stack_hess = hessenberg_stack(A_gen, hF_gen)
@@ -201,7 +210,11 @@ def measure(repeat, number, tmpdir):
         "rhs_and_jacobian@toy3": lambda: rhs_and_jacobian(y_toy, toy_mech, PRESSURE),
         "rhs_vector@gen53": lambda: rhs_vector(y_gen, gen_mech, PRESSURE),
         "rhs_and_jacobian@gen53": lambda: rhs_and_jacobian(y_gen, gen_mech, PRESSURE),
+        "thermo@toy3": lambda: kinetics._thermo(TOY_T, toy_mech.tables),
+        "thermo@gen53": lambda: kinetics._thermo(GEN_T, gen_mech.tables),
         "phi_blocks@toy3": lambda: phikrylov.phi_blocks(A_toy, (0.75, 1.0)),
+        "phi_blocks@toy3_norm1": lambda: phikrylov.phi_blocks(A_toy_norm1,
+                                                              (0.75, 1.0)),
         "expm@toy3_stack": lambda: phikrylov.expm(stack_toy),
         "expm@hessenberg_stack": lambda: phikrylov.expm(stack_hess),
         "kiops_eval@gen53": lambda: phikrylov.kiops_eval(
@@ -217,14 +230,15 @@ def measure(repeat, number, tmpdir):
         "write_csv_solution@gen53": lambda: mechio.write_csv(
             solution_csv, solution_header, solution),
     }
-    norms = {"expm@toy3_stack": stack_toy, "expm@hessenberg_stack": stack_hess}
+    operands = {"phi_blocks@toy3": A_toy, "phi_blocks@toy3_norm1": A_toy_norm1,
+                "expm@toy3_stack": stack_toy, "expm@hessenberg_stack": stack_hess}
     results = {}
     for name, fn in kernels.items():
         results[name] = per_call_us(fn, repeat, number)
-        if name in norms:
-            stack = norms[name]
-            results[name]["shape"] = list(stack.shape)
-            results[name]["norm1_max"] = float(np.abs(stack).sum(axis=-2).max())
+        if name in operands:
+            X = operands[name]
+            results[name]["shape"] = list(X.shape)
+            results[name]["norm1_max"] = norm1(X)
     return results
 
 

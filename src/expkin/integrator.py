@@ -23,6 +23,7 @@ evaluate is a rejection, not the end of the run.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -104,38 +105,51 @@ def problem_from_mechanism(mech, pressure, *, telemetry=None):
     return OdeProblem(f, jac)
 
 
+@functools.lru_cache(maxsize=64)
+def _balancing(exponents):
+    """(ratios, ratios.T) for error weights of binary exponents `exponents`:
+    d ~ 1/weights in powers of two, normalised to at most 1 and clipped at
+    2^-20, and ratios[i, j] = d_i / d_j, both read-only. D A D^-1 then
+    exceeds A by at most 2^20 entrywise and D v never exceeds v, for any
+    positive weights. A wider spread makes the scaled matrix so far from
+    normal that squaring it loses the weighted accuracy (on toy3 states at
+    atol 1e-20, a spread of 2^40 left the products 2e-3 off in the weighted
+    norm)."""
+    low = min(exponents)
+    d = [math.ldexp(1.0, max(low - x, -20)) for x in exponents]
+    ratios = np.divide.outer(d, d)
+    ratios_t = ratios.T.copy()
+    ratios.flags.writeable = ratios_t.flags.writeable = False
+    return ratios, ratios_t
+
+
 def _phi_products(A, hF, weights, krylov_tol, stats):
     """(w34, w1, phi3) of an attempt with A = h J: T phi_1(T A) hF at T = 3/4
     and T = 1, and the map v -> phi_3(A) v.
 
     A small state (n + MAX_PHI_ORDER <= M_INIT) takes them from the
     `phikrylov.phi_blocks` of D A D^-1, with D = diag(1/weights) rounded to
-    powers of two, and unscales the products. The similarity is exact, so it
-    leaves the phi values unchanged; it only balances the matrix (T beside
-    mass fractions spans many decades), which spares `expm` its squarings
-    (Brown & Hindmarsh, Appl. Math. Comput. 31, 1989), and it counts no work.
-    A larger state makes two unweighted Krylov evaluations, each counted
-    into `stats` as it begins, so a call that raises has been counted.
+    powers of two (`_balancing`, cached on the weights' binary exponents,
+    which seldom change from one attempt to the next), and unscales the
+    products. The similarity is exact, so it leaves the phi values
+    unchanged; it only balances the matrix (T beside mass fractions spans
+    many decades), which keeps `expm`'s degree low and spares it squarings
+    (Brown & Hindmarsh, Appl. Math. Comput. 31, 1989), and it counts no
+    work. A larger state makes two unweighted Krylov evaluations, each
+    counted into `stats` as it begins, so a call that raises has been
+    counted.
     """
     n = len(hF)
     if n + phikrylov.MAX_PHI_ORDER <= phikrylov.M_INIT:
-        # d ~ 1/weights in powers of two, normalised to at most 1 and clipped
-        # at 2^-20: D A D^-1 then exceeds A by at most 2^20 entrywise and D v
-        # never exceeds v, for any positive weights. A wider spread makes the
-        # scaled matrix so far from normal that squaring it loses the
-        # weighted accuracy (on toy3 states at atol 1e-20, a spread of 2^40
-        # left the products 2e-3 off in the weighted norm).
-        # On n <= 7 entries, math's frexp and ldexp cost less than numpy's.
-        e = [math.frexp(w)[1] for w in weights.tolist()]
-        low = min(e)
-        d = [math.ldexp(1.0, max(low - x, -20)) for x in e]
-        ratios = np.divide.outer(d, d)
+        # On n <= 7 entries, math's frexp costs less than numpy's.
+        ratios, ratios_t = _balancing(
+            tuple([math.frexp(w)[1] for w in weights.tolist()]))
         # [T phi_1 | T^2 phi_2 | T^3 phi_3](T D A D^-1) at T = 3/4 and 1.
         P = phikrylov.phi_blocks(A * ratios, (0.75, 1.0))
         # phi(A) = D^-1 phi(D A D^-1) D: entry (i, j) times d_j / d_i, a
         # power of two, so these products are exact.
-        w34, w1 = P[:, :, :n] * ratios.T @ hF
-        phi3_A = P[1, :, 2 * n:] * ratios.T
+        w34, w1 = P[:, :, :n] * ratios_t @ hF
+        phi3_A = P[1, :, 2 * n:] * ratios_t
 
         def phi3(v):
             return phi3_A @ v
@@ -176,14 +190,13 @@ def epi3v_step(y, h, F, J, problem, weights, krylov_tol=1.0e-12, stats=None):
 
 
 def scaled_error_norm(lte, weights):
-    """RMS of lte components scaled by the error weights atol + rtol |y|."""
-    # Overflow here just yields inf, which the controller treats as a
-    # rejection; no need to warn about it.
-    with np.errstate(over="ignore"):
-        sq = (lte / weights) ** 2
-        # sum / size: the bits of np.mean without its dispatch; both square
-        # roots are correctly rounded.
-        return math.sqrt(float(np.add.reduce(sq)) / sq.size)
+    """RMS of lte components scaled by the error weights atol + rtol |y|.
+    An overflow gives inf, which the controller treats as a rejection."""
+    q = lte / weights
+    q *= q
+    # sum / size: the bits of np.mean without its dispatch; both square
+    # roots are correctly rounded.
+    return math.sqrt(float(np.add.reduce(q)) / q.size)
 
 
 def controller_update(err_scaled, h_old, h_min=0.0):
@@ -214,6 +227,7 @@ def _interp_samples(times, ts, ys):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
                        output_times=None, step_hook=None):
     """March EPI3V with the adaptive controller from t0 to t_final.
@@ -228,6 +242,12 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
 
     `atol` and `rtol` weight the error estimate; `h0` is the first step size
     (default 1e-10 of the interval), positive and finite.
+
+    The march runs with numpy's overflow and invalid-operation warnings off,
+    set once for the run: such a value shows as an operator or vector whose
+    1-norm is not finite (PhiConvergenceError), a state the kinetics
+    refuses (KineticsError) or a non-finite error estimate, and each fails
+    its attempt.
     """
     if not (t_final > t0):
         raise ValueError("t_final must exceed t0")

@@ -6,12 +6,13 @@ fractions in mechanism order). All quantities are SI: K, Pa, kg/mol, mol/m^3,
 J/mol, s.
 
 Every evaluation works on the arrays a `Mechanism` builds once (`_Tables`):
-an R/W-scaled NASA-7 table of both ranges, the Arrhenius rows
-[ln A, beta, E/R], stoichiometric matrices, one padded slot table of the
-forward rows and of the reverse rows of reversible reactions, and the
-sparse scatter of the Jacobian. So one pass takes the thermo from one
-product, ln k and d ln k/dT from another, and the mass-action products and
-their derivatives from one gather of slot columns. The Jacobian is
+R/W-scaled NASA-7 tables, one per interval between the species' T_mid
+values (each built on first use), the Arrhenius rows [ln A, beta, E/R],
+stoichiometric matrices, one padded slot table of the forward rows and of
+the reverse rows of reversible reactions, and the sparse scatter of the
+Jacobian. So one pass takes the thermo from one product, ln k and
+d ln k/dT from another, and the mass-action products and their
+derivatives from one gather of slot columns. The Jacobian is
 analytical in the manner of pyJac (Niemeyer, Curtis & Sung, Comput. Phys.
 Commun. 215, 2017): rate-of-progress derivatives in the concentrations come
 from the mass-action products, temperature derivatives from the Arrhenius
@@ -23,9 +24,11 @@ pass, and the three agree bit for bit.
 """
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,6 +130,14 @@ def _thermo_powers(T):
     return np.array([1.0, T, T2, T2 * T, T2 * T2, T2 * T2 * T, math.log(T)])
 
 
+@lru_cache(maxsize=64)
+def _cp_columns(T):
+    """The c_p block of `_NASA7_MAP` times `_thermo_powers(T)`, as floats:
+    its dot product with a NASA-7 row is c_p/R at T. Mechanisms share a
+    few T_mid values, so it is cached."""
+    return tuple((_NASA7_MAP[0] @ _thermo_powers(T)).tolist())
+
+
 @dataclass(frozen=True)
 class Species:
     """One chemical species with a two-range NASA-7 thermodynamic fit."""
@@ -152,8 +163,10 @@ class Species:
             )
         if len(self.coeffs_low) != 7 or len(self.coeffs_high) != 7:
             raise KineticsError(f"species {self.name!r}: need 7+7 NASA coefficients")
-        cp_lo, cp_hi = (_thermo_table([self.coeffs_low, self.coeffs_high])
-                        @ _thermo_powers(self.t_mid))[:2].tolist()
+        # c_p/R of both ranges at T_mid, from the c_p columns alone.
+        columns = _cp_columns(self.t_mid)
+        cp_lo = sum(map(operator.mul, self.coeffs_low, columns))
+        cp_hi = sum(map(operator.mul, self.coeffs_high, columns))
         if abs(cp_lo - cp_hi) > 0.01 * max(abs(cp_lo), abs(cp_hi)):
             raise KineticsError(
                 f"species {self.name!r}: c_p discontinuity at T_mid exceeds 1%"
@@ -212,10 +225,13 @@ class _Tables:
     - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row
       sums, `reversible` (N,) the reactions with a reverse row;
     - `thermo` (8K, 7): the NASA-7 tables (`_thermo_table`) of the low
-      and then the high range, scaled by R/W, so that one product with
-      `_thermo_powers(T)` gives c_p, H, S and dc_p/dT per unit mass in
-      both ranges; the range limits `t_low`, `t_mid`, `t_high` (K,) and
-      the window where every fit holds, [`t_min`, `t_max`] (floats);
+      and then the high range, scaled by R/W; the range limits `t_low`,
+      `t_mid`, `t_high` (K,) and the window where every fit holds,
+      [`t_min`, `t_max`] (floats); `t_mids`, the sorted distinct T_mid
+      values as floats, and `thermo_by_range`, a (4K, 7) table per interval
+      between them, each built on first use (`thermo_at`) from the rows of
+      `thermo`, so that one product with `_thermo_powers(T)` gives c_p, H,
+      S and dc_p/dT per unit mass at T;
     - `arrhenius` (3, N): ln A, beta and E/R of every reaction, and
       `e_r_max`, the largest |E|/R;
     - `reverse` (R,): the reversible reactions' indices; `equilibrium_nu`
@@ -257,6 +273,8 @@ class _Tables:
         self.t_high = np.array([s.t_high for s in species])
         self.t_min = float(self.t_low.max())
         self.t_max = float(self.t_high.min())
+        self.t_mids = sorted(set(self.t_mid.tolist()))
+        self.thermo_by_range = [None] * (len(self.t_mids) + 1)
         rev = np.flatnonzero(self.reversible)
         rows = np.concatenate((np.arange(N), rev))
         A, beta, E = np.array([r.arrhenius for r in reactions],
@@ -295,6 +313,19 @@ class _Tables:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def thermo_at(self, T):
+        """The (4K, 7) thermo table of the T_mid interval T falls in: each
+        species' high-range rows of `thermo` where T > T_mid, else its
+        low-range rows (so at T = T_mid a species keeps its low range)."""
+        i = bisect.bisect_left(self.t_mids, T)
+        table = self.thermo_by_range[i]
+        if table is None:
+            low, high = self.thermo.reshape(2, 4, -1, 7)
+            table = np.where((T > self.t_mid)[:, None], high, low).reshape(-1, 7)
+            table.flags.writeable = False
+            self.thermo_by_range[i] = table
+        return table
 
 
 @dataclass(frozen=True)
@@ -441,9 +472,8 @@ def _check_range(T, tb, mech):
 
 def _thermo(T, tb):
     """c_p, H, S and dc_p/dT per unit mass of every species at T, (4, K):
-    one product of both ranges' tables, then each species' range picked."""
-    both = (tb.thermo @ _thermo_powers(T)).reshape(2, 4, -1)
-    return np.where(T > tb.t_mid, both[1], both[0])
+    one product of the table of T's range (`_Tables.thermo_at`)."""
+    return (tb.thermo_at(T) @ _thermo_powers(T)).reshape(4, -1)
 
 
 def species_thermo(T, mech):

@@ -57,6 +57,22 @@ _TAYLOR = tuple(_taylor(theta, m, s) for theta, m, s in (
 _TAYLOR_THETAS = tuple(theta for theta, _, _ in _TAYLOR)
 
 
+def _phi_reach(m):
+    """a_m = ((m+1)! u / 6)^(1/(m-2)), u = 2^-53: up to this ||T A||_1
+    the degree-m Taylor polynomial of the `phi_blocks` stack truncates every
+    block T^j phi_j(T A) below unit roundoff. Block j keeps the powers of A
+    up to A^(m-j), so its relative error is about j! a^(m-j+1) / (m+1)!,
+    the largest at j = 3."""
+    return (math.factorial(m + 1) * 2.0**-53 / 6) ** (1 / (m - 2))
+
+
+# The degrees m = 4 .. 16 that `phi_blocks` aims for: their a_m, ascending,
+# and theta_m. At degree 20 the stack keeps its unit shift blocks.
+_PHI_REACH, _PHI_THETAS = zip(*((_phi_reach(s * len(C)), theta)
+                                for theta, s, C in _TAYLOR
+                                if 4 <= s * len(C) < 20))
+
+
 def _pade13():
     """(theta_13, C) of the degree-13 Pade approximant of exp() (Higham,
     SIAM J. Matrix Anal. Appl. 26(4), 2005): over the even powers
@@ -87,7 +103,8 @@ def _identity(n):
 
 
 class PhiConvergenceError(RuntimeError):
-    """Krylov evaluation could not reach the requested tolerance.
+    """A phi evaluation failed: the Krylov process could not reach the
+    requested tolerance, or the operator's 1-norm is not finite.
 
     The message ends with the diagnostics, as `key=value` pairs.
     """
@@ -109,12 +126,16 @@ def expm(A):
     degree-13 Pade approximant with scaling and squaring (Higham 2005) from
     batched products and one batched solve; a matrix above theta_13 is
     scaled by the exponent of its own 1-norm and squared back, so it gets
-    the squarings it would get alone.
+    the squarings it would get alone. A matrix whose 1-norm is not finite
+    raises PhiConvergenceError.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
     As = A.reshape(-1, n, n)
     norms = np.abs(As).sum(axis=1).max(axis=1).tolist()
+    if not all(map(math.isfinite, norms)):
+        raise PhiConvergenceError("matrix 1-norm is not finite",
+                                  {"norm": max(norms)})
     top = max(norms)
     if top <= _TAYLOR[-1][0]:
         return _taylor_stack(As, top).reshape(A.shape)
@@ -216,32 +237,57 @@ def phi_blocks(A, time_points):
     an array (len(time_points), n, 3n) whose columns k n .. (k+1) n - 1 hold
     T^(k+1) phi_(k+1)(T A), the scaling `kiops_eval` uses.
 
-    The 1-norm of T M, at least T, sets the tier, degree and squarings of
-    the exponential, so a caller balances A first when it can: the
-    integrator passes D A D^-1 with D from its error weights, which keeps
-    most toy stacks at norm T <= 1, on the Taylor tier.
+    The identity blocks would hold the stack's 1-norm at T or more, and with
+    it `expm`'s degree at 20 however small A is. So the stack takes eta I
+    shift blocks instead, eta = 2^k, and block j of its top row comes out
+    as eta^j T^j phi_j(T A) (a diagonal similarity; Al-Mohy & Higham, SIAM
+    J. Sci. Comput. 33(2), 2011, Sec. 2): the lowest degree m in 4 .. 16
+    whose reach a_m (`_phi_reach`) covers ||T A||_1 sets eta to the power
+    of two just below theta_m / T, so `expm`'s own norm test picks m; past
+    a_16, eta = 1. Scaling by powers of two is exact, so the unscaled
+    blocks are those of the unit-shift stack at that degree, bit for bit
+    (barring underflow). A matrix whose 1-norm is not finite raises
+    PhiConvergenceError, with no overflow warning.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    shifts, times = _shift_stack(n, tuple(time_points))
+    time_points = tuple(time_points)
+    # Column sums in Python floats: one that overflows is inf, silently.
+    columns = list(map(sum, np.abs(A).T.tolist()))
+    if not all(map(math.isfinite, columns)):
+        raise PhiConvergenceError("operator 1-norm is not finite")
+    t_max = max(time_points)
+    i = bisect.bisect_left(_PHI_REACH, t_max * max(columns, default=0.0))
+    k = 0
+    if i < len(_PHI_REACH):
+        # x = f 2^e with 0.5 <= f < 1, so floor(log2 x) = e - 1.
+        k = math.frexp(_PHI_THETAS[i] / t_max)[1] - 1
+    shifts, times, unscale = _shift_stack(n, time_points, k)
     stack = shifts.copy()
     np.multiply(times, A, out=stack[:, :n, :n])
-    return expm(stack)[:, :n, n:]
+    P = expm(stack)[:, :n, n:]
+    return P if unscale is None else P * unscale
 
 
-@functools.lru_cache(maxsize=16)
-def _shift_stack(n, time_points):
-    """(stack, times): the stack T M of `phi_blocks` with A = 0 (only the
-    T I blocks set), and the time points as a (len, 1, 1) column, both
-    shared and read-only; a copy of the stack takes T A in its top-left
-    blocks."""
+@functools.lru_cache(maxsize=64)
+def _shift_stack(n, time_points, k):
+    """(stack, times, unscale): the stack T M of `phi_blocks` with A = 0
+    (only the T 2^k I shift blocks set), the time points as a (len, 1, 1)
+    column, and the factors 2^-(j k) of the block columns j = 1, 2, 3 of
+    the top row (3n,), None when k = 0; all shared and read-only. A copy of
+    the stack takes T A in its top-left blocks."""
     q = MAX_PHI_ORDER
     M = np.zeros(((q + 1) * n, (q + 1) * n))
-    M[:q * n, n:] = _identity(q * n)
+    M[:q * n, n:] = math.ldexp(1.0, k) * _identity(q * n)
     stack = np.multiply.outer(time_points, M)
     times = np.reshape(time_points, (-1, 1, 1)).astype(float)
+    unscale = None
+    if k:
+        unscale = np.repeat([math.ldexp(1.0, -j * k)
+                             for j in range(1, q + 1)], n)
+        unscale.flags.writeable = False
     stack.flags.writeable = times.flags.writeable = False
-    return stack, times
+    return stack, times, unscale
 
 
 @dataclass
@@ -374,7 +420,8 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     the basis is first grown (x4/3 up to M_MAX), then the substep is halved;
     an easy success doubles the next substep. Without b_0 the first basis
     takes its known first vectors from the augmented matrix's columns
-    (`Arnoldi`'s `columns`); each still counts as one matvec.
+    (`Arnoldi`'s `columns`); each still counts as one matvec. A vector b_k
+    whose 1-norm is not finite raises PhiConvergenceError.
     """
     time_points = tuple(float(t) for t in time_points)
     p = len(bs) - 1
@@ -395,6 +442,10 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     # scale the b columns down by nu and the polynomial block up by 1/nu.
     norm_b = max((float(np.abs(b).sum()) for b in bs[1:] if b is not None),
                  default=0.0)
+    # Written so that a NaN fails too.
+    if not norm_b < math.inf:
+        raise PhiConvergenceError("vector 1-norm is not finite",
+                                  {"norm": norm_b})
     if norm_b > 0:
         nu = 2.0 ** -math.ceil(math.log2(norm_b))
     else:

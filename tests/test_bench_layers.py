@@ -6,10 +6,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KERNELS = {
     "rhs_vector@toy3", "rhs_and_jacobian@toy3", "rhs_vector@gen53",
-    "rhs_and_jacobian@gen53", "phi_blocks@toy3", "expm@toy3_stack",
+    "rhs_and_jacobian@gen53", "thermo@toy3", "thermo@gen53",
+    "phi_blocks@toy3", "phi_blocks@toy3_norm1", "expm@toy3_stack",
     "expm@hessenberg_stack", "kiops_eval@gen53", "kiops_eval_phi3@gen53",
     "arnoldi_extend10@gen53",
     "epi3v_step@toy3", "epi3v_step@gen53",
@@ -37,5 +40,12 @@ def test_layers_report_keys(tmp_path):
         for key in ("us_p50", "us_min", "us_max"):
             assert timing[key + "_scaled"] == timing[key] * scale
         assert name in done.stdout
-    assert report["kernels"]["expm@toy3_stack"]["shape"] == [2, 16, 16]
-    assert report["kernels"]["expm@hessenberg_stack"]["shape"] == [2, 11, 11]
+    kernels = report["kernels"]
+    # phi_blocks at toy3's balanced h J (near the toy3-run median norm) and
+    # at that matrix scaled to norm 1; the stack it hands expm is scaled.
+    assert kernels["phi_blocks@toy3"]["shape"] == [4, 4]
+    assert 0.01 < kernels["phi_blocks@toy3"]["norm1_max"] < 0.05
+    assert kernels["phi_blocks@toy3_norm1"]["norm1_max"] == pytest.approx(1.0)
+    assert kernels["expm@toy3_stack"]["norm1_max"] < 0.09
+    assert kernels["expm@toy3_stack"]["shape"] == [2, 16, 16]
+    assert kernels["expm@hessenberg_stack"]["shape"] == [2, 11, 11]

@@ -1,7 +1,9 @@
 """EPI3V stepper, error controller and the adaptive march."""
+import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from expkin.integrator import (
 )
 from expkin.kinetics import Y_NEG_TOL, KineticsError, ThermoState, rhs_vector
 from expkin.mechio import parse_config, parse_mechanism
-from expkin.phikrylov import expm
+from expkin.phikrylov import PhiConvergenceError, expm
 from oracles import exp_euler_step, integrate_fixed
 
 
@@ -133,6 +135,14 @@ class TestErrorNormAndController:
         want = np.sqrt(((2e-8 / 1.01e-6) ** 2) / 2)
         assert scaled_error_norm(lte, 1e-8 + 1e-6 * np.abs(y)) == pytest.approx(want)
 
+    def test_scaled_norm_overflow_is_inf(self):
+        # (lte / w)^2 overflows: inf, which rejects the attempt. The march
+        # runs with overflow warnings off (see TestNonFiniteOperator).
+        lte = np.array([1e200, 1.0, 1e300])
+        with np.errstate(over="ignore"):
+            assert scaled_error_norm(lte, np.array([1.0, 1.0, 1e-300])) == math.inf
+            assert scaled_error_norm(lte, np.array([1e-10, 1.0, 1.0])) == math.inf
+
     def test_err_one_accepts_with_safety_shrink(self):
         accept, h = controller_update(1.0, 1.0)
         assert accept and h == pytest.approx(0.9)
@@ -180,6 +190,63 @@ class TestErrorNormAndController:
     def test_h_min_floor(self):
         _, h = controller_update(1e9, 1.0, h_min=0.2)
         assert h == pytest.approx(0.2)
+
+
+def huge_jacobian(n):
+    """An n x n Jacobian with the block [[-1e308, 1e308], [1e308, -1e308]]
+    and -1 on the rest of the diagonal: column sums of h J overflow."""
+    J = -np.eye(n)
+    J[:2, :2] = [[-1e308, 1e308], [1e308, -1e308]]
+    return J
+
+
+class TestNonFiniteOperator:
+    """A Jacobian whose (balanced) h J has a column 1-norm that is not
+    finite is a failed evaluation: the attempt is rejected with err = inf,
+    on the dense path (n = 2) and the Krylov path (n = 9)."""
+
+    @staticmethod
+    def problem(n):
+        J = huge_jacobian(n)
+        return OdeProblem(lambda y: J @ y, lambda y: (J @ y, J))
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_attempt_raises_phi_error(self, n):
+        y = np.full(n, 0.5)
+        y[:2] = 1.0, 0.0
+        problem = self.problem(n)
+        F, J = problem.jac(y)
+        # Under the error state integrate_adaptive sets for its march.
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(PhiConvergenceError, match="not finite")):
+            epi3v_step(y, 0.5, F, J, problem, 1e-6 + 1e-3 * np.abs(y))
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_run_returns_without_warning(self, n):
+        y0 = np.full(n, 0.5)
+        y0[:2] = 1.0, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = integrate_adaptive(y0, 0.0, 1.0, self.problem(n),
+                                     atol=1e-6, rtol=1e-3, h0=0.5)
+        assert isinstance(out, SolverOutput) and not out.success
+        first = out.records[0]
+        assert (first.h, first.accepted, first.err_est) == (0.5, False, math.inf)
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_huge_rhs_fails_the_attempt(self, n):
+        # h F's 1-norm overflows: on the Krylov path kiops_eval refuses it
+        # (it raised OverflowError choosing its scaling); on the dense path
+        # the products overflow to a non-finite error estimate.
+        problem = OdeProblem(lambda y: np.full(n, 1e308),
+                             lambda y: (np.full(n, 1e308), -np.eye(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = integrate_adaptive(np.ones(n), 0.0, 1.0, problem,
+                                     atol=1e-6, rtol=1e-3, h0=0.5)
+        assert not out.success
+        first = out.records[0]
+        assert (first.accepted, math.isfinite(first.err_est)) == (False, False)
 
 
 class TestAdaptive:

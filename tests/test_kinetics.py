@@ -1,5 +1,10 @@
 """Kinetics core: thermo polynomials, rates, the RHS and the exact Jacobian
 (checked against the finite-difference oracle)."""
+import importlib.util
+import math
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -8,12 +13,16 @@ from conftest import (FIXTURE_DIR, flat_thermo, make_mechanism, make_species,
 from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
-    TYPICAL_T, TYPICAL_Y, _check_finite, _slots, _unpack, concentrations,
+    TYPICAL_T, TYPICAL_Y, _check_finite, _slots, _thermo_powers, _unpack,
+    concentrations,
     density, equilibrium_constants, rate_constants, reaction_rates,
     rhs_and_jacobian, rhs_vector, species_thermo,
 )
+from expkin import kinetics
 from expkin.mechio import parse_mechanism
 from oracles import fd_jacobian
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def two_species_state(T=1000.0, p=101325.0, ya=0.5):
@@ -643,6 +652,94 @@ class TestTables:
         assert mech.tables.reverse.tolist() == [0]
         assert mech.tables.nu_rows.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
         assert rate_constants(1000.0, mech)[1][0] > 0
+
+
+def where_thermo(T, tb):
+    """c_p, H, S and dc_p/dT per unit mass (4, K) as `_thermo` took them
+    before its tables by range: one product of both ranges' rows, then
+    each species' range picked by T > T_mid."""
+    both = (tb.thermo @ _thermo_powers(T)).reshape(2, 4, -1)
+    return np.where(T > tb.t_mid, both[1], both[0])
+
+
+def two_tmid_mechanism():
+    """Species with T_mid 1000, 1200 and 1000 K whose two ranges differ in
+    every property (c_p matched at T_mid, slope and offsets not)."""
+    species = []
+    for name, t_mid, a1 in (("A", 1000.0, 3.0), ("B", 1200.0, 3.5),
+                            ("C", 1000.0, 4.0)):
+        lo = (a1, 1e-4, 0.0, 0.0, 0.0, -500.0, 4.0)
+        hi = (a1 + 1e-4 * t_mid, 0.0, 0.0, 0.0, 0.0, -560.0, 3.2)
+        species.append(Species(name=name, molar_mass=0.030, t_low=200.0,
+                               t_mid=t_mid, t_high=6000.0, coeffs_low=lo,
+                               coeffs_high=hi))
+    return make_mechanism(species, [])
+
+
+def load_layers():
+    """bench/layers.py as a module, the process environment kept as it was
+    (the module pins BLAS threads in it for its own runs)."""
+    env = dict(os.environ)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "layers", ROOT / "bench" / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
+    return layers
+
+
+class TestThermoByRange:
+    """`_thermo` takes each T_mid interval's table; at T = T_mid a species
+    keeps its low range, as in the where form."""
+
+    TEMPERATURES = [
+        300.0, 1000.0, math.nextafter(1000.0, 0), math.nextafter(1000.0, 2e3),
+        1100.0, 1200.0, math.nextafter(1200.0, 0), math.nextafter(1200.0, 2e3),
+        2500.0]
+
+    @pytest.mark.parametrize("T", TEMPERATURES)
+    def test_bits_match_where_form(self, T):
+        # A new mechanism, so T's interval table is built at T itself.
+        tb = two_tmid_mechanism().tables
+        assert tb.t_mids == [1000.0, 1200.0]
+        assert kinetics._thermo(T, tb).tobytes() == where_thermo(T, tb).tobytes()
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["up", "down"])
+    def test_tables_serve_their_whole_interval(self, order):
+        # One mechanism across every temperature, so each interval's table
+        # is built at one T and reused at the others.
+        tb = two_tmid_mechanism().tables
+        for T in self.TEMPERATURES[::order]:
+            got = kinetics._thermo(T, tb)
+            assert got.tobytes() == where_thermo(T, tb).tobytes(), T
+
+    def test_tables_built_on_first_use(self):
+        tb = two_tmid_mechanism().tables
+        assert tb.thermo_by_range == [None] * 3
+        kinetics._thermo(1100.0, tb)
+        middle = tb.thermo_by_range[1]
+        assert tb.thermo_by_range[0] is None and tb.thermo_by_range[2] is None
+        assert middle.shape == (12, 7) and not middle.flags.writeable
+        kinetics._thermo(1150.0, tb)
+        assert tb.thermo_by_range[1] is middle
+
+    @pytest.mark.parametrize("state", ["toy_state", "gen_state"])
+    def test_rhs_and_jacobian_bits_at_layer_states(self, state, monkeypatch):
+        # F and J at bench/layers.py's toy3 and K = 53 states, and 1 K
+        # either side of T_mid, match the pass with the where form.
+        mech, y = getattr(load_layers(), state)()
+        t_mid, = mech.tables.t_mids
+        for T in (y[0], t_mid - 1.0, t_mid, t_mid + 1.0):
+            y_T = np.concatenate(([T], y[1:]))
+            got = rhs_and_jacobian(y_T, mech, 101325.0)
+            with monkeypatch.context() as m:
+                m.setattr(kinetics, "_thermo", where_thermo)
+                want = rhs_and_jacobian(y_T, mech, 101325.0)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), T
 
 
 def padded(slots, width, K):

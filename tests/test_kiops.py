@@ -44,6 +44,14 @@ def augmented_operator(A, bs, nu=1.0):
 
 
 class TestRequestValidation:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_vector_is_a_failed_evaluation(self, bad):
+        # Not an OverflowError from the scaling's exponent.
+        b = np.ones(2)
+        b[1] = bad
+        with pytest.raises(PhiConvergenceError, match="not finite"):
+            kiops_eval(-np.eye(2), (None, b), tol=1e-10)
+
     def test_time_points_must_end_at_one(self):
         with pytest.raises(ValueError):
             kiops_eval(np.zeros((2, 2)), (None, np.ones(2)),
@@ -545,6 +553,15 @@ class TestOneExponentialPerEvaluation:
         assert sum(shape[0] == 2 for shape in shapes) >= 1
 
 
+def phi_reach(m):
+    """a_m: the ||A||_1 at which degree m truncates T^3 phi_3 (its powers
+    up to A^(m-3)) at unit roundoff, 3! a^(m-2) / (m+1)! = 2^-53."""
+    return (math.factorial(m + 1) / 6 * 2.0**-53) ** (1 / (m - 2))
+
+
+PHI_DEGREES = (4, 6, 9, 12, 16)
+
+
 class TestPhiBlocks:
     """phi_blocks: [T phi_1 | T^2 phi_2 | T^3 phi_3](T A) from one expm."""
 
@@ -592,13 +609,13 @@ class TestPhiBlocks:
                 assert np.all(got[~np.eye(n, dtype=bool)] == 0.0)
 
     @staticmethod
-    def reference_stack(A, time_points):
+    def reference_stack(A, time_points, eta):
         """The stack T M of phi_blocks built in one piece: M with A and the
-        identity blocks, then one outer product with the time points."""
+        eta I shift blocks, then one outer product with the time points."""
         n = A.shape[0]
         M = np.zeros((4 * n, 4 * n))
         M[:n, :n] = A
-        M[:3 * n, n:] = np.eye(3 * n)
+        M[:3 * n, n:] = eta * np.eye(3 * n)
         return np.multiply.outer(time_points, M)
 
     def assert_bits_match_reference(self, A, monkeypatch):
@@ -611,12 +628,16 @@ class TestPhiBlocks:
 
         monkeypatch.setattr(phikrylov, "expm", recorded)
         n = A.shape[0]
+        eta = expected_eta(A)
+        # Block j of the top row comes out times eta^j.
+        unscale = np.repeat([1 / eta, 1 / eta**2, 1 / eta**3], n)
         # Twice: the first call must not change the cached blocks.
         for _ in range(2):
             got = phi_blocks(A, (0.75, 1.0))
-            want = self.reference_stack(A, (0.75, 1.0))
+            want = self.reference_stack(A, (0.75, 1.0), eta)
             np.testing.assert_array_equal(stacks.pop(), want)
-            np.testing.assert_array_equal(got, real(want)[:, :n, n:])
+            np.testing.assert_array_equal(got, real(want)[:, :n, n:] * unscale)
+        return eta
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bits_match_full_stack_reference(self, n, monkeypatch):
@@ -625,11 +646,17 @@ class TestPhiBlocks:
         A[0, -1] = -0.0
         self.assert_bits_match_reference(A, monkeypatch)
 
+    @pytest.mark.parametrize("norm", [0.0, 1e-9, 1e-5, 0.01, 0.1, 0.5, 1.0])
+    def test_bits_match_scaled_stack_reference(self, norm, monkeypatch):
+        # Norms in each degree's bracket, so every eta from 2^-12 to 1.
+        A = with_norm(np.random.default_rng(2121), 4, norm)
+        self.assert_bits_match_reference(A, monkeypatch)
+
     @pytest.mark.parametrize("h", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
     def test_bits_match_on_balanced_toy_jacobian(self, toy_mech, toy_state, h,
                                                  monkeypatch):
         # The balanced h J that an EPI3V attempt at toy_ignition.cfg's
-        # tolerances hands to phi_blocks.
+        # tolerances hands to phi_blocks; its stack is scaled (eta < 1).
         problem = problem_from_mechanism(toy_mech, toy_state.p)
         y = toy_state.to_vector()
         F, J = problem.jac(y)
@@ -645,7 +672,120 @@ class TestPhiBlocks:
             epi3v_step(y, h, F, J, problem, 1e-10 + 1e-8 * np.abs(y))
         A, = seen
         assert not np.array_equal(A, h * J)
-        self.assert_bits_match_reference(A, monkeypatch)
+        assert self.assert_bits_match_reference(A, monkeypatch) < 1
+
+    @pytest.mark.parametrize("norm", [1e-9, 1e-5, 0.01, 0.1, 0.5])
+    def test_scaling_is_exact_at_fixed_degree(self, norm):
+        # At one Taylor degree, the eta-scaled stack unscaled by eta^-j and
+        # the unit-shift stack give the same blocks, bit for bit.
+        A = with_norm(np.random.default_rng(2222), 4, norm)
+        eta = expected_eta(A)
+        assert eta < 1
+        scaled = self.reference_stack(A, (0.75, 1.0), eta)
+        unit = self.reference_stack(A, (0.75, 1.0), 1.0)
+        top = norm1(scaled)
+        got = phikrylov._taylor_stack(scaled, top)[:, :4, 4:]
+        want = phikrylov._taylor_stack(unit, top)[:, :4, 4:]
+        np.testing.assert_array_equal(got * np.repeat([1 / eta, 1 / eta**2,
+                                                       1 / eta**3], 4), want)
+
+    @pytest.mark.parametrize("m", PHI_DEGREES)
+    @pytest.mark.parametrize("side", [0.999, 1.001], ids=["below", "above"])
+    def test_degree_follows_norm_of_a(self, m, side, monkeypatch):
+        # Just below a_m the stack runs at degree m; just above, at the next
+        # degree (past a_16, at 20 with unit shift blocks).
+        degrees = record_taylor_degrees(monkeypatch)
+        A = with_norm(np.random.default_rng(2323 + m), 4, side * phi_reach(m))
+        phi_blocks(A, (0.75, 1.0))
+        following = PHI_DEGREES[PHI_DEGREES.index(m) + 1:] + (20,)
+        assert degrees == [m if side < 1 else following[0]]
+
+    @pytest.mark.parametrize("m", PHI_DEGREES + (20,))
+    @pytest.mark.parametrize("side", [0.999, 1.001], ids=["below", "above"])
+    def test_blocks_match_mp_reference(self, m, side):
+        # Beside every a_m and theta_20 (where the Pade tier takes over),
+        # each block is within 1e-15 of a 40-digit reference in the 1-norm.
+        n = 3
+        norm = side * (taylor_theta(20) if m == 20 else phi_reach(m))
+        A = with_norm(np.random.default_rng(2424 + m), n, norm)
+        blocks = phi_blocks(A, (0.75, 1.0))
+        for T, P in zip((0.75, 1.0), blocks):
+            want = mp_phi_blocks(A, T)
+            for p in (1, 2, 3):
+                got_p, want_p = self.block(P, p), want[:, (p - 1) * n:p * n]
+                assert norm1(got_p - want_p) <= 1e-15 * norm1(want_p), (T, p)
+
+    def test_toy_run_stays_below_degree_20(self, toy_mech, toy_state,
+                                           monkeypatch):
+        # toy_ignition.cfg's run: no stack whose ||A||_1 is at most a_16
+        # runs at degree 20, and most run at degree 9.
+        degrees = record_taylor_degrees(monkeypatch)
+        seen = []
+        real = phikrylov.phi_blocks
+
+        def recorded(A, time_points):
+            del degrees[:]
+            P = real(A, time_points)
+            seen.append((norm1(A), degrees[0] if degrees else "pade"))
+            return P
+
+        monkeypatch.setattr(phikrylov, "phi_blocks", recorded)
+        out = integrate_mechanism(toy_state, toy_mech, 0.3, atol=1e-10,
+                                  rtol=1e-8)
+        assert out.success and len(seen) == len(out.records) > 1000
+        small = [d for a, d in seen if a <= phi_reach(16)]
+        assert len(small) > 0.9 * len(seen)
+        assert all(d in PHI_DEGREES for d in small)
+        assert sum(d == 9 for _, d in seen) > 0.5 * len(seen)
+
+    def test_non_finite_norm_is_a_failed_evaluation(self):
+        # Column sums that overflow: a PhiConvergenceError and no overflow
+        # warning (warnings are errors here).
+        A = np.array([[-1e308, 1e308], [1e308, -1e308]])
+        for X in (A, np.array([[1.0, math.nan], [0.0, 1.0]])):
+            with pytest.raises(PhiConvergenceError, match="not finite"):
+                phi_blocks(X, (0.75, 1.0))
+
+
+def expected_eta(A):
+    """The shift-block factor phi_blocks should take at T <= 1: the power of
+    two just below theta_m for the lowest m whose a_m covers ||A||_1, else 1."""
+    a = norm1(A)
+    for m in PHI_DEGREES:
+        if a <= phi_reach(m):
+            return 2.0 ** math.floor(math.log2(taylor_theta(m)))
+    return 1.0
+
+
+def taylor_degree(top):
+    """The Taylor degree expm takes for a stack of largest 1-norm `top`."""
+    return next(m for m in TAYLOR_DEGREES if top <= taylor_theta(m))
+
+
+def record_taylor_degrees(monkeypatch):
+    """The Taylor degree of every expm call that takes the Taylor tier."""
+    degrees = []
+    real = phikrylov._taylor_stack
+
+    def recorded(As, top):
+        degrees.append(taylor_degree(top))
+        return real(As, top)
+
+    monkeypatch.setattr(phikrylov, "_taylor_stack", recorded)
+    return degrees
+
+
+def mp_phi_blocks(A, T):
+    """[T phi_1 | T^2 phi_2 | T^3 phi_3](T A) from a 40-digit mpmath
+    exponential of the unit-shift stack T M."""
+    n = A.shape[0]
+    M = np.zeros((4 * n, 4 * n))
+    M[:n, :n] = A
+    M[:3 * n, n:] = np.eye(3 * n)
+    with mpmath.workdps(40):
+        E = mpmath.expm(mpmath.matrix((T * M).tolist()))
+        return np.array([[float(E[i, j]) for j in range(n, 4 * n)]
+                         for i in range(n)])
 
 
 def reference_phi_products(A, hF, weights):
@@ -683,6 +823,17 @@ class TestFoldedUnscaling:
         for a, b in zip(got[:2], want[:2]):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(got[2](v), want[2](v))
+
+    def test_balancing_is_cached_and_read_only(self):
+        # One pair of arrays per tuple of binary exponents of the weights.
+        weights = 1e-10 + 1e-8 * np.array([1500.0, 0.1, 0.0, 0.9])
+        e = tuple(math.frexp(w)[1] for w in weights)
+        ratios, ratios_t = integrator._balancing(e)
+        assert integrator._balancing(e)[0] is ratios
+        assert not (ratios.flags.writeable or ratios_t.flags.writeable)
+        d = np.ldexp(1.0, np.maximum(min(e) - np.array(e), -20))
+        np.testing.assert_array_equal(ratios, np.divide.outer(d, d))
+        np.testing.assert_array_equal(ratios_t, ratios.T)
 
 
 class TestDenseAgainstKrylovStep:
@@ -764,6 +915,15 @@ class TestExpmStack:
         for X, G in zip((small, large, 0.5 * large), got):
             want = expm(X)
             assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_norm_is_a_failed_evaluation(self, bad):
+        # A PhiConvergenceError, not an OverflowError from the Pade tier's
+        # squaring count; a NaN norm past the stack's first is caught too.
+        X = np.zeros((2, 3, 3))
+        X[1, 2, 0] = bad
+        with pytest.raises(PhiConvergenceError, match="not finite"):
+            expm(X)
 
     @pytest.mark.parametrize("span, bound_ref, bound_scipy", [
         (0.1, 1e-15, 1e-15), (3.0, 1e-15, 1e-14), (1e4, 1e-12, 2e-12)])
