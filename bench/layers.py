@@ -5,10 +5,11 @@
 Times `rhs_vector`, `rhs_and_jacobian` and the thermo product
 (`kinetics._thermo`) at a toy3 state and at a state of a generated K = 53
 mechanism (`perfbench/mechgen.py`, network 0, the size of the gen53-ignition
-workload), `phi_blocks` and `expm` on the matrix and the (2, 16, 16) stack
-that one EPI3V step at the toy3 state hands them (a balanced ||h J||_1 of
-0.025, near the toy3-run median of 0.024, which `phi_blocks` takes at Taylor
-degree 9), `phi_blocks` on that matrix scaled to ||h J||_1 = 1 (degree 20),
+workload), `phi_blocks` on the matrix one EPI3V step at the toy3 state
+hands it (a balanced ||h J||_1 of 0.025, near the toy3-run median of
+0.024, which `phi_blocks` takes at Taylor degree 9) and `expm` on the
+(2, 16, 16) stack it builds, at the degree it names (reported as
+`degree`), `phi_blocks` on that matrix scaled to ||h J||_1 = 1 (degree 20),
 `expm` of a (2, 11, 11) Krylov-Hessenberg stack, the two `kiops_eval` calls of an
 attempt at the K = 53 state (phi_1 at T = 3/4 and 1, phi_3 at T = 1),
 `Arnoldi.extend(10)` there, one `epi3v_step` attempt (F and J given) at
@@ -22,11 +23,14 @@ minimum and maximum per-call time of the batches in microseconds, with the
 host, its core count and the numpy and BLAS versions, and goes to stdout
 and to `--out`.
 
-The host's speed drifts, so each kernel's batches are bracketed by two
-samples of the calibration kernel of `perfbench/gauge.py`: the report
-gives their mean time (`gauge_s`) beside the kernel's times, and the times
-at the gauge's reference speed (`us_p50_scaled` and so on, each time
-multiplied by REFERENCE_S / gauge_s), which compare across runs and hosts.
+The host's speed drifts, so the calibration kernel of `perfbench/gauge.py`
+is sampled before a kernel's first batch and after each batch. Each batch's
+time is scaled to the gauge's reference speed by the factor
+REFERENCE_S / (gauge time) interpolated at the batch's midpoint
+(`SpeedGauge.factors_at`). The report gives each batch's time and factor
+(`batch_us`, `batch_factor`), the mean gauge time (`gauge_s`), and the
+median, minimum and maximum of the scaled times (`us_p50_scaled` and so
+on), which compare across runs and hosts.
 """
 from __future__ import annotations
 
@@ -105,25 +109,31 @@ def gen_state():
 
 
 def per_call_us(fn, repeat, number):
-    """(median, min, max) per-call microseconds over `repeat` batches, the
-    mean time of the gauge kernel sampled before and after them, and the
-    three times at the gauge's reference speed."""
+    """(median, min, max) per-call microseconds over `repeat` batches, each
+    batch's time and its speed factor, the mean time of the gauge kernel
+    sampled before the batches and after each, and the three statistics of
+    the batch times at the gauge's reference speed."""
     fn()
+    timer = timeit.Timer(fn)
     if number <= 0:
-        number, _ = timeit.Timer(fn).autorange()
+        number, _ = timer.autorange()
         number = max(1, number // 10)
     gauge = GAUGE.SpeedGauge()
     gauge.sample()
-    times = [t / number * 1e6 for t in timeit.Timer(fn).repeat(repeat, number)]
-    gauge.sample()
-    gauge_s = statistics.mean(s for _, s in gauge.samples)
-    result = {"us_p50": statistics.median(times), "us_min": min(times),
-              "us_max": max(times), "calls_per_batch": number,
-              "gauge_s": gauge_s}
-    scale = GAUGE.REFERENCE_S / gauge_s
-    for key in ("us_p50", "us_min", "us_max"):
-        result[key + "_scaled"] = result[key] * scale
-    return result
+    times, midpoints = [], []
+    for _ in range(repeat):
+        start = time.perf_counter_ns()
+        times.append(timer.timeit(number) / number * 1e6)
+        midpoints.append((start + time.perf_counter_ns()) // 2)
+        gauge.sample()
+    factors = gauge.factors_at(midpoints).tolist()
+    scaled = [t * f for t, f in zip(times, factors)]
+    return {"us_p50": statistics.median(times), "us_min": min(times),
+            "us_max": max(times), "calls_per_batch": number,
+            "batch_us": times, "batch_factor": factors,
+            "gauge_s": statistics.mean(s for _, s in gauge.samples),
+            "us_p50_scaled": statistics.median(scaled),
+            "us_min_scaled": min(scaled), "us_max_scaled": max(scaled)}
 
 
 def attempt(mech, y, h, atol, rtol):
@@ -142,23 +152,25 @@ def attempt(mech, y, h, atol, rtol):
 
 
 def toy_stack(step):
-    """(A, stack): the first arguments of `phi_blocks` (the balanced h J)
-    and of `expm` (the (2, 16, 16) stack) in the toy's EPI3V attempt
-    `step`, so both are what the integrator builds."""
+    """(A, stack, degree): the first arguments of `phi_blocks` (the
+    balanced h J) and of `expm` (the (2, 16, 16) stack) in the toy's EPI3V
+    attempt `step`, and the Taylor degree `phi_blocks` names for the stack,
+    so all are what the integrator builds."""
     originals = phikrylov.phi_blocks, phikrylov.expm
     captured = {}
 
     def capture(fn):
-        def first_call_recorded(X, *args):
-            captured.setdefault(fn.__name__, np.array(X))
-            return fn(X, *args)
+        def first_call_recorded(X, *args, **kwargs):
+            captured.setdefault(fn.__name__, (np.array(X), kwargs))
+            return fn(X, *args, **kwargs)
         return first_call_recorded
     phikrylov.phi_blocks, phikrylov.expm = map(capture, originals)
     try:
         step()
     finally:
         phikrylov.phi_blocks, phikrylov.expm = originals
-    return captured["phi_blocks"], captured["expm"]
+    (A, _), (stack, kwargs) = captured["phi_blocks"], captured["expm"]
+    return A, stack, kwargs["degree"]
 
 
 def norm1(X):
@@ -196,7 +208,7 @@ def measure(repeat, number, tmpdir):
     solution_header = ["t", "T"] + [f"Y_{s.name}" for s in gen_mech.species]
     cfg = mechio.parse_config((FIXTURES / "toy_ignition.cfg").read_text())
     step_toy = attempt(toy_mech, y_toy, TOY_STEP, cfg.atol, cfg.rtol)
-    A_toy, stack_toy = toy_stack(step_toy)
+    A_toy, stack_toy, degree_toy = toy_stack(step_toy)
     A_toy_norm1 = A_toy / norm1(A_toy)
     F_gen, J_gen = rhs_and_jacobian(y_gen, gen_mech, PRESSURE)
     A_gen, hF_gen = GEN_STEP * J_gen, GEN_STEP * F_gen
@@ -215,7 +227,8 @@ def measure(repeat, number, tmpdir):
         "phi_blocks@toy3": lambda: phikrylov.phi_blocks(A_toy, (0.75, 1.0)),
         "phi_blocks@toy3_norm1": lambda: phikrylov.phi_blocks(A_toy_norm1,
                                                               (0.75, 1.0)),
-        "expm@toy3_stack": lambda: phikrylov.expm(stack_toy),
+        "expm@toy3_stack": lambda: phikrylov.expm(stack_toy,
+                                                  degree=degree_toy),
         "expm@hessenberg_stack": lambda: phikrylov.expm(stack_hess),
         "kiops_eval@gen53": lambda: phikrylov.kiops_eval(
             A_gen, [None, hF_gen], (0.75, 1.0), tol=1e-10),
@@ -239,6 +252,7 @@ def measure(repeat, number, tmpdir):
             X = operands[name]
             results[name]["shape"] = list(X.shape)
             results[name]["norm1_max"] = norm1(X)
+    results["expm@toy3_stack"]["degree"] = degree_toy
     return results
 
 

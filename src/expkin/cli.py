@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 config/parse error, 3 solver failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -203,7 +204,10 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="expkin",
         description="Adaptive exponential integration of zero-D reactor kinetics",

@@ -7,7 +7,7 @@ J/mol, s.
 
 Every evaluation works on the arrays a `Mechanism` builds once (`_Tables`):
 R/W-scaled NASA-7 tables, one per interval between the species' T_mid
-values (each built on first use), the Arrhenius rows [ln A, beta, E/R],
+values, the Arrhenius rows [ln A, beta, E/R],
 stoichiometric matrices, one padded slot table of the forward rows and of
 the reverse rows of reversible reactions, and the sparse scatter of the
 Jacobian. So one pass takes the thermo from one product, ln k and
@@ -38,7 +38,7 @@ EXP_ARG_MAX = 700.0          # exp() argument clamp, avoids overflow
 Y_NEG_TOL = 1.0e-8           # mass fractions in [-Y_NEG_TOL, 0) are treated as 0
 # Typical magnitudes that size the perturbations of a forward-difference
 # Jacobian. Only perfbench/prepare.py's reference Jacobian (and the tests'
-# difference oracles) use them, until ROADMAP item 2 replaces it.
+# difference oracles) use them, until ROADMAP item 1 replaces it.
 TYPICAL_T = 1.0
 TYPICAL_Y = 1.0e-6
 # Largest stoichiometric coefficient of a species in a reaction. The slot
@@ -224,14 +224,14 @@ class _Tables:
 
     - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row
       sums, `reversible` (N,) the reactions with a reverse row;
-    - `thermo` (8K, 7): the NASA-7 tables (`_thermo_table`) of the low
-      and then the high range, scaled by R/W; the range limits `t_low`,
-      `t_mid`, `t_high` (K,) and the window where every fit holds,
-      [`t_min`, `t_max`] (floats); `t_mids`, the sorted distinct T_mid
-      values as floats, and `thermo_by_range`, a (4K, 7) table per interval
-      between them, each built on first use (`thermo_at`) from the rows of
-      `thermo`, so that one product with `_thermo_powers(T)` gives c_p, H,
-      S and dc_p/dT per unit mass at T;
+    - the range limits `t_low`, `t_mid`, `t_high` (K,) and the window
+      where every fit holds, [`t_min`, `t_max`] (floats); `t_mids`, the
+      sorted distinct T_mid values as a tuple of floats, and
+      `thermo_by_range`, a tuple of one (4K, 7) table per interval between
+      them (`thermo_at`): the NASA-7 rows (`_thermo_table`) of each
+      species' range in that interval, scaled by R/W, so that one product
+      with `_thermo_powers(T)` gives c_p, H, S and dc_p/dT per unit mass
+      at T;
     - `arrhenius` (3, N): ln A, beta and E/R of every reaction, and
       `e_r_max`, the largest |E|/R;
     - `reverse` (R,): the reversible reactions' indices; `equilibrium_nu`
@@ -265,16 +265,20 @@ class _Tables:
         self.dnu = self.nu_net.sum(axis=1)
         self.reversible = np.array([r.reversible for r in reactions], dtype=bool)
         scale = np.tile(R_GAS / W, 4)[:, None]
-        self.thermo = np.vstack([
-            scale * _thermo_table([getattr(s, side) for s in species])
-            for side in ("coeffs_low", "coeffs_high")])
+        low, high = (scale * _thermo_table([getattr(s, side) for s in species])
+                     for side in ("coeffs_low", "coeffs_high"))
         self.t_low = np.array([s.t_low for s in species])
         self.t_mid = np.array([s.t_mid for s in species])
         self.t_high = np.array([s.t_high for s in species])
         self.t_min = float(self.t_low.max())
         self.t_max = float(self.t_high.min())
-        self.t_mids = sorted(set(self.t_mid.tolist()))
-        self.thermo_by_range = [None] * (len(self.t_mids) + 1)
+        self.t_mids = tuple(sorted(set(self.t_mid.tolist())))
+        # In interval i, (t_mids[i-1], t_mids[i]], a species takes its high
+        # range iff its T_mid is one of t_mids[:i] (so at T = T_mid it keeps
+        # its low range).
+        rank = np.tile(np.searchsorted(self.t_mids, self.t_mid), 4)[:, None]
+        self.thermo_by_range = tuple(np.where(i > rank, high, low)
+                                     for i in range(len(self.t_mids) + 1))
         rev = np.flatnonzero(self.reversible)
         rows = np.concatenate((np.arange(N), rev))
         A, beta, E = np.array([r.arrhenius for r in reactions],
@@ -310,22 +314,14 @@ class _Tables:
         self.jacobian_nu = self.nu_rows[nz_row[nz], nz_species[nz]]
         self.jacobian_index = (nz_species[nz] * (K + 1)
                                + column[self.jacobian_gather])
-        for value in vars(self).values():
+        for value in (*vars(self).values(), *self.thermo_by_range):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
     def thermo_at(self, T):
         """The (4K, 7) thermo table of the T_mid interval T falls in: each
-        species' high-range rows of `thermo` where T > T_mid, else its
-        low-range rows (so at T = T_mid a species keeps its low range)."""
-        i = bisect.bisect_left(self.t_mids, T)
-        table = self.thermo_by_range[i]
-        if table is None:
-            low, high = self.thermo.reshape(2, 4, -1, 7)
-            table = np.where((T > self.t_mid)[:, None], high, low).reshape(-1, 7)
-            table.flags.writeable = False
-            self.thermo_by_range[i] = table
-        return table
+        species' high-range rows where T > T_mid, else its low-range rows."""
+        return self.thermo_by_range[bisect.bisect_left(self.t_mids, T)]
 
 
 @dataclass(frozen=True)

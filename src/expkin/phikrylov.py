@@ -10,7 +10,8 @@ J. Comput. Phys. 372, 2018) with tau-substepping for
 at one or more time points T in (0, 1]. The evaluator forms the augmented
 matrix once per call, and one Krylov projection per substep serves every
 requested time point inside that substep. For small operators `phi_blocks`
-gives the phi_1 .. phi_3 matrices themselves from one dense exponential.
+gives the phi_1 .. phi_3 matrices themselves from one dense exponential, at
+a Taylor degree it names from ||T A||_1.
 """
 from __future__ import annotations
 
@@ -41,11 +42,12 @@ def _taylor(theta, m, s):
     return theta, s, C
 
 
-# The Taylor degrees m = 2, 4, 6, 9, 12, 16, 20, each with its theta_m, the
-# 1-norm up to which the truncated series' backward error stays below unit
-# roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1),
-# and the s that evaluates it in s + m/s - 2 products, the fewest for m.
-_TAYLOR = tuple(_taylor(theta, m, s) for theta, m, s in (
+# The Taylor degrees m = 2, 4, 6, 9, 12, 16, 20, ascending, each mapped to
+# its theta_m, the 1-norm up to which the truncated series' backward error
+# stays below unit roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
+# 2011, Table 3.1), the s that evaluates it in s + m/s - 2 products, the
+# fewest for m, and its coefficient rows.
+_TAYLOR = {m: _taylor(theta, m, s) for theta, m, s in (
     (2.580956802971767e-8, 2, 2),
     (3.397168839976962e-4, 4, 2),
     (9.065656407595102e-3, 6, 3),
@@ -53,8 +55,7 @@ _TAYLOR = tuple(_taylor(theta, m, s) for theta, m, s in (
     (2.996158913811581e-1, 12, 4),
     (7.802874256626574e-1, 16, 4),
     (1.438252596804337, 20, 5),
-))
-_TAYLOR_THETAS = tuple(theta for theta, _, _ in _TAYLOR)
+)}
 
 
 def _phi_reach(m):
@@ -66,11 +67,10 @@ def _phi_reach(m):
     return (math.factorial(m + 1) * 2.0**-53 / 6) ** (1 / (m - 2))
 
 
-# The degrees m = 4 .. 16 that `phi_blocks` aims for: their a_m, ascending,
-# and theta_m. At degree 20 the stack keeps its unit shift blocks.
-_PHI_REACH, _PHI_THETAS = zip(*((_phi_reach(s * len(C)), theta)
-                                for theta, s, C in _TAYLOR
-                                if 4 <= s * len(C) < 20))
+# The degrees m = 4 .. 16 that `phi_blocks` names: their a_m, ascending,
+# and m. Past a_16 `expm` picks the degree from the stack's norm.
+_PHI_REACH, _PHI_DEGREES = zip(*((_phi_reach(m), m) for m in _TAYLOR
+                                 if 4 <= m < 20))
 
 
 def _pade13():
@@ -116,7 +116,7 @@ class PhiConvergenceError(RuntimeError):
         super().__init__(message)
 
 
-def expm(A):
+def expm(A, degree=None):
     """Matrix exponential of one matrix (n, n) or a stack (..., n, n).
 
     A stack whose largest 1-norm is at most theta_20 gets the Taylor
@@ -128,17 +128,24 @@ def expm(A):
     scaled by the exponent of its own 1-norm and squared back, so it gets
     the squarings it would get alone. A matrix whose 1-norm is not finite
     raises PhiConvergenceError.
+
+    `degree`, one of those m, takes that Taylor polynomial with no look at
+    the norms: the caller (`phi_blocks`) has bounded them and checked that
+    they are finite.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
     As = A.reshape(-1, n, n)
-    norms = np.abs(As).sum(axis=1).max(axis=1).tolist()
-    if not all(map(math.isfinite, norms)):
-        raise PhiConvergenceError("matrix 1-norm is not finite",
-                                  {"norm": max(norms)})
-    top = max(norms)
-    if top <= _TAYLOR[-1][0]:
-        return _taylor_stack(As, top).reshape(A.shape)
+    if degree is None:
+        norms = np.abs(As).sum(axis=1).max(axis=1).tolist()
+        if not all(map(math.isfinite, norms)):
+            raise PhiConvergenceError("matrix 1-norm is not finite",
+                                      {"norm": max(norms)})
+        top = max(norms)
+        degree = next((m for m, (theta, _, _) in _TAYLOR.items()
+                       if top <= theta), None)
+    if degree is not None:
+        return _taylor_stack(As, degree).reshape(A.shape)
     theta, C = _PADE13
     s = [max(0, math.ceil(math.log2(x / theta))) if x > theta else 0
          for x in norms]
@@ -169,12 +176,12 @@ def expm(A):
     return F.reshape(A.shape)
 
 
-def _taylor_stack(As, top):
-    """T_m of every matrix of the stack As (batch, n, n), for the lowest
-    Taylor degree m whose theta_m bounds `top`, by Paterson-Stockmeyer: the
-    powers [I, A, ..., A^s] in one buffer, every chunk sum from one product
-    with the coefficient rows, then Horner in A^s."""
-    _, s, C = _TAYLOR[bisect.bisect_left(_TAYLOR_THETAS, top)]
+def _taylor_stack(As, m):
+    """T_m of every matrix of the stack As (batch, n, n) by
+    Paterson-Stockmeyer: the powers [I, A, ..., A^s] in one buffer, every
+    chunk sum from one product with the coefficient rows, then Horner in
+    A^s."""
+    _, s, C = _TAYLOR[m]
     batch, n = len(As), As.shape[-1]
     P = np.empty((s + 1, batch, n, n))
     P[0] = _identity(n)
@@ -237,16 +244,12 @@ def phi_blocks(A, time_points):
     an array (len(time_points), n, 3n) whose columns k n .. (k+1) n - 1 hold
     T^(k+1) phi_(k+1)(T A), the scaling `kiops_eval` uses.
 
-    The identity blocks would hold the stack's 1-norm at T or more, and with
-    it `expm`'s degree at 20 however small A is. So the stack takes eta I
-    shift blocks instead, eta = 2^k, and block j of its top row comes out
-    as eta^j T^j phi_j(T A) (a diagonal similarity; Al-Mohy & Higham, SIAM
-    J. Sci. Comput. 33(2), 2011, Sec. 2): the lowest degree m in 4 .. 16
-    whose reach a_m (`_phi_reach`) covers ||T A||_1 sets eta to the power
-    of two just below theta_m / T, so `expm`'s own norm test picks m; past
-    a_16, eta = 1. Scaling by powers of two is exact, so the unscaled
-    blocks are those of the unit-shift stack at that degree, bit for bit
-    (barring underflow). A matrix whose 1-norm is not finite raises
+    The identity blocks hold the stack's 1-norm at T or more, so `expm`'s
+    own norm test would take degree 20 however small A is. The top row
+    needs less: the lowest degree m in 4 .. 16 whose reach a_m
+    (`_phi_reach`) covers ||T A||_1 truncates every block below unit
+    roundoff, and `expm` is told that degree. Past a_16 it picks the degree
+    from the stack's norm. A matrix whose 1-norm is not finite raises
     PhiConvergenceError, with no overflow warning.
     """
     A = np.asarray(A, dtype=float)
@@ -256,38 +259,28 @@ def phi_blocks(A, time_points):
     columns = list(map(sum, np.abs(A).T.tolist()))
     if not all(map(math.isfinite, columns)):
         raise PhiConvergenceError("operator 1-norm is not finite")
-    t_max = max(time_points)
-    i = bisect.bisect_left(_PHI_REACH, t_max * max(columns, default=0.0))
-    k = 0
-    if i < len(_PHI_REACH):
-        # x = f 2^e with 0.5 <= f < 1, so floor(log2 x) = e - 1.
-        k = math.frexp(_PHI_THETAS[i] / t_max)[1] - 1
-    shifts, times, unscale = _shift_stack(n, time_points, k)
+    i = bisect.bisect_left(_PHI_REACH,
+                           max(time_points) * max(columns, default=0.0))
+    degree = _PHI_DEGREES[i] if i < len(_PHI_DEGREES) else None
+    shifts, times = _shift_stack(n, time_points)
     stack = shifts.copy()
     np.multiply(times, A, out=stack[:, :n, :n])
-    P = expm(stack)[:, :n, n:]
-    return P if unscale is None else P * unscale
+    return expm(stack, degree=degree)[:, :n, n:]
 
 
 @functools.lru_cache(maxsize=64)
-def _shift_stack(n, time_points, k):
-    """(stack, times, unscale): the stack T M of `phi_blocks` with A = 0
-    (only the T 2^k I shift blocks set), the time points as a (len, 1, 1)
-    column, and the factors 2^-(j k) of the block columns j = 1, 2, 3 of
-    the top row (3n,), None when k = 0; all shared and read-only. A copy of
-    the stack takes T A in its top-left blocks."""
+def _shift_stack(n, time_points):
+    """(stack, times): the stack T M of `phi_blocks` with A = 0 (only the
+    T I shift blocks set) and the time points as a (len, 1, 1) column, both
+    shared and read-only. A copy of the stack takes T A in its top-left
+    blocks."""
     q = MAX_PHI_ORDER
     M = np.zeros(((q + 1) * n, (q + 1) * n))
-    M[:q * n, n:] = math.ldexp(1.0, k) * _identity(q * n)
+    M[:q * n, n:] = _identity(q * n)
     stack = np.multiply.outer(time_points, M)
     times = np.reshape(time_points, (-1, 1, 1)).astype(float)
-    unscale = None
-    if k:
-        unscale = np.repeat([math.ldexp(1.0, -j * k)
-                             for j in range(1, q + 1)], n)
-        unscale.flags.writeable = False
     stack.flags.writeable = times.flags.writeable = False
-    return stack, times, unscale
+    return stack, times
 
 
 @dataclass

@@ -3,6 +3,7 @@ repeat counts and writes a report with every key, the gauge-scaled times
 included; the timings themselves are not checked."""
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -23,7 +24,7 @@ KERNELS = {
 def test_layers_report_keys(tmp_path):
     out = tmp_path / "BENCH_layers.json"
     done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "layers.py"), "--repeat", "1",
+        [sys.executable, str(ROOT / "bench" / "layers.py"), "--repeat", "2",
          "--number", "1", "--out", str(out)],
         capture_output=True, text=True, timeout=60, check=True)
     report = json.loads(out.read_text())
@@ -32,20 +33,27 @@ def test_layers_report_keys(tmp_path):
     assert report["topic"] == "layers" and report["blas_threads"] == 1
     assert set(report["kernels"]) == KERNELS
     for name, timing in report["kernels"].items():
-        assert {"us_p50", "us_min", "us_max", "calls_per_batch", "gauge_s",
-                "us_p50_scaled", "us_min_scaled",
+        assert {"us_p50", "us_min", "us_max", "calls_per_batch", "batch_us",
+                "batch_factor", "gauge_s", "us_p50_scaled", "us_min_scaled",
                 "us_max_scaled"} <= set(timing)
-        # Each scaled time is its time at the gauge's reference speed.
-        scale = report["gauge_reference_s"] / timing["gauge_s"]
-        for key in ("us_p50", "us_min", "us_max"):
-            assert timing[key + "_scaled"] == timing[key] * scale
+        # Each batch's time is scaled by its own factor, and the scaled
+        # statistics are those of the scaled batch times.
+        times, factors = timing["batch_us"], timing["batch_factor"]
+        assert len(times) == len(factors) == 2
+        assert all(f > 0 for f in factors)
+        scaled = [t * f for t, f in zip(times, factors)]
+        for stat, key in ((statistics.median, "us_p50"), (min, "us_min"),
+                          (max, "us_max")):
+            assert timing[key] == stat(times)
+            assert timing[key + "_scaled"] == stat(scaled)
         assert name in done.stdout
     kernels = report["kernels"]
     # phi_blocks at toy3's balanced h J (near the toy3-run median norm) and
-    # at that matrix scaled to norm 1; the stack it hands expm is scaled.
+    # at that matrix scaled to norm 1; expm takes the stack at the degree
+    # phi_blocks names for it.
     assert kernels["phi_blocks@toy3"]["shape"] == [4, 4]
     assert 0.01 < kernels["phi_blocks@toy3"]["norm1_max"] < 0.05
     assert kernels["phi_blocks@toy3_norm1"]["norm1_max"] == pytest.approx(1.0)
-    assert kernels["expm@toy3_stack"]["norm1_max"] < 0.09
+    assert kernels["expm@toy3_stack"]["degree"] == 9
     assert kernels["expm@toy3_stack"]["shape"] == [2, 16, 16]
     assert kernels["expm@hessenberg_stack"]["shape"] == [2, 11, 11]

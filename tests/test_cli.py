@@ -525,6 +525,36 @@ class TestSpectrum:
         assert np.ptp(tail) <= 1e-4 * np.abs(tail).max()
 
 
+def test_main_reuses_one_parser(workdir, capsys, monkeypatch):
+    # Every main call parses with the one parser build_parser returns, and
+    # a parse, even one that exits with a usage error, leaves it unchanged.
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsed = []
+    parse_args = parser.parse_args
+
+    def recorded(args):
+        parsed.append(args)
+        return parse_args(args)
+    monkeypatch.setattr(parser, "parse_args", recorded)
+    argv = ("validate", "--config", str(workdir / "run.cfg"))
+    outputs = []
+    for bad in (None, ("--out", "x"), None):
+        if bad is None:
+            assert run_cli(*argv) == EXIT_OK
+        else:
+            with pytest.raises(SystemExit) as exc_info:
+                run_cli(*argv, *bad)
+            assert exc_info.value.code == 2
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2] == "ok\n"
+    assert len(parsed) == 3
+    assert cli.build_parser() is parser
+    assert vars(parse_args(argv)) == {
+        "command": "validate", "config": str(workdir / "run.cfg"),
+        "func": cli.cmd_validate}
+
+
 def test_option_count_is_pinned():
     # The independently settable options are the RunConfig fields (one per
     # config key; Y, sweep and reference included) and the distinct flags of

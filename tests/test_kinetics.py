@@ -630,10 +630,13 @@ def expanded_slots(sides, K):
 class TestTables:
     def test_arrays_are_read_only(self, toy_mech):
         # Every evaluation shares these arrays; none may be written.
-        arrays = {name: value for name, value in vars(toy_mech.tables).items()
+        tb = toy_mech.tables
+        arrays = {name: value for name, value in vars(tb).items()
                   if isinstance(value, np.ndarray)}
-        assert {"nu_net", "jacobian_index", "slots", "thermo",
-                "arrhenius"} <= set(arrays)
+        arrays.update((f"thermo_by_range[{i}]", table)
+                      for i, table in enumerate(tb.thermo_by_range))
+        assert {"nu_net", "jacobian_index", "slots", "thermo_by_range[0]",
+                "thermo_by_range[1]", "arrhenius"} <= set(arrays)
         for name, a in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
@@ -654,12 +657,17 @@ class TestTables:
         assert rate_constants(1000.0, mech)[1][0] > 0
 
 
-def where_thermo(T, tb):
+def where_thermo(T, mech):
     """c_p, H, S and dc_p/dT per unit mass (4, K) as `_thermo` took them
-    before its tables by range: one product of both ranges' rows, then
-    each species' range picked by T > T_mid."""
-    both = (tb.thermo @ _thermo_powers(T)).reshape(2, 4, -1)
-    return np.where(T > tb.t_mid, both[1], both[0])
+    before its tables by range: one product of both ranges' R/W-scaled
+    NASA-7 rows, then each species' range picked by T > T_mid."""
+    scale = np.tile(R_GAS / mech.molar_masses, 4)[:, None]
+    both = np.vstack([
+        scale * kinetics._thermo_table([getattr(s, side) for s in mech.species])
+        for side in ("coeffs_low", "coeffs_high")])
+    both = (both @ _thermo_powers(T)).reshape(2, 4, -1)
+    t_mid = np.array([s.t_mid for s in mech.species])
+    return np.where(T > t_mid, both[1], both[0])
 
 
 def two_tmid_mechanism():
@@ -702,29 +710,35 @@ class TestThermoByRange:
 
     @pytest.mark.parametrize("T", TEMPERATURES)
     def test_bits_match_where_form(self, T):
-        # A new mechanism, so T's interval table is built at T itself.
-        tb = two_tmid_mechanism().tables
-        assert tb.t_mids == [1000.0, 1200.0]
-        assert kinetics._thermo(T, tb).tobytes() == where_thermo(T, tb).tobytes()
+        mech = two_tmid_mechanism()
+        tb = mech.tables
+        assert tb.t_mids == (1000.0, 1200.0)
+        got = kinetics._thermo(T, tb)
+        assert got.tobytes() == where_thermo(T, mech).tobytes()
 
     @pytest.mark.parametrize("order", [1, -1], ids=["up", "down"])
     def test_tables_serve_their_whole_interval(self, order):
         # One mechanism across every temperature, so each interval's table
-        # is built at one T and reused at the others.
-        tb = two_tmid_mechanism().tables
+        # serves every T in it.
+        mech = two_tmid_mechanism()
+        tb = mech.tables
         for T in self.TEMPERATURES[::order]:
             got = kinetics._thermo(T, tb)
-            assert got.tobytes() == where_thermo(T, tb).tobytes(), T
+            assert got.tobytes() == where_thermo(T, mech).tobytes(), T
 
-    def test_tables_built_on_first_use(self):
+    def test_tables_built_with_the_mechanism(self):
+        # Every interval's table exists once the tables are built, is
+        # read-only, and is the one thermo_at returns; nothing is filled in
+        # later.
         tb = two_tmid_mechanism().tables
-        assert tb.thermo_by_range == [None] * 3
-        kinetics._thermo(1100.0, tb)
-        middle = tb.thermo_by_range[1]
-        assert tb.thermo_by_range[0] is None and tb.thermo_by_range[2] is None
-        assert middle.shape == (12, 7) and not middle.flags.writeable
-        kinetics._thermo(1150.0, tb)
-        assert tb.thermo_by_range[1] is middle
+        tables = tb.thermo_by_range
+        assert isinstance(tables, tuple) and len(tables) == 3
+        for table, T in zip(tables, (1000.0, 1100.0, 1300.0)):
+            assert table.shape == (12, 7) and not table.flags.writeable
+            assert tb.thermo_at(T) is table
+        with pytest.raises(ValueError, match="read-only"):
+            tables[1][0, 0] = 0.0
+        assert not hasattr(tb, "thermo")
 
     @pytest.mark.parametrize("state", ["toy_state", "gen_state"])
     def test_rhs_and_jacobian_bits_at_layer_states(self, state, monkeypatch):
@@ -736,7 +750,8 @@ class TestThermoByRange:
             y_T = np.concatenate(([T], y[1:]))
             got = rhs_and_jacobian(y_T, mech, 101325.0)
             with monkeypatch.context() as m:
-                m.setattr(kinetics, "_thermo", where_thermo)
+                m.setattr(kinetics, "_thermo",
+                          lambda T, tb: where_thermo(T, mech))
                 want = rhs_and_jacobian(y_T, mech, 101325.0)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), T

@@ -504,9 +504,9 @@ def count_expm_calls(monkeypatch):
     shapes = []
     real = phikrylov.expm
 
-    def counted(A):
+    def counted(A, **kwargs):
         shapes.append(np.shape(A))
-        return real(A)
+        return real(A, **kwargs)
 
     monkeypatch.setattr(phikrylov, "expm", counted)
     return shapes
@@ -608,36 +608,27 @@ class TestPhiBlocks:
                 np.testing.assert_allclose(np.diag(got), want, rtol=bound, atol=0)
                 assert np.all(got[~np.eye(n, dtype=bool)] == 0.0)
 
-    @staticmethod
-    def reference_stack(A, time_points, eta):
-        """The stack T M of phi_blocks built in one piece: M with A and the
-        eta I shift blocks, then one outer product with the time points."""
-        n = A.shape[0]
-        M = np.zeros((4 * n, 4 * n))
-        M[:n, :n] = A
-        M[:3 * n, n:] = eta * np.eye(3 * n)
-        return np.multiply.outer(time_points, M)
-
     def assert_bits_match_reference(self, A, monkeypatch):
-        stacks = []
+        degree = expected_degree(A, (0.75, 1.0))
+        want_stack = reference_stack(A, (0.75, 1.0))
+        want = reference_blocks(A, (0.75, 1.0))
+        calls = []
         real = phikrylov.expm
 
-        def recorded(X):
-            stacks.append(np.array(X))
-            return real(X)
+        def recorded(X, **kwargs):
+            calls.append((np.array(X), kwargs))
+            return real(X, **kwargs)
 
         monkeypatch.setattr(phikrylov, "expm", recorded)
-        n = A.shape[0]
-        eta = expected_eta(A)
-        # Block j of the top row comes out times eta^j.
-        unscale = np.repeat([1 / eta, 1 / eta**2, 1 / eta**3], n)
         # Twice: the first call must not change the cached blocks.
         for _ in range(2):
             got = phi_blocks(A, (0.75, 1.0))
-            want = self.reference_stack(A, (0.75, 1.0), eta)
-            np.testing.assert_array_equal(stacks.pop(), want)
-            np.testing.assert_array_equal(got, real(want)[:, :n, n:] * unscale)
-        return eta
+            (stack, kwargs), = calls
+            del calls[:]
+            np.testing.assert_array_equal(stack, want_stack)
+            assert kwargs == {"degree": degree}
+            np.testing.assert_array_equal(got, want)
+        return degree
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bits_match_full_stack_reference(self, n, monkeypatch):
@@ -647,16 +638,29 @@ class TestPhiBlocks:
         self.assert_bits_match_reference(A, monkeypatch)
 
     @pytest.mark.parametrize("norm", [0.0, 1e-9, 1e-5, 0.01, 0.1, 0.5, 1.0])
-    def test_bits_match_scaled_stack_reference(self, norm, monkeypatch):
-        # Norms in each degree's bracket, so every eta from 2^-12 to 1.
+    def test_bits_match_reference_at_every_degree(self, norm, monkeypatch):
+        # Norms in each degree's bracket, 4 to 16, and one past a_16.
         A = with_norm(np.random.default_rng(2121), 4, norm)
         self.assert_bits_match_reference(A, monkeypatch)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bits_match_reference_over_norms_and_times(self, n):
+        # 200 norms in [1e-12, 1e7] and three sets of time points. Where
+        # the stack overflows, both sides give the same NaNs.
+        rng = np.random.default_rng(3030 + n)
+        for norm in np.geomspace(1e-12, 1e7, 200):
+            A = with_norm(rng, n, norm)
+            for time_points in ((0.75, 1.0), (1.0,), (0.5, 1.0)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = phi_blocks(A, time_points)
+                    want = reference_blocks(A, time_points)
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("h", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
     def test_bits_match_on_balanced_toy_jacobian(self, toy_mech, toy_state, h,
                                                  monkeypatch):
         # The balanced h J that an EPI3V attempt at toy_ignition.cfg's
-        # tolerances hands to phi_blocks; its stack is scaled (eta < 1).
+        # tolerances hands to phi_blocks; it names a degree below 20.
         problem = problem_from_mechanism(toy_mech, toy_state.p)
         y = toy_state.to_vector()
         F, J = problem.jac(y)
@@ -672,20 +676,22 @@ class TestPhiBlocks:
             epi3v_step(y, h, F, J, problem, 1e-10 + 1e-8 * np.abs(y))
         A, = seen
         assert not np.array_equal(A, h * J)
-        assert self.assert_bits_match_reference(A, monkeypatch) < 1
+        assert self.assert_bits_match_reference(A, monkeypatch) in PHI_DEGREES
 
     @pytest.mark.parametrize("norm", [1e-9, 1e-5, 0.01, 0.1, 0.5])
     def test_scaling_is_exact_at_fixed_degree(self, norm):
-        # At one Taylor degree, the eta-scaled stack unscaled by eta^-j and
-        # the unit-shift stack give the same blocks, bit for bit.
+        # At one Taylor degree, a stack with eta I shift blocks (eta = 2^k
+        # just below theta_m, the norm that would make expm pick m itself)
+        # unscaled by eta^-j and the unit-shift stack give the same blocks,
+        # bit for bit: the unit-shift stack needs no scaling.
         A = with_norm(np.random.default_rng(2222), 4, norm)
-        eta = expected_eta(A)
-        assert eta < 1
-        scaled = self.reference_stack(A, (0.75, 1.0), eta)
-        unit = self.reference_stack(A, (0.75, 1.0), 1.0)
-        top = norm1(scaled)
-        got = phikrylov._taylor_stack(scaled, top)[:, :4, 4:]
-        want = phikrylov._taylor_stack(unit, top)[:, :4, 4:]
+        m = expected_degree(A, (0.75, 1.0))
+        eta = 2.0 ** math.floor(math.log2(taylor_theta(m)))
+        scaled = reference_stack(A, (0.75, 1.0), eta)
+        unit = reference_stack(A, (0.75, 1.0))
+        assert taylor_degree(norm1(scaled)) == m
+        got = phikrylov._taylor_stack(scaled, m)[:, :4, 4:]
+        want = phikrylov._taylor_stack(unit, m)[:, :4, 4:]
         np.testing.assert_array_equal(got * np.repeat([1 / eta, 1 / eta**2,
                                                        1 / eta**3], 4), want)
 
@@ -693,7 +699,7 @@ class TestPhiBlocks:
     @pytest.mark.parametrize("side", [0.999, 1.001], ids=["below", "above"])
     def test_degree_follows_norm_of_a(self, m, side, monkeypatch):
         # Just below a_m the stack runs at degree m; just above, at the next
-        # degree (past a_16, at 20 with unit shift blocks).
+        # degree (past a_16, at 20, which expm picks from the norm).
         degrees = record_taylor_degrees(monkeypatch)
         A = with_norm(np.random.default_rng(2323 + m), 4, side * phi_reach(m))
         phi_blocks(A, (0.75, 1.0))
@@ -747,14 +753,34 @@ class TestPhiBlocks:
                 phi_blocks(X, (0.75, 1.0))
 
 
-def expected_eta(A):
-    """The shift-block factor phi_blocks should take at T <= 1: the power of
-    two just below theta_m for the lowest m whose a_m covers ||A||_1, else 1."""
-    a = norm1(A)
-    for m in PHI_DEGREES:
-        if a <= phi_reach(m):
-            return 2.0 ** math.floor(math.log2(taylor_theta(m)))
-    return 1.0
+def expected_degree(A, time_points):
+    """The Taylor degree phi_blocks should name: the lowest m whose a_m
+    covers max(T) ||A||_1, else None (expm picks it from the norm)."""
+    a = max(time_points) * norm1(A)
+    return next((m for m in PHI_DEGREES if a <= phi_reach(m)), None)
+
+
+def reference_stack(A, time_points, eta=1.0):
+    """The stack T M of phi_blocks built in one piece: M with A and the
+    eta I shift blocks, then one outer product with the time points."""
+    n = A.shape[0]
+    M = np.zeros((4 * n, 4 * n))
+    M[:n, :n] = A
+    M[:3 * n, n:] = eta * np.eye(3 * n)
+    return np.multiply.outer(time_points, M)
+
+
+def reference_blocks(A, time_points):
+    """The top block row of phi_blocks from the unit-shift stack: its
+    Taylor polynomial at `expected_degree`, or expm's own choice past a_16."""
+    n = A.shape[0]
+    stack = reference_stack(A, time_points)
+    degree = expected_degree(A, time_points)
+    if degree is None:
+        E = phikrylov.expm(stack)
+    else:
+        E = phikrylov._taylor_stack(stack, degree)
+    return E[:, :n, n:]
 
 
 def taylor_degree(top):
@@ -763,13 +789,13 @@ def taylor_degree(top):
 
 
 def record_taylor_degrees(monkeypatch):
-    """The Taylor degree of every expm call that takes the Taylor tier."""
+    """The degree of every Taylor polynomial expm evaluates."""
     degrees = []
     real = phikrylov._taylor_stack
 
-    def recorded(As, top):
-        degrees.append(taylor_degree(top))
-        return real(As, top)
+    def recorded(As, m):
+        degrees.append(m)
+        return real(As, m)
 
     monkeypatch.setattr(phikrylov, "_taylor_stack", recorded)
     return degrees
@@ -991,8 +1017,8 @@ class TestTaylorDegree:
     theta_20, and the degree-13 Pade approximant above it."""
 
     def test_thresholds_from_backward_error_series(self):
-        thetas = [theta for theta, _, _ in phikrylov._TAYLOR]
-        for m, theta in zip(TAYLOR_DEGREES, thetas, strict=True):
+        assert tuple(phikrylov._TAYLOR) == TAYLOR_DEGREES
+        for m, (theta, _, _) in phikrylov._TAYLOR.items():
             assert theta == pytest.approx(taylor_theta(m), rel=1e-6), m
         assert phikrylov._PADE13[0] == THETA_13
 
@@ -1017,7 +1043,7 @@ class TestTaylorDegree:
         # not its own (degree 9), and still match its single-matrix
         # exponential.
         rng = np.random.default_rng(1818)
-        theta = phikrylov._TAYLOR[TAYLOR_DEGREES.index(9)][0]
+        theta = phikrylov._TAYLOR[9][0]
         small = with_norm(rng, 8, 0.5 * theta)
         large = with_norm(rng, 8, 1.5 * theta)
         got = expm(np.stack([small, large]))
@@ -1034,7 +1060,7 @@ class TestTaylorDegree:
         # for the stack, and matches its single-matrix exponential (the
         # small one's alone is Taylor).
         rng = np.random.default_rng(1919)
-        theta = phikrylov._TAYLOR[-1][0]
+        theta = phikrylov._TAYLOR[20][0]
         small = with_norm(rng, 8, 0.5 * theta)
         large = with_norm(rng, 8, 1.5 * theta)
         alone = [expm(small), expm(large)]
