@@ -37,6 +37,16 @@ def _read_text(path):
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: {exc}", EXIT_CONFIG)
+
+
+def _write_csv(path, header, rows):
+    """mechio.write_csv, with a file that cannot be written an I/O error."""
+    try:
+        mechio.write_csv(path, header, rows)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
 
 
 def load_run(args):
@@ -104,15 +114,15 @@ def cmd_run(args):
                                  atol=run_cfg.atol, rtol=run_cfg.rtol,
                                  h0=run_cfg.h0, output_times=sample_times)
     _warn_saturated([result])
-    mechio.write_csv(os.path.join(out_dir, "solution.csv"),
-                     ["t", "T"] + [f"Y_{s.name}" for s in mech.species],
-                     np.column_stack((sample_times, result.samples)).tolist())
+    _write_csv(os.path.join(out_dir, "solution.csv"),
+               ["t", "T"] + [f"Y_{s.name}" for s in mech.species],
+               np.column_stack((sample_times, result.samples)).tolist())
     # One row per StepRecord: the tuple of its fields, `accepted` as 0/1.
     columns = [f.name for f in fields(StepRecord)]
     flag = columns.index("accepted")
-    mechio.write_csv(os.path.join(out_dir, "steps.csv"), columns,
-                     [row[:flag] + (int(row[flag]),) + row[flag + 1:]
-                      for row in map(attrgetter(*columns), result.records)])
+    _write_csv(os.path.join(out_dir, "steps.csv"), columns,
+               [row[:flag] + (int(row[flag]),) + row[flag + 1:]
+                for row in map(attrgetter(*columns), result.records)])
     if not result.success:
         print(f"solver failure: {result.message}", file=sys.stderr)
         return EXIT_SOLVER
@@ -159,9 +169,9 @@ def cmd_sweep(args):
 
     rows = [one_point(p) for p in run_cfg.sweep_points]
     _warn_saturated(results)
-    mechio.write_csv(os.path.join(out_dir, "sweep.csv"),
-                     ("atol", "rtol", "cpu_s", "err_2norm", "err_scaled", "failed"),
-                     rows)
+    _write_csv(os.path.join(out_dir, "sweep.csv"),
+               ("atol", "rtol", "cpu_s", "err_2norm", "err_scaled", "failed"),
+               rows)
     print(f"sweep complete: {len(rows)} points")
     return EXIT_OK
 
@@ -194,9 +204,9 @@ def cmd_spectrum(args):
                                  atol=run_cfg.atol, rtol=run_cfg.rtol,
                                  h0=run_cfg.h0, step_hook=hook)
     _warn_saturated([result])
-    mechio.write_csv(os.path.join(out_dir, "spectrum.csv"),
-                     ("t", "alpha", "beta", "omega", "max_real", "norm_step_cost"),
-                     rows)
+    _write_csv(os.path.join(out_dir, "spectrum.csv"),
+               ("t", "alpha", "beta", "omega", "max_real", "norm_step_cost"),
+               rows)
     if not result.success:
         print(f"solver failure: {result.message}", file=sys.stderr)
         return EXIT_SOLVER

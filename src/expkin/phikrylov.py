@@ -26,11 +26,10 @@ MAX_PHI_ORDER = 3
 
 
 def _taylor(theta, m, s):
-    """(theta_m, s, C) of the degree-m Taylor polynomial T_m of exp(),
-    evaluated by Paterson-Stockmeyer over the powers [I, A, ..., A^s] with
-    m = r s: row j of C (r, s + 1) holds the coefficients 1/k! of
-    A^(s j) .. A^(s j + s - 1), and the last row also 1/m! on A^s, so that
-    T_m(A) = C_0 + A^s (C_1 + A^s (... + A^s C_(r-1)))."""
+    """(theta_m, C) of the degree-m Taylor polynomial T_m of exp() for
+    `_paterson_stockmeyer` over [I, A, ..., A^s], m = r s: row j of C
+    (r, s + 1) holds the coefficients 1/k! of A^(s j) .. A^(s j + s - 1),
+    and the last row also 1/m! on A^s."""
     r = m // s
     # int / int is correctly rounded.
     c = [1 / math.factorial(k) for k in range(m + 1)]
@@ -39,14 +38,14 @@ def _taylor(theta, m, s):
         C[j, :s] = c[s * j:s * j + s]
     C[-1, s] = c[m]
     C.flags.writeable = False
-    return theta, s, C
+    return theta, C
 
 
 # The Taylor degrees m = 2, 4, 6, 9, 12, 16, 20, ascending, each mapped to
 # its theta_m, the 1-norm up to which the truncated series' backward error
 # stays below unit roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
-# 2011, Table 3.1), the s that evaluates it in s + m/s - 2 products, the
-# fewest for m, and its coefficient rows.
+# 2011, Table 3.1), and its coefficient rows for the s that evaluates it in
+# s + m/s - 2 products, the fewest for m.
 _TAYLOR = {m: _taylor(theta, m, s) for theta, m, s in (
     (2.580956802971767e-8, 2, 2),
     (3.397168839976962e-4, 4, 2),
@@ -75,16 +74,17 @@ _PHI_REACH, _PHI_DEGREES = zip(*((_phi_reach(m), m) for m in _TAYLOR
 
 def _pade13():
     """(theta_13, C) of the degree-13 Pade approximant of exp() (Higham,
-    SIAM J. Matrix Anal. Appl. 26(4), 2005): over the even powers
-    [I, A^2, A^4, A^6], the rows of C are the A^6 factors of U / A and of
-    V, then the remaining terms of U / A and of V."""
+    SIAM J. Matrix Anal. Appl. 26(4), 2005): U / A and V as polynomials in
+    A^2 over [I, A^2, A^4, A^6], with C's rows chunk-major for
+    `_paterson_stockmeyer`: the low chunks of U / A and V, then the
+    A^6 factors of U / A and V."""
     b = np.array((64764752532480000.0, 32382376266240000.0,
                   7771770303897600.0, 1187353796428800.0, 129060195264000.0,
                   10559470521600.0, 670442572800.0, 33522128640.0,
                   1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
     C = np.zeros((4, 4))
-    C[0, 1:], C[1, 1:] = b[9::2], b[8:13:2]
-    C[2], C[3] = b[1:8:2], b[0:7:2]
+    C[0], C[1] = b[1:8:2], b[0:7:2]
+    C[2, 1:], C[3, 1:] = b[9::2], b[8:13:2]
     C.flags.writeable = False
     return 5.371920351148152, C
 
@@ -123,11 +123,11 @@ def expm(A, degree=None):
     polynomial of the lowest degree m in 2, 4, 6, 9, 12, 16, 20 whose
     theta_m bounds that norm (Al-Mohy & Higham 2011), in 1 to 7 batched
     products and no solve (`_taylor_stack`). A larger stack gets the
-    degree-13 Pade approximant with scaling and squaring (Higham 2005) from
-    batched products and one batched solve; a matrix above theta_13 is
-    scaled by the exponent of its own 1-norm and squared back, so it gets
-    the squarings it would get alone. A matrix whose 1-norm is not finite
-    raises PhiConvergenceError.
+    degree-13 Pade approximant with scaling and squaring (Higham 2005), its
+    U / A and V from the same `_paterson_stockmeyer` in A^2, then one
+    batched solve; a matrix above theta_13 is scaled by the exponent of its
+    own 1-norm and squared back, so it gets the squarings it would get
+    alone. A matrix whose 1-norm is not finite raises PhiConvergenceError.
 
     `degree`, one of those m, takes that Taylor polynomial with no look at
     the norms: the caller (`phi_blocks`) has bounded them and checked that
@@ -142,27 +142,16 @@ def expm(A, degree=None):
             raise PhiConvergenceError("matrix 1-norm is not finite",
                                       {"norm": max(norms)})
         top = max(norms)
-        degree = next((m for m, (theta, _, _) in _TAYLOR.items()
+        degree = next((m for m, (theta, _) in _TAYLOR.items()
                        if top <= theta), None)
     if degree is not None:
         return _taylor_stack(As, degree).reshape(A.shape)
     theta, C = _PADE13
-    s = [max(0, math.ceil(math.log2(x / theta))) if x > theta else 0
-         for x in norms]
+    s = [math.ceil(math.log2(x / theta)) if x > theta else 0 for x in norms]
     if top > theta:
         As = As * np.array([0.5**k for k in s]).reshape(-1, 1, 1)
-    # The even powers [I, A^2, A^4, A^6] in one buffer, and every sum of
-    # them that U and V need from one product with the coefficient rows.
-    batch = len(As)
-    P = np.empty((4, batch, n, n))
-    P[0] = _identity(n)
-    np.matmul(As, As, out=P[1])
-    for j in range(2, 4):
-        np.matmul(P[1], P[j - 1], out=P[j])
-    W = (C @ P.reshape(4, -1)).reshape(-1, batch, n, n)
-    W = P[3] @ W[:2] + W[2:]
-    U = As @ W[0]
-    V = W[1]
+    W = _paterson_stockmeyer(As @ As, C, 2)
+    U, V = As @ W[0], W[1]
     F = np.linalg.solve(V - U, V + U)
     if top > theta:
         # Square the whole stack as often as every matrix needs, then each
@@ -177,21 +166,27 @@ def expm(A, degree=None):
 
 
 def _taylor_stack(As, m):
-    """T_m of every matrix of the stack As (batch, n, n) by
-    Paterson-Stockmeyer: the powers [I, A, ..., A^s] in one buffer, every
-    chunk sum from one product with the coefficient rows, then Horner in
-    A^s."""
-    _, s, C = _TAYLOR[m]
-    batch, n = len(As), As.shape[-1]
+    """T_m of every matrix of the stack As (batch, n, n)."""
+    return _paterson_stockmeyer(As, _TAYLOR[m][1])[0]
+
+
+def _paterson_stockmeyer(B, C, k=1):
+    """k polynomials (k, batch, n, n) of every matrix of the stack B by
+    Paterson-Stockmeyer: the powers [I, B, ..., B^s] (s + 1 = C's columns)
+    in one buffer, every chunk sum from one product with the coefficient
+    rows, then Horner in B^s. C is chunk-major: row k j + i holds chunk j
+    of polynomial i, p_i(B) = C_i + B^s (C_(k+i) + B^s (...))."""
+    s = C.shape[1] - 1
+    batch, n = len(B), B.shape[-1]
     P = np.empty((s + 1, batch, n, n))
     P[0] = _identity(n)
-    P[1] = As
+    P[1] = B
     for j in range(2, s + 1):
-        np.matmul(As, P[j - 1], out=P[j])
-    W = (C @ P.reshape(s + 1, -1)).reshape(-1, batch, n, n)
+        np.matmul(B, P[j - 1], out=P[j])
+    W = (C @ P.reshape(s + 1, -1)).reshape(-1, k, batch, n, n)
     F = W[-1]
-    for Wj in W[-2::-1]:
-        F = Wj + P[s] @ F
+    for j in range(len(W) - 2, -1, -1):
+        F = W[j] + P[s] @ F
     return F
 
 
@@ -439,10 +434,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     if not norm_b < math.inf:
         raise PhiConvergenceError("vector 1-norm is not finite",
                                   {"norm": norm_b})
-    if norm_b > 0:
-        nu = 2.0 ** -math.ceil(math.log2(norm_b))
-    else:
-        nu = 1.0
+    nu = 2.0 ** -math.ceil(math.log2(norm_b)) if norm_b > 0 else 1.0
     aug, w = _augmented_matrix(A, bs, nu)
     # With no b_0 the first start vector is e_(n+p-1), and the shift block
     # makes the next basis vectors e_(n+p-2), e_(n+p-3), .. up to the column
@@ -486,10 +478,9 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
             # exp(c H).
             inner = [T - tau_now for T in time_points[len(values):] if T < tau_end]
             F = expm(np.multiply.outer([tau_try, *inner], Hx))
-            if proc.happy:
-                easy = True
-                break
-            err = beta * proc.H[j, j - 1] * abs(F[0, j - 1, j])
+            # A happy breakdown's basis is exact: its error is 0.
+            err = (0.0 if proc.happy
+                   else beta * proc.H[j, j - 1] * abs(F[0, j - 1, j]))
             budget = tol * beta * tau_try
             if err <= budget:
                 easy = err <= EASY_SUCCESS * budget
@@ -503,11 +494,8 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
                 if tau_try < MIN_SUBSTEP:
                     raise PhiConvergenceError(
                         "Krylov substep underflow before reaching tolerance",
-                        diagnostics={
-                            "tau": tau_try, "tau_now": tau_now, "err": err,
-                            "m": j, "beta": beta,
-                        },
-                    )
+                        diagnostics={"tau": tau_try, "tau_now": tau_now,
+                                     "err": err, "m": j, "beta": beta})
         stats.substeps += 1
         stats.max_krylov_dim = max(stats.max_krylov_dim, j)
         stats.matvecs += j

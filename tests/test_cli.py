@@ -420,6 +420,39 @@ class TestErrorPaths:
         assert rc == EXIT_IO
         assert "cannot create output dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["config", "mechanism"])
+    def test_input_not_utf8(self, workdir, capsys, kind):
+        # docs/format.md: both files are UTF-8 text. Another encoding is a
+        # parse error naming the file, not a UnicodeDecodeError traceback.
+        if kind == "config":
+            path = workdir / "run.cfg"
+            path.write_bytes(b"# caf\xe9\n" + SHORT_CFG.encode())
+        else:
+            path = workdir / "toy3.mech"
+            path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        rc = run_cli("validate", "--config", str(workdir / "run.cfg"))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{path} is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, filename", [
+        ("run", "solution.csv"), ("run", "steps.csv"),
+        ("sweep", "sweep.csv"), ("spectrum", "spectrum.csv"),
+    ])
+    def test_output_not_writable(self, workdir, capsys, command, filename):
+        # An output file that cannot be opened (here a directory of its
+        # name) is an I/O error naming the file.
+        (workdir / "s.cfg").write_text(
+            SHORT_CFG + "sweep 1e-6 1e-4\nreference 1e-8 1e-6\n")
+        (workdir / "out" / filename).mkdir(parents=True)
+        rc = run_cli(command, "--config", str(workdir / "s.cfg"),
+                     "--out", str(workdir / "out"))
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"cannot write {workdir / 'out' / filename}: " in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_sweep_rows_and_self_consistency(self, workdir):

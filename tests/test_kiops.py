@@ -481,6 +481,29 @@ class TestSeededBasis:
         stats = assert_bits_match_unseeded(A, bs, (0.75, 1.0))
         assert stats.max_krylov_dim == stats.matvecs == p
 
+    @pytest.mark.parametrize("pattern", ["1", "001", "101"])
+    def test_full_space_happy_breakdown(self, pattern, monkeypatch):
+        # A nonzero b with n + p <= M_INIT: the first basis spans the whole
+        # augmented space and breaks down happily, so the one substep
+        # reaches T = 1 with no error estimate, and serves T = 0.75 too.
+        happy = []
+
+        class Recorded(phikrylov.Arnoldi):
+            def extend(self, m_target):
+                super().extend(m_target)
+                happy.append(self.happy)
+
+        monkeypatch.setattr(phikrylov, "Arnoldi", Recorded)
+        rng = np.random.default_rng(4949)
+        n = M_INIT - len(pattern)
+        A = stiff_diag_matrix(rng, n, 1e3)
+        bs = [None] + [rng.standard_normal(n) if given == "1" else None
+                       for given in pattern]
+        stats = assert_bits_match_unseeded(A, bs, (0.75, 1.0))
+        assert happy == [True]
+        assert stats.substeps == 1 and stats.rejections == 0
+        assert stats.max_krylov_dim == stats.matvecs == M_INIT
+
     def test_seeded_arnoldi_basis_bits(self):
         # The seeded process writes the unseeded V and H, signed zeros
         # included, and builds the same number of vectors.
@@ -917,6 +940,45 @@ def expm_with_identity(A):
     return F
 
 
+def pade13_stack_reference(A):
+    """expm's Pade tier on a stack as it was before it shared
+    `_paterson_stockmeyer` with the Taylor tier: [I, A^2, A^4, A^6] in its
+    own buffer, the coefficient rows of the A^6 factors first, and its own
+    Horner step."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[-1]
+    As = A.reshape(-1, n, n)
+    b = np.array(PADE13_B)
+    C = np.zeros((4, 4))
+    C[0, 1:], C[1, 1:] = b[9::2], b[8:13:2]
+    C[2], C[3] = b[1:8:2], b[0:7:2]
+    theta = THETA_13
+    norms = np.abs(As).sum(axis=1).max(axis=1).tolist()
+    s = [max(0, math.ceil(math.log2(x / theta))) if x > theta else 0
+         for x in norms]
+    if max(norms) > theta:
+        As = As * np.array([0.5**k for k in s]).reshape(-1, 1, 1)
+    batch = len(As)
+    P = np.empty((4, batch, n, n))
+    P[0] = np.eye(n)
+    np.matmul(As, As, out=P[1])
+    for j in range(2, 4):
+        np.matmul(P[1], P[j - 1], out=P[j])
+    W = (C @ P.reshape(4, -1)).reshape(-1, batch, n, n)
+    W = P[3] @ W[:2] + W[2:]
+    U = As @ W[0]
+    V = W[1]
+    F = np.linalg.solve(V - U, V + U)
+    if max(norms) > theta:
+        common = min(s)
+        for _ in range(common):
+            F = F @ F
+        for i, k in enumerate(s):
+            for _ in range(k - common):
+                F[i] = F[i] @ F[i]
+    return F.reshape(A.shape)
+
+
 def norm1(X):
     return float(np.abs(X).sum(axis=-2).max())
 
@@ -927,20 +989,55 @@ def with_norm(rng, n, norm):
     return A * (norm / norm1(A))
 
 
+def stable_with_norm(rng, n, norm):
+    """A random nonnormal n x n matrix with 1-norm `norm` and its spectrum
+    in [-1.5, -0.5] times its scale, so that its exponential stays finite."""
+    T = np.triu(rng.standard_normal((n, n)), 1) - np.diag(0.5 + rng.random(n))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ T @ Q.T
+    return A * (norm / norm1(A))
+
+
+def mixed_norm_stack():
+    """Three 9 x 9 matrices: 1-norm 1, at least 1e4 and half that."""
+    rng = np.random.default_rng(1515)
+    small = rng.standard_normal((9, 9))
+    small /= np.abs(small).sum(axis=0).max()
+    large = stiff_diag_matrix(rng, 9, 2e4)
+    assert np.abs(large).sum(axis=0).max() >= 1e4
+    return np.stack([small, large, 0.5 * large])
+
+
 class TestExpmStack:
     def test_stack_matches_each_matrix(self):
         # 1-norms 1e4 apart. Each matrix keeps its own scaling exponent: at
         # the largest one's, the small matrix would be squared about 14 times
         # more and lose about 2**14 ulps (measured 1e-12 relative).
-        rng = np.random.default_rng(1515)
-        small = rng.standard_normal((9, 9))
-        small /= np.abs(small).sum(axis=0).max()
-        large = stiff_diag_matrix(rng, 9, 2e4)
-        assert np.abs(large).sum(axis=0).max() >= 1e4
-        got = expm(np.stack([small, large, 0.5 * large]))
-        for X, G in zip((small, large, 0.5 * large), got):
+        stack = mixed_norm_stack()
+        got = expm(stack)
+        for X, G in zip(stack, got):
             want = expm(X)
             assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_pade_tier_bits_match_inline_reference(self, n):
+        # The Pade tier evaluates U / A and V by the Taylor tier's
+        # Paterson-Stockmeyer routine; the old inline evaluation's bits
+        # are kept, for single matrices and for stacks whose members' norms
+        # lie 1e3 apart, from just above theta_20 to 1e6.
+        rng = np.random.default_rng(1900 + n)
+        for norm in np.geomspace(1.0001 * taylor_theta(20), 1e6, 12):
+            X = stable_with_norm(rng, n, norm)
+            for A in (X, np.stack([X, *(stable_with_norm(rng, n, norm * f)
+                                        for f in (1e-3, 1e-6))])):
+                got, want = expm(A), pade13_stack_reference(A)
+                assert np.isfinite(want).all()
+                assert got.tobytes() == want.tobytes(), (n, norm)
+
+    def test_pade_tier_bits_match_inline_reference_on_mixed_stack(self):
+        stack = mixed_norm_stack()
+        for A in (stack, stack[::-1], stack[1]):
+            assert expm(A).tobytes() == pade13_stack_reference(A).tobytes()
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_norm_is_a_failed_evaluation(self, bad):
@@ -1018,7 +1115,7 @@ class TestTaylorDegree:
 
     def test_thresholds_from_backward_error_series(self):
         assert tuple(phikrylov._TAYLOR) == TAYLOR_DEGREES
-        for m, (theta, _, _) in phikrylov._TAYLOR.items():
+        for m, (theta, _) in phikrylov._TAYLOR.items():
             assert theta == pytest.approx(taylor_theta(m), rel=1e-6), m
         assert phikrylov._PADE13[0] == THETA_13
 
