@@ -12,13 +12,17 @@ hands it (a balanced ||h J||_1 of 0.025, near the toy3-run median of
 `degree`), `phi_blocks` on that matrix scaled to ||h J||_1 = 1 (degree 20),
 `expm` of a (2, 11, 11) Krylov-Hessenberg stack, the two `kiops_eval` calls of an
 attempt at the K = 53 state (phi_1 at T = 3/4 and 1, phi_3 at T = 1),
-`Arnoldi.extend(10)` there, one `epi3v_step` attempt (F and J given) at
+`Arnoldi.extend(10)` there, the phi_1 call at the same state of a K = 250
+mechanism (network 0), one `epi3v_step` attempt (F and J given) at
 each state, and the set-up and output of a K = 53 run: `parse_mechanism` of
 the network's text, `kinetics._Tables` of the parsed mechanism (the
 evaluation arrays its first evaluation builds) and `write_csv` of a
 200 x 55 table of floats, the size of the gen53-ignition `solution.csv`,
-to a temporary directory. Each kernel runs `--repeat` batches of `--number`
-calls (0: as many as fill about 20 ms); the report holds the median,
+to a temporary directory. The Krylov kernels take the operator and vector
+the integrator hands `kiops_eval`: h J and h F weighted by the error
+weights at GEN_ATOL and GEN_RTOL (`integrator._phi_products`). Each kernel
+runs `--repeat` batches of `--number` calls (0: as many as fill about
+20 ms); the report holds the median,
 minimum and maximum per-call time of the batches in microseconds, with the
 host, its core count and the numpy and BLAS versions, and goes to stdout
 and to `--out`.
@@ -61,11 +65,12 @@ from expkin.kinetics import rhs_and_jacobian, rhs_vector  # noqa: E402
 
 TOY_T = 1500.0
 GEN_SPECIES = 53
+GEN_LARGE_SPECIES = 250
 GEN_NETWORK_SEED = 0
 GEN_T = 1050.0
 PRESSURE = 101325.0
 TOY_STEP = 1.0e-5       # h of the toy's EPI3V step
-GEN_STEP = 1.0e-7       # h of the K = 53 Krylov calls
+GEN_STEP = 1.0e-7       # h of the Krylov calls
 # h of the K = 53 EPI3V attempt: its stage stays inside the mass-fraction
 # bounds and its error test passes (scaled error 0.43) at the
 # gen53-ignition workload's tolerances GEN_ATOL and GEN_RTOL.
@@ -97,11 +102,11 @@ def toy_state():
     return mech, np.concatenate(([TOY_T], Y))
 
 
-def gen_state():
-    """The K = 53 network's initial mixture at GEN_T with 1% of the mass
+def gen_state(n_species=GEN_SPECIES):
+    """A generated network's initial mixture at GEN_T with 1% of the mass
     spread evenly over all species, so no column of J is a zero-Y column."""
     mechgen = load_perfbench("mechgen")
-    mech = mechgen.generate_mechanism(GEN_SPECIES, GEN_NETWORK_SEED)
+    mech = mechgen.generate_mechanism(n_species, GEN_NETWORK_SEED)
     Y = np.full(mech.n_species, 0.01 / mech.n_species)
     for name, frac in mechgen.initial_mass_fractions(mech).items():
         Y[mech.species_index(name)] += 0.99 * frac
@@ -173,6 +178,28 @@ def toy_stack(step):
     return A, stack, kwargs["degree"]
 
 
+def krylov_operands(mech, y):
+    """(A, b): the operator and vector of the phi_1 `kiops_eval` call of an
+    attempt of step GEN_STEP at state y with tolerances GEN_ATOL and
+    GEN_RTOL, as `integrator._phi_products` weights them."""
+    F, J = rhs_and_jacobian(y, mech, PRESSURE)
+    weights = GEN_ATOL + GEN_RTOL * np.abs(y)
+    real = phikrylov.kiops_eval
+    captured = []
+
+    def first_call_recorded(A, bs, **kwargs):
+        captured.append((np.array(A), bs[-1].copy()))
+        return real(A, bs, **kwargs)
+    phikrylov.kiops_eval = first_call_recorded
+    try:
+        integrator._phi_products(GEN_STEP * J, GEN_STEP * F, weights,
+                                 integrator.krylov_tolerance(GEN_RTOL),
+                                 phikrylov.PhiStats())
+    finally:
+        phikrylov.kiops_eval = real
+    return captured[0]
+
+
 def norm1(X):
     """The largest 1-norm of the matrix X or of the matrices of a stack."""
     return float(np.abs(X).sum(axis=-2).max())
@@ -210,12 +237,12 @@ def measure(repeat, number, tmpdir):
     step_toy = attempt(toy_mech, y_toy, TOY_STEP, cfg.atol, cfg.rtol)
     A_toy, stack_toy, degree_toy = toy_stack(step_toy)
     A_toy_norm1 = A_toy / norm1(A_toy)
-    F_gen, J_gen = rhs_and_jacobian(y_gen, gen_mech, PRESSURE)
-    A_gen, hF_gen = GEN_STEP * J_gen, GEN_STEP * F_gen
-    stack_hess = hessenberg_stack(A_gen, hF_gen)
+    A_gen, b_gen = krylov_operands(gen_mech, y_gen)
+    A_large, b_large = krylov_operands(*gen_state(GEN_LARGE_SPECIES))
+    stack_hess = hessenberg_stack(A_gen, b_gen)
 
     def arnoldi():
-        phikrylov.Arnoldi(A_gen, hF_gen, 10).extend(10)
+        phikrylov.Arnoldi(A_gen, b_gen, 10).extend(10)
 
     kernels = {
         "rhs_vector@toy3": lambda: rhs_vector(y_toy, toy_mech, PRESSURE),
@@ -231,10 +258,12 @@ def measure(repeat, number, tmpdir):
                                                   degree=degree_toy),
         "expm@hessenberg_stack": lambda: phikrylov.expm(stack_hess),
         "kiops_eval@gen53": lambda: phikrylov.kiops_eval(
-            A_gen, [None, hF_gen], (0.75, 1.0), tol=1e-10),
+            A_gen, [None, b_gen], (0.75, 1.0), tol=1e-10),
         "kiops_eval_phi3@gen53": lambda: phikrylov.kiops_eval(
-            A_gen, [None, None, None, hF_gen], (1.0,), tol=1e-10),
+            A_gen, [None, None, None, b_gen], (1.0,), tol=1e-10),
         "arnoldi_extend10@gen53": arnoldi,
+        "kiops_eval@gen250": lambda: phikrylov.kiops_eval(
+            A_large, [None, b_large], (0.75, 1.0), tol=1e-10),
         "epi3v_step@toy3": step_toy,
         "epi3v_step@gen53": attempt(gen_mech, y_gen, GEN_ATTEMPT_STEP, GEN_ATOL,
                                     GEN_RTOL),

@@ -8,12 +8,14 @@ One step with step size h, F = F(y_n), J = J(y_n):
     y_{n+1} = y_n + phi_1(h J) h F + phi_3(h J) 2 h R(Y1)
 
 The phi_3 term is also the local truncation error estimate (the difference
-to the embedded exponential-Euler step y_n + h phi_1(h J) F). On a small
-state (n + MAX_PHI_ORDER <= M_INIT) an attempt takes the phi_1 and phi_3
+to the embedded exponential-Euler step y_n + h phi_1(h J) F). Every phi
+evaluation is posed on D h J D^-1, D = diag(1/weights) of the error
+weights in powers of two, and unscaled. On a small state
+(n + MAX_PHI_ORDER <= M_INIT) an attempt takes the phi_1 and phi_3
 matrices at T = 3/4 and 1 from one dense exponential
-(`phikrylov.phi_blocks`) of h J balanced by the error weights, and does no
-Krylov work. On a larger state it uses exactly two Krylov evaluations: one
-for phi_1 at time points {3/4, 1}, one for the phi_3 term.
+(`phikrylov.phi_blocks`) and does no Krylov work. On a larger state it uses
+exactly two weighted Krylov evaluations: one for phi_1 at time points
+{3/4, 1}, one for the phi_3 term.
 
 F and J come from one call, `OdeProblem.jac(y_n)`, which for a mechanism is
 one kinetics pass per new state; rejected attempts reuse them. Each attempt
@@ -47,7 +49,13 @@ H_MIN_FRACTION = 1.0e-15
 
 
 def krylov_tolerance(rtol):
-    """Krylov tolerance of the phi evaluations: 0.01 * rtol, floored at 1e-14."""
+    """Krylov tolerance of the phi evaluations: 0.01 * rtol, floored at 1e-14.
+
+    `kiops_eval` holds each substep's error below this fraction of beta, the
+    norm of its start vector; the integrator's calls start from the
+    weighted vector D b (`_phi_products`), so the budget is relative to
+    the weighted size of b, in the controller's units up to the constant
+    scale of D."""
     return max(0.01 * rtol, 1.0e-14)
 
 
@@ -105,18 +113,22 @@ def problem_from_mechanism(mech, pressure, *, telemetry=None):
     return OdeProblem(f, jac)
 
 
+# log2 of the largest ratio of two entries of the balancing D: a wider
+# spread makes D A D^-1 so far from normal that squaring it loses the
+# weighted accuracy (on toy3 states at atol 1e-20, a spread of 2^40 left the
+# products 2e-3 off in the weighted norm).
+BALANCE_SPREAD = 20
+
+
 @functools.lru_cache(maxsize=64)
 def _balancing(exponents):
     """(ratios, ratios.T) for error weights of binary exponents `exponents`:
     d ~ 1/weights in powers of two, normalised to at most 1 and clipped at
-    2^-20, and ratios[i, j] = d_i / d_j, both read-only. D A D^-1 then
-    exceeds A by at most 2^20 entrywise and D v never exceeds v, for any
-    positive weights. A wider spread makes the scaled matrix so far from
-    normal that squaring it loses the weighted accuracy (on toy3 states at
-    atol 1e-20, a spread of 2^40 left the products 2e-3 off in the weighted
-    norm)."""
+    2^-BALANCE_SPREAD, and ratios[i, j] = d_i / d_j, both read-only. D A D^-1
+    then exceeds A by at most 2^BALANCE_SPREAD entrywise and D v never
+    exceeds v, for any positive weights."""
     low = min(exponents)
-    d = [math.ldexp(1.0, max(low - x, -20)) for x in exponents]
+    d = [math.ldexp(1.0, max(low - x, -BALANCE_SPREAD)) for x in exponents]
     ratios = np.divide.outer(d, d)
     ratios_t = ratios.T.copy()
     ratios.flags.writeable = ratios_t.flags.writeable = False
@@ -127,17 +139,19 @@ def _phi_products(A, hF, weights, krylov_tol, stats):
     """(w34, w1, phi3) of an attempt with A = h J: T phi_1(T A) hF at T = 3/4
     and T = 1, and the map v -> phi_3(A) v.
 
-    A small state (n + MAX_PHI_ORDER <= M_INIT) takes them from the
-    `phikrylov.phi_blocks` of D A D^-1, with D = diag(1/weights) rounded to
-    powers of two (`_balancing`, cached on the weights' binary exponents,
-    which seldom change from one attempt to the next), and unscales the
-    products. The similarity is exact, so it leaves the phi values
-    unchanged; it only balances the matrix (T beside mass fractions spans
-    many decades), which keeps `expm`'s degree low and spares it squarings
-    (Brown & Hindmarsh, Appl. Math. Comput. 31, 1989), and it counts no
-    work. A larger state makes two unweighted Krylov evaluations, each
-    counted into `stats` as it begins, so a call that raises has been
-    counted.
+    Both branches evaluate phi on D A D^-1 and D b, with D = diag(1/weights)
+    rounded to powers of two and its spread clipped (`_balancing`), and
+    unscale the results. The similarity is exact, so it leaves the phi
+    values unchanged; it balances the matrix (T beside mass fractions spans
+    many decades), which keeps the exponentials' norms and squarings low,
+    and it poses the Krylov error in the controller's weighted norm (Brown
+    & Hindmarsh, Appl. Math. Comput. 31, 1989). A small state
+    (n + MAX_PHI_ORDER <= M_INIT) takes the products from the
+    `phikrylov.phi_blocks` of D A D^-1 (the ratios d_i / d_j cached on the
+    weights' binary exponents, which seldom change from one attempt to the
+    next) and counts no work. A larger state makes two weighted Krylov
+    evaluations, each counted into `stats` as it begins, so a call that
+    raises has been counted.
     """
     n = len(hF)
     if n + phikrylov.MAX_PHI_ORDER <= phikrylov.M_INIT:
@@ -155,19 +169,26 @@ def _phi_products(A, hF, weights, krylov_tol, stats):
             return phi3_A @ v
         return w34, w1, phi3
 
-    def phi(bs, time_points):
+    # The exponents of d, from numpy's frexp: the rule of `_balancing`.
+    e = np.frexp(weights)[1]
+    k = np.maximum(e.min() - e, -BALANCE_SPREAD)
+    d, d_inv = np.ldexp(1.0, k), np.ldexp(1.0, -k)
+    DAD = d[:, None] * A
+    DAD *= d_inv
+
+    def phi(b, p, time_points):
         stats.calls += 1
-        res = phikrylov.kiops_eval(A, bs, time_points=time_points,
-                                   tol=krylov_tol)
+        res = phikrylov.kiops_eval(DAD, [None] * p + [d * b],
+                                   time_points=time_points, tol=krylov_tol)
         stats.add_work(res.stats)
-        return res.values
+        return [v * d_inv for v in res.values]
 
     # Call 1: phi_1(T A) hF at T = 3/4 and T = 1, one Krylov process.
-    w34, w1 = phi([None, hF], (0.75, 1.0))
+    w34, w1 = phi(hF, 1, (0.75, 1.0))
 
     def phi3(v):
         # Call 2: phi_3(A) v.
-        return phi([None, None, None, v], (1.0,))[0]
+        return phi(v, 3, (1.0,))[0]
     return w34, w1, phi3
 
 

@@ -237,9 +237,12 @@ class _Tables:
     - `reverse` (R,): the reversible reactions' indices; `equilibrium_nu`
       (K, R): their nu_net times W_k, which turns specific H and S into
       reaction changes; `dnu_reverse` (R,);
-    - `nu_rows` (rows, K): the signed nu_net of every row (a reverse row
-      negates its reaction's), so that omega = r nu_rows for the rates of
-      progress r of the rows;
+    - the nonzeros of nu_rows (rows, K), the signed nu_net of every row (a
+      reverse row negates its reaction's), row by row: their rows `nz_row`,
+      species `nz_species` and values `nz_nu`, so that omega = r nu_rows
+      for the rates of progress r of the rows is one `bincount`, summed in
+      a fixed order (a BLAS product's rounding moved with the thread count
+      at K = 250) and over the nonzeros only;
     - `inv_molar_masses` (K,) and `inv_w` (K + 1,), the same with a
       leading 0 in the [T, Y] column layout; `w_ratio` (K, K + 1), the
       columns W_i and W_i / W_k;
@@ -288,7 +291,7 @@ class _Tables:
         self.reverse = rev
         self.equilibrium_nu = (self.nu_net[rev] * W).T.copy()
         self.dnu_reverse = self.dnu[rev]
-        self.nu_rows = np.concatenate((self.nu_net, -self.nu_net[rev]))
+        nu_rows = np.concatenate((self.nu_net, -self.nu_net[rev]))
         self.inv_molar_masses = 1.0 / W
         self.inv_w = np.concatenate(([0.0], self.inv_molar_masses))
         self.w_ratio = np.multiply.outer(W, self.inv_w)
@@ -303,15 +306,17 @@ class _Tables:
                             np.zeros((1, len(rows)), dtype=np.intp))).ravel()
         weight = np.flatnonzero(column <= K)
         row = weight % len(rows)
-        nz_row, nz_species = np.nonzero(self.nu_rows)
+        nz_row, nz_species = np.nonzero(nu_rows)
         count = np.bincount(nz_row, minlength=len(rows))
         repeats = count[row]
         # Expanded entry t, of weight i, takes nonzero first[i] + t - offset[i].
         first = (np.cumsum(count) - count)[row]
         offset = np.cumsum(repeats) - repeats
         nz = np.arange(repeats.sum()) + np.repeat(first - offset, repeats)
+        self.nz_row, self.nz_species = nz_row, nz_species
+        self.nz_nu = nu_rows[nz_row, nz_species]
         self.jacobian_gather = np.repeat(weight, repeats)
-        self.jacobian_nu = self.nu_rows[nz_row[nz], nz_species[nz]]
+        self.jacobian_nu = self.nz_nu[nz]
         self.jacobian_index = (nz_species[nz] * (K + 1)
                                + column[self.jacobian_gather])
         for value in (*vars(self).values(), *self.thermo_by_range):
@@ -622,7 +627,8 @@ def _evaluate(y, mech, p, telemetry, jacobian):
     r = k * prod
     F = np.empty(K + 1)
     w_rho = mech.molar_masses / rho
-    F_Y = np.multiply(r @ tb.nu_rows, w_rho, out=F[1:])
+    F_Y = np.multiply(np.bincount(tb.nz_species, r[tb.nz_row] * tb.nz_nu, K),
+                      w_rho, out=F[1:])
     cp_mean = float(Y @ cp)
     # F[0] carries the check of F: an inf or NaN in F_Y makes the dot
     # product, and with it F[0], inf or NaN (0 times inf is NaN).

@@ -1,7 +1,8 @@
 """Evaluation of phi-function linear combinations.
 
-Provides a dense augmented-matrix oracle, a matrix exponential (Taylor
-below theta_20, Pade 13 above), a block CGS2 Arnoldi process, and an
+Provides a dense augmented-matrix oracle, a matrix exponential (Taylor,
+squared up to TAYLOR_SQUARINGS times, below its cap; Pade 13 above), a
+block CGS2 Arnoldi process with a row-major basis, and an
 adaptive Krylov evaluator (KIOPS-style: Gaudreault, Rainwater & Tokman,
 J. Comput. Phys. 372, 2018) with tau-substepping for
 
@@ -89,9 +90,17 @@ def _pade13():
     return 5.371920351148152, C
 
 
-# Above theta_20 the degree-13 Pade approximant takes over; a matrix above
-# theta_13 is scaled by a power of two and squared.
 _PADE13 = _pade13()
+# Above theta_20 a matrix is scaled by a power of two, exponentiated and
+# squared back: by the degree-20 Taylor polynomial while the stack's largest
+# 1-norm needs at most TAYLOR_SQUARINGS squarings, by the degree-13 Pade
+# approximant beyond. Taylor costs less at every norm (no solve) but needs
+# about two more squarings (theta_13 / theta_20 = 3.7), each of which
+# doubles the rounding error: at 12, recorded Hessenberg stacks of K = 100
+# and 250 ignitions stayed within 5.7e-13 of scipy (Pade: 2.2e-13), while
+# toy3's 1e6-norm stacks (20 squarings) would be 2.2e-10 off, not 3.2e-11.
+TAYLOR_SQUARINGS = 12
+_TAYLOR_CAP = math.ldexp(_TAYLOR[20][0], TAYLOR_SQUARINGS)
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,15 +128,21 @@ class PhiConvergenceError(RuntimeError):
 def expm(A, degree=None):
     """Matrix exponential of one matrix (n, n) or a stack (..., n, n).
 
-    A stack whose largest 1-norm is at most theta_20 gets the Taylor
-    polynomial of the lowest degree m in 2, 4, 6, 9, 12, 16, 20 whose
-    theta_m bounds that norm (Al-Mohy & Higham 2011), in 1 to 7 batched
-    products and no solve (`_taylor_stack`). A larger stack gets the
-    degree-13 Pade approximant with scaling and squaring (Higham 2005), its
-    U / A and V from the same `_paterson_stockmeyer` in A^2, then one
-    batched solve; a matrix above theta_13 is scaled by the exponent of its
-    own 1-norm and squared back, so it gets the squarings it would get
-    alone. A matrix whose 1-norm is not finite raises PhiConvergenceError.
+    Three tiers, by the stack's largest 1-norm:
+    - up to theta_20, the Taylor polynomial of the lowest degree m in 2, 4,
+      6, 9, 12, 16, 20 whose theta_m bounds that norm (Al-Mohy & Higham
+      2011), in 1 to 7 batched products and no solve (`_taylor_stack`);
+    - up to theta_20 2^TAYLOR_SQUARINGS, the degree-20 polynomial with
+      scaling and squaring, still with no solve;
+    - above, the degree-13 Pade approximant with scaling and squaring
+      (Higham 2005), its U / A and V from the same `_paterson_stockmeyer`
+      in A^2, then one batched solve.
+    In both squared tiers a matrix above the tier's theta is scaled by the
+    exponent of its own 1-norm and squared back, so it gets the squarings
+    it would get alone. The cap keeps the Taylor tier's extra squarings
+    (theta_20 is a quarter of theta_13) off the largest norms, where each
+    squaring doubles the rounding error. A matrix whose 1-norm is not
+    finite raises PhiConvergenceError.
 
     `degree`, one of those m, takes that Taylor polynomial with no look at
     the norms: the caller (`phi_blocks`) has bounded them and checked that
@@ -146,22 +161,24 @@ def expm(A, degree=None):
                        if top <= theta), None)
     if degree is not None:
         return _taylor_stack(As, degree).reshape(A.shape)
-    theta, C = _PADE13
+    taylor = top <= _TAYLOR_CAP
+    theta = _TAYLOR[20][0] if taylor else _PADE13[0]
     s = [math.ceil(math.log2(x / theta)) if x > theta else 0 for x in norms]
-    if top > theta:
-        As = As * np.array([0.5**k for k in s]).reshape(-1, 1, 1)
-    W = _paterson_stockmeyer(As @ As, C, 2)
-    U, V = As @ W[0], W[1]
-    F = np.linalg.solve(V - U, V + U)
-    if top > theta:
-        # Square the whole stack as often as every matrix needs, then each
-        # matrix that needs more on its own.
-        common = min(s)
-        for _ in range(common):
-            F = F @ F
-        for i, k in enumerate(s):
-            for _ in range(k - common):
-                F[i] = F[i] @ F[i]
+    As = As * np.array([0.5**k for k in s]).reshape(-1, 1, 1)
+    if taylor:
+        F = _taylor_stack(As, 20)
+    else:
+        W = _paterson_stockmeyer(As @ As, _PADE13[1], 2)
+        U, V = As @ W[0], W[1]
+        F = np.linalg.solve(V - U, V + U)
+    # Square the whole stack as often as every matrix needs, then each
+    # matrix that needs more on its own.
+    common = min(s)
+    for _ in range(common):
+        F = F @ F
+    for i, k in enumerate(s):
+        for _ in range(k - common):
+            F[i] = F[i] @ F[i]
     return F.reshape(A.shape)
 
 
@@ -313,20 +330,22 @@ class Arnoldi:
     (CGS2), extensible in the basis size up to `m_cap`.
 
     `A` is a dense matrix and `beta` the norm of the starting vector, whose
-    direction is `V[:, 0]`. After `extend(m)`, `V[:, :m]` is orthonormal and
-    `H[:m, :m]` upper-Hessenberg with A V_m = V_{m+1} H[:m+1, :m]. Each new
-    vector is projected out of the basis twice, each time in one block
-    product, and `H` takes the sum of the two projections. The process stops
-    early on happy breakdown (`happy` set), when the new residual falls below
-    1e-14 max(1, max|H|).
+    direction is `V[0]`. The basis is stored row-major: row j of `V`
+    ((m_cap + 1, N), C order) is basis vector j, so every vector and every
+    leading block of the basis is contiguous. After `extend(m)`, the rows
+    `V[:m]` are orthonormal and `H[:m, :m]` upper-Hessenberg with
+    A V[:m].T = V[:m+1].T H[:m+1, :m]. Each new vector is projected out of
+    the basis twice, each time in one block product, and `H` takes the sum
+    of the two projections. The process stops early on happy breakdown
+    (`happy` set), when the new residual falls below 1e-14 max(1, max|H|).
 
     `columns` seeds the first iterations: iteration j < len(columns) takes
-    A V[:, j] as column `columns[j]` of A, with no product and no
-    projection. The caller vouches that V[:, j] is the unit vector
-    e_columns[j] and that this column of A is zero in the rows
-    columns[0] .. columns[j], so the projections it skips are exact zeros
-    (`kiops_eval` passes the shift block of its augmented matrix). For a
-    finite A the basis and H are those of the unseeded process, bit for bit.
+    A V[j] as column `columns[j]` of A, with no product and no projection.
+    The caller vouches that V[j] is the unit vector e_columns[j] and that
+    this column of A is zero in the rows columns[0] .. columns[j], so the
+    projections it skips are exact zeros (`kiops_eval` passes the shift
+    block of its augmented matrix). For a finite A the basis and H are
+    those of the unseeded process, bit for bit.
     """
 
     def __init__(self, A, v, m_cap, columns=()):
@@ -337,9 +356,9 @@ class Arnoldi:
         self.beta = math.sqrt(v.dot(v))
         if self.beta == 0:
             raise ValueError("Arnoldi starting vector must be nonzero")
-        self.V = np.zeros((v.size, m_cap + 1))
+        self.V = np.zeros((m_cap + 1, v.size))
         self.H = np.zeros((m_cap + 1, m_cap + 1))
-        self.V[:, 0] = v / self.beta
+        self.V[0] = v / self.beta
         self.m = 0
         self.happy = False
         # max(1, max|H|) over the columns built so far (a column's entries
@@ -350,7 +369,6 @@ class Arnoldi:
     def extend(self, m_target):
         V, H, matvec, columns = self.V, self.H, self.matvec, self.columns
         j, scale = self.m, self.scale
-        v = V[:, j]
         while j < m_target and not self.happy:
             if j < len(columns):
                 # The column as a matvec returns it: a contiguous copy, so
@@ -358,15 +376,15 @@ class Arnoldi:
                 # -0.0 entry into the product's +0.0.
                 w = self.A[:, columns[j]] + 0.0
             else:
-                Vj = V[:, :j + 1]
-                VjT = Vj.T
-                w = matvec(v)
-                h = VjT @ w
-                w -= Vj @ h
+                Vj = V[:j + 1]
+                w = matvec(V[j])
+                # ndarray.dot: the same BLAS products as @ with less dispatch.
+                h = Vj.dot(w)
+                w -= h.dot(Vj)
                 # The second pass keeps the basis orthonormal to rounding
                 # error.
-                c = VjT @ w
-                w -= Vj @ c
+                c = Vj.dot(w)
+                w -= c.dot(Vj)
                 h += c
                 H[:j + 1, j] = h
                 scale = max(scale, *map(abs, h.tolist()))
@@ -377,9 +395,7 @@ class Arnoldi:
             if hnext <= 1.0e-14 * scale:
                 self.happy = True
                 break
-            # The next vector, kept contiguous for the next product.
-            w /= hnext
-            V[:, j] = v = w
+            np.divide(w, hnext, out=V[j])
         self.m, self.scale = j, scale
 
 
@@ -499,12 +515,14 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
         stats.substeps += 1
         stats.max_krylov_dim = max(stats.max_krylov_dim, j)
         stats.matvecs += j
-        basis = beta * proc.V[:, :j]
-        values.extend((basis @ F_T[:j, 0])[:n] for F_T in F[1:])
-        # The top-left block of F[0] advances the state to the substep's end.
-        w = basis @ F[0, :j, 0]
+        # F[0]'s top-left block advances the state to the substep's end, the
+        # other exponentials reach the inner time points: one product each,
+        # so w does not depend on how many there are.
+        basis = proc.V[:j]
+        w, *reached = [(beta * F_T[:j, 0]).dot(basis) for F_T in F]
+        values.extend(v[:n] for v in reached)
         if len(values) < len(time_points) and time_points[len(values)] == tau_end:
-            values.append(w[:n].copy())
+            values.append(w[:n])
         tau_now = tau_end
         tau = 2.0 * tau_try if easy else tau_try
 

@@ -15,7 +15,7 @@ KERNELS = {
     "rhs_and_jacobian@gen53", "thermo@toy3", "thermo@gen53",
     "phi_blocks@toy3", "phi_blocks@toy3_norm1", "expm@toy3_stack",
     "expm@hessenberg_stack", "kiops_eval@gen53", "kiops_eval_phi3@gen53",
-    "arnoldi_extend10@gen53",
+    "arnoldi_extend10@gen53", "kiops_eval@gen250",
     "epi3v_step@toy3", "epi3v_step@gen53",
     "parse_mechanism@gen53", "tables@gen53", "write_csv_solution@gen53",
 }
@@ -57,3 +57,6 @@ def test_layers_report_keys(tmp_path):
     assert kernels["expm@toy3_stack"]["degree"] == 9
     assert kernels["expm@toy3_stack"]["shape"] == [2, 16, 16]
     assert kernels["expm@hessenberg_stack"]["shape"] == [2, 11, 11]
+    # The Krylov kernels take the weighted operator, as the integrator does:
+    # the Hessenberg stack's 1-norm is about 410 (11,516 unweighted).
+    assert kernels["expm@hessenberg_stack"]["norm1_max"] < 1e3

@@ -1,5 +1,9 @@
 """EPI3V stepper, error controller and the adaptive march."""
+import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -15,10 +19,23 @@ from expkin.integrator import (
     epi3v_step, integrate_adaptive, integrate_mechanism, krylov_tolerance,
     problem_from_mechanism, scaled_error_norm,
 )
-from expkin.kinetics import Y_NEG_TOL, KineticsError, ThermoState, rhs_vector
+from expkin.kinetics import (
+    Y_NEG_TOL, InvalidStateError, KineticsError, ThermoState, rhs_vector,
+)
 from expkin.mechio import parse_config, parse_mechanism
-from expkin.phikrylov import PhiConvergenceError, expm
+from expkin.phikrylov import PhiConvergenceError, PhiStats, expm
 from oracles import exp_euler_step, integrate_fixed
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def ignition_state(mech):
+    """The cold state of a generated network's full ignition: its
+    `initial_mass_fractions` at 1000 K and 1 atm."""
+    fractions = mechgen.initial_mass_fractions(mech)
+    Y = np.array([fractions.get(sp.name, 0.0) for sp in mech.species])
+    return ThermoState(T=1000.0, p=101325.0, Y=Y)
 
 
 def linear_problem(M):
@@ -409,24 +426,35 @@ class TestAdaptive:
         assert seen == out.records
 
     def test_unevaluable_new_state_is_rejected(self):
-        # Full ignition of a generated K = 20 network at rtol 1e-3: some
-        # attempts pass the error test with a mass fraction below
-        # -Y_NEG_TOL. Such an attempt is rejected when its new state is
-        # linearised, so the run completes and no accepted state, the one
-        # the march ends on included, is out of bounds.
+        # Full ignition of a generated K = 20 network at rtol 1e-3, whose
+        # jac refuses the first new state past 1500 K, as the kinetics
+        # refuses one with a mass fraction below -Y_NEG_TOL. The attempt
+        # that made it passed the error test; it is rejected when its new
+        # state is linearised, so the run completes and no accepted state,
+        # the one the march ends on included, is the refused one or out of
+        # bounds.
         mech = mechgen.generate_mechanism(20, 0)
-        fractions = mechgen.initial_mass_fractions(mech)
-        Y = np.array([fractions.get(sp.name, 0.0) for sp in mech.species])
-        state = ThermoState(T=1000.0, p=101325.0, Y=Y)
+        problem = problem_from_mechanism(mech, 101325.0)
+        jac, refused = problem.jac, []
+
+        def refusing(y):
+            if y[0] > 1500.0 and not refused:
+                refused.append(y)
+                raise InvalidStateError("refused new state")
+            return jac(y)
+
+        problem.jac = refusing
         seen = []
-        out = integrate_mechanism(state, mech, 0.5,
-                                  atol=1e-9, rtol=1e-3,
-                                  step_hook=lambda rec, y, J: seen.append(y))
+        out = integrate_adaptive(ignition_state(mech).to_vector(), 0.0, 0.5,
+                                 problem, atol=1e-9, rtol=1e-3,
+                                 step_hook=lambda rec, y, J: seen.append(y))
         assert out.success, out.message
         assert out.t == 0.5 and out.y[0] > 1900.0
         assert any(not r.accepted and r.err_est == float("inf")
                    for r in out.records)
         assert min(y[1:].min() for y in seen + [out.y]) >= -Y_NEG_TOL
+        assert len(refused) == 1
+        assert not any(y is refused[0] for y in seen + [out.y])
 
     def test_unevaluable_initial_state_fails_without_records(self, toy_mech):
         y0 = np.array([1000.0, -1e-6, 0.0, 1.0 + 1e-6])
@@ -588,6 +616,110 @@ class TestAdaptive:
                                   h0=1e-3)
         assert isinstance(out, SolverOutput)
         assert not out.success and out.message
+
+
+BLAS_THREADS_RUN = """
+import importlib.util, json, pathlib, sys
+root = pathlib.Path(sys.argv[1])
+sys.path.insert(0, str(root / "src"))
+import numpy as np
+from expkin.integrator import integrate_mechanism
+from expkin.kinetics import ThermoState
+spec = importlib.util.spec_from_file_location(
+    "mechgen", root / "perfbench" / "mechgen.py")
+mechgen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mechgen)
+mech = mechgen.generate_mechanism(250, 0)
+fractions = mechgen.initial_mass_fractions(mech)
+Y = [fractions.get(sp.name, 0.0) for sp in mech.species]
+out = integrate_mechanism(ThermoState(T=1000.0, p=101325.0, Y=Y), mech, 0.5,
+                          atol=1e-9, rtol=1e-3)
+print(json.dumps({"success": out.success,
+                  "err_est": [r.err_est.hex() for r in out.records],
+                  "y": [v.hex() for v in out.y.tolist()]}))
+"""
+
+
+class TestWeightedKrylov:
+    """The Krylov branch of `_phi_products` evaluates phi on D h J D^-1 and
+    D b, D = diag(1/weights) in powers of two, and unscales the results."""
+
+    def test_attempts_do_not_depend_on_first_basis_size(self, monkeypatch):
+        # Full ignition of a generated K = 20 network (n = 21) at rtol 1e-3:
+        # the attempts are those of the exact dense phi path (M_INIT >=
+        # n + 3) whatever basis the Krylov calls start from. Unweighted,
+        # M_INIT 6, 10 and 14 took 432, 246 and 243 attempts against 243.
+        mech = mechgen.generate_mechanism(20, 0)
+        state = ignition_state(mech)
+        runs = {}
+        for m_init in (6, 10, 14, 24):
+            monkeypatch.setattr(phikrylov, "M_INIT", m_init)
+            out = integrate_mechanism(state, mech, 0.5, atol=1e-9, rtol=1e-3)
+            assert out.success and out.y[0] > 1900.0
+            calls = {r.kiops_calls for r in out.records
+                     if np.isfinite(r.err_est)}
+            assert calls == ({0} if m_init == 24 else {2})
+            runs[m_init] = len(out.records)
+        assert len(set(runs.values())) == 1, runs
+
+    def test_blas_thread_count_changes_nothing(self):
+        # Full ignition of a generated K = 250 network at rtol 1e-3, in two
+        # child processes, one with one BLAS thread and one with two: the
+        # same attempts, every err_est and the end state bit for bit.
+        # Unweighted, one thread took 1,547 attempts and two 1,466.
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", BLAS_THREADS_RUN, str(ROOT)], env=env,
+                capture_output=True, text=True, timeout=300, check=True)
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        one, two = runs
+        assert one["success"] and len(one["err_est"]) <= 220
+        assert one == two
+
+    @pytest.mark.parametrize("h", [1e-8, 1e-6, 1e-4])
+    def test_bits_match_reference(self, net12_mech, net12_state, h):
+        # n = 13: the Krylov branch. Both calls take D A D^-1 and D b with d
+        # from numpy's frexp by the dense branch's rule, and the results
+        # are divided by d.
+        y = net12_state.to_vector()
+        F, J = problem_from_mechanism(net12_mech, net12_state.p).jac(y)
+        weights = 1e-12 + 1e-6 * np.abs(y)
+        e = np.frexp(weights)[1]
+        assert e.max() - e.min() > 20
+        d = np.ldexp(1.0, np.maximum(e.min() - e, -20))
+        DAD = h * J * np.divide.outer(d, d)
+        v = np.random.default_rng(8).standard_normal(len(y)) * weights
+        stats = PhiStats()
+        w34, w1, phi3 = integrator._phi_products(h * J, h * F, weights,
+                                                 1e-8, stats)
+        want34, want1 = phikrylov.kiops_eval(DAD, [None, d * h * F],
+                                             (0.75, 1.0), tol=1e-8).values
+        want3, = phikrylov.kiops_eval(DAD, [None, None, None, d * v],
+                                      (1.0,), tol=1e-8).values
+        for got, want in ((w34, want34), (w1, want1), (phi3(v), want3)):
+            np.testing.assert_array_equal(got, want / d)
+        assert stats.calls == 2 and stats.matvecs > 0
+
+    def test_scaling_is_the_dense_rule(self, monkeypatch):
+        # One rule for both branches: d_i / d_j of the Krylov branch's d
+        # are the `_balancing` ratios of the same weights, clip included.
+        weights = 2.0 ** np.array([-1074.0, 3.0, -30.0, 500.0, -2.0, 0.5])
+        seen = []
+        real = phikrylov.kiops_eval
+
+        def recorded(A, bs, **kwargs):
+            seen.append(A)
+            return real(A, bs, **kwargs)
+
+        monkeypatch.setattr(phikrylov, "M_INIT", 2)
+        monkeypatch.setattr(phikrylov, "kiops_eval", recorded)
+        integrator._phi_products(np.ones((6, 6)), np.ones(6), weights, 1e-8,
+                                 PhiStats())
+        ratios, _ = integrator._balancing(
+            tuple(math.frexp(w)[1] for w in weights))
+        np.testing.assert_array_equal(seen[0], ratios)
 
 
 class TestKrylovTolerance:

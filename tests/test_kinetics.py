@@ -653,7 +653,11 @@ class TestTables:
         mech = make_mechanism([make_species("A", 0.030), make_species("B", 0.030)],
                               [rxn])
         assert mech.tables.reverse.tolist() == [0]
-        assert mech.tables.nu_rows.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
+        # nu_rows [[-1, 1], [1, -1]], by its nonzeros.
+        tb = mech.tables
+        assert tb.nz_row.tolist() == [0, 0, 1, 1]
+        assert tb.nz_species.tolist() == [0, 1, 0, 1]
+        assert tb.nz_nu.tolist() == [-1.0, 1.0, 1.0, -1.0]
         assert rate_constants(1000.0, mech)[1][0] > 0
 
 

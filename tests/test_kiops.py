@@ -1,6 +1,8 @@
 """Adaptive Krylov phi evaluator against the dense augmented-matrix oracle."""
 import functools
+import importlib
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -9,7 +11,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from conftest import stiff_diag_matrix
-from expkin import integrator, phikrylov
+from expkin import cli, integrator, phikrylov
 from expkin.integrator import (
     epi3v_step, integrate_mechanism, problem_from_mechanism, scaled_error_norm,
 )
@@ -19,6 +21,8 @@ from expkin.phikrylov import (
     phi_blocks,
 )
 from oracles import phi_mp, phi_scalar
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def augmented_operator(A, bs, nu=1.0):
@@ -279,17 +283,17 @@ class TestProjectionCounts:
 
 class UnseededArnoldi:
     """`phikrylov.Arnoldi` as it ran before it seeded known columns and
-    trimmed its iteration: a product and two projections for every vector,
-    and max|H| from a numpy scan of each new column (the reference for bit
-    equality)."""
+    trimmed its iteration, on its row-major basis: a product and two
+    projections for every vector, and max|H| from a numpy scan of each new
+    column (the reference for bit equality)."""
 
     def __init__(self, A, v, m_cap):
         self.matvec = np.asarray(A, dtype=float).dot
         v = np.asarray(v, dtype=float)
         self.beta = math.sqrt(v.dot(v))
-        self.V = np.zeros((v.size, m_cap + 1))
+        self.V = np.zeros((m_cap + 1, v.size))
         self.H = np.zeros((m_cap + 1, m_cap + 1))
-        self.V[:, 0] = v / self.beta
+        self.V[0] = v / self.beta
         self.m = 0
         self.happy = False
         self.hmax = 0.0
@@ -297,12 +301,12 @@ class UnseededArnoldi:
     def extend(self, m_target):
         while self.m < m_target and not self.happy:
             j = self.m
-            Vj = self.V[:, :j + 1]
-            w = self.matvec(self.V[:, j])
-            h = Vj.T @ w
-            w -= Vj @ h
-            c = Vj.T @ w
-            w -= Vj @ c
+            Vj = self.V[:j + 1]
+            w = self.matvec(self.V[j])
+            h = Vj.dot(w)
+            w -= h.dot(Vj)
+            c = Vj.dot(w)
+            w -= c.dot(Vj)
             self.H[:j + 1, j] = h + c
             hnext = math.sqrt(w.dot(w))
             self.H[j + 1, j] = hnext
@@ -311,7 +315,7 @@ class UnseededArnoldi:
             if hnext <= 1.0e-14 * max(1.0, self.hmax):
                 self.happy = True
             else:
-                self.V[:, j + 1] = w / hnext
+                self.V[j + 1] = w / hnext
 
 
 def scaled_augmented(A, bs):
@@ -375,12 +379,12 @@ def kiops_unseeded(A, bs, time_points, tol):
         stats.substeps += 1
         stats.max_krylov_dim = max(stats.max_krylov_dim, j)
         stats.matvecs += j
-        basis = beta * proc.V[:, :j]
-        values.extend((basis @ F_T[:j, 0])[:n] for F_T in F[1:])
-        w = basis @ F[0, :j, 0]
+        basis = proc.V[:j]
+        values.extend((beta * F_T[:j, 0]).dot(basis)[:n] for F_T in F[1:])
+        w = (beta * F[0, :j, 0]).dot(basis)
         if (len(values) < len(time_points)
                 and time_points[len(values)] == tau_end):
-            values.append(w[:n].copy())
+            values.append(w[:n])
         tau_now = tau_end
         tau = 2.0 * tau_try if easy else tau_try
     return values, stats
@@ -989,6 +993,15 @@ def with_norm(rng, n, norm):
     return A * (norm / norm1(A))
 
 
+def stiff_with_norm(rng, n, norm):
+    """A random symmetric n x n matrix with 1-norm `norm` and its spectrum
+    spread geometrically over four decades below 0, so that its exponential
+    keeps entries of order one at any norm."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ np.diag(-np.geomspace(1e-4, 1.0, n)) @ Q.T
+    return A * (norm / norm1(A))
+
+
 def stable_with_norm(rng, n, norm):
     """A random nonnormal n x n matrix with 1-norm `norm` and its spectrum
     in [-1.5, -0.5] times its scale, so that its exponential stays finite."""
@@ -1024,9 +1037,9 @@ class TestExpmStack:
         # The Pade tier evaluates U / A and V by the Taylor tier's
         # Paterson-Stockmeyer routine; the old inline evaluation's bits
         # are kept, for single matrices and for stacks whose members' norms
-        # lie 1e3 apart, from just above theta_20 to 1e6.
+        # lie 1e3 apart, from just above the Taylor tier's cap to 1e6.
         rng = np.random.default_rng(1900 + n)
-        for norm in np.geomspace(1.0001 * taylor_theta(20), 1e6, 12):
+        for norm in np.geomspace(1.0001 * taylor_cap(), 1e6, 12):
             X = stable_with_norm(rng, n, norm)
             for A in (X, np.stack([X, *(stable_with_norm(rng, n, norm * f)
                                         for f in (1e-3, 1e-6))])):
@@ -1095,6 +1108,12 @@ def taylor_theta(m, terms=120):
 TAYLOR_DEGREES = (2, 4, 6, 9, 12, 16, 20)
 
 
+def taylor_cap():
+    """The largest 1-norm the squared degree-20 Taylor polynomial takes:
+    theta_20 times 2^TAYLOR_SQUARINGS."""
+    return math.ldexp(taylor_theta(20), phikrylov.TAYLOR_SQUARINGS)
+
+
 class SolveCounter:
     """Counts np.linalg.solve calls: the Pade tier makes one, Taylor none."""
 
@@ -1111,28 +1130,64 @@ class SolveCounter:
 class TestTaylorDegree:
     """expm takes the Taylor polynomial of the lowest degree m whose theta_m
     bounds the stack's largest 1-norm (Al-Mohy & Higham 2011) up to
-    theta_20, and the degree-13 Pade approximant above it."""
+    theta_20, the degree-20 polynomial with scaling and squaring up to
+    theta_20 2^TAYLOR_SQUARINGS (the cap), and the degree-13 Pade
+    approximant above it."""
 
     def test_thresholds_from_backward_error_series(self):
         assert tuple(phikrylov._TAYLOR) == TAYLOR_DEGREES
         for m, (theta, _) in phikrylov._TAYLOR.items():
             assert theta == pytest.approx(taylor_theta(m), rel=1e-6), m
         assert phikrylov._PADE13[0] == THETA_13
+        assert phikrylov._TAYLOR_CAP == pytest.approx(taylor_cap(), rel=1e-6)
 
     @pytest.mark.parametrize("m", TAYLOR_DEGREES)
     @pytest.mark.parametrize("side", [0.999, 1.001], ids=["below", "above"])
     def test_norm_beside_theta(self, m, side, monkeypatch):
         # Just below theta_m expm uses degree m; just above, the next one,
-        # and above theta_20 the Pade approximant, the only tier that solves.
+        # and above theta_20 degree 20 with one squaring. No Taylor step
+        # solves.
         rng = np.random.default_rng(1717 + m)
         solves = SolveCounter(monkeypatch)
-        pade = m == 20 and side > 1
+        degrees = record_taylor_degrees(monkeypatch)
         norm = side * taylor_theta(m)
         for _ in range(5):
             A = with_norm(rng, 8, norm)
             got, want = expm(A), scipy.linalg.expm(A)
             assert norm1(got - want) <= 1e-14 * norm1(want)
-        assert solves.calls == (5 if pade else 0)
+        following = TAYLOR_DEGREES[TAYLOR_DEGREES.index(m) + 1:] + (20,)
+        assert degrees == [m if side < 1 else following[0]] * 5
+        assert solves.calls == 0
+
+    @pytest.mark.parametrize("side", [0.999, 1.001], ids=["below", "above"])
+    def test_norm_beside_cap(self, side, monkeypatch):
+        # Stacks of three stiff matrices, the largest just below or just
+        # above the cap and the others at 0.3 and 0.01 of it: below, the
+        # degree-20 Taylor polynomial squared up to TAYLOR_SQUARINGS times;
+        # above, the Pade approximant, the only tier that solves (one
+        # solve per stack). Each matrix is within 1e-12 of scipy's
+        # exponential (measured 3.2e-13 below, 2.6e-13 above).
+        rng = np.random.default_rng(2525)
+        solves = SolveCounter(monkeypatch)
+        degrees = record_taylor_degrees(monkeypatch)
+        for _ in range(5):
+            stack = np.stack([stiff_with_norm(rng, 8, side * taylor_cap() * f)
+                              for f in (1.0, 0.3, 0.01)])
+            for X, G in zip(stack, expm(stack)):
+                want = scipy.linalg.expm(X)
+                assert norm1(G - want) <= 1e-12 * norm1(want)
+        assert degrees == ([20] * 5 if side < 1 else [])
+        assert solves.calls == (0 if side < 1 else 5)
+
+    def test_taylor_tier_squares_each_matrix_by_its_own_norm(self):
+        # A stack in the Taylor tier: each matrix is scaled by its own
+        # power of two and squared back as often, so it gets the bits it
+        # gets alone (12 and 2 squarings here).
+        rng = np.random.default_rng(2626)
+        large = stiff_with_norm(rng, 8, 0.9 * taylor_cap())
+        small = stiff_with_norm(rng, 8, 3.0 * taylor_theta(20))
+        for A, G in zip((large, small), expm(np.stack([large, small]))):
+            np.testing.assert_array_equal(G, expm(A))
 
     def test_stack_uses_one_degree(self):
         # Norms 0.5 and 1.5 theta_9: the stack takes degree 12 for both, so
@@ -1152,14 +1207,14 @@ class TestTaylorDegree:
             want = expm(X)
             assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_stack_straddling_theta_20_takes_pade(self, monkeypatch):
-        # Norms 0.5 and 1.5 theta_20: every member takes Pade 13, one solve
-        # for the stack, and matches its single-matrix exponential (the
-        # small one's alone is Taylor).
+    def test_stack_straddling_cap_takes_pade(self, monkeypatch):
+        # Norms 3 theta_20 and 1.5 times the cap: every member takes Pade
+        # 13, one solve for the stack, and matches its single-matrix
+        # exponential (the small one's alone is the Taylor polynomial
+        # squared twice; at most 1.2e-15 off over 40 draws).
         rng = np.random.default_rng(1919)
-        theta = phikrylov._TAYLOR[20][0]
-        small = with_norm(rng, 8, 0.5 * theta)
-        large = with_norm(rng, 8, 1.5 * theta)
+        small = stiff_with_norm(rng, 8, 3.0 * taylor_theta(20))
+        large = stiff_with_norm(rng, 8, 1.5 * taylor_cap())
         alone = [expm(small), expm(large)]
         solves = SolveCounter(monkeypatch)
         got = expm(np.stack([small, large]))
@@ -1167,6 +1222,48 @@ class TestTaylorDegree:
         assert not np.array_equal(got[0], alone[0])
         for G, want in zip(got, alone):
             assert np.abs(G - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def squarings(stack):
+    """The squarings `expm` gives the stack in its Taylor tier: those of its
+    largest 1-norm, ceil(log2(||X||_1 / theta_20)), or 0."""
+    top = norm1(stack)
+    return max(0, math.ceil(math.log2(top / taylor_theta(20))))
+
+
+class TestHessenbergSquarings:
+    def test_gen53_ignition_squares_at_most_6_times(self, tmp_path,
+                                                    monkeypatch):
+        # The gen53-ignition workload (seed 1): every Hessenberg stack a
+        # Krylov call exponentiates is below the cap and squares at most 6
+        # times, with no solve. Weighting shrinks their 1-norms: unweighted,
+        # the 46 calls' stacks had a median of 1.6e4 and squared 9 to 16
+        # times, in the Pade tier.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        prepare = importlib.import_module("prepare")
+        cfg = prepare.write_generated(tmp_path, 1)
+        stacks = []
+        real_kiops, real_expm = phikrylov.kiops_eval, phikrylov.expm
+
+        def kiops(*args, **kwargs):
+            monkeypatch.setattr(phikrylov, "expm", recorded)
+            try:
+                return real_kiops(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(phikrylov, "expm", real_expm)
+
+        def recorded(X, **kwargs):
+            stacks.append(np.array(X))
+            return real_expm(X, **kwargs)
+
+        monkeypatch.setattr(phikrylov, "kiops_eval", kiops)
+        solves = SolveCounter(monkeypatch)
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(stacks) > 40
+        assert max(map(norm1, stacks)) <= taylor_cap()
+        assert max(map(squarings, stacks)) <= 6
+        assert solves.calls == 0
 
 
 def mp_product(A, b, p, T):

@@ -148,32 +148,33 @@ class TestDenseOracle:
 
 
 def arnoldi(A, v, m_max):
-    """Run the Arnoldi process to m_max vectors: (V_m, H_m, breakdown)."""
+    """Run the Arnoldi process to m_max vectors: (V_m, H_m, breakdown), the
+    basis vectors as the columns of V_m."""
     proc = Arnoldi(A, v, m_max)
     proc.extend(m_max)
-    return proc.V[:, :proc.m], proc.H[:proc.m, :proc.m], proc.happy
+    return proc.V[:proc.m].T, proc.H[:proc.m, :proc.m], proc.happy
 
 
 def arnoldi_rescan(A, v, m_max):
-    """The Arnoldi process as `Arnoldi.extend` ran it before it kept a
-    running max|H|: each iteration rescans all of H and takes
-    np.linalg.norm (the reference for bit equality)."""
+    """The row-major Arnoldi process with the products of `Arnoldi.extend`
+    as it ran before it kept a running max|H|: each iteration rescans all
+    of H and takes np.linalg.norm (the reference for bit equality)."""
     A = np.asarray(A, dtype=float)
     v = np.asarray(v, dtype=float)
     beta = float(np.linalg.norm(v))
-    V = np.zeros((v.size, m_max + 1))
+    V = np.zeros((m_max + 1, v.size))
     H = np.zeros((m_max + 1, m_max + 1))
-    V[:, 0] = v / beta
+    V[0] = v / beta
     happy = False
     m = 0
     while m < m_max and not happy:
         j = m
-        Vj = V[:, :j + 1]
-        w = A.dot(V[:, j])
-        h = Vj.T @ w
-        w -= Vj @ h
-        c = Vj.T @ w
-        w -= Vj @ c
+        Vj = V[:j + 1]
+        w = A.dot(V[j])
+        h = Vj.dot(w)
+        w -= h.dot(Vj)
+        c = Vj.dot(w)
+        w -= c.dot(Vj)
         H[:j + 1, j] = h + c
         hnext = float(np.linalg.norm(w))
         H[j + 1, j] = hnext
@@ -182,7 +183,7 @@ def arnoldi_rescan(A, v, m_max):
         if hnext <= 1.0e-14 * scale:
             happy = True
         else:
-            V[:, j + 1] = w / hnext
+            V[j + 1] = w / hnext
     return beta, V, H, m, happy
 
 
@@ -205,6 +206,8 @@ class TestArnoldi:
         proc.extend(2)
         proc.extend(m_max)
         beta, V, H, m, happy = arnoldi_rescan(A, v, m_max)
+        # Row j of V is basis vector j.
+        assert proc.V.shape == (m_max + 1, len(v)) and proc.V.flags.c_contiguous
         assert happy == (case == "happy") and proc.happy == happy
         assert proc.m == m and proc.beta == beta
         np.testing.assert_array_equal(proc.V, V)
