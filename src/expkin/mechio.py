@@ -245,9 +245,10 @@ class RunConfig:
         if self.reference_tols is not None:
             tols.append(self.reference_tols)
         for atol, rtol in tols:
-            if not (atol > 0 and rtol > 0):    # written so that NaN fails too
-                raise MechIoError("BadConfigValue",
-                                  f"tolerances must be positive, got {atol} {rtol}")
+            # Written so that NaN fails too.
+            if not (0 < atol < float("inf") and 0 < rtol < float("inf")):
+                raise MechIoError("BadConfigValue", "tolerances must be positive "
+                                  f"and finite, got {atol} {rtol}")
         # With h0 = NaN the march would never end.
         for name in ("T0", "pressure", "t_final", "h0"):
             value = getattr(self, name)

@@ -16,7 +16,7 @@ KERNELS = {
     "phi_blocks@toy3", "phi_blocks@toy3_norm1", "expm@toy3_stack",
     "expm@hessenberg_stack", "kiops_eval@gen53", "kiops_eval_phi3@gen53",
     "arnoldi_extend10@gen53", "kiops_eval@gen250",
-    "epi3v_step@toy3", "epi3v_step@gen53",
+    "epi3v_step@toy3", "epi3v_step@gen53", "epi3v_step@gen250",
     "parse_mechanism@gen53", "tables@gen53", "write_csv_solution@gen53",
 }
 

@@ -607,6 +607,28 @@ class TestAdaptive:
                                rtol=1e-6, h0=h0, step_hook=bounded)
         assert bounded.attempts == 0
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"atol": 0.0}, "atol and rtol"), ({"atol": -1e-9}, "atol and rtol"),
+        ({"rtol": -1e-3}, "atol and rtol"), ({"atol": np.inf}, "atol and rtol"),
+        ({"rtol": np.nan}, "atol and rtol"),
+        ({"y0": np.array([1.0, np.nan])}, "y0"), ({"t_final": np.inf}, "t_final"),
+    ], ids=["atol-zero", "atol-negative", "rtol-negative", "atol-inf",
+            "rtol-nan", "y0-nan", "t_final-inf"])
+    def test_bad_tolerance_end_or_state_refused(self, bad, match):
+        # Unrefused on this problem, atol = 0 (beside the zero entry),
+        # rtol = NaN and a NaN in y0 each ended in a step-size underflow
+        # after 6 attempts, t_final = inf in one after 1 (operator 1-norm is
+        # not finite), and a negative tolerance or atol = inf "completed".
+        prob = linear_problem([[-1.0, 0.0], [0.0, -2.0]])
+        args = {"y0": np.array([1.0, 0.0]), "t_final": 1.0, "atol": 1e-8,
+                "rtol": 1e-6} | bad
+        seen = []
+        with pytest.raises(ValueError, match=match):
+            integrate_adaptive(args["y0"], 0.0, args["t_final"], prob,
+                               atol=args["atol"], rtol=args["rtol"],
+                               step_hook=lambda *rec: seen.append(rec))
+        assert not seen
+
     def test_failure_is_reported_not_raised(self, toy_mech, monkeypatch):
         # An unreachable tolerance with a huge floor (1e-3 s): the march
         # reports failure through SolverOutput rather than raising.
@@ -703,23 +725,31 @@ class TestWeightedKrylov:
         assert stats.calls == 2 and stats.matvecs > 0
 
     def test_scaling_is_the_dense_rule(self, monkeypatch):
-        # One rule for both branches: d_i / d_j of the Krylov branch's d
-        # are the `_balancing` ratios of the same weights, clip included.
+        # One rule for both branches: the operator `phi_blocks` receives
+        # (default M_INIT) and the one `kiops_eval` receives (M_INIT = 2) are
+        # D A D^-1 with d from numpy's frexp, subnormal and clipped weights
+        # included, bit for bit.
         weights = 2.0 ** np.array([-1074.0, 3.0, -30.0, 500.0, -2.0, 0.5])
+        A = np.random.default_rng(3).standard_normal((6, 6))
+        e = np.frexp(weights)[1]
+        d = np.ldexp(1.0, np.maximum(e.min() - e, -20))
         seen = []
-        real = phikrylov.kiops_eval
 
-        def recorded(A, bs, **kwargs):
-            seen.append(A)
-            return real(A, bs, **kwargs)
+        def recorded(real):
+            def first_argument_recorded(X, *args, **kwargs):
+                seen.append(np.array(X))
+                return real(X, *args, **kwargs)
+            return first_argument_recorded
 
+        for name in ("phi_blocks", "kiops_eval"):
+            monkeypatch.setattr(phikrylov, name,
+                                recorded(getattr(phikrylov, name)))
+        integrator._phi_products(A, np.ones(6), weights, 1e-8, PhiStats())
         monkeypatch.setattr(phikrylov, "M_INIT", 2)
-        monkeypatch.setattr(phikrylov, "kiops_eval", recorded)
-        integrator._phi_products(np.ones((6, 6)), np.ones(6), weights, 1e-8,
-                                 PhiStats())
-        ratios, _ = integrator._balancing(
-            tuple(math.frexp(w)[1] for w in weights))
-        np.testing.assert_array_equal(seen[0], ratios)
+        integrator._phi_products(A, np.ones(6), weights, 1e-8, PhiStats())
+        assert len(seen) == 2
+        for X in seen:
+            np.testing.assert_array_equal(X, A * np.divide.outer(d, d))
 
 
 class TestKrylovTolerance:

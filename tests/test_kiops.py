@@ -878,15 +878,18 @@ class TestFoldedUnscaling:
         np.testing.assert_array_equal(got[2](v), want[2](v))
 
     def test_balancing_is_cached_and_read_only(self):
-        # One pair of arrays per tuple of binary exponents of the weights.
+        # One (d column, d, 1/d) triple per tuple of binary exponents of the
+        # weights.
         weights = 1e-10 + 1e-8 * np.array([1500.0, 0.1, 0.0, 0.9])
         e = tuple(math.frexp(w)[1] for w in weights)
-        ratios, ratios_t = integrator._balancing(e)
-        assert integrator._balancing(e)[0] is ratios
-        assert not (ratios.flags.writeable or ratios_t.flags.writeable)
-        d = np.ldexp(1.0, np.maximum(min(e) - np.array(e), -20))
-        np.testing.assert_array_equal(ratios, np.divide.outer(d, d))
-        np.testing.assert_array_equal(ratios_t, ratios.T)
+        got = integrator._balancing(e)
+        assert all(a is b for a, b in zip(integrator._balancing(e), got))
+        d_col, d, d_inv = got
+        assert not any(x.flags.writeable for x in got)
+        want = np.ldexp(1.0, np.maximum(min(e) - np.array(e), -20))
+        np.testing.assert_array_equal(d, want)
+        np.testing.assert_array_equal(d_col, want[:, None])
+        np.testing.assert_array_equal(d_inv, 1.0 / want)
 
 
 class TestDenseAgainstKrylovStep:

@@ -493,12 +493,14 @@ class TestParseConfig:
         "sweep 1e-6 1e-4\nreference 1e-8 1e-6\nreference 1e-9 1e-7\n",
         # Sweep points are checked like atol/rtol, with no reference line.
         "sweep 0 1e-3\n", "sweep -1e-6 -1e-4\n", "sweep nan nan\n",
+        "sweep 1e-6 inf\n",
         # These replace CONFIG's line of the same key (old line, new line).
         pytest.param(("Y F 0.1", "Y F nan"), id="Y F nan"),
         pytest.param(("T0 1000.0", "T0 -5"), id="T0 -5"),
         pytest.param(("pressure 101325.0", "pressure nan"), id="pressure nan"),
         pytest.param(("atol 1e-10", "atol 0"), id="atol 0"),
         pytest.param(("rtol 1e-8", "rtol -1"), id="rtol -1"),
+        pytest.param(("atol 1e-10", "atol inf"), id="atol inf"),
         # Two replaced lines: fractions that sum to 1 with one negative.
         pytest.param((("Y F 0.1", "Y F -0.5"), ("Y B 0.9", "Y B 1.5")),
                      id="Y F -0.5, Y B 1.5"),
