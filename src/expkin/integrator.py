@@ -11,11 +11,13 @@ The phi_3 term is also the local truncation error estimate (the difference
 to the embedded exponential-Euler step y_n + h phi_1(h J) F). Every phi
 evaluation is posed on D h J D^-1, D = diag(1/weights) of the error
 weights in powers of two, and unscaled. On a small state
-(n + MAX_PHI_ORDER <= M_INIT) an attempt takes the phi_1 and phi_3
+(n + MAX_PHI_ORDER <= DENSE_PHI_MAX) an attempt takes the phi_1 and phi_3
 matrices at T = 3/4 and 1 from one dense exponential
 (`phikrylov.phi_blocks`) and does no Krylov work. On a larger state it uses
 exactly two weighted Krylov evaluations: one for phi_1 at time points
-{3/4, 1}, one for the phi_3 term.
+{3/4, 1}, one for the phi_3 term. Each starts from the basis size that the
+previous call of its kind in the same run passed on (`kiops_eval`'s
+`m_next`; the run's first calls start at `phikrylov.M_INIT`).
 
 F and J come from one call, `OdeProblem.jac(y_n)`, which for a mechanism is
 one kinetics pass per new state; rejected attempts reuse them. Each attempt
@@ -118,22 +120,26 @@ def problem_from_mechanism(mech, pressure, *, telemetry=None):
 # weighted accuracy (on toy3 states at atol 1e-20, a spread of 2^40 left the
 # products 2e-3 off in the weighted norm).
 BALANCE_SPREAD = 20
+# The largest n + MAX_PHI_ORDER whose phi products come from the dense
+# `phikrylov.phi_blocks`; a larger state makes two Krylov calls.
+DENSE_PHI_MAX = 10
 
 
 @functools.lru_cache(maxsize=64)
 def _balancing(exponents):
-    """(d[:, None], d, 1/d) for error weights of binary exponents
-    `exponents`, all read-only: d ~ 1/weights in powers of two, normalised
-    to at most 1 and clipped at 2^-BALANCE_SPREAD. D A D^-1 then exceeds A
-    by at most 2^BALANCE_SPREAD entrywise and D v never exceeds v, for any
-    positive weights."""
-    k = np.maximum(min(exponents) - np.array(exponents), -BALANCE_SPREAD)
+    """(d[:, None], d, 1/d) for error weights whose binary exponents
+    (`np.frexp(weights)[1]`) have the bytes `exponents`, all read-only:
+    d ~ 1/weights in powers of two, normalised to at most 1 and clipped at
+    2^-BALANCE_SPREAD. D A D^-1 then exceeds A by at most 2^BALANCE_SPREAD
+    entrywise and D v never exceeds v, for any positive weights."""
+    e = np.frombuffer(exponents, dtype=np.intc)
+    k = np.maximum(e.min() - e, -BALANCE_SPREAD)
     d, d_inv = np.ldexp(1.0, k), np.ldexp(1.0, -k)
     d.flags.writeable = d_inv.flags.writeable = False
     return d[:, None], d, d_inv
 
 
-def _phi_products(A, hF, weights, krylov_tol, stats):
+def _phi_products(A, hF, weights, krylov_tol, stats, basis_sizes=None):
     """(w34, w1, phi3) of an attempt with A = h J: T phi_1(T A) hF at T = 3/4
     and T = 1, and the map v -> phi_3(A) v.
 
@@ -145,17 +151,19 @@ def _phi_products(A, hF, weights, krylov_tol, stats):
     balances the matrix (T beside mass fractions spans many decades), which
     keeps the exponentials' norms and squarings low, and it poses the Krylov
     error in the controller's weighted norm (Brown & Hindmarsh, Appl. Math.
-    Comput. 31, 1989). A small state (n + MAX_PHI_ORDER <= M_INIT) takes the
-    products from the `phikrylov.phi_blocks` of D A D^-1 and counts no work.
-    A larger state makes two weighted Krylov evaluations, each counted into
-    `stats` as it begins, so a call that raises has been counted.
+    Comput. 31, 1989). A small state (n + MAX_PHI_ORDER <= DENSE_PHI_MAX)
+    takes the products from the `phikrylov.phi_blocks` of D A D^-1 and
+    counts no work. A larger state makes two weighted Krylov evaluations,
+    each counted into `stats` as it begins, so a call that raises has been
+    counted. `basis_sizes` maps p = 1 and 3 to the first basis size of the
+    phi_p call (`phikrylov.M_INIT` for a p it lacks), and takes the size
+    that call passes on.
     """
     n = len(hF)
-    d_col, d, d_inv = _balancing(
-        tuple([math.frexp(w)[1] for w in weights.tolist()]))
+    d_col, d, d_inv = _balancing(np.frexp(weights)[1].tobytes())
     DAD = A * d_col
     DAD *= d_inv
-    if n + phikrylov.MAX_PHI_ORDER <= phikrylov.M_INIT:
+    if n + phikrylov.MAX_PHI_ORDER <= DENSE_PHI_MAX:
         # [T phi_1 | T^2 phi_2 | T^3 phi_3](T D A D^-1) at T = 3/4 and 1.
         P = phikrylov.phi_blocks(DAD, (0.75, 1.0))
         w34, w1 = P[:, :, :n] @ (d * hF) * d_inv
@@ -164,10 +172,15 @@ def _phi_products(A, hF, weights, krylov_tol, stats):
             return P[1, :, 2 * n:] @ (d * v) * d_inv
         return w34, w1, phi3
 
+    if basis_sizes is None:
+        basis_sizes = {}
+
     def phi(b, p, time_points):
         stats.calls += 1
         res = phikrylov.kiops_eval(DAD, [None] * p + [d * b],
-                                   time_points=time_points, tol=krylov_tol)
+                                   time_points=time_points, tol=krylov_tol,
+                                   m_init=basis_sizes.get(p))
+        basis_sizes[p] = res.m_next
         stats.add_work(res.stats)
         return [v * d_inv for v in res.values]
 
@@ -180,16 +193,19 @@ def _phi_products(A, hF, weights, krylov_tol, stats):
     return w34, w1, phi3
 
 
-def epi3v_step(y, h, F, J, problem, weights, krylov_tol=1.0e-12, stats=None):
+def epi3v_step(y, h, F, J, problem, weights, krylov_tol=1.0e-12, stats=None,
+               basis_sizes=None):
     """One EPI3V step. Returns (y_new, lte, stats).
 
     `weights` are the error weights atol + rtol |y| of the state y; every
     phi evaluation, dense or Krylov, is balanced by them (`_phi_products`).
     A larger state's two Krylov evaluations are counted into `stats` (a new
-    PhiStats when None).
+    PhiStats when None), start from the sizes in `basis_sizes` and leave
+    there the sizes they pass on (see `_phi_products`).
     """
     stats = PhiStats() if stats is None else stats
-    w34, w1, phi3 = _phi_products(h * J, h * F, weights, krylov_tol, stats)
+    w34, w1, phi3 = _phi_products(h * J, h * F, weights, krylov_tol, stats,
+                                  basis_sizes)
     # w(3/4) carries the leading factor T = 3/4 of the evaluation convention.
     Y1 = y + w34 / 0.75
     r = problem.f(Y1) - F - J @ (Y1 - y)
@@ -247,7 +263,10 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
     also evaluates `problem.jac` at its new state for the next step; a
     failure there rejects the attempt (err_est = inf). The final step is
     truncated to land exactly on t_final. Every attempt is logged and passed
-    to `step_hook`, including one whose evaluation failed.
+    to `step_hook`, including one whose evaluation failed. The run carries
+    the first basis size of its next phi_1 and phi_3 Krylov calls from
+    attempt to attempt, starting at `phikrylov.M_INIT` (see `epi3v_step`);
+    a new run starts afresh, so repeated runs do the same work.
 
     `atol` and `rtol` weight the error estimate; `h0` is the first step size
     (default 1e-10 of the interval). All three must be positive and finite,
@@ -274,6 +293,7 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
     h = h0 if h0 is not None else 1.0e-10 * span
     h = max(h, h_min)
     ktol = krylov_tolerance(rtol)
+    basis_sizes = dict.fromkeys((1, 3), phikrylov.M_INIT)
 
     t = t0
     y = np.asarray(y0, dtype=float).copy()
@@ -309,7 +329,8 @@ def integrate_adaptive(y0, t0, t_final, problem, *, atol, rtol, h0=None,
         F_new = J_new = None
         try:
             y_new, lte, _ = epi3v_step(y, h_try, F, J, problem, weights,
-                                       krylov_tol=ktol, stats=kstats)
+                                       krylov_tol=ktol, stats=kstats,
+                                       basis_sizes=basis_sizes)
             err = scaled_error_norm(lte, weights)
             if err <= 1.0 and not last:
                 F_new, J_new = problem.jac(y_new)

@@ -4,7 +4,9 @@ Provides a dense augmented-matrix oracle, a matrix exponential (Taylor,
 squared up to TAYLOR_SQUARINGS times, below its cap; Pade 13 above), a
 block CGS2 Arnoldi process with a row-major basis, and an
 adaptive Krylov evaluator (KIOPS-style: Gaudreault, Rainwater & Tokman,
-J. Comput. Phys. 372, 2018) with tau-substepping for
+J. Comput. Phys. 372, 2018) with tau-substepping, whose first basis size
+comes from the previous call of its kind (as in phipm: Niesen & Wright,
+ACM TOMS 38(3), 2012), for
 
     w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,10 +321,13 @@ class PhiStats:
 
 @dataclass
 class PhiResult:
-    """One output vector per requested time point, plus convergence stats."""
+    """One output vector per requested time point, convergence stats, and
+    `m_next`, the first basis size this call suggests to the next call of
+    its kind."""
 
     values: list
-    stats: PhiStats = field(default_factory=PhiStats)
+    stats: PhiStats
+    m_next: int
 
 
 class Arnoldi:
@@ -334,10 +339,14 @@ class Arnoldi:
     ((m_cap + 1, N), C order) is basis vector j, so every vector and every
     leading block of the basis is contiguous. After `extend(m)`, the rows
     `V[:m]` are orthonormal and `H[:m, :m]` upper-Hessenberg with
-    A V[:m].T = V[:m+1].T H[:m+1, :m]. Each new vector is projected out of
-    the basis twice, each time in one block product, and `H` takes the sum
-    of the two projections. The process stops early on happy breakdown
-    (`happy` set), when the new residual falls below 1e-14 max(1, max|H|).
+    A V[:m].T = V[:m+1].T H[:m+1, :m]. Each new vector is built in its own
+    row of `V`, projected out of the basis twice, each time in one block
+    product, and `H` takes the sum of the two projections. The process
+    stops early on happy breakdown (`happy` set), when the new residual
+    falls below 1e-14 max(1, max|H|). No entry of H exceeds ||A||_2, so
+    max|H| is read only for a residual at or below 1e-14 max(1, 2 ||A||_F).
+    `kiops_eval` first extends it to the size the previous call of its kind
+    suggested (its `m_init`).
 
     `columns` seeds the first iterations: iteration j < len(columns) takes
     A V[j] as column `columns[j]` of A, with no product and no projection.
@@ -350,7 +359,6 @@ class Arnoldi:
 
     def __init__(self, A, v, m_cap, columns=()):
         self.A = np.asarray(A, dtype=float)
-        self.matvec = self.A.dot
         self.columns = columns
         v = np.asarray(v, dtype=float)
         self.beta = math.sqrt(v.dot(v))
@@ -361,57 +369,66 @@ class Arnoldi:
         self.V[0] = v / self.beta
         self.m = 0
         self.happy = False
-        # max(1, max|H|) over the columns built so far (a column's entries
-        # below its subdiagonal are zero, so each new column updates it
-        # alone): the scale of the breakdown test.
-        self.scale = 1.0
+        # A residual above this cannot pass the breakdown test. If ||A||_F
+        # is not finite, every residual is tested against max|H|.
+        a = self.A.ravel()
+        norm = math.sqrt(a.dot(a))
+        self.floor = (1.0e-14 * max(1.0, 2.0 * norm) if norm < math.inf
+                      else math.inf)
 
     def extend(self, m_target):
-        V, H, matvec, columns = self.V, self.H, self.matvec, self.columns
-        j, scale = self.m, self.scale
+        V, H, A, columns = self.V, self.H, self.A, self.columns
+        j = self.m
         while j < m_target and not self.happy:
+            w = V[j + 1]
             if j < len(columns):
-                # The column as a matvec returns it: a contiguous copy, so
-                # its norm sums in the product's order, and + 0.0 turns a
-                # -0.0 entry into the product's +0.0.
-                w = self.A[:, columns[j]] + 0.0
+                # The column as a matvec returns it: contiguous, so its norm
+                # sums in the product's order, and + 0.0 turns a -0.0 entry
+                # into the product's +0.0.
+                np.add(A[:, columns[j]], 0.0, out=w)
             else:
                 Vj = V[:j + 1]
-                w = matvec(V[j])
                 # ndarray.dot: the same BLAS products as @ with less dispatch.
+                A.dot(V[j], out=w)
                 h = Vj.dot(w)
                 w -= h.dot(Vj)
                 # The second pass keeps the basis orthonormal to rounding
                 # error.
                 c = Vj.dot(w)
                 w -= c.dot(Vj)
-                h += c
-                H[:j + 1, j] = h
-                scale = max(scale, *map(abs, h.tolist()))
+                np.add(h, c, out=H[:j + 1, j])
             hnext = math.sqrt(w.dot(w))
             H[j + 1, j] = hnext
-            scale = max(scale, hnext)
             j += 1
-            if hnext <= 1.0e-14 * scale:
+            if hnext <= self.floor and hnext <= 1.0e-14 * max(
+                    1.0, float(np.abs(H[:j + 1, :j]).max())):
                 self.happy = True
+                # The residual's row stays zero, as every unused row is.
+                w.fill(0.0)
                 break
-            np.divide(w, hnext, out=V[j])
-        self.m, self.scale = j, scale
+            w /= hnext
+        self.m = j
 
 
 MIN_SUBSTEP = 1.0e-8   # fraction of the full [0, 1] interval
-M_INIT = 10
+M_INIT = 10            # first basis size of a call given no m_init
 M_MAX = 128
 EASY_SUCCESS = 0.01    # err below this fraction of the budget doubles tau
 
 
-def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
+def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=None):
     """Adaptive Krylov evaluation of w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k.
 
     `bs` is the list [b_0, ..., b_p], 1 <= p <= 3 (entries may be None for
     zero vectors, which cost no work); `time_points` is strictly increasing
-    in (0, 1] ending at 1.
-    Returns a PhiResult with w(T) at every time point and this call's stats.
+    in (0, 1] ending at 1. `m_init` is the size of the first basis (M_INIT,
+    read at call time, when None); a caller passes the `m_next` of its
+    previous call of the same kind.
+    Returns a PhiResult with w(T) at every time point, this call's stats and
+    its `m_next`, the dimension its last substep converged at, less, for a
+    call that rejected no basis (one substep),
+    max(1 if err <= EASY_SUCCESS budget else 0, floor(log10(budget / err) / 3))
+    (1 for an easy success with err = 0), but at least 1.
 
     Builds the augmented matrix once, then substeps tau across (0, 1], every
     substep aiming at T = 1.
@@ -437,8 +454,8 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
     if not (time_points[0] > 0 and all(
             a < b for a, b in zip(time_points, time_points[1:]))):
         raise ValueError("time points must be strictly increasing in (0, 1]")
-    if not (tol > 0):
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
 
@@ -462,7 +479,7 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
         columns = ()
 
     stats = PhiStats(calls=1)
-    m = min(M_INIT, M_MAX)
+    m = min(M_INIT if m_init is None else m_init, M_MAX)
     values = []
     tau_now = 0.0
     tau = 1.0
@@ -526,4 +543,13 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10):
         tau_now = tau_end
         tau = 2.0 * tau_try if easy else tau_try
 
-    return PhiResult(values=values, stats=stats)
+    # A call with no rejection made one substep: shrink from its dimension
+    # by the slack of that substep's error below its budget. An error of 0
+    # (a happy breakdown, or an estimate that underflowed) bounds no slack,
+    # so it counts as an easy success by the smallest margin.
+    m_next = j
+    if easy and not stats.rejections:
+        slack = (math.log10(budget) - math.log10(err)) // 3 if err > 0 else 1
+        # NaN (an overflowed beta made the budget inf) shrinks by one too.
+        m_next = max(1, j - (int(slack) if slack > 1 else 1))
+    return PhiResult(values=values, stats=stats, m_next=m_next)

@@ -87,7 +87,7 @@ def toy_state(toy_mech):
 @pytest.fixture
 def net12_mech():
     """The generated K = 12 network (seed 0) of test_cli's NETWORK_CFG. Its
-    phi calls have n + p = 14 and 16, above M_INIT, so steps on it take the
+    state has n + 3 = 16, above DENSE_PHI_MAX, so steps on it take the
     Krylov path."""
     return mechgen.generate_mechanism(12, 0)
 

@@ -28,7 +28,7 @@ rtol 1e-6
 n_output_samples 50
 """
 
-# A generated K = 12 network (n + p = 14 and 16, above M_INIT): its phi calls
+# A generated K = 12 network (n + 3 = 16, above DENSE_PHI_MAX): its phi calls
 # take the Krylov path. t_final ends before ignition, in 16 steps.
 NETWORK_CFG = """\
 mechanism net12.mech
@@ -109,7 +109,7 @@ class TestRun:
         matvecs = header.index("matvecs")
         assert sum(r[matvecs] for r in rows) == sum(r.matvecs for r in out.records)
         if case == "toy3":
-            # n + MAX_PHI_ORDER = 7 (at most M_INIT): every attempt takes its
+            # n + MAX_PHI_ORDER = 7 (at most DENSE_PHI_MAX): every attempt takes its
             # phi matrices from one dense exponential and does no Krylov work.
             krylov = [header.index(name) for name in
                       ("krylov_dim", "substeps", "matvecs", "kiops_calls")]

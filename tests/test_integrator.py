@@ -668,14 +668,18 @@ class TestWeightedKrylov:
 
     def test_attempts_do_not_depend_on_first_basis_size(self, monkeypatch):
         # Full ignition of a generated K = 20 network (n = 21) at rtol 1e-3:
-        # the attempts are those of the exact dense phi path (M_INIT >=
-        # n + 3) whatever basis the Krylov calls start from. Unweighted,
-        # M_INIT 6, 10 and 14 took 432, 246 and 243 attempts against 243.
+        # the attempts are those of the exact dense phi path
+        # (DENSE_PHI_MAX >= n + 3) whatever basis size the run's first
+        # Krylov calls start from. Unweighted, with every call starting at
+        # M_INIT, M_INIT 6, 10 and 14 took 432, 246 and 243 attempts
+        # against 243.
         mech = mechgen.generate_mechanism(20, 0)
         state = ignition_state(mech)
         runs = {}
         for m_init in (6, 10, 14, 24):
             monkeypatch.setattr(phikrylov, "M_INIT", m_init)
+            if m_init == 24:
+                monkeypatch.setattr(integrator, "DENSE_PHI_MAX", 24)
             out = integrate_mechanism(state, mech, 0.5, atol=1e-9, rtol=1e-3)
             assert out.success and out.y[0] > 1900.0
             calls = {r.kiops_calls for r in out.records
@@ -726,9 +730,9 @@ class TestWeightedKrylov:
 
     def test_scaling_is_the_dense_rule(self, monkeypatch):
         # One rule for both branches: the operator `phi_blocks` receives
-        # (default M_INIT) and the one `kiops_eval` receives (M_INIT = 2) are
-        # D A D^-1 with d from numpy's frexp, subnormal and clipped weights
-        # included, bit for bit.
+        # (default DENSE_PHI_MAX) and the one `kiops_eval` receives
+        # (DENSE_PHI_MAX = 2) are D A D^-1 with d from numpy's frexp,
+        # subnormal and clipped weights included, bit for bit.
         weights = 2.0 ** np.array([-1074.0, 3.0, -30.0, 500.0, -2.0, 0.5])
         A = np.random.default_rng(3).standard_normal((6, 6))
         e = np.frexp(weights)[1]
@@ -745,11 +749,85 @@ class TestWeightedKrylov:
             monkeypatch.setattr(phikrylov, name,
                                 recorded(getattr(phikrylov, name)))
         integrator._phi_products(A, np.ones(6), weights, 1e-8, PhiStats())
-        monkeypatch.setattr(phikrylov, "M_INIT", 2)
+        monkeypatch.setattr(integrator, "DENSE_PHI_MAX", 2)
         integrator._phi_products(A, np.ones(6), weights, 1e-8, PhiStats())
         assert len(seen) == 2
         for X in seen:
             np.testing.assert_array_equal(X, A * np.divide.outer(d, d))
+
+
+class TestCarriedBasisSizes:
+    """Each Krylov call of a run starts from the size the previous call of
+    its kind (phi_1 or phi_3) passed on; the sizes belong to the run."""
+
+    def test_each_call_starts_where_the_last_of_its_kind_left(
+            self, net12_mech, net12_state, monkeypatch):
+        real = phikrylov.kiops_eval
+        calls = []
+
+        def recorded(A, bs, **kwargs):
+            res = real(A, bs, **kwargs)
+            calls.append((len(bs) - 1, kwargs["m_init"], res.m_next))
+            return res
+
+        monkeypatch.setattr(phikrylov, "kiops_eval", recorded)
+        monkeypatch.setattr(phikrylov, "M_INIT", 7)
+        integrate_mechanism(net12_state, net12_mech, 1e-4, atol=1e-8,
+                            rtol=1e-6)
+        for p in (1, 3):
+            kind = [(m_init, m_next) for q, m_init, m_next in calls if q == p]
+            assert len(kind) > 10
+            starts = [m_init for m_init, _ in kind]
+            assert starts == [7] + [m_next for _, m_next in kind[:-1]]
+            assert len(set(starts)) > 1
+
+    def test_repeated_runs_are_identical(self, net12_mech, net12_state):
+        # Two runs in one process do the same work: no size outlives its
+        # run.
+        def run():
+            out = integrate_mechanism(net12_state, net12_mech, 1e-4,
+                                      atol=1e-8, rtol=1e-6)
+            assert out.success
+            return [(r.krylov_dim, r.matvecs, r.err_est.hex())
+                    for r in out.records]
+
+        first = run()
+        assert len({dim for dim, _, _ in first}) > 1
+        assert run() == first
+
+    def test_sized_calls_cost_fewer_matvecs(self, monkeypatch):
+        # Full ignition of a generated K = 20 network at rtol 1e-3, against
+        # a run whose calls all start at M_INIT: the same attempts, with
+        # 7.0 rather than 9.9 matvecs per Krylov call, for 1.07 rather than
+        # 1.02 exponentials per call (the sizes hover where the error sits
+        # within 100x of its budget, so a harder step regrows them).
+        mech = mechgen.generate_mechanism(20, 0)
+        state = ignition_state(mech)
+        real_expm, real_kiops = phikrylov.expm, phikrylov.kiops_eval
+        count = [0]
+
+        def counted(A, **kwargs):
+            count[0] += 1
+            return real_expm(A, **kwargs)
+
+        def fixed(A, bs, m_init=None, **kwargs):
+            return real_kiops(A, bs, **kwargs)
+
+        def run():
+            count[0] = 0
+            out = integrate_mechanism(state, mech, 0.5, atol=1e-9, rtol=1e-3)
+            assert out.success and out.y[0] > 1900.0
+            calls = sum(r.kiops_calls for r in out.records)
+            return (len(out.records), count[0] / calls,
+                    sum(r.matvecs for r in out.records) / calls)
+
+        monkeypatch.setattr(phikrylov, "expm", counted)
+        attempts, expm_per_call, matvecs_per_call = run()
+        monkeypatch.setattr(phikrylov, "kiops_eval", fixed)
+        want_attempts, want_expm, want_matvecs = run()
+        assert attempts == want_attempts
+        assert matvecs_per_call < 0.8 * want_matvecs
+        assert expm_per_call < 1.1 * want_expm
 
 
 class TestKrylovTolerance:

@@ -75,6 +75,14 @@ class TestRequestValidation:
             kiops_eval(np.zeros((2, 2)), (None, np.ones(2)),
                        time_points=(1.0,), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_finite_tolerance(self, tol):
+        # An infinite budget would accept any basis and leave the size the
+        # call passes on undefined.
+        with pytest.raises(ValueError):
+            kiops_eval(np.zeros((2, 2)), (None, np.ones(2)),
+                       time_points=(1.0,), tol=tol)
+
     def test_max_phi_order(self):
         with pytest.raises(ValueError):
             kiops_eval(np.zeros((2, 2)),
@@ -327,14 +335,14 @@ def scaled_augmented(A, bs):
     return augmented_operator(A, bs, nu)
 
 
-def kiops_unseeded(A, bs, time_points, tol):
+def kiops_unseeded(A, bs, time_points, tol, m_init=None):
     """`kiops_eval` as it ran before the seeded basis, on `UnseededArnoldi`:
-    (values, stats), or the PhiConvergenceError message."""
+    (values, stats, m_next), or the PhiConvergenceError message."""
     A = np.asarray(A, dtype=float)
     n, p = A.shape[0], len(bs) - 1
     aug, w = scaled_augmented(A, bs)
     stats = PhiStats(calls=1)
-    m = min(phikrylov.M_INIT, phikrylov.M_MAX)
+    m = min(phikrylov.M_INIT if m_init is None else m_init, phikrylov.M_MAX)
     m_cap = min(phikrylov.M_MAX, n + p)
     values, tau_now, tau = [], 0.0, 1.0
     while tau_now < 1.0:
@@ -358,7 +366,7 @@ def kiops_unseeded(A, bs, time_points, tol):
                      if T < tau_end]
             F = expm(np.multiply.outer([tau_try, *inner], Hx))
             if proc.happy:
-                easy = True
+                easy, err = True, 0.0
                 break
             err = beta * proc.H[j, j - 1] * abs(F[0, j - 1, j])
             budget = tol * beta * tau_try
@@ -387,22 +395,105 @@ def kiops_unseeded(A, bs, time_points, tol):
             values.append(w[:n])
         tau_now = tau_end
         tau = 2.0 * tau_try if easy else tau_try
-    return values, stats
+    # The size passed on: the last substep's dimension, less, after a call
+    # with no rejection and an easy success, max(1, floor(log10(budget /
+    # err) / 3)), or 1 when err = 0.
+    m_next = j
+    if stats.rejections:
+        pass
+    elif err == 0.0:
+        m_next = max(1, j - 1)
+    elif err <= phikrylov.EASY_SUCCESS * budget:
+        m_next = max(1, j - max(1, math.floor(math.log10(budget / err) / 3)))
+    return values, stats, m_next
 
 
-def assert_bits_match_unseeded(A, bs, time_points=(1.0,), tol=1e-10):
+def assert_bits_match_unseeded(A, bs, time_points=(1.0,), tol=1e-10,
+                               m_init=None):
     """kiops_eval and kiops_unseeded agree bit for bit, in every value and
-    every count, or raise the same error; returns kiops_eval's stats."""
-    want = kiops_unseeded(A, bs, time_points, tol)
+    every count, and in the size passed on, or raise the same error;
+    returns kiops_eval's stats."""
+    want = kiops_unseeded(A, bs, time_points, tol, m_init)
     if isinstance(want, str):
         with pytest.raises(PhiConvergenceError) as exc_info:
-            kiops_eval(A, bs, time_points, tol)
+            kiops_eval(A, bs, time_points, tol, m_init)
         assert str(exc_info.value) == want
         return None
-    res = kiops_eval(A, bs, time_points, tol)
+    res = kiops_eval(A, bs, time_points, tol, m_init)
     assert res.stats == want[1]
     assert [v.tobytes() for v in res.values] == [v.tobytes() for v in want[0]]
+    assert res.m_next == want[2]
     return res.stats
+
+
+class TestFirstBasisSize:
+    """`m_init` sets the size of a call's first basis, and `m_next` is the
+    size the call passes on to the next call of its kind."""
+
+    @pytest.mark.parametrize("m_init", [1, 4, 10, 20])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_values_do_not_depend_on_first_size(self, m_init, p):
+        # Every first size is below the 40-odd vectors the step needs, so
+        # each call regrows its basis from a different start.
+        rng = np.random.default_rng(2121)
+        A = stiff_diag_matrix(rng, 60, 1e4)
+        bs = [None] * p + [rng.standard_normal(60)]
+        res = kiops_eval(A, bs, time_points=(0.75, 1.0), tol=1e-10,
+                         m_init=m_init)
+        for T, got in zip((0.75, 1.0), res.values, strict=True):
+            want = T**p * dense_phi_oracle(T * A, bs)
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        assert res.stats.rejections > 0
+
+    def test_regrown_call_passes_on_its_dimension(self):
+        rng = np.random.default_rng(2222)
+        A = stiff_diag_matrix(rng, 60, 1e4)
+        bs = [None, rng.standard_normal(60)]
+        stats = assert_bits_match_unseeded(A, bs, (0.75, 1.0), m_init=2)
+        res = kiops_eval(A, bs, (0.75, 1.0), m_init=2)
+        assert stats.rejections > 0 and stats.substeps == 1
+        assert res.m_next == stats.max_krylov_dim > 2
+
+    def test_clean_call_shrinks_by_its_slack(self):
+        # A mild operator and a large first basis: the error lies decades
+        # below the budget, and the size passed on drops by one per three.
+        rng = np.random.default_rng(2323)
+        A = stiff_diag_matrix(rng, 60, 10.0)
+        bs = [None, None, None, rng.standard_normal(60)]
+        stats = assert_bits_match_unseeded(A, bs, m_init=30)
+        res = kiops_eval(A, bs, m_init=30)
+        assert stats.rejections == 0 and not stats.max_krylov_dim < 30
+        assert res.m_next < 29
+
+    @pytest.mark.parametrize("m_init", [4, 10, 20])
+    def test_happy_breakdown_shrinks_by_one(self, m_init):
+        # n + p = 7: a basis of 7 spans the augmented space, so its error
+        # is 0 and bounds no slack. A first basis of 4 regrows to 7 and
+        # passes 7 on; a larger one breaks down at once and passes on 6,
+        # so the next call estimates its error.
+        rng = np.random.default_rng(2424)
+        A = stiff_diag_matrix(rng, 6, 1e3)
+        bs = [None, rng.standard_normal(6)]
+        stats = assert_bits_match_unseeded(A, bs, (0.75, 1.0), m_init=m_init)
+        res = kiops_eval(A, bs, (0.75, 1.0), m_init=m_init)
+        assert stats.max_krylov_dim == 7
+        assert res.m_next == (7 if m_init < 7 else 6)
+
+    def test_chain_matches_reference(self):
+        # A chain of calls as an integration makes them, each starting at
+        # the size the last one passed on, on operators that stiffen and
+        # relax again: every call's values, counts and size passed on
+        # match the reference, and sizes both grow and shrink.
+        rng = np.random.default_rng(2525)
+        m, sizes = None, []
+        for span in np.geomspace(1.0, 1e5, 12).tolist() + [10.0, 1.0]:
+            A = stiff_diag_matrix(rng, 40, span)
+            bs = [None, None, None, rng.standard_normal(40)]
+            assert_bits_match_unseeded(A, bs, (1.0,), 1e-10, m_init=m)
+            m = kiops_eval(A, bs, (1.0,), 1e-10, m).m_next
+            sizes.append(m)
+        steps = np.diff(sizes)
+        assert (steps > 0).any() and (steps < 0).any()
 
 
 class TestSeededBasis:
@@ -553,7 +644,7 @@ class TestOneExponentialPerEvaluation:
 
     def test_toy_attempts_use_one_expm_call_each(self, toy_mech, toy_state,
                                                  monkeypatch):
-        # On toy3 (n + MAX_PHI_ORDER <= M_INIT) every attempt, completed or
+        # On toy3 (n + MAX_PHI_ORDER <= DENSE_PHI_MAX) every attempt, completed or
         # failed at Y1 or at its new state, makes one expm call and no
         # Krylov work.
         shapes = count_expm_calls(monkeypatch)
@@ -882,8 +973,9 @@ class TestFoldedUnscaling:
         # weights.
         weights = 1e-10 + 1e-8 * np.array([1500.0, 0.1, 0.0, 0.9])
         e = tuple(math.frexp(w)[1] for w in weights)
-        got = integrator._balancing(e)
-        assert all(a is b for a, b in zip(integrator._balancing(e), got))
+        key = np.frexp(weights)[1].tobytes()
+        got = integrator._balancing(key)
+        assert all(a is b for a, b in zip(integrator._balancing(key), got))
         d_col, d, d_inv = got
         assert not any(x.flags.writeable for x in got)
         want = np.ldexp(1.0, np.maximum(min(e) - np.array(e), -20))
@@ -896,8 +988,9 @@ class TestDenseAgainstKrylovStep:
     @pytest.mark.parametrize("h", [1e-8, 1e-6, 1e-5, 1e-4, 1e-3])
     def test_toy_step_agrees(self, toy_mech, toy_state, h, monkeypatch):
         # One EPI3V step on toy3 through the phi blocks and through the two
-        # Krylov calls (forced by a first basis too small for the dense
-        # rule): y_new and lte agree in the controller's norm.
+        # Krylov calls (forced by a dense threshold below the state, and
+        # started from a basis too small to break down at once): y_new and
+        # lte agree in the controller's norm.
         problem = problem_from_mechanism(toy_mech, toy_state.p)
         y = toy_state.to_vector()
         F, J = problem.jac(y)
@@ -905,6 +998,7 @@ class TestDenseAgainstKrylovStep:
         y_dense, lte_dense, stats = epi3v_step(y, h, F, J, problem, weights,
                                                krylov_tol=1e-12)
         assert stats == PhiStats()
+        monkeypatch.setattr(integrator, "DENSE_PHI_MAX", 2)
         monkeypatch.setattr(phikrylov, "M_INIT", 2)
         y_kry, lte_kry, stats = epi3v_step(y, h, F, J, problem, weights,
                                            krylov_tol=1e-12)
