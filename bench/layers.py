@@ -5,7 +5,8 @@
 Times `rhs_vector`, `rhs_and_jacobian` and the thermo product
 (`kinetics._thermo`) at a toy3 state and at a state of a generated K = 53
 mechanism (`perfbench/mechgen.py`, network 0, the size of the gen53-ignition
-workload), `phi_blocks` on the matrix one EPI3V step at the toy3 state
+workload), `rhs_vector` and `rhs_and_jacobian` at the same state of K = 250
+and K = 500 mechanisms (network 0), `phi_blocks` on the matrix one EPI3V step at the toy3 state
 hands it (a balanced ||h J||_1 of 0.025, near the toy3-run median of
 0.024, which `phi_blocks` takes at Taylor degree 9) and `expm` on the
 (2, 16, 16) stack it builds, at the degree it names (reported as
@@ -66,6 +67,7 @@ from expkin.kinetics import rhs_and_jacobian, rhs_vector  # noqa: E402
 TOY_T = 1500.0
 GEN_SPECIES = 53
 GEN_LARGE_SPECIES = 250
+GEN_LARGEST_SPECIES = 500
 GEN_NETWORK_SEED = 0
 GEN_T = 1050.0
 PRESSURE = 101325.0
@@ -187,9 +189,9 @@ def krylov_operands(mech, y):
     real = phikrylov.kiops_eval
     captured = []
 
-    def first_call_recorded(A, bs, **kwargs):
-        captured.append((np.array(A), bs[-1].copy()))
-        return real(A, bs, **kwargs)
+    def first_call_recorded(A, b, p, *args, **kwargs):
+        captured.append((np.array(A), b.copy()))
+        return real(A, b, p, *args, **kwargs)
     phikrylov.kiops_eval = first_call_recorded
     try:
         integrator._phi_products(GEN_STEP * J, GEN_STEP * F, weights,
@@ -240,6 +242,7 @@ def measure(repeat, number, tmpdir):
     A_gen, b_gen = krylov_operands(gen_mech, y_gen)
     large_mech, y_large = gen_state(GEN_LARGE_SPECIES)
     A_large, b_large = krylov_operands(large_mech, y_large)
+    largest_mech, y_largest = gen_state(GEN_LARGEST_SPECIES)
     stack_hess = hessenberg_stack(A_gen, b_gen)
 
     def arnoldi():
@@ -250,6 +253,13 @@ def measure(repeat, number, tmpdir):
         "rhs_and_jacobian@toy3": lambda: rhs_and_jacobian(y_toy, toy_mech, PRESSURE),
         "rhs_vector@gen53": lambda: rhs_vector(y_gen, gen_mech, PRESSURE),
         "rhs_and_jacobian@gen53": lambda: rhs_and_jacobian(y_gen, gen_mech, PRESSURE),
+        "rhs_vector@gen250": lambda: rhs_vector(y_large, large_mech, PRESSURE),
+        "rhs_and_jacobian@gen250": lambda: rhs_and_jacobian(y_large, large_mech,
+                                                            PRESSURE),
+        "rhs_vector@gen500": lambda: rhs_vector(y_largest, largest_mech,
+                                                PRESSURE),
+        "rhs_and_jacobian@gen500": lambda: rhs_and_jacobian(
+            y_largest, largest_mech, PRESSURE),
         "thermo@toy3": lambda: kinetics._thermo(TOY_T, toy_mech.tables),
         "thermo@gen53": lambda: kinetics._thermo(GEN_T, gen_mech.tables),
         "phi_blocks@toy3": lambda: phikrylov.phi_blocks(A_toy, (0.75, 1.0)),
@@ -259,12 +269,12 @@ def measure(repeat, number, tmpdir):
                                                   degree=degree_toy),
         "expm@hessenberg_stack": lambda: phikrylov.expm(stack_hess),
         "kiops_eval@gen53": lambda: phikrylov.kiops_eval(
-            A_gen, [None, b_gen], (0.75, 1.0), tol=1e-10),
+            A_gen, b_gen, 1, (0.75, 1.0), tol=1e-10),
         "kiops_eval_phi3@gen53": lambda: phikrylov.kiops_eval(
-            A_gen, [None, None, None, b_gen], (1.0,), tol=1e-10),
+            A_gen, b_gen, 3, (1.0,), tol=1e-10),
         "arnoldi_extend10@gen53": arnoldi,
         "kiops_eval@gen250": lambda: phikrylov.kiops_eval(
-            A_large, [None, b_large], (0.75, 1.0), tol=1e-10),
+            A_large, b_large, 1, (0.75, 1.0), tol=1e-10),
         "epi3v_step@toy3": step_toy,
         "epi3v_step@gen53": attempt(gen_mech, y_gen, GEN_ATTEMPT_STEP, GEN_ATOL,
                                     GEN_RTOL),

@@ -177,8 +177,7 @@ def _phi_products(A, hF, weights, krylov_tol, stats, basis_sizes=None):
 
     def phi(b, p, time_points):
         stats.calls += 1
-        res = phikrylov.kiops_eval(DAD, [None] * p + [d * b],
-                                   time_points=time_points, tol=krylov_tol,
+        res = phikrylov.kiops_eval(DAD, d * b, p, time_points, tol=krylov_tol,
                                    m_init=basis_sizes.get(p))
         basis_sizes[p] = res.m_next
         stats.add_work(res.stats)

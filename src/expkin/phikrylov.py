@@ -1,4 +1,4 @@
-"""Evaluation of phi-function linear combinations.
+"""Evaluation of phi-function products.
 
 Provides a dense augmented-matrix oracle, a matrix exponential (Taylor,
 squared up to TAYLOR_SQUARINGS times, below its cap; Pade 13 above), a
@@ -8,7 +8,7 @@ J. Comput. Phys. 372, 2018) with tau-substepping, whose first basis size
 comes from the previous call of its kind (as in phipm: Niesen & Wright,
 ACM TOMS 38(3), 2012), for
 
-    w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k
+    w(T) = T^p phi_p(T A) b,    1 <= p <= 3,
 
 at one or more time points T in (0, 1]. The evaluator forms the augmented
 matrix once per call, and one Krylov projection per substep serves every
@@ -209,42 +209,31 @@ def _paterson_stockmeyer(B, C, k=1):
     return F
 
 
-def _augmented_matrix(A, bs, nu):
-    """Block matrix [[A, nu B], [0, J_p]] with B columns b_p .. b_1 (a None
-    b is a zero column), and its starting vector [b_0, 0, ..., 0, 1/nu]
-    (a None b_0 is zero)."""
+def _augmented_matrix(A, b, p, nu):
+    """[[A, nu b e_0^T], [0, J_p]] of order n + p (J_p: ones on the
+    superdiagonal) and its start vector v = e_(n+p-1) / nu, indices from 0:
+    the first n entries of exp(T aug) v are T^p phi_p(T A) b."""
+    if not 1 <= p <= MAX_PHI_ORDER:
+        raise ValueError(f"phi orders 1 to {MAX_PHI_ORDER} supported, got {p}")
     n = A.shape[0]
-    p = len(bs) - 1
-    if p < 1:
-        raise ValueError("need at least b_0 and b_1")
     aug = np.zeros((n + p, n + p))
     aug[:n, :n] = A
-    for col, b in enumerate(bs[:0:-1]):
-        if b is not None:
-            aug[:n, n + col] = np.multiply(nu, b)
-    for i in range(p - 1):
-        aug[n + i, n + i + 1] = 1.0
+    aug[:n, n] = np.multiply(nu, b)
+    aug[n:-1, n + 1:] = _identity(p - 1)
     w = np.zeros(n + p)
-    if bs[0] is not None:
-        w[:n] = bs[0]
-    # The last entry stays 1/nu, so the state never vanishes.
     w[-1] = 1.0 / nu
     return aug, w
 
 
-def dense_phi_oracle(A, bs):
-    """sum_k phi_k(A) b_k via one dense exponential of the augmented matrix.
-
-    `bs` is the list [b_0, ..., b_p] with p >= 1; entries may be None
-    (treated as zero).
-    Intended as a reference at moderate scale (n + p <= 400).
+def dense_phi_oracle(A, b, p):
+    """phi_p(A) b, 1 <= p <= 3, via one dense exponential of the augmented
+    matrix. Intended as a reference at moderate scale (n + p <= 400).
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    p = len(bs) - 1
     if n + p > 400:
         raise ValueError("dense oracle limited to n + p <= 400")
-    aug, v = _augmented_matrix(A, bs, 1.0)
+    aug, v = _augmented_matrix(A, b, p, 1.0)
     return (expm(aug) @ v)[:n]
 
 
@@ -352,9 +341,10 @@ class Arnoldi:
     A V[j] as column `columns[j]` of A, with no product and no projection.
     The caller vouches that V[j] is the unit vector e_columns[j] and that
     this column of A is zero in the rows columns[0] .. columns[j], so the
-    projections it skips are exact zeros (`kiops_eval` passes the shift
-    block of its augmented matrix). For a finite A the basis and H are
-    those of the unseeded process, bit for bit.
+    projections it skips are exact zeros (`kiops_eval` passes the last p
+    columns of its augmented matrix, from the last: the shift block's,
+    then the column of b). For a finite A the basis and H are those of the
+    unseeded process, bit for bit.
     """
 
     def __init__(self, A, v, m_cap, columns=()):
@@ -416,14 +406,13 @@ M_MAX = 128
 EASY_SUCCESS = 0.01    # err below this fraction of the budget doubles tau
 
 
-def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=None):
-    """Adaptive Krylov evaluation of w(T) = phi_0(T A) b_0 + sum_k T^k phi_k(T A) b_k.
+def kiops_eval(A, b, p, time_points=(1.0,), tol=1.0e-10, m_init=None):
+    """Adaptive Krylov evaluation of w(T) = T^p phi_p(T A) b, 1 <= p <= 3.
 
-    `bs` is the list [b_0, ..., b_p], 1 <= p <= 3 (entries may be None for
-    zero vectors, which cost no work); `time_points` is strictly increasing
-    in (0, 1] ending at 1. `m_init` is the size of the first basis (M_INIT,
-    read at call time, when None); a caller passes the `m_next` of its
-    previous call of the same kind.
+    `time_points` is strictly increasing in (0, 1] ending at 1. `m_init`,
+    an integer >= 1, is the size of the first basis (M_INIT, read at call
+    time, when None); a caller passes the `m_next` of its previous call of
+    the same kind.
     Returns a PhiResult with w(T) at every time point, this call's stats and
     its `m_next`, the dimension its last substep converged at, less, for a
     call that rejected no basis (one substep),
@@ -439,47 +428,41 @@ def kiops_eval(A, bs, time_points=(1.0,), tol=1.0e-10, m_init=None):
     so extra time points cost no matvecs. On happy breakdown the basis is
     exact and serves every remaining time point. On an error-budget failure
     the basis is first grown (x4/3 up to M_MAX), then the substep is halved;
-    an easy success doubles the next substep. Without b_0 the first basis
-    takes its known first vectors from the augmented matrix's columns
-    (`Arnoldi`'s `columns`); each still counts as one matvec. A vector b_k
-    whose 1-norm is not finite raises PhiConvergenceError.
+    an easy success doubles the next substep. The first basis takes its
+    first p vectors from the augmented matrix's columns (`Arnoldi`'s
+    `columns`); each still counts as one matvec. A vector b whose 1-norm is
+    not finite raises PhiConvergenceError.
     """
     time_points = tuple(float(t) for t in time_points)
-    p = len(bs) - 1
-    if not 1 <= p <= MAX_PHI_ORDER:
-        raise ValueError(f"phi orders 1 to {MAX_PHI_ORDER} supported, got {p}")
     if not time_points or time_points[-1] != 1.0:
         raise ValueError("last time point must equal 1")
     # Written so that a NaN fails too.
     if not (time_points[0] > 0 and all(
-            a < b for a, b in zip(time_points, time_points[1:]))):
+            s < t for s, t in zip(time_points, time_points[1:]))):
         raise ValueError("time points must be strictly increasing in (0, 1]")
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
+    m_init = M_INIT if m_init is None else m_init
+    if not (isinstance(m_init, (int, np.integer)) and m_init >= 1):
+        raise ValueError(f"first basis size must be an integer >= 1, got {m_init!r}")
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
 
     # Balance the two blocks of the augmented state (KIOPS-style scaling):
-    # scale the b columns down by nu and the polynomial block up by 1/nu.
-    norm_b = max((float(np.abs(b).sum()) for b in bs[1:] if b is not None),
-                 default=0.0)
+    # scale the b column down by nu and the polynomial block up by 1/nu.
+    norm_b = float(np.abs(b).sum())
     # Written so that a NaN fails too.
     if not norm_b < math.inf:
         raise PhiConvergenceError("vector 1-norm is not finite",
                                   {"norm": norm_b})
     nu = 2.0 ** -math.ceil(math.log2(norm_b)) if norm_b > 0 else 1.0
-    aug, w = _augmented_matrix(A, bs, nu)
-    # With no b_0 the first start vector is e_(n+p-1), and the shift block
-    # makes the next basis vectors e_(n+p-2), e_(n+p-3), .. up to the column
-    # of the first b_k given: the first k products are columns of aug.
-    if bs[0] is None:
-        k = next((k for k in range(1, p) if bs[k] is not None), p)
-        columns = range(n + p - 1, n + p - 1 - k, -1)
-    else:
-        columns = ()
+    aug, w = _augmented_matrix(A, b, p, nu)
+    # The start vector is e_(n+p-1) and the shift block makes the next ones
+    # e_(n+p-2) .. e_n: the first p products are columns of aug.
+    columns = range(n + p - 1, n - 1, -1)
 
     stats = PhiStats(calls=1)
-    m = min(M_INIT if m_init is None else m_init, M_MAX)
+    m = min(m_init, M_MAX)
     values = []
     tau_now = 0.0
     tau = 1.0

@@ -63,7 +63,7 @@ def exp_euler_step(y, h, F, J, krylov_tol=1.0e-12):
     The adaptive march does not call it; the tests use it as the reference
     for the embedded error estimate (EPI3V minus this step).
     """
-    res = phikrylov.kiops_eval(h * J, [None, h * F], tol=krylov_tol)
+    res = phikrylov.kiops_eval(h * J, h * F, 1, tol=krylov_tol)
     return y + res.values[0]
 
 

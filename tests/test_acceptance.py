@@ -94,13 +94,15 @@ def test_kiops_matches_dense_oracle():
                 j += 1
         Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         A = Q @ A @ Q.T
+        # sum_k phi_k(A) b_k over k = 1 .. p, one call per b_k drawn.
         p = int(rng.integers(1, 4))
-        bs = [rng.standard_normal(n) if rng.random() < 0.8 else None
-              for _ in range(p + 1)]
-        if all(b is None for b in bs):
+        bs = {k: rng.standard_normal(n) for k in range(1, p + 1)
+              if rng.random() < 0.8}
+        if not bs:
             bs[1] = rng.standard_normal(n)
-        got = kiops_eval(A, bs, tol=1e-10).values[0]
-        want = dense_phi_oracle(A, bs)
+        got = sum(kiops_eval(A, b, k, tol=1e-10).values[0]
+                  for k, b in bs.items())
+        want = sum(dense_phi_oracle(A, b, k) for k, b in bs.items())
         scale = max(np.linalg.norm(want), 1e-300)
         worst = max(worst, np.linalg.norm(got - want) / scale)
     elapsed = time.perf_counter() - start

@@ -720,10 +720,9 @@ class TestWeightedKrylov:
         stats = PhiStats()
         w34, w1, phi3 = integrator._phi_products(h * J, h * F, weights,
                                                  1e-8, stats)
-        want34, want1 = phikrylov.kiops_eval(DAD, [None, d * h * F],
-                                             (0.75, 1.0), tol=1e-8).values
-        want3, = phikrylov.kiops_eval(DAD, [None, None, None, d * v],
-                                      (1.0,), tol=1e-8).values
+        want34, want1 = phikrylov.kiops_eval(DAD, d * h * F, 1, (0.75, 1.0),
+                                             tol=1e-8).values
+        want3, = phikrylov.kiops_eval(DAD, d * v, 3, (1.0,), tol=1e-8).values
         for got, want in ((w34, want34), (w1, want1), (phi3(v), want3)):
             np.testing.assert_array_equal(got, want / d)
         assert stats.calls == 2 and stats.matvecs > 0
@@ -765,9 +764,9 @@ class TestCarriedBasisSizes:
         real = phikrylov.kiops_eval
         calls = []
 
-        def recorded(A, bs, **kwargs):
-            res = real(A, bs, **kwargs)
-            calls.append((len(bs) - 1, kwargs["m_init"], res.m_next))
+        def recorded(A, b, p, *args, **kwargs):
+            res = real(A, b, p, *args, **kwargs)
+            calls.append((p, kwargs["m_init"], res.m_next))
             return res
 
         monkeypatch.setattr(phikrylov, "kiops_eval", recorded)
@@ -810,8 +809,8 @@ class TestCarriedBasisSizes:
             count[0] += 1
             return real_expm(A, **kwargs)
 
-        def fixed(A, bs, m_init=None, **kwargs):
-            return real_kiops(A, bs, **kwargs)
+        def fixed(A, b, p, *args, m_init=None, **kwargs):
+            return real_kiops(A, b, p, *args, **kwargs)
 
         def run():
             count[0] = 0
@@ -828,6 +827,28 @@ class TestCarriedBasisSizes:
         assert attempts == want_attempts
         assert matvecs_per_call < 0.8 * want_matvecs
         assert expm_per_call < 1.1 * want_expm
+
+
+class TestKrylovSubsteps:
+    def test_capped_basis_substeps_tau(self, monkeypatch):
+        # Full ignition of a generated K = 20 network at rtol 1e-3 with the
+        # basis capped at 8: calls that need a larger basis halve tau and
+        # take several substeps (63 of 243 attempts), and the run ends
+        # where the uncapped one does (2017.2541 against 2017.2543 K).
+        mech = mechgen.generate_mechanism(20, 0)
+        state = ignition_state(mech)
+
+        def run():
+            out = integrate_mechanism(state, mech, 0.5, atol=1e-9, rtol=1e-3)
+            assert out.success
+            return out
+
+        want = run()
+        assert all(r.substeps == r.kiops_calls for r in want.records)
+        monkeypatch.setattr(phikrylov, "M_MAX", 8)
+        out = run()
+        assert any(r.substeps > r.kiops_calls for r in out.records)
+        assert abs(out.y[0] - want.y[0]) <= 0.01
 
 
 class TestKrylovTolerance:
