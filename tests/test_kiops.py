@@ -83,7 +83,7 @@ class TestRequestValidation:
             kiops_eval(np.zeros((2, 2)), np.ones(2), 1, time_points=(1.0,),
                        tol=tol)
 
-    @pytest.mark.parametrize("p", [0, 4])
+    @pytest.mark.parametrize("p", [0, 4, -1])
     def test_phi_order_from_one_to_three(self, p):
         # Both paths refuse an order outside 1 .. 3, phi_0 included.
         A, b = np.zeros((2, 2)), np.ones(2)
@@ -92,10 +92,10 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="phi orders"):
             dense_phi_oracle(A, b, p)
 
-    @pytest.mark.parametrize("m_init", [0, -3, 2.5])
+    @pytest.mark.parametrize("m_init", [0, -3, 2.5, np.float64(4.0)])
     def test_first_basis_size_is_a_positive_integer(self, m_init):
         # Unrefused, 0 and -3 returned w = 0 with no matvec, and 2.5 ran
-        # with a float basis size.
+        # with a float basis size. A whole float is refused too.
         A, b = -np.diag(np.arange(1.0, 21.0)), np.ones(20)
         with pytest.raises(ValueError, match="first basis size"):
             kiops_eval(A, b, 1, m_init=m_init)
@@ -118,6 +118,16 @@ class TestKiopsBasics:
         want = (2.0 * phi_scalar(1, z) + 0.5 * phi_scalar(2, z)
                 - 1.0 * phi_scalar(3, z))
         assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_scalar_order_matches_phi_scalar(self, p):
+        # One order per call, at both time points: T^p phi_p(T z).
+        z = -3.7
+        res = kiops_eval(np.array([[z]]), np.array([1.0]), p,
+                         time_points=(0.75, 1.0), tol=1e-13)
+        for T, got in zip((0.75, 1.0), res.values, strict=True):
+            assert got[0] == pytest.approx(T**p * phi_scalar(p, T * z),
+                                           rel=1e-13)
 
     def test_matches_dense_oracle_easy(self):
         # phi_1(A) b_1 + phi_2(A) b_2, one call per term.
@@ -162,6 +172,50 @@ class TestKiopsBasics:
         full = dense_phi_oracle(A, b1, 1)
         np.testing.assert_allclose(both.values[0], half, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(both.values[1], full, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_time_points_scale_by_t_to_the_p(self, p):
+        # Three inner time points of one substep, each against a dense
+        # evaluation with A pre-scaled by T.
+        rng = np.random.default_rng(5353)
+        A = stiff_diag_matrix(rng, 100, 100.0)
+        b = rng.standard_normal(100)
+        time_points = (0.25, 0.5, 0.75, 1.0)
+        res = kiops_eval(A, b, p, time_points=time_points, tol=1e-12)
+        # A Krylov basis, not the whole augmented space.
+        assert res.stats.max_krylov_dim < 100
+        for T, got in zip(time_points, res.values, strict=True):
+            want = T**p * dense_phi_oracle(T * A, b, p)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), T
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_power_of_two_scale_of_b_is_exact(self, p):
+        # The balancing nu follows ||b||_1, so scaling b by 2^k scales nu by
+        # 2^-k exactly: the basis and every count stay, and every value
+        # scales exactly.
+        rng = np.random.default_rng(5151)
+        A = stiff_diag_matrix(rng, 50, 1e4)
+        b = rng.standard_normal(50)
+        want = kiops_eval(A, b, p, (0.75, 1.0), tol=1e-10)
+        assert want.stats.rejections > 0
+        for k in (40, -40):
+            res = kiops_eval(A, math.ldexp(1.0, k) * b, p, (0.75, 1.0),
+                             tol=1e-10)
+            assert res.stats == want.stats and res.m_next == want.m_next
+            for got, w in zip(res.values, want.values, strict=True):
+                np.testing.assert_array_equal(got, math.ldexp(1.0, k) * w)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_recurrence_between_orders(self, p):
+        # phi_p(A) b = b / p! + A phi_(p+1)(A) b, from two Krylov calls.
+        rng = np.random.default_rng(5252)
+        A = stiff_diag_matrix(rng, 60, 100.0)
+        b = rng.standard_normal(60)
+        lo = kiops_eval(A, b, p, tol=1e-12)
+        hi = kiops_eval(A, b, p + 1, tol=1e-12)
+        assert lo.stats.max_krylov_dim < 60 + p
+        want = b / math.factorial(p) + A @ hi.values[0]
+        assert np.linalg.norm(lo.values[0] - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_deterministic(self):
         rng = np.random.default_rng(606)
@@ -254,6 +308,16 @@ class TestAgainstExpmMultiply:
         got, = kiops_eval(A, b, 3, time_points=(1.0,), tol=1e-10).values
         want = self.reference(A, b, 3, 1.0)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+    def test_phi2_at_three_quarters_and_one(self):
+        rng = np.random.default_rng(1214)
+        A = stiff_diag_matrix(rng, 56, 1e5)
+        b = rng.standard_normal(56)
+        res = kiops_eval(A, b, 2, time_points=(0.75, 1.0), tol=1e-10)
+        for T, got in zip((0.75, 1.0), res.values):
+            want = self.reference(A, b, 2, T)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), T
 
 
 class TestProjectionCounts:
@@ -437,6 +501,31 @@ class TestFirstBasisSize:
         assert stats.rejections > 0 and stats.substeps == 1
         assert res.m_next == stats.max_krylov_dim > 2
 
+    def test_size_above_cap_is_clamped(self, monkeypatch):
+        # A first size above M_MAX runs as M_MAX, bit for bit.
+        monkeypatch.setattr(phikrylov, "M_MAX", 24)
+        rng = np.random.default_rng(5454)
+        A = stiff_diag_matrix(rng, 60, 1e4)
+        b = rng.standard_normal(60)
+        big = kiops_eval(A, b, 1, (0.75, 1.0), m_init=1000)
+        cap = kiops_eval(A, b, 1, (0.75, 1.0), m_init=24)
+        assert big.stats == cap.stats and big.m_next == cap.m_next
+        assert big.stats.substeps > 1
+        for got, want in zip(big.values, cap.values, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_numpy_integer_size_runs_as_int(self):
+        # A size read back from an array is accepted and changes nothing.
+        rng = np.random.default_rng(5454)
+        A = stiff_diag_matrix(rng, 60, 1e4)
+        b = rng.standard_normal(60)
+        got = kiops_eval(A, b, 2, (0.75, 1.0), m_init=np.int64(5))
+        want = kiops_eval(A, b, 2, (0.75, 1.0), m_init=5)
+        assert got.stats == want.stats and got.stats.rejections > 0
+        assert got.m_next == want.m_next and type(got.m_next) is int
+        for g, w in zip(got.values, want.values, strict=True):
+            np.testing.assert_array_equal(g, w)
+
     def test_clean_call_shrinks_by_its_slack(self):
         # A mild operator and a large first basis: the error lies decades
         # below the budget, and the size passed on drops by one per three.
@@ -486,7 +575,8 @@ class TestSeededBasis:
     process, bit for bit."""
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("time_points", [(1.0,), (0.75, 1.0)])
+    @pytest.mark.parametrize("time_points", [(1.0,), (0.75, 1.0),
+                                             (0.25, 0.5, 0.75, 1.0)])
     def test_bits_match_for_every_order(self, p, time_points):
         # The signed zeros in b must not reach the basis as -0.0.
         rng = np.random.default_rng(4242)
@@ -541,7 +631,7 @@ class TestSeededBasis:
         stats = assert_bits_match_unseeded(A, np.zeros(20), p, (0.75, 1.0))
         assert stats.max_krylov_dim == stats.matvecs == p
 
-    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_full_space_happy_breakdown(self, p, monkeypatch):
         # A nonzero b with n + p <= M_INIT: the first basis spans the whole
         # augmented space and breaks down happily, so the one substep

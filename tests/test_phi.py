@@ -126,6 +126,18 @@ class TestDenseOracle:
         want = np.array([phi_scalar(3, z) for z in d])
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_recurrence_from_exponential(self, p):
+        # phi_(p-1)(A) b = b / (p-1)! + A phi_p(A) b, with phi_0 = exp
+        # taken from scipy.
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((8, 8))
+        b = rng.standard_normal(8)
+        lo = (scipy.linalg.expm(A) @ b if p == 1
+              else dense_phi_oracle(A, b, p - 1))
+        want = b / math.factorial(p - 1) + A @ dense_phi_oracle(A, b, p)
+        np.testing.assert_allclose(lo, want, rtol=1e-13, atol=1e-14)
+
     def test_random_combination_vs_ode(self):
         # phi_1(A) b_1 + phi_2(A) b_2 + phi_3(A) b_3, one call per term.
         rng = np.random.default_rng(19)
