@@ -2,11 +2,12 @@
 
     python3 bench/layers.py [--repeat 15] [--number 0] [--out BENCH_layers.json]
 
-Times `rhs_vector`, `rhs_and_jacobian` and the thermo product
-(`kinetics._thermo`) at a toy3 state and at a state of a generated K = 53
-mechanism (`perfbench/mechgen.py`, network 0, the size of the gen53-ignition
-workload), `rhs_vector` and `rhs_and_jacobian` at the same state of K = 250
-and K = 500 mechanisms (network 0), `phi_blocks` on the matrix one EPI3V step at the toy3 state
+Times `rhs_vector`, `rhs_and_jacobian` and the product that yields every
+temperature-dependent term (`kinetics._temperature_terms`) at a toy3 state
+and at a state of a generated K = 53 mechanism (`perfbench/mechgen.py`,
+network 0, the size of the gen53-ignition workload), `rhs_vector` and
+`rhs_and_jacobian` at the same state of K = 250 and K = 500 mechanisms
+(network 0), the product at the K = 500 state, `phi_blocks` on the matrix one EPI3V step at the toy3 state
 hands it (a balanced ||h J||_1 of 0.025, near the toy3-run median of
 0.024, which `phi_blocks` takes at Taylor degree 9) and `expm` on the
 (2, 16, 16) stack it builds, at the degree it names (reported as
@@ -260,8 +261,12 @@ def measure(repeat, number, tmpdir):
                                                 PRESSURE),
         "rhs_and_jacobian@gen500": lambda: rhs_and_jacobian(
             y_largest, largest_mech, PRESSURE),
-        "thermo@toy3": lambda: kinetics._thermo(TOY_T, toy_mech.tables),
-        "thermo@gen53": lambda: kinetics._thermo(GEN_T, gen_mech.tables),
+        "temperature_terms@toy3": lambda: kinetics._temperature_terms(
+            TOY_T, toy_mech.tables),
+        "temperature_terms@gen53": lambda: kinetics._temperature_terms(
+            GEN_T, gen_mech.tables),
+        "temperature_terms@gen500": lambda: kinetics._temperature_terms(
+            GEN_T, largest_mech.tables),
         "phi_blocks@toy3": lambda: phikrylov.phi_blocks(A_toy, (0.75, 1.0)),
         "phi_blocks@toy3_norm1": lambda: phikrylov.phi_blocks(A_toy_norm1,
                                                               (0.75, 1.0)),

@@ -6,14 +6,15 @@ fractions in mechanism order). All quantities are SI: K, Pa, kg/mol, mol/m^3,
 J/mol, s.
 
 Every evaluation works on the arrays a `Mechanism` builds once (`_Tables`):
-R/W-scaled NASA-7 tables, one per interval between the species' T_mid
-values, the Arrhenius rows [ln A, beta, E/R],
-stoichiometric matrices, one padded slot table of the forward rows and of
-the reverse rows of reversible reactions, and the sparse scatter of the
-Jacobian. So one pass takes the thermo from one product, ln k and
-d ln k/dT from another, and the mass-action products and their
-derivatives from one gather of slot columns. The Jacobian is
-analytical in the manner of pyJac (Niemeyer, Curtis & Sung, Comput. Phys.
+one table per interval between the species' T_mid values over the basis
+[1, T, ..., T^5, ln T, 1/T, 1/T^2], which holds R/W-scaled NASA-7 rows, the
+Arrhenius rows and the reactions' -dG/RT and d ln K_c/dT rows (nu folded
+into the NASA-7 rows), stoichiometric matrices, one padded slot table of
+the forward rows and of the reverse rows of reversible reactions, and the
+sparse scatter of the Jacobian. So one pass takes the thermo, ln k,
+d ln k/dT and K_c from one product and one exp, and the mass-action
+products and their derivatives from one gather of slot columns. The
+Jacobian is analytical in the manner of pyJac (Niemeyer, Curtis & Sung, Comput. Phys.
 Commun. 215, 2017): rate-of-progress derivatives in the concentrations come
 from the mass-action products, temperature derivatives from the Arrhenius
 and equilibrium-constant log-derivatives, and both are chained through
@@ -93,10 +94,10 @@ def _clamp(arg, telemetry=None):
 
 
 def _nasa7_map():
-    """(4, 7, 7): row i of block q maps NASA-7 coefficient a_(i+1) onto the
-    columns [1, T, T^2, T^3, T^4, T^5, ln T] of c_p/R, H/R, S/R and
-    (dc_p/dT)/R (q = 0 .. 3)."""
-    L = np.zeros((4, 7, 7))
+    """(6, 7, 9): row i of block q maps NASA-7 coefficient a_(i+1) onto the
+    basis columns (`_basis`) of c_p/R, H/R, S/R, (dc_p/dT)/R, -G/(R T) and
+    H/(R T^2) (q = 0 .. 5)."""
+    L = np.zeros((6, 7, 9))
     for i in range(5):
         # c_p/R = a1 + a2 T + a3 T^2 + a4 T^3 + a5 T^4
         L[0, i, i] = 1.0
@@ -109,6 +110,12 @@ def _nasa7_map():
         # (dc_p/dT)/R = a2 + 2 a3 T + 3 a4 T^2 + 4 a5 T^3
         L[3, i, i - 1] = float(i)
     L[2, 6, 0] = L[2, 0, 6] = 1.0
+    # Division by T moves basis column c to over_t[c]: T^j to T^(j-1), 1 to
+    # 1/T and 1/T to 1/T^2 (H/R has no ln T term).
+    over_t = np.zeros((9, 9))
+    over_t[[0, 1, 2, 3, 4, 5, 7], [7, 0, 1, 2, 3, 4, 8]] = 1.0
+    L[4] = L[2] - L[1] @ over_t
+    L[5] = L[1] @ over_t @ over_t
     L.flags.writeable = False
     return L
 
@@ -116,26 +123,21 @@ def _nasa7_map():
 _NASA7_MAP = _nasa7_map()
 
 
-def _thermo_table(coeffs):
-    """(4n, 7) table of NASA-7 rows `coeffs` (n, 7): its product with
-    `_thermo_powers(T)` gives c_p/R, H/R, S/R and (dc_p/dT)/R at T, in four
-    blocks of n."""
-    a = np.asarray(coeffs, dtype=float).reshape(-1, 7)
-    return (a @ _NASA7_MAP).reshape(-1, 7)
-
-
-def _thermo_powers(T):
-    """[1, T, T^2, T^3, T^4, T^5, ln T], the columns of `_thermo_table`."""
+def _basis(T):
+    """[1, T, T^2, T^3, T^4, T^5, ln T, 1/T, 1/T^2], the columns of the
+    tables (`_Tables.terms_at`)."""
     T2 = T * T
-    return np.array([1.0, T, T2, T2 * T, T2 * T2, T2 * T2 * T, math.log(T)])
+    inv_T = 1.0 / T
+    return np.array([1.0, T, T2, T2 * T, T2 * T2, T2 * T2 * T, math.log(T),
+                     inv_T, inv_T * inv_T])
 
 
 @lru_cache(maxsize=64)
 def _cp_columns(T):
-    """The c_p block of `_NASA7_MAP` times `_thermo_powers(T)`, as floats:
-    its dot product with a NASA-7 row is c_p/R at T. Mechanisms share a
-    few T_mid values, so it is cached."""
-    return tuple((_NASA7_MAP[0] @ _thermo_powers(T)).tolist())
+    """The c_p block of `_NASA7_MAP` times `_basis(T)`, as floats: its dot
+    product with a NASA-7 row is c_p/R at T. Mechanisms share a few T_mid
+    values, so it is cached."""
+    return tuple((_NASA7_MAP[0] @ _basis(T)).tolist())
 
 
 @dataclass(frozen=True)
@@ -222,21 +224,26 @@ class _Tables:
     whose rate constant follows from detailed balance. A mechanism without
     reversible reactions has no reverse rows.
 
-    - `nu_net` (N, K) = nu_reverse - nu_forward as floats, `dnu` its row
-      sums, `reversible` (N,) the reactions with a reverse row;
+    - `dnu` (N,), the row sums of nu_net = nu_reverse - nu_forward,
+      `reversible` (N,) the reactions with a reverse row, `reverse` (R,)
+      their indices and `dnu_reverse` (R,) their dnu; `kc_order` (N,),
+      the reversible reactions, then the others, each ascending;
     - the range limits `t_low`, `t_mid`, `t_high` (K,) and the window
       where every fit holds, [`t_min`, `t_max`] (floats); `t_mids`, the
       sorted distinct T_mid values as a tuple of floats, and
-      `thermo_by_range`, a tuple of one (4K, 7) table per interval between
-      them (`thermo_at`): the NASA-7 rows (`_thermo_table`) of each
-      species' range in that interval, scaled by R/W, so that one product
-      with `_thermo_powers(T)` gives c_p, H, S and dc_p/dT per unit mass
-      at T;
-    - `arrhenius` (3, N): ln A, beta and E/R of every reaction, and
-      `e_r_max`, the largest |E|/R;
-    - `reverse` (R,): the reversible reactions' indices; `equilibrium_nu`
-      (K, R): their nu_net times W_k, which turns specific H and S into
-      reaction changes; `dnu_reverse` (R,);
+      `terms_by_range`, a tuple of one (4K + 4N, 9) table per interval
+      between them (`terms_at`). Its product with `_basis(T)` gives, in
+      blocks: c_p, H, S and dc_p/dT per unit mass of every species (4K
+      rows: the NASA-7 rows of each species' range in that interval,
+      scaled by R/W), then ln k_f of every reaction, -dG/RT of every
+      reaction in `kc_order`, d ln k_f/dT and d ln K_c/dT in the same two
+      orders (N rows each; the reaction rows fold nu_net into the NASA-7
+      rows). So `ln_k_rows` (ln k_f, then -dG/RT of the reversible
+      reactions) and `dln_k_rows` (d ln k_f/dT, then d ln K_c/dT of the
+      reversible reactions) are contiguous, and so are `neg_dg_rows` and
+      `dln_kc_rows` (every reaction in `kc_order`);
+    - `arrhenius` (3, N): ln A, beta and E/R of every reaction, which the
+      activation clamp reads, and `e_r_max`, the largest |E|/R;
     - the nonzeros of nu_rows (rows, K), the signed nu_net of every row (a
       reverse row negates its reaction's), row by row: their rows `nz_row`,
       species `nz_species` and values `nz_nu`, so that omega = r nu_rows
@@ -264,12 +271,13 @@ class _Tables:
         N, K = mech.n_reactions, mech.n_species
         species, reactions = mech.species, mech.reactions
         W = mech.molar_masses
-        self.nu_net = np.subtract(mech.nu_reverse, mech.nu_forward, dtype=float)
-        self.dnu = self.nu_net.sum(axis=1)
+        nu_net = np.subtract(mech.nu_reverse, mech.nu_forward, dtype=float)
+        self.dnu = nu_net.sum(axis=1)
         self.reversible = np.array([r.reversible for r in reactions], dtype=bool)
-        scale = np.tile(R_GAS / W, 4)[:, None]
-        low, high = (scale * _thermo_table([getattr(s, side) for s in species])
-                     for side in ("coeffs_low", "coeffs_high"))
+        rev = np.flatnonzero(self.reversible)
+        self.reverse = rev
+        self.dnu_reverse = self.dnu[rev]
+        self.kc_order = np.concatenate((rev, np.flatnonzero(~self.reversible)))
         self.t_low = np.array([s.t_low for s in species])
         self.t_mid = np.array([s.t_mid for s in species])
         self.t_high = np.array([s.t_high for s in species])
@@ -279,19 +287,43 @@ class _Tables:
         # In interval i, (t_mids[i-1], t_mids[i]], a species takes its high
         # range iff its T_mid is one of t_mids[:i] (so at T = T_mid it keeps
         # its low range).
-        rank = np.tile(np.searchsorted(self.t_mids, self.t_mid), 4)[:, None]
-        self.thermo_by_range = tuple(np.where(i > rank, high, low)
-                                     for i in range(len(self.t_mids) + 1))
-        rev = np.flatnonzero(self.reversible)
-        rows = np.concatenate((np.arange(N), rev))
+        n_ranges = len(self.t_mids) + 1
+        high = (np.arange(n_ranges)[:, None]
+                > np.searchsorted(self.t_mids, self.t_mid))[..., None]
+        coeffs = np.where(high, [s.coeffs_high for s in species],
+                          [s.coeffs_low for s in species])
+        # blocks[i, k, q]: block q of _NASA7_MAP for species k in range i.
+        blocks = (coeffs @ _NASA7_MAP.transpose(1, 0, 2).reshape(7, -1)
+                  ).reshape(n_ranges, K, 6, 9)
         A, beta, E = np.array([r.arrhenius for r in reactions],
                               dtype=float).reshape(N, 3).T
         self.arrhenius = np.array([np.log(A), beta, E / R_GAS])
         self.e_r_max = float(np.abs(self.arrhenius[2]).max(initial=0.0))
-        self.reverse = rev
-        self.equilibrium_nu = (self.nu_net[rev] * W).T.copy()
-        self.dnu_reverse = self.dnu[rev]
-        nu_rows = np.concatenate((self.nu_net, -self.nu_net[rev]))
+        terms = np.zeros((n_ranges, 4 * (K + N), 9))
+        terms[:, :4 * K] = (blocks[:, :, :4].transpose(0, 2, 1, 3)
+                            * (R_GAS / W)[:, None]).reshape(n_ranges, 4 * K, 9)
+        # ln k_f = ln A + beta ln T - (E/R)/T, then -dG/RT, then
+        # d ln k_f/dT = beta/T + (E/R)/T^2, then d ln K_c/dT = dH/(R T^2)
+        # - dnu/T: nu_net times the -G/RT and H/(R T^2) blocks.
+        ln_kf, neg_dg, dln_kf, dln_kc = terms[:, 4 * K:].reshape(
+            n_ranges, 4, N, 9).transpose(1, 0, 2, 3)
+        ln_kf[..., [0, 6, 7]] = (self.arrhenius * [[1.0], [1.0], [-1.0]]).T
+        dln_kf[..., [7, 8]] = self.arrhenius[1:].T
+        reaction = (nu_net @ blocks[:, :, 4:].transpose(1, 2, 0, 3).reshape(
+            K, -1))[self.kc_order]
+        neg_dg[:], dln_kc[:] = reaction.reshape(N, 2, n_ranges, 9).transpose(
+            1, 2, 0, 3)
+        dln_kc[..., 7] -= self.dnu[self.kc_order]
+        terms.flags.writeable = False
+        self.terms_by_range = tuple(terms)
+        start = 4 * K
+        R = len(rev)
+        self.ln_k_rows = slice(start, start + N + R)
+        self.neg_dg_rows = slice(start + N, start + 2 * N)
+        self.dln_k_rows = slice(start + 2 * N, start + 3 * N + R)
+        self.dln_kc_rows = slice(start + 3 * N, start + 4 * N)
+        rows = np.concatenate((np.arange(N), rev))
+        nu_rows = np.concatenate((nu_net, -nu_net[rev]))
         self.inv_molar_masses = 1.0 / W
         self.inv_w = np.concatenate(([0.0], self.inv_molar_masses))
         self.w_ratio = np.multiply.outer(W, self.inv_w)
@@ -319,14 +351,14 @@ class _Tables:
         self.jacobian_nu = self.nz_nu[nz]
         self.jacobian_index = (nz_species[nz] * (K + 1)
                                + column[self.jacobian_gather])
-        for value in (*vars(self).values(), *self.thermo_by_range):
+        for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def thermo_at(self, T):
-        """The (4K, 7) thermo table of the T_mid interval T falls in: each
+    def terms_at(self, T):
+        """The (4K + 4N, 9) table of the T_mid interval T falls in: each
         species' high-range rows where T > T_mid, else its low-range rows."""
-        return self.thermo_by_range[bisect.bisect_left(self.t_mids, T)]
+        return self.terms_by_range[bisect.bisect_left(self.t_mids, T)]
 
 
 @dataclass(frozen=True)
@@ -471,30 +503,28 @@ def _check_range(T, tb, mech):
                                tb.t_low[bad], tb.t_high[bad])
 
 
-def _thermo(T, tb):
-    """c_p, H, S and dc_p/dT per unit mass of every species at T, (4, K):
-    one product of the table of T's range (`_Tables.thermo_at`)."""
-    return (tb.thermo_at(T) @ _thermo_powers(T)).reshape(4, -1)
+def _temperature_terms(T, tb):
+    """Every temperature-dependent term at T, one product of the table of
+    T's range (`_Tables.terms_at`) with `_basis(T)`: c_p, H, S and dc_p/dT
+    per unit mass (the first 4K entries, in blocks of K), then ln k_f,
+    -dG/RT, d ln k_f/dT and d ln K_c/dT of the reactions (see _Tables)."""
+    return tb.terms_at(T) @ _basis(T)
 
 
 def species_thermo(T, mech):
     """Molar c_p, H, S and dc_p/dT of every species at temperature T."""
     tb = mech.tables
     _check_range(T, tb, mech)
-    return _thermo(T, tb) * mech.molar_masses
+    K = mech.n_species
+    return _temperature_terms(T, tb)[:4 * K].reshape(4, K) * mech.molar_masses
 
 
-def _equilibrium(T, th, nu_w, dnu, telemetry):
-    """Concentration-based K_c and d ln K_c/dT of the reactions whose
-    nu_net times W_k are the columns of `nu_w` (K, n), from the specific
-    thermo `th` (see `_thermo`)."""
-    dh, ds = th[1:3] @ nu_w
-    dh_rt = dh / (R_GAS * T)
-    neg_dg, live = _clamp(ds / R_GAS - dh_rt, telemetry)
-    if live is not None:
-        dh_rt = np.where(live, dh_rt, 0.0)
-    kc = np.exp(neg_dg) * (P_STANDARD / (R_GAS * T)) ** dnu
-    return kc, (dh_rt - dnu) / T
+def _ln_kc(T, neg_dg, dnu, telemetry):
+    """ln K_c = -dG/RT + dnu ln(P_STANDARD/(R T)) of the reactions whose
+    -dG/RT and dnu are given, with -dG/RT clipped (`_clamp`), and the mask
+    of the unclipped entries, or None."""
+    arg, live = _clamp(neg_dg, telemetry)
+    return arg + dnu * math.log(P_STANDARD / (R_GAS * T)), live
 
 
 def equilibrium_constants(T, mech, telemetry=None):
@@ -502,47 +532,44 @@ def equilibrium_constants(T, mech, telemetry=None):
     reversible reaction's is the one its reverse rate constant divides by."""
     tb = mech.tables
     _check_range(T, tb, mech)
-    th = _thermo(T, tb)
-    # The reversible reactions' K_c come from the rate path's own product,
-    # so k_r = k_f / K_c holds bit for bit: one product over all reactions
-    # sums some columns in another order (another BLAS blocking), which
-    # moves K_c by an ulp.
+    neg_dg = _temperature_terms(T, tb)[tb.neg_dg_rows]
     kc = np.empty(mech.n_reactions)
-    kc[tb.reverse] = _equilibrium(T, th, tb.equilibrium_nu, tb.dnu_reverse,
-                                  telemetry)[0]
-    rest = ~tb.reversible
-    kc[rest] = _equilibrium(T, th, (tb.nu_net[rest] * mech.molar_masses).T,
-                            tb.dnu[rest], telemetry)[0]
+    kc[tb.kc_order] = np.exp(_ln_kc(T, neg_dg, tb.dnu[tb.kc_order],
+                                    telemetry)[0])
     return kc
 
 
-def _rate_constants(T, th, tb, telemetry):
+def _rate_constants(T, terms, tb, telemetry):
     """Rate constant k = A T^beta exp(-E/(R T)) of every row (see _Tables)
-    and d ln k/dT, from one product. A reverse row's k is k_f / K_c
-    (detailed balance) and its log-derivative d ln k_f/dT - d ln K_c/dT.
+    and d ln k/dT, from the product `terms` (`_temperature_terms`) and one
+    exp. A reverse row's k is k_f / K_c (detailed balance) and its
+    log-derivative d ln k_f/dT - d ln K_c/dT.
 
     When no |E|/(R T) can exceed EXP_ARG_MAX no entry is checked; else an
     activation factor beyond it is clamped, constant (its derivative is
-    dropped), and marks `telemetry` saturated.
+    dropped), and marks `telemetry` saturated. A reversible reaction's
+    exp(-dG/RT) factor of K_c is always checked, and clamped the same way.
     """
-    inv_T = 1.0 / T
-    ln_T = math.log(T)
-    # One flat tuple reshaped: numpy builds it faster than nested rows.
-    ln_k, dln_k = np.array((1.0, ln_T, -inv_T, 0.0, inv_T, inv_T * inv_T)
-                           ).reshape(2, 3) @ tb.arrhenius
+    ln_k, dln_k = terms[tb.ln_k_rows], terms[tb.dln_k_rows]
+    n = len(tb.reversible)
     if tb.e_r_max > EXP_ARG_MAX * T:
-        e_rt = tb.arrhenius[2] * inv_T
-        arg, live = _clamp(-e_rt, telemetry)
+        inv_T = 1.0 / T
+        arg, live = _clamp(tb.arrhenius[2] * -inv_T, telemetry)
         if live is not None:
             ln_a, beta = tb.arrhenius[:2]
-            ln_k = np.where(live, ln_k, ln_a + beta * ln_T + arg)
-            dln_k = np.where(live, dln_k, beta * inv_T)
-    k = np.exp(ln_k)
+            ln_k[:n] = np.where(live, ln_k[:n], ln_a + beta * math.log(T) + arg)
+            dln_k[:n] = np.where(live, dln_k[:n], beta * inv_T)
     if not len(tb.reverse):
-        return k, dln_k
-    kc, dkc = _equilibrium(T, th, tb.equilibrium_nu, tb.dnu_reverse, telemetry)
-    return (np.concatenate((k, k[tb.reverse] / kc)),
-            np.concatenate((dln_k, dln_k[tb.reverse] - dkc)))
+        return np.exp(ln_k), dln_k
+    ln_k[n:], live = _ln_kc(T, ln_k[n:], tb.dnu_reverse, telemetry)
+    if live is not None:
+        dln_k[n:] = np.where(live, dln_k[n:], tb.dnu_reverse / -T)
+    # k_f, then K_c of the reversible reactions, which k_r = k_f / K_c
+    # replaces.
+    k = np.exp(ln_k)
+    np.divide(k[tb.reverse], k[n:], out=k[n:])
+    np.subtract(dln_k[tb.reverse], dln_k[n:], out=dln_k[n:])
+    return k, dln_k
 
 
 def rate_constants(T, mech, *, telemetry=None):
@@ -551,7 +578,7 @@ def rate_constants(T, mech, *, telemetry=None):
     reversible reactions, and is 0 for irreversible ones."""
     tb = mech.tables
     _check_range(T, tb, mech)
-    k = _rate_constants(T, _thermo(T, tb), tb, telemetry)[0]
+    k = _rate_constants(T, _temperature_terms(T, tb), tb, telemetry)[0]
     n = mech.n_reactions
     kr = np.zeros(n)
     kr[tb.reversible] = k[n:]
@@ -597,11 +624,12 @@ def _evaluate(y, mech, p, telemetry, jacobian):
     exact dense Jacobian dF/d[T, Y] (else None), from one pass over the
     kinetics.
 
-    The pass takes the specific thermo from one product (`_thermo`), ln k
-    and d ln k/dT of every row from another (`_rate_constants`), and the
-    mass-action products from the slot columns. With B = nu^T dq/d[T, chi]
-    (dq/dT at fixed chi in column 0), g = (W/rho) (B_chi chi) and the
-    specific c_p, h = H/W and mean c_p-bar = sum Y c_p:
+    The pass takes the specific thermo and ln k and d ln k/dT of every row
+    from one product (`_temperature_terms`, then `_rate_constants`), and
+    the mass-action products from the slot columns. With
+    B = nu^T dq/d[T, chi] (dq/dT at fixed chi in column 0),
+    g = (W/rho) (B_chi chi) and the specific c_p, h = H/W and mean
+    c_p-bar = sum Y c_p:
 
         J_Y = B (W/rho | W_i/W_k) + (F_Y - g) (1/T, 1/(W_k sum Y/W))
         J_T = -(h J_Y + F_T (Y dc_p/dT, c_p) + e_0 (c_p F_Y)) / c_p-bar
@@ -616,9 +644,9 @@ def _evaluate(y, mech, p, telemetry, jacobian):
     rho, mean_inv = _density(T, Y, p, mech)
     K = mech.n_species
     _check_range(T, tb, mech)
-    th = _thermo(T, tb)
-    cp, h, _, dcp = th
-    k, dln_k = _rate_constants(T, th, tb, telemetry)
+    terms = _temperature_terms(T, tb)
+    cp, h, dcp = terms[:K], terms[K:2 * K], terms[3 * K:4 * K]
+    k, dln_k = _rate_constants(T, terms, tb, telemetry)
     # [0, chi_1 .. chi_K, 1], the vector `slots` indexes.
     chi1 = np.empty(K + 2)
     chi1[0], chi1[-1] = 0.0, 1.0

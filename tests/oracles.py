@@ -3,7 +3,8 @@
 None of these runs in `expkin` itself: the scalar phi functions (in double
 precision and at 40 digits), the embedded exponential-Euler step and a
 fixed-step EPI3V march, a central-difference Jacobian, a loop-form source
-term and Jacobian written from the NASA-7 and Arrhenius definitions, a
+term and Jacobian written from the NASA-7 and Arrhenius definitions, the
+equilibrium constants of the same loop form, a
 line-by-line mechanism parser that searches every line with each
 unsupported-syntax pattern, and a CSV reader for the files
 `expkin.mechio.write_csv` writes. They use only public names of the package.
@@ -140,6 +141,31 @@ def _clamped(arg):
     return clipped, clipped != arg
 
 
+def _equilibrium(rxn, thermo, T):
+    """(K_c, d ln K_c/dT, clipped) of one reaction at T from the molar
+    (c_p, H, S, dc_p/dT) of every species: K_c = exp(-dG/(R T))
+    (P_STANDARD/(R T))^dnu with dG = dH - T dS, summed species by species
+    over the reaction's net coefficients. A -dG/(R T) beyond EXP_ARG_MAX is
+    clipped (`clipped`) and its factor is constant."""
+    nu = {k: rxn.products.get(k, 0) - rxn.reactants.get(k, 0)
+          for k in set(rxn.products) | set(rxn.reactants)}
+    dH = sum(n * thermo[k][1] for k, n in nu.items())
+    dS = sum(n * thermo[k][2] for k, n in nu.items())
+    dnu = sum(nu.values())
+    arg, clip = _clamped(-(dH - T * dS) / (R_GAS * T))
+    kc = math.exp(arg) * (P_STANDARD / (R_GAS * T)) ** dnu
+    dlnkc = ((0.0 if clip else dH / (R_GAS * T)) - dnu) / T
+    return kc, dlnkc, clip
+
+
+def equilibrium_reference(mech, T):
+    """(K_c, d ln K_c/dT, clipped) of every reaction at T, one reaction at a
+    time (see `_equilibrium`), from the NASA-7 fits."""
+    thermo = [_nasa7(sp, T) for sp in mech.species]
+    return tuple(np.array(column) for column in zip(
+        *(_equilibrium(rxn, thermo, T) for rxn in mech.reactions)))
+
+
 def kinetics_reference(mech, y, p):
     """(F, J, saturated) of the isobaric reactor at state y = [T, Y...] and
     pressure p, one reaction and one species at a time.
@@ -178,15 +204,8 @@ def kinetics_reference(mech, y, p):
         dlnkf = (beta + (0.0 if clip else E / (R_GAS * T))) / T
         sides = [(kf, dlnkf, rxn.reactants, 1.0)]
         if rxn.reversible:
-            nu = {k: rxn.products.get(k, 0) - rxn.reactants.get(k, 0)
-                  for k in set(rxn.products) | set(rxn.reactants)}
-            dH = sum(n * H[k] for k, n in nu.items())
-            dS = sum(n * thermo[k][2] for k, n in nu.items())
-            dnu = sum(nu.values())
-            arg, clip = _clamped(-(dH - T * dS) / (R_GAS * T))
+            kc, dlnkc, clip = _equilibrium(rxn, thermo, T)
             saturated |= clip
-            kc = math.exp(arg) * (P_STANDARD / (R_GAS * T)) ** dnu
-            dlnkc = ((0.0 if clip else dH / (R_GAS * T)) - dnu) / T
             sides.append((kf / kc, dlnkf - dlnkc, rxn.products, -1.0))
         # q = sum over sides of sign k prod chi^nu, and dq/d[T, Y].
         q = 0.0

@@ -13,7 +13,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 KERNELS = {
     "rhs_vector@toy3", "rhs_and_jacobian@toy3", "rhs_vector@gen53",
     "rhs_and_jacobian@gen53", "rhs_vector@gen250", "rhs_and_jacobian@gen250",
-    "rhs_vector@gen500", "rhs_and_jacobian@gen500", "thermo@toy3", "thermo@gen53",
+    "rhs_vector@gen500", "rhs_and_jacobian@gen500", "temperature_terms@toy3",
+    "temperature_terms@gen53", "temperature_terms@gen500",
     "phi_blocks@toy3", "phi_blocks@toy3_norm1", "expm@toy3_stack",
     "expm@hessenberg_stack", "kiops_eval@gen53", "kiops_eval_phi3@gen53",
     "arnoldi_extend10@gen53", "kiops_eval@gen250",

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import os
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +14,14 @@ from conftest import (FIXTURE_DIR, flat_thermo, make_mechanism, make_species,
 from expkin.kinetics import (
     InvalidStateError, KineticsError, Mechanism, P_STANDARD, R_GAS,
     RateTelemetry, Reaction, Species, ThermoRangeError, ThermoState,
-    TYPICAL_T, TYPICAL_Y, _check_finite, _slots, _thermo_powers, _unpack,
+    TYPICAL_T, TYPICAL_Y, _basis, _check_finite, _slots, _unpack,
     concentrations,
     density, equilibrium_constants, rate_constants, reaction_rates,
     rhs_and_jacobian, rhs_vector, species_thermo,
 )
 from expkin import kinetics
 from expkin.mechio import parse_mechanism
-from oracles import fd_jacobian
+from oracles import equilibrium_reference, fd_jacobian, kinetics_reference
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -633,10 +634,11 @@ class TestTables:
         tb = toy_mech.tables
         arrays = {name: value for name, value in vars(tb).items()
                   if isinstance(value, np.ndarray)}
-        arrays.update((f"thermo_by_range[{i}]", table)
-                      for i, table in enumerate(tb.thermo_by_range))
-        assert {"nu_net", "jacobian_index", "slots", "thermo_by_range[0]",
-                "thermo_by_range[1]", "arrhenius"} <= set(arrays)
+        arrays.update((f"terms_by_range[{i}]", table)
+                      for i, table in enumerate(tb.terms_by_range))
+        assert {"dnu", "kc_order", "jacobian_index", "slots",
+                "terms_by_range[0]", "terms_by_range[1]",
+                "arrhenius"} <= set(arrays)
         for name, a in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
@@ -662,16 +664,38 @@ class TestTables:
 
 
 def where_thermo(T, mech):
-    """c_p, H, S and dc_p/dT per unit mass (4, K) as `_thermo` took them
-    before its tables by range: one product of both ranges' R/W-scaled
-    NASA-7 rows, then each species' range picked by T > T_mid."""
-    scale = np.tile(R_GAS / mech.molar_masses, 4)[:, None]
-    both = np.vstack([
-        scale * kinetics._thermo_table([getattr(s, side) for s in mech.species])
-        for side in ("coeffs_low", "coeffs_high")])
-    both = (both @ _thermo_powers(T)).reshape(2, 4, -1)
+    """c_p, H, S and dc_p/dT per unit mass (4, K) in the where form: the
+    R/W-scaled NASA-7 rows of both ranges, each multiplied with `_basis(T)`,
+    then each species' range picked by T > T_mid. Each range's rows fill
+    the top of a matrix of the tables' height (zeros below), so that the
+    BLAS sums every row as it does in `_temperature_terms`."""
+    K = mech.n_species
+    height = len(mech.tables.terms_at(T))
+    both = []
+    for side in ("coeffs_low", "coeffs_high"):
+        a = np.array([getattr(s, side) for s in mech.species])
+        rows = np.zeros((height, 9))
+        rows[:4 * K] = (np.einsum("kj,qjc->qkc", a, kinetics._NASA7_MAP[:4])
+                        * (R_GAS / mech.molar_masses)[:, None]).reshape(4 * K, 9)
+        both.append((rows @ _basis(T))[:4 * K].reshape(4, K))
     t_mid = np.array([s.t_mid for s in mech.species])
     return np.where(T > t_mid, both[1], both[0])
+
+
+def where_terms(T, mech):
+    """What `_temperature_terms` returns, in the form the pass took its
+    terms before they shared one table: the where-form thermo, ln k_f and
+    d ln k_f/dT from ln A, beta and E/R, and -dG/RT and d ln K_c/dT from the
+    specific H and S times nu_net W, reaction by reaction in `kc_order`."""
+    tb = mech.tables
+    th = where_thermo(T, mech)
+    ln_a, beta, e_r = tb.arrhenius
+    nu_w = ((mech.nu_reverse - mech.nu_forward) * mech.molar_masses)[tb.kc_order]
+    dh, ds = nu_w @ th[1], nu_w @ th[2]
+    dh_rt = dh / (R_GAS * T)
+    return np.concatenate((
+        th.ravel(), ln_a + beta * math.log(T) - e_r / T, ds / R_GAS - dh_rt,
+        beta / T + e_r / T**2, (dh_rt - tb.dnu[tb.kc_order]) / T))
 
 
 def two_tmid_mechanism():
@@ -704,20 +728,26 @@ def load_layers():
 
 
 class TestThermoByRange:
-    """`_thermo` takes each T_mid interval's table; at T = T_mid a species
-    keeps its low range, as in the where form."""
+    """The thermo rows of `_temperature_terms` come from each T_mid
+    interval's table; at T = T_mid a species keeps its low range, as in the
+    where form."""
 
     TEMPERATURES = [
         300.0, 1000.0, math.nextafter(1000.0, 0), math.nextafter(1000.0, 2e3),
         1100.0, 1200.0, math.nextafter(1200.0, 0), math.nextafter(1200.0, 2e3),
         2500.0]
 
+    @staticmethod
+    def thermo_rows(T, mech):
+        K = mech.n_species
+        return kinetics._temperature_terms(T, mech.tables)[:4 * K].reshape(4, K)
+
     @pytest.mark.parametrize("T", TEMPERATURES)
     def test_bits_match_where_form(self, T):
         mech = two_tmid_mechanism()
         tb = mech.tables
         assert tb.t_mids == (1000.0, 1200.0)
-        got = kinetics._thermo(T, tb)
+        got = self.thermo_rows(T, mech)
         assert got.tobytes() == where_thermo(T, mech).tobytes()
 
     @pytest.mark.parametrize("order", [1, -1], ids=["up", "down"])
@@ -725,40 +755,175 @@ class TestThermoByRange:
         # One mechanism across every temperature, so each interval's table
         # serves every T in it.
         mech = two_tmid_mechanism()
-        tb = mech.tables
         for T in self.TEMPERATURES[::order]:
-            got = kinetics._thermo(T, tb)
+            got = self.thermo_rows(T, mech)
             assert got.tobytes() == where_thermo(T, mech).tobytes(), T
 
     def test_tables_built_with_the_mechanism(self):
         # Every interval's table exists once the tables are built, is
-        # read-only, and is the one thermo_at returns; nothing is filled in
+        # read-only, and is the one terms_at returns; nothing is filled in
         # later.
         tb = two_tmid_mechanism().tables
-        tables = tb.thermo_by_range
+        tables = tb.terms_by_range
         assert isinstance(tables, tuple) and len(tables) == 3
         for table, T in zip(tables, (1000.0, 1100.0, 1300.0)):
-            assert table.shape == (12, 7) and not table.flags.writeable
-            assert tb.thermo_at(T) is table
+            assert table.shape == (12, 9) and not table.flags.writeable
+            assert tb.terms_at(T) is table
         with pytest.raises(ValueError, match="read-only"):
             tables[1][0, 0] = 0.0
         assert not hasattr(tb, "thermo")
 
     @pytest.mark.parametrize("state", ["toy_state", "gen_state"])
     def test_rhs_and_jacobian_bits_at_layer_states(self, state, monkeypatch):
-        # F and J at bench/layers.py's toy3 and K = 53 states, and 1 K
-        # either side of T_mid, match the pass with the where form.
+        # At bench/layers.py's toy3 and K = 53 states, and 1 K either side
+        # of T_mid: the product's thermo rows are the where form's bit for
+        # bit, and F and J are within 1e-12 of a pass whose terms are the
+        # where form's (`where_terms`): F normwise, each row of J relative
+        # to its largest entry. Measured: at most 1.2e-13 and 4.3e-14.
         mech, y = getattr(load_layers(), state)()
         t_mid, = mech.tables.t_mids
         for T in (y[0], t_mid - 1.0, t_mid, t_mid + 1.0):
+            assert (self.thermo_rows(T, mech).tobytes()
+                    == where_thermo(T, mech).tobytes()), T
             y_T = np.concatenate(([T], y[1:]))
-            got = rhs_and_jacobian(y_T, mech, 101325.0)
+            F, J = rhs_and_jacobian(y_T, mech, 101325.0)
+            calls = []
             with monkeypatch.context() as m:
-                m.setattr(kinetics, "_thermo",
-                          lambda T, tb: where_thermo(T, mech))
-                want = rhs_and_jacobian(y_T, mech, 101325.0)
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes(), T
+                m.setattr(kinetics, "_temperature_terms",
+                          lambda T, tb: calls.append(T) or where_terms(T, mech))
+                F_where, J_where = rhs_and_jacobian(y_T, mech, 101325.0)
+            assert calls == [T]
+            assert (np.linalg.norm(F - F_where)
+                    <= 1e-12 * np.linalg.norm(F_where)), T
+            row = np.abs(J_where).max(axis=1, keepdims=True)
+            assert np.all(np.abs(J - J_where) <= 1e-12 * row), T
+
+
+def lowered_product_mechanism(mech, shift=3.0e6):
+    """The mechanism with the H/R offset a6 of every product species (P*)
+    lowered by `shift` K in both ranges. No reversible reaction consumes a
+    P*, so each one that makes one has -dG/RT above shift/T - the rest,
+    beyond EXP_ARG_MAX from 800 to 2500 K."""
+    species = []
+    for sp in mech.species:
+        if sp.name.startswith("P"):
+            low, high = (c[:5] + (c[5] - shift,) + c[6:]
+                         for c in (sp.coeffs_low, sp.coeffs_high))
+            sp = replace(sp, coeffs_low=low, coeffs_high=high)
+        species.append(sp)
+    product = np.array([sp.name.startswith("P") for sp in mech.species])
+    tb = mech.tables
+    assert not (mech.nu_forward[tb.reverse] * product).any()
+    assert (mech.nu_reverse[tb.reverse] * product).any()
+    return Mechanism(species=tuple(species), reactions=mech.reactions)
+
+
+def interior_state(mech, T, seed):
+    """State vector at T with Dirichlet mass fractions, none of them 0."""
+    Y = np.random.default_rng(seed).dirichlet(np.ones(mech.n_species))
+    return np.concatenate(([T], Y))
+
+
+class TestTemperatureTerms:
+    """The one product `_temperature_terms` on generated networks, below, at
+    and above their T_mid (1000 K)."""
+
+    NETWORKS = [(20, 1), (53, 0)]
+    TEMPERATURES = [900.0, 1000.0, 1100.0]
+
+    @staticmethod
+    def reaction_rows(T, mech):
+        """ln k_f, ln K_c = -dG/RT + dnu ln(P_STANDARD/(R T)), d ln k_f/dT
+        and d ln K_c/dT of every reaction, in reaction order, read off the
+        product at T."""
+        tb = mech.tables
+        N = mech.n_reactions
+        terms = kinetics._temperature_terms(T, tb)
+        ln_kc, dln_kc = np.empty((2, N))
+        ln_kc[tb.kc_order] = (terms[tb.neg_dg_rows] + tb.dnu[tb.kc_order]
+                              * math.log(P_STANDARD / (R_GAS * T)))
+        dln_kc[tb.kc_order] = terms[tb.dln_kc_rows]
+        return (terms[tb.ln_k_rows][:N], ln_kc, terms[tb.dln_k_rows][:N],
+                dln_kc)
+
+    @pytest.mark.parametrize("T", TEMPERATURES)
+    @pytest.mark.parametrize("K, seed", NETWORKS)
+    def test_log_derivatives_match_central_differences(self, K, seed, T):
+        # Central differences of the ln k_f and ln K_c rows at T +- 0.05 K;
+        # the fits are continuous at T_mid, so the step may straddle it.
+        mech = mechgen.generate_mechanism(K, seed)
+        dT = 0.05
+        ln_k, ln_kc, dln_k, dln_kc = self.reaction_rows(T, mech)
+        up, down = (self.reaction_rows(T + s, mech) for s in (dT, -dT))
+        for got, plus, minus in ((dln_k, up[0], down[0]),
+                                 (dln_kc, up[1], down[1])):
+            np.testing.assert_allclose(got, (plus - minus) / (2 * dT),
+                                       rtol=1e-7, atol=1e-10)
+        # The rows are the rate constants' logarithms.
+        kf = rate_constants(T, mech)[0]
+        np.testing.assert_allclose(np.exp(ln_k), kf, rtol=1e-15)
+        np.testing.assert_allclose(np.exp(ln_kc),
+                                   equilibrium_constants(T, mech), rtol=1e-15)
+
+    @pytest.mark.parametrize("T", TEMPERATURES)
+    @pytest.mark.parametrize("K, seed", NETWORKS)
+    def test_equilibrium_constants_match_per_reaction_formula(self, K, seed, T):
+        # K_c and d ln K_c/dT of every reaction, reversible or not, against
+        # the loop form of tests/oracles.py (dG summed species by species).
+        mech = mechgen.generate_mechanism(K, seed)
+        kc_ref, dln_kc_ref, clipped = equilibrium_reference(mech, T)
+        assert not clipped.any()
+        np.testing.assert_allclose(equilibrium_constants(T, mech), kc_ref,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(self.reaction_rows(T, mech)[3], dln_kc_ref,
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("T", TEMPERATURES)
+    @pytest.mark.parametrize("K, seed", NETWORKS)
+    def test_clipped_equilibrium_saturates_with_zero_derivative(self, K,
+                                                                seed, T):
+        # -dG/RT beyond EXP_ARG_MAX in some reversible reactions: both
+        # entry points mark the telemetry, the clipped factor's derivative
+        # is dropped (the reverse row's d ln k/dT is d ln k_f/dT + dnu/T),
+        # and J matches the loop reference, which drops it too, and the FD
+        # oracle. The unaltered network saturates nothing.
+        base = mechgen.generate_mechanism(K, seed)
+        mech = lowered_product_mechanism(base)
+        tb = mech.tables
+        clipped = equilibrium_reference(mech, T)[2]
+        assert clipped[tb.reverse].any() and not clipped[tb.reverse].all()
+        y = interior_state(mech, T, seed)
+        for m, saturated in ((base, False), (mech, True)):
+            tel_rhs, tel_jac = RateTelemetry(), RateTelemetry()
+            rhs_vector(y, m, 101325.0, telemetry=tel_rhs)
+            rhs_and_jacobian(y, m, 101325.0, telemetry=tel_jac)
+            assert tel_rhs.saturated == tel_jac.saturated == saturated
+        N = mech.n_reactions
+        _, dln_k = kinetics._rate_constants(
+            T, kinetics._temperature_terms(T, tb), tb, None)
+        rev_clipped = clipped[tb.reverse]
+        np.testing.assert_array_equal(
+            dln_k[N:][rev_clipped],
+            (dln_k[tb.reverse] + tb.dnu_reverse / T)[rev_clipped])
+        F_ref, J_ref, saturated = kinetics_reference(mech, y, 101325.0)
+        F, J = rhs_and_jacobian(y, mech, 101325.0)
+        assert saturated
+        assert np.linalg.norm(F - F_ref) <= 1e-13 * np.linalg.norm(F_ref)
+        row_scale = np.abs(J_ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(J - J_ref) <= 1e-12 * row_scale)
+        assert oracle_error(mech, y, 101325.0) < 1e-6
+
+    @pytest.mark.parametrize("K, seed", NETWORKS)
+    def test_tables_are_read_only(self, K, seed):
+        # Each interval's table, and the array they are views of.
+        tables = mechgen.generate_mechanism(K, seed).tables.terms_by_range
+        assert len(tables) == 2
+        for table in tables:
+            assert table.shape == (4 * (K + 6 * K + K // 7), 9)
+            for a in (table, table.base):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 1.0
 
 
 def padded(slots, width, K):

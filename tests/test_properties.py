@@ -114,6 +114,22 @@ def test_step_lte_is_third_order(case):
     assert 2.7 <= slope <= 3.3
 
 
+@PROPERTY
+@given(cases())
+def test_lte_estimate_scales_as_h_cubed(case):
+    # The step's error estimate as h -> 0: the least-squares slope of
+    # log ||lte|| against log h over 16 h0 / 2^j, j = 0 .. 4, down to the
+    # step h0 of test_step_lte_is_third_order (h ||J||_1 from 0.16 to 0.01),
+    # in the same window. Past h0/4 the estimate's residual F(Y) - F(y) -
+    # J (Y - y) reaches the rounding of F, and the slope wanders (one case
+    # read 2.5, then 4.1, over the next two halvings).
+    h = 2.0 ** -np.arange(5)
+    lte = [np.linalg.norm(one_step(*case, divisor=2.0**j / 16)[1])
+           for j in range(5)]
+    slope = np.polyfit(np.log(h), np.log(lte), 1)[0]
+    assert 2.7 <= slope <= 3.3
+
+
 def two_range_thermo(mech, seed):
     """The mechanism with every species' flat fit replaced by a two-range
     one: c_p/R = a1 + a2 T + a3 T^2 up to a t_mid drawn in [900, 1100] K,
